@@ -64,25 +64,24 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _emit(path, text):
+    """Write text to the file at path, or to stdout when path is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _write_svg(path, series, title):
@@ -121,34 +120,25 @@ def _write_svg(path, series, title):
                      f'y="{margin + 14 * (idx + 1):.6g}" font-size="11" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, "\n".join(parts) + "\n")
 
 
 def build_model(args) -> mdl.DdeModel:
-    name = None
-    params = {}
-    hint = None
+    cfg = {}
     if args.params:
         with open(args.params, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        name = cfg.get("model")
-        params.update(cfg.get("params", {}))
-        hh = cfg.get("hopf_hint")
-        if hh:
-            hint = (hh["omega"], hh["lambda"])
-    if args.model:
-        name = args.model
-    if name not in mdl.BUILTIN_MODELS:
+        if not isinstance(cfg, dict) \
+                or not set(cfg) <= {"model", "params", "hopf_hint"}:
+            raise ModelError(f"{args.params}: expected a JSON object with "
+                             'keys "model", "params" and "hopf_hint"')
+    name = args.model or cfg.get("model")
+    if not isinstance(name, str) or name not in mdl.BUILTIN_MODELS:
         raise ModelError(
             f"unknown model {name!r}; choose one of {sorted(mdl.BUILTIN_MODELS)}")
-    model = mdl.BUILTIN_MODELS[name](params)
-    if hint:
-        model.hopf_hint = (float(hint[0]), float(hint[1]))
+    model = mdl.BUILTIN_MODELS[name](cfg.get("params"))
+    if cfg.get("hopf_hint") is not None:
+        model.hopf_hint = mdl._hopf_hint(cfg["hopf_hint"])
     return model
 
 
@@ -164,6 +154,13 @@ def _parse_grid(spec: str):
 
 
 # -- subcommand bodies -------------------------------------------------------------
+
+
+def _orbit_at_delay(args):
+    """(model, orbit): the configured model's orbit at the --lambda delay."""
+    model = build_model(args)
+    result = expand(model, args.order, z0_scale=args.z0_scale)
+    return model, reconstruct(result, args.lam)
 
 
 def cmd_hopf(args) -> int:
@@ -212,9 +209,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model = build_model(args)
-    result = expand(model, args.order, z0_scale=args.z0_scale)
-    orbit = reconstruct(result, args.lam)
+    model, orbit = _orbit_at_delay(args)
     extrema = orbit_extrema(orbit)
     unit = model.time_unit
     if args.format == "svg":
@@ -247,9 +242,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    model = build_model(args)
-    result = expand(model, args.order, z0_scale=args.z0_scale)
-    orbit = reconstruct(result, args.lam)
+    model, orbit = _orbit_at_delay(args)
     r_r = residual(model, orbit, args.samples)
     unit = model.time_unit
     if args.format == "json":
@@ -298,9 +291,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model = build_model(args)
-    result = expand(model, args.order, z0_scale=args.z0_scale)
-    orbit = reconstruct(result, args.lam)
+    model, orbit = _orbit_at_delay(args)
     r_r = residual(model, orbit, args.samples)
     e_r, align, _ = di.cross_validate(orbit, rtol=args.rtol, atol=args.atol)
     unit = model.time_unit

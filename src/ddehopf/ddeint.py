@@ -20,6 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import ComparisonError, IntegrationError, SteadyStateError
+from .orbit import _bisect, _golden_max, _hermite
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -58,16 +59,12 @@ class Trajectory:
         i = int(np.searchsorted(ts, t, side="right")) - 1
         i = min(max(i, 0), len(ts) - 2)
         t0, t1 = ts[i], ts[i + 1]
-        dt = t1 - t0
-        s = (t - t0) / dt
         y0, y1 = self.ys[i], self.ys[i + 1]
         f0, f1 = self.fs[i], self.fs[i + 1]
         if not deriv:
-            h00 = (1 + 2 * s) * (1 - s) ** 2
-            h10 = s * (1 - s) ** 2
-            h01 = s * s * (3 - 2 * s)
-            h11 = s * s * (s - 1)
-            return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
+            return _hermite(t, t0, t1, y0, y1, f0, f1)
+        dt = t1 - t0
+        s = (t - t0) / dt
         d00 = 6 * s * (s - 1) / dt
         d10 = (1 - 4 * s + 3 * s * s)
         d01 = -d00
@@ -137,16 +134,8 @@ class _History:
         i = bisect_right(self.ts, t) - 1
         if i >= len(self.ts) - 1:
             i = len(self.ts) - 2
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        dt = t1 - t0
-        s = (t - t0) / dt
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        f0, f1 = self.fs[i], self.fs[i + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
+        return _hermite(t, self.ts[i], self.ts[i + 1], self.ys[i],
+                        self.ys[i + 1], self.fs[i], self.fs[i + 1])
 
 
 def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
@@ -207,19 +196,6 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
 # -- steady state ---------------------------------------------------------------
 
 
-def _bisect_crossing(traj, level, a, b):
-    """Upward crossing time of component 1 through ``level`` in [a, b]."""
-    fa = traj.value(a)[0] - level
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = traj.value(mid)[0] - level
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def _cycle_peak(traj, ts, d, level, i0, i1):
     """Peak |deviation| within one cycle, refined on the dense output.
 
@@ -234,22 +210,7 @@ def _cycle_peak(traj, ts, d, level, i0, i1):
     def f(t):
         return abs(float(traj.value(t)[0]) - level)
 
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = float(np.abs(d[k]))
-    for _ in range(25):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = f(x1)
-        best = max(best, f1, f2)
-    return best
+    return _golden_max(f, a, b, float(np.abs(d[k])), 25)
 
 
 def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=1e-6,
@@ -268,8 +229,12 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=1e-6,
         raise SteadyStateError(
             f"only {len(up)} upward crossings found; trajectory too short "
             "or not oscillating")
-    crossings = np.array([_bisect_crossing(traj, level, traj.ts[i],
-                                           traj.ts[i + 1]) for i in up])
+
+    def f(t):
+        return traj.value(t)[0] - level
+
+    crossings = np.array([_bisect(f, traj.ts[i], traj.ts[i + 1], f(traj.ts[i]))
+                          for i in up])
     periods = np.diff(crossings)
     if len(periods) < 3:
         raise SteadyStateError("fewer than 3 full cycles in the trajectory")
@@ -297,19 +262,11 @@ def _orbit_anchor(orbit) -> float:
         return 0.0
     ts = np.linspace(0.0, orbit.period, 512, endpoint=False)
     d = orbit.deviation(ts)[:, 0]
-    for i in range(len(ts) - 1):
-        if d[i] <= 0.0 < d[i + 1]:
-            a, b = ts[i], ts[i + 1]
-            fa = d[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(orbit.deviation(mid)[0])
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-    raise ComparisonError("orbit has no upward equilibrium crossing")
+    up = np.nonzero((d[:-1] <= 0.0) & (d[1:] > 0.0))[0]
+    if len(up) == 0:
+        raise ComparisonError("orbit has no upward equilibrium crossing")
+    i = up[0]
+    return _bisect(lambda t: float(orbit.deviation(t)[0]), ts[i], ts[i + 1], d[i])
 
 
 def relative_error(orbit, traj: Trajectory, align: Alignment,

@@ -20,6 +20,10 @@ Two systems ship with the package:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
+from numbers import Real
+
 import numpy as np
 
 from . import epsseries as es
@@ -97,6 +101,37 @@ SIR_DEFAULTS = {
 }
 
 
+def _number(value, what):
+    """``value`` as a float; anything but a finite real number is a ModelError."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ModelError(f"{what} must be a finite number, got {value!r}")
+
+
+def _merge_params(defaults, params):
+    """Defaults overridden by ``params``, a mapping of known names to numbers."""
+    params = {} if params is None else params
+    if not isinstance(params, Mapping) or not set(params) <= set(defaults):
+        raise ModelError(f"parameters must map names from {sorted(defaults)} "
+                         f"to numbers, got {params!r}")
+    return {k: _number(params.get(k, v), f"parameter {k}")
+            for k, v in defaults.items()}
+
+
+def _hopf_hint(hint):
+    """(omega, lam) from a {"omega": ..., "lambda": ...} mapping."""
+    if not isinstance(hint, Mapping) or set(hint) != {"omega", "lambda"}:
+        raise ModelError('hopf_hint must be {"omega": number, "lambda": number}'
+                         f", got {hint!r}")
+    return (_number(hint["omega"], "hopf_hint omega"),
+            _number(hint["lambda"], "hopf_hint lambda"))
+
+
 def _validate_positive(params, keys):
     for k in keys:
         if params[k] <= 0:
@@ -105,9 +140,7 @@ def _validate_positive(params, keys):
 
 def make_ndde(params=None) -> DdeModel:
     """Two-car following model in distance/relative-velocity coordinates."""
-    p = dict(NDDE_DEFAULTS)
-    if params:
-        p.update(params)
+    p = _merge_params(NDDE_DEFAULTS, params)
     _validate_positive(p, ("a", "b", "v0", "M", "d", "K"))
     a, b, d, K = p["a"], p["b"], p["d"], p["K"]
     ratio = b / a
@@ -131,9 +164,7 @@ def make_sir(params=None) -> DdeModel:
     individuals who die before losing immunity; it is accepted as written,
     so delays should stay below 1/mu for the flow to keep its sign.
     """
-    p = dict(SIR_DEFAULTS)
-    if params:
-        p.update(params)
+    p = _merge_params(SIR_DEFAULTS, params)
     _validate_positive(p, ("alpha", "beta", "mu", "f", "P_max"))
     if p["f"] > 1.0:
         raise ModelError("recovered fraction f must be <= 1")

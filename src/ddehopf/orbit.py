@@ -27,6 +27,54 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 EXTRAPOLATION_RESIDUAL = 0.05  # diagram points with larger residual are flagged
 
 
+# -- numerical kernels, shared with the reference integrator ------------------------
+
+
+def _bisect(f, a, b, fa):
+    """Root of f in a bracket [a, b] where f changes sign; fa = f(a).
+
+    Eighty halvings take any bracket below the spacing of doubles."""
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _golden_max(f, a, b, seed, iterations):
+    """Golden-section steps on [a, b] refining ``seed``, a known value of f
+    there (a grid maximum); returns the largest value seen, as a float."""
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best = seed
+    for _ in range(iterations):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+        best = max(best, f1, f2)
+    return float(best)
+
+
+def _hermite(t, t0, t1, y0, y1, f0, f1):
+    """Cubic Hermite interpolant at t through values y and slopes f at t0, t1."""
+    dt = t1 - t0
+    s = (t - t0) / dt
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
+
+
 def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
     """Smallest nonnegative amplitude parameter for a prescribed delay.
 
@@ -74,16 +122,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
             eps = float(grid[i])
             break
         if vals[i] * vals[i + 1] < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = vals[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = p(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            eps = 0.5 * (a + b)
+            eps = _bisect(p, float(grid[i]), float(grid[i + 1]), vals[i])
             break
     if eps is None:
         raise NoRealRootError(
@@ -172,23 +211,12 @@ def reconstruct(exp: ExpansionResult, lam: float, eps=None) -> ReconstructedOrbi
 # -- residual ---------------------------------------------------------------------
 
 
-def _golden_max(f, a, b, fa_mid, iterations=3):
-    """A few golden-section steps refining a grid maximum of a scalar f."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = fa_mid
-    for _ in range(iterations):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        best = max(best, f1, f2)
-    return best
+def _refined_max(f, taus, vals):
+    """Maximum of f over one period from its samples ``vals`` on the uniform
+    grid ``taus``, sharpened by golden-section steps around the best sample."""
+    dt = 2.0 * np.pi / len(taus)
+    k = int(np.argmax(vals))
+    return _golden_max(f, taus[k] - dt, taus[k] + dt, vals[k], 3)
 
 
 def residual(model, orbit: ReconstructedOrbit, samples: int = 2048) -> float:
@@ -223,11 +251,8 @@ def residual(model, orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     def den_at(tau):
         return float(np.max(np.abs(dprofile.eval(tau) * orbit.omega_eff)))
 
-    dt = 2.0 * np.pi / samples
-    i_num = int(np.argmax(num))
-    i_den = int(np.argmax(den))
-    sup_num = _golden_max(num_at, taus[i_num] - dt, taus[i_num] + dt, num[i_num])
-    sup_den = _golden_max(den_at, taus[i_den] - dt, taus[i_den] + dt, den[i_den])
+    sup_num = _refined_max(num_at, taus, num)
+    sup_den = _refined_max(den_at, taus, den)
     if sup_den == 0.0:
         # zero-amplitude orbit: the defect is the equilibrium residual
         return 0.0 if sup_num < 1e-9 else float("inf")
@@ -241,24 +266,16 @@ def orbit_extrema(orbit: ReconstructedOrbit, samples: int = 1024):
     """(min, max) per component over one period, grid plus refinement."""
     taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     vals = orbit.profile.eval(taus) + orbit.equilibrium
-    dt = 2.0 * np.pi / samples
     out = []
     for i in range(vals.shape[1]):
         comp = orbit.profile.component(i)
         base = float(orbit.equilibrium[i])
 
-        def lo(tau, comp=comp, base=base):
-            return -(float(comp.eval(tau)[0]) + base)
-
         def hi(tau, comp=comp, base=base):
             return float(comp.eval(tau)[0]) + base
 
-        k_lo = int(np.argmin(vals[:, i]))
-        k_hi = int(np.argmax(vals[:, i]))
-        vmin = -_golden_max(lo, taus[k_lo] - dt, taus[k_lo] + dt,
-                            -float(vals[k_lo, i]))
-        vmax = _golden_max(hi, taus[k_hi] - dt, taus[k_hi] + dt,
-                           float(vals[k_hi, i]))
+        vmin = -_refined_max(lambda tau: -hi(tau), taus, -vals[:, i])
+        vmax = _refined_max(hi, taus, vals[:, i])
         out.append((vmin, vmax))
     return out
 

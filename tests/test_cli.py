@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ddehopf import cli
 
 
@@ -119,6 +121,19 @@ class TestDiagram:
                     "--lambda-grid", "oops"]) == cli.EXIT_MODEL
 
 
+@pytest.mark.parametrize("argv", [
+    ["hopf"],
+    ["expand", "--order", "3"],
+    ["solve", "--order", "3", "--lambda", "1.4"],
+    ["residual", "--order", "3", "--lambda", "1.4"],
+    ["diagram", "--order", "3", "--lambda-grid", "1.25:1.5:6"],
+    ["validate", "--order", "3", "--lambda", "1.4"],
+], ids=lambda argv: argv[0])
+def test_json_format_every_subcommand(argv, capsys):
+    assert run([*argv, "--model", "ndde", "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
+
+
 class TestValidate:
     def test_row_structure(self, tmp_path):
         out = tmp_path / "val.csv"
@@ -156,3 +171,17 @@ class TestConfig:
             "hopf_hint": {"omega": 250.0, "lambda": 400.0},
         }))
         assert run(["hopf", "--params", str(cfg)]) == cli.EXIT_HOPF
+
+    @pytest.mark.parametrize("config", [
+        {"model": "ndde", "hopf_hint": {"omega": 0.03}},
+        {"model": "sir", "params": {"beta": "0.01"}},
+        [1, 2],
+        {"model": "ndde", "params": {"gamma": 0.5}},
+        {"model": "ndde", "parms": {"d": 0.12}},
+        {"model": "ndde", "params": {"d": float("nan")}},
+    ], ids=["hint_key_missing", "string_value", "not_an_object",
+            "unknown_name", "unknown_top_level_key", "non_finite_value"])
+    def test_malformed_params_file_exit_code(self, tmp_path, config):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["hopf", "--params", str(cfg)]) == cli.EXIT_MODEL

@@ -65,6 +65,24 @@ class TestIntegrate:
         for k in (10, len(traj.ts) // 2, len(traj.ts) - 1):
             assert np.max(np.abs(traj.value(traj.ts[k]) - traj.ys[k])) < 1e-12
 
+    def test_hermite_reproduces_a_cubic(self):
+        # cubic Hermite dense output is exact on cubics, in both evaluators
+        def p(t):
+            return 0.5 * t ** 3 - 2.0 * t ** 2 + t - 3.0
+
+        def dp(t):
+            return 1.5 * t ** 2 - 4.0 * t + 1.0
+
+        ts = [0.0, 0.3, 1.1, 2.0]
+        rec = di._History(ts[0], [p(ts[0])], [dp(ts[0])], [p(ts[0])], 1.0)
+        for t in ts[1:]:
+            rec.push(t, np.array([p(t)]), np.array([dp(t)]))
+        traj = di.Trajectory(ts, [[p(t)] for t in ts], [[dp(t)] for t in ts],
+                             1.0, [p(ts[0])])
+        for t in np.linspace(0.01, 1.99, 23):
+            assert abs(rec.lookup(t)[0] - p(t)) < 1e-13
+            assert abs(traj.value(t)[0] - p(t)) < 1e-13
+
     def test_history_guard(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
         with pytest.raises(IntegrationError):

@@ -33,6 +33,25 @@ class TestSolveEpsilon:
             assert abs(back - eps) < 1e-10
 
 
+class TestKernels:
+    @pytest.mark.parametrize("f, a, b, root", [
+        (np.cos, 0.0, 2.0, np.pi / 2),
+        (lambda x: x ** 3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: 0.3 - x, 0.0, 1.0, 0.3),
+    ])
+    def test_bisect_monotone_bracket(self, f, a, b, root):
+        assert abs(ob._bisect(f, a, b, f(a)) - root) <= 1e-15
+
+    def test_golden_max_is_a_float_not_below_its_seed(self):
+        def f(x):
+            return 1.0 - (x - 0.3) ** 2
+
+        refined = ob._golden_max(f, 0.0, 1.0, np.float64(0.5), 3)
+        assert type(refined) is float and 0.99 < refined <= 1.0
+        kept = ob._golden_max(f, 0.0, 1.0, np.float64(2.0), 3)
+        assert type(kept) is float and kept == 2.0
+
+
 class TestOrbit:
     def test_zero_amplitude_is_equilibrium(self, sir_2pi8, sir):
         orbit = ob.ReconstructedOrbit(sir_2pi8, sir_2pi8.hopf.lambda0, 0.0)
