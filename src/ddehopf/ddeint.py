@@ -1,11 +1,13 @@
 """Reference DDE integrator (method of steps) and orbit cross-validation.
 
-The integrator advances a single-delay system with the embedded Dormand-
-Prince 5(4) pair, with the step capped at a quarter of the delay so every
-delayed lookup lands in already-completed territory (or in the constant
-pre-history).  Dense output is the C1 cubic Hermite interpolant through the
-step endpoints, which keeps the delayed-argument accuracy commensurate with
-the local step error.
+The integrator advances a single-delay system from a history on [-lam, 0]
+(a constant state or a function of t) with the embedded Dormand-Prince 5(4)
+pair, with the step capped at a quarter of the delay so every delayed lookup
+lands in already-completed territory (or in the history).  Dense output is
+the C1 cubic Hermite interpolant through the step endpoints, which keeps the
+delayed-argument accuracy commensurate with the local step error.  The step
+record is the returned trajectory itself, which carries the step size so
+that it can be extended later instead of restarted.
 
 On top of it sit steady-state detection (upward equilibrium crossings of
 the first component, bisected on the dense output, with period and peak-
@@ -39,28 +41,45 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 class Trajectory:
-    """Dense numerical solution with cubic Hermite segments between knots."""
+    """Dense numerical solution: the integrator's step record.
 
-    def __init__(self, ts, ys, fs, lam, history_value):
-        self.ts = np.asarray(ts, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.fs = np.asarray(fs, dtype=float)
+    Knots (t, y, y') are kept in growing lists; between knots the dense
+    output is the cubic Hermite segment, at or before the first knot it is
+    the history.  ``integrate`` fills the record and ``extend`` continues it
+    in place from the carried step state.  ``ts``, ``ys`` and ``fs`` are
+    array views of the knots, rebuilt after a change.  ``stats`` counts the
+    accepted and rejected steps, the rhs evaluations and the extensions.
+    """
+
+    def __init__(self, ts, ys, fs, lam, history):
+        self._ts = [float(t) for t in ts]
+        self._ys = [np.asarray(y, dtype=float) for y in ys]
+        self._fs = [np.asarray(f, dtype=float) for f in fs]
         self.lam = float(lam)
-        self.history_value = np.asarray(history_value, dtype=float)
-        self.t_start = float(self.ts[0])
-        self.t_end = float(self.ts[-1])
+        self.history = _history_function(history)
+        self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
+                      "extensions": 0}
+        self._stepper = None  # (model, rtol, atol, next step) once integrated
+        self._publish()
+
+    def _publish(self):
+        """Refresh the array views of the knot lists."""
+        self.ts = np.array(self._ts)
+        self.ys = np.array(self._ys)
+        self.fs = np.array(self._fs)
+        self.t_start = self._ts[0]
+        self.t_end = self._ts[-1]
 
     @property
     def dim(self) -> int:
         return self.ys.shape[1]
 
     def _segment_eval(self, t, deriv=False):
-        ts = self.ts
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
+        ts = self._ts
+        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
         t0, t1 = ts[i], ts[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        f0, f1 = self.fs[i], self.fs[i + 1]
+        y0, y1 = self._ys[i], self._ys[i + 1]
+        f0, f1 = self._fs[i], self._fs[i + 1]
         if not deriv:
             return _hermite(t, t0, t1, y0, y1, f0, f1)
         dt = t1 - t0
@@ -71,31 +90,108 @@ class Trajectory:
         d11 = (3 * s * s - 2 * s)
         return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
 
+    def _lookup(self, t):
+        if t <= self.t_start:
+            if t < self.t_start - self.lam - 1e-9 * max(1.0, self.lam):
+                raise IntegrationError(
+                    f"delayed lookup at t={t} precedes the history interval")
+            return self.history(t)
+        return self._segment_eval(t)
+
     def value(self, t):
         """Dense-output state; scalar t gives (dim,), array t gives (m, dim)."""
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            tv = float(t_arr)
-            if tv <= self.t_start:
-                if tv < self.t_start - self.lam - 1e-9 * max(1.0, self.lam):
-                    raise IntegrationError(
-                        f"delayed lookup at t={tv} precedes the history interval")
-                return self.history_value.copy()
-            if tv > self.t_end + 1e-9 * max(1.0, abs(self.t_end)):
-                raise IntegrationError(
-                    f"lookup at t={tv} beyond the trajectory end {self.t_end}")
-            return self._segment_eval(min(tv, self.t_end))
-        return np.stack([self.value(float(tv)) for tv in t_arr])
+        if t_arr.ndim:
+            return np.stack([self.value(float(tv)) for tv in t_arr])
+        tv = float(t_arr)
+        if tv > self.t_end + 1e-9 * max(1.0, abs(self.t_end)):
+            raise IntegrationError(
+                f"lookup at t={tv} beyond the trajectory end {self.t_end}")
+        return np.asarray(self._lookup(min(tv, self.t_end)), dtype=float)
 
     def derivative(self, t):
+        """Slope of the dense output; at or before the first knot, a central
+        difference of the history over 1e-5 * max(1, lam) each side."""
         tv = float(t)
         if tv <= self.t_start:
-            return np.zeros(self.dim)
+            d = 1e-5 * max(1.0, self.lam)
+            return (np.asarray(self.history(tv + d), dtype=float)
+                    - np.asarray(self.history(tv - d), dtype=float)) / (2 * d)
         return self._segment_eval(min(tv, self.t_end), deriv=True)
+
+    def extend(self, t_end):
+        """Continue the integration in place to t_end, from the last knot and
+        the step size the controller proposed there; earlier knots stay as
+        they are."""
+        if self._stepper is None:
+            raise IntegrationError(
+                "only a trajectory made by integrate can be extended")
+        if t_end <= self.t_end:
+            raise IntegrationError(
+                f"t_end={t_end} does not lie beyond the trajectory end "
+                f"{self.t_end}")
+        self.stats["extensions"] += 1
+        self._advance(t_end)
+
+    def _advance(self, t_end):
+        """Dormand-Prince steps from the last knot up to t_end."""
+        model, rtol, atol, h = self._stepper
+        lam = self.lam
+        h_max = lam / 4.0
+        stats = self.stats
+
+        def rhs(t, state):
+            ydel = self._lookup(t - lam)
+            return np.array(model.rhs(lam, list(state), list(ydel)), dtype=float)
+
+        t, y, f = self._ts[-1], self._ys[-1], self._fs[-1]
+        n_stages = 7
+        k = np.zeros((n_stages, self.dim))
+        min_h_floor = 1e-14
+        try:
+            while t < t_end:
+                h = min(h, h_max, t_end - t)
+                if h < min_h_floor * max(1.0, abs(t)):
+                    raise IntegrationError(f"step size underflow at t={t}")
+                k[0] = f
+                for i in range(1, n_stages):
+                    ti = t + _C[i] * h
+                    yi = y + h * (_A[i] @ k[:i])
+                    k[i] = rhs(ti, yi)
+                stats["rhs_evals"] += n_stages - 1
+                y5 = y + h * (_B5 @ k)
+                y4 = y + h * (_B4 @ k)
+                if not np.all(np.isfinite(y5)):
+                    raise IntegrationError(f"non-finite state at t={t + h}")
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+                err = float(np.max(np.abs(y5 - y4) / scale))
+                if err <= 1.0:
+                    t += h
+                    y = y5
+                    f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
+                    self._ts.append(t)
+                    self._ys.append(y)
+                    self._fs.append(f)
+                    stats["accepted"] += 1
+                else:
+                    stats["rejected"] += 1
+                factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
+                h *= min(5.0, max(0.2, factor))
+            self._stepper = (model, rtol, atol, h)
+        finally:
+            self._publish()  # keep the views whole if a step fails
 
     def __repr__(self):
         return (f"Trajectory(lam={self.lam}, t=[{self.t_start}, {self.t_end}], "
                 f"knots={len(self.ts)})")
+
+
+def _history_function(history):
+    """The history as a function t -> state; a constant state is wrapped."""
+    if callable(history):
+        return history
+    value = np.asarray(history, dtype=float).copy()
+    return lambda t: value.copy()
 
 
 class Alignment:
@@ -109,88 +205,30 @@ class Alignment:
         return f"Alignment(t0={self.t0:.6g}, period={self.period_est:.6g})"
 
 
-class _History:
-    """Growing step record used for delayed lookups during integration."""
-
-    def __init__(self, t0, y0, f0, history_value, lam):
-        self.ts = [float(t0)]
-        self.ys = [np.asarray(y0, dtype=float)]
-        self.fs = [np.asarray(f0, dtype=float)]
-        self.history_value = np.asarray(history_value, dtype=float)
-        self.t_start = float(t0)
-        self.lam = float(lam)
-
-    def push(self, t, y, f):
-        self.ts.append(float(t))
-        self.ys.append(y)
-        self.fs.append(f)
-
-    def lookup(self, t):
-        if t <= self.t_start:
-            if t < self.t_start - self.lam - 1e-9 * max(1.0, self.lam):
-                raise IntegrationError(
-                    f"delayed lookup at t={t} precedes the history interval")
-            return self.history_value
-        i = bisect_right(self.ts, t) - 1
-        if i >= len(self.ts) - 1:
-            i = len(self.ts) - 2
-        return _hermite(t, self.ts[i], self.ts[i + 1], self.ys[i],
-                        self.ys[i + 1], self.fs[i], self.fs[i + 1])
-
-
 def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
-    """Integrate from a constant pre-history on [0, t_end].
+    """Integrate on [0, t_end] from a history on [-lam, 0].
 
-    The step size is error-controlled to (rtol, atol) and capped at lam/4 so
-    delayed arguments always fall behind the current step.
+    ``history`` is a constant state or a callable t -> state; the solution
+    starts from history(0).  The step size is error-controlled to
+    (rtol, atol) and capped at lam/4 so delayed arguments always fall behind
+    the current step.  The returned trajectory can be continued with
+    ``Trajectory.extend``.
     """
     if t_end <= 0:
         raise IntegrationError("t_end must be positive")
     if not (1e-12 <= rtol <= 1e-3 and 1e-12 <= atol <= 1e-3):
         raise IntegrationError("tolerances must lie in [1e-12, 1e-3]")
     lam = float(lam)
-    y = np.asarray(history, dtype=float).copy()
+    history = _history_function(history)
+    y = np.asarray(history(0.0), dtype=float)
     if y.shape != (model.dim,):
-        raise IntegrationError(
-            f"history must be a constant state of dim {model.dim}")
-
-    def rhs(t, state, rec):
-        ydel = rec.lookup(t - lam)
-        return np.array(model.rhs(lam, list(state), list(ydel)), dtype=float)
-
-    h_max = lam / 4.0
-    rec = _History(0.0, y, np.zeros(model.dim), y, lam)
-    f = rhs(0.0, y, rec)
-    rec.fs[0] = f
-
-    t = 0.0
-    h = min(h_max, t_end, 1e-2 * lam + 1e-12)
-    n_stages = 7
-    k = np.zeros((n_stages, model.dim))
-    min_h_floor = 1e-14
-    while t < t_end:
-        h = min(h, h_max, t_end - t)
-        if h < min_h_floor * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t={t}")
-        k[0] = f
-        for i in range(1, n_stages):
-            ti = t + _C[i] * h
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(ti, yi, rec)
-        y5 = y + h * (_B5 @ k)
-        y4 = y + h * (_B4 @ k)
-        if not np.all(np.isfinite(y5)):
-            raise IntegrationError(f"non-finite state at t={t + h}")
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            t += h
-            y = y5
-            f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
-            rec.push(t, y, f)
-        factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
-        h *= min(5.0, max(0.2, factor))
-    return Trajectory(rec.ts, rec.ys, rec.fs, lam, rec.history_value)
+        raise IntegrationError(f"history must give states of dim {model.dim}")
+    f = np.array(model.rhs(lam, list(y), list(history(-lam))), dtype=float)
+    traj = Trajectory([0.0], [y], [f], lam, history)
+    traj.stats["rhs_evals"] = 1
+    traj._stepper = (model, rtol, atol, min(lam / 4.0, t_end, 1e-2 * lam + 1e-12))
+    traj._advance(t_end)
+    return traj
 
 
 # -- steady state ---------------------------------------------------------------
@@ -298,26 +336,30 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None,
     """Integrate the model at the orbit's delay and measure the phase-aligned
     error.  Returns (e_r, alignment, trajectory).
 
-    The default constant history is the orbit state at t = 0 (a point on the
-    attracting cycle), which keeps the transient short; t_end defaults to
-    120 periods and doubles until steady state is detected.
+    The default history is the reconstructed orbit itself on [-lam, 0]
+    (``orbit.evaluate``), so the integration starts close to the attracting
+    cycle and the transient is short.  t_end defaults to 120 periods; while
+    no steady state is detected, the same trajectory is extended to twice
+    its end, at most max_doublings times.
     """
-    model = orbit.expansion.model
-    lam = orbit.lam
     if history is None:
-        history = orbit.evaluate(0.0)
+        history = orbit.evaluate
     if t_end is None:
         t_end = 120.0 * orbit.period
     level = float(orbit.equilibrium[0])
     last_exc = None
-    for _ in range(max_doublings + 1):
-        traj = integrate(model, lam, history, t_end, rtol=rtol, atol=atol)
+    traj = integrate(orbit.expansion.model, orbit.lam, history, t_end,
+                     rtol=rtol, atol=atol)
+    for doubling in range(max_doublings + 1):
+        if doubling:
+            t_end *= 2.0
+            traj.extend(t_end)
         try:
             align = detect_steady_state(traj, level=level, tol_amp=tol_amp,
                                         tol_per=tol_per)
-            return relative_error(orbit, traj, align), align, traj
         except SteadyStateError as exc:
             last_exc = exc
-            t_end *= 2.0
+            continue
+        return relative_error(orbit, traj, align), align, traj
     raise SteadyStateError(
         f"no steady state reached after extending t_end: {last_exc}")

@@ -284,8 +284,10 @@ def bifurcation_diagram(exp: ExpansionResult, model, lam_grid, samples=1024):
     """Per-delay oscillation extrema, with the equilibrium branch below the
     bifurcation and a residual-based extrapolation flag beyond it.
 
-    Returns a list of row dicts; failures at individual grid points are
-    recorded in the row and the sweep continues.
+    Each amplitude solve scans from the previous point's eps; when that
+    finds no root it falls back to the order-2 seed.  Returns a list of row
+    dicts; failures at individual grid points are recorded in the row and
+    the sweep continues.
     """
     lam0 = exp.hopf.lambda0
     rows = []
@@ -296,8 +298,14 @@ def bifurcation_diagram(exp: ExpansionResult, model, lam_grid, samples=1024):
         try:
             eps = 0.0
             if lam >= lam0 * (1.0 - 1e-12):
-                start = eps_prev if eps_prev else None
-                eps = solve_epsilon(exp, lam, start=start)
+                try:
+                    eps = solve_epsilon(exp, lam, start=eps_prev)
+                except NoRealRootError:
+                    if eps_prev is None:
+                        raise
+                    # the continuation radius 2*eps_prev is too short just
+                    # past the onset, where eps grows like sqrt(lam - lam0)
+                    eps = solve_epsilon(exp, lam)
                 eps_prev = eps if eps > 0 else None
             if eps == 0.0:
                 eq = mdl.equilibrium(model, lam)

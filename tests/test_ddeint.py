@@ -66,7 +66,7 @@ class TestIntegrate:
             assert np.max(np.abs(traj.value(traj.ts[k]) - traj.ys[k])) < 1e-12
 
     def test_hermite_reproduces_a_cubic(self):
-        # cubic Hermite dense output is exact on cubics, in both evaluators
+        # cubic Hermite dense output is exact on cubics, in value and slope
         def p(t):
             return 0.5 * t ** 3 - 2.0 * t ** 2 + t - 3.0
 
@@ -74,19 +74,77 @@ class TestIntegrate:
             return 1.5 * t ** 2 - 4.0 * t + 1.0
 
         ts = [0.0, 0.3, 1.1, 2.0]
-        rec = di._History(ts[0], [p(ts[0])], [dp(ts[0])], [p(ts[0])], 1.0)
-        for t in ts[1:]:
-            rec.push(t, np.array([p(t)]), np.array([dp(t)]))
         traj = di.Trajectory(ts, [[p(t)] for t in ts], [[dp(t)] for t in ts],
                              1.0, [p(ts[0])])
         for t in np.linspace(0.01, 1.99, 23):
-            assert abs(rec.lookup(t)[0] - p(t)) < 1e-13
             assert abs(traj.value(t)[0] - p(t)) < 1e-13
+            assert abs(traj.derivative(t)[0] - dp(t)) < 1e-12
 
     def test_history_guard(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
         with pytest.raises(IntegrationError):
             traj.value(-10.0)
+
+
+class TestHistoryAndExtension:
+    def test_callable_constant_history_is_bitwise(self, ndde):
+        a = di.integrate(ndde, 1.4, [1.0, 0.0], 30.0)
+        b = di.integrate(ndde, 1.4, lambda t: np.array([1.0, 0.0]), 30.0)
+        for x, y in ((a.ts, b.ts), (a.ys, b.ys), (a.fs, b.fs)):
+            assert np.array_equal(x, y)
+
+    def test_value_and_derivative_follow_callable_history(self, ndde):
+        def hist(t):
+            return np.array([np.sin(t), 0.5 * np.cos(2 * t)])
+
+        traj = di.integrate(ndde, 1.4, hist, 5.0)
+        assert np.array_equal(traj.ys[0], hist(0.0))
+        for t in (-1.4, -0.9, -0.2, 0.0):
+            assert np.array_equal(traj.value(t), hist(t))
+            slope = np.array([np.cos(t), -np.sin(2 * t)])
+            assert np.max(np.abs(traj.derivative(t) - slope)) < 1e-8
+        with pytest.raises(IntegrationError):
+            traj.value(-1.5)
+
+    def test_extension_keeps_the_knots(self, ndde):
+        short = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
+        n = len(traj.ts)
+        traj.extend(40.0)
+        assert traj.t_start == 0.0 and traj.t_end == 40.0
+        for x, y in ((traj.ts, short.ts), (traj.ys, short.ys),
+                     (traj.fs, short.fs)):
+            assert np.array_equal(x[:n], y)
+        st = traj.stats
+        assert st["extensions"] == 1 and short.stats["extensions"] == 0
+        assert st["accepted"] == len(traj.ts) - 1
+        assert st["rhs_evals"] == 1 + 6 * (st["accepted"] + st["rejected"])
+        with pytest.raises(IntegrationError):
+            traj.extend(40.0)
+        with pytest.raises(IntegrationError):
+            di.Trajectory(short.ts, short.ys, short.fs, 1.4, [1.0, 0.0]).extend(50.0)
+
+    def test_cross_validate_extends_instead_of_restarting(self, ndde, ndde_msq8):
+        # a constant history and a short first span force one extension
+        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        first = 12 * orbit.period  # settles between 15 and 20 periods
+        start = orbit.evaluate(0.0)
+        short = di.integrate(ndde, 1.4, start, first)
+        _, _, traj = di.cross_validate(orbit, history=start, t_end=first)
+        assert traj.stats["extensions"] == 1
+        assert traj.t_start == 0.0 and traj.t_end == 2 * first
+        n = len(short.ts)
+        assert np.array_equal(traj.ts[:n], short.ts)
+        assert np.array_equal(traj.ys[:n], short.ys)
+
+    def test_sir_settles_in_the_first_span(self, sir_2pi8):
+        # seeded with the orbit, the sir integration at lambda = 120 needs no
+        # extension (a constant history needed 480 periods)
+        orbit = ob.reconstruct(sir_2pi8, 120.0)
+        e_r, _, traj = di.cross_validate(orbit)
+        assert traj.t_end == 120 * orbit.period
+        assert traj.stats["extensions"] == 0
+        assert e_r < 0.007
 
 
 class TestDetectSteadyState:

@@ -121,8 +121,20 @@ class TestDiagram:
         widths = [hi - lo for lo, hi in beyond["components"]]
         assert min(widths) > 0.5
 
+    def test_continuation_just_past_the_onset(self, sir, sir_2pi8):
+        # the first point past lambda0 lies 0.1 steps beyond it; scanning the
+        # next point on [0, 2 * eps_prev] alone misses its root
+        lam0 = sir_2pi8.hopf.lambda0
+        grid = lam0 + 0.1 + np.arange(-2.0, 4.0)
+        rows = ob.bifurcation_diagram(sir_2pi8, sir, grid)
+        assert [r["error"] for r in rows] == [""] * len(grid)
+        for r in rows[2:]:
+            eps = ob.solve_epsilon(sir_2pi8, r["lambda"])
+            assert abs(r["eps"] - eps) <= 1e-12 * eps
+
     def test_per_point_failure_recorded(self, ndde, ndde_msq8):
-        rows = ob.bifurcation_diagram(ndde_msq8, ndde, [1.4, 50.0, 1.5])
+        # a negative delay has no equilibrium (lambda = 50 has an orbit)
+        rows = ob.bifurcation_diagram(ndde_msq8, ndde, [1.4, -1.0, 1.5])
         assert rows[1]["error"] != ""
         assert not rows[0]["error"] and not rows[2]["error"]
 
