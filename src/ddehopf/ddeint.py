@@ -5,9 +5,9 @@ The integrator advances a single-delay system from a history on [-lam, 0]
 pair, with the step capped at a quarter of the delay so every delayed lookup
 lands in already-completed territory (or in the history).  Dense output is
 the C1 cubic Hermite interpolant through the step endpoints, which keeps the
-delayed-argument accuracy commensurate with the local step error.  The step
-record is the returned trajectory itself, which carries the step size so
-that it can be extended later instead of restarted.
+delayed-argument accuracy commensurate with the local step error.  The
+returned trajectory carries the last proposed step size, so it can be
+extended later instead of restarted.
 
 On top of it sit steady-state detection (upward equilibrium crossings of
 the first component, bisected on the dense output, with period and peak-
@@ -41,62 +41,33 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 class Trajectory:
-    """Dense numerical solution: the integrator's step record.
+    """Dense numerical solution: cubic Hermite segments between the knots
+    (t, y, y'), and the history at or before the first knot.
 
-    Knots (t, y, y') are kept in growing lists; between knots the dense
-    output is the cubic Hermite segment, at or before the first knot it is
-    the history.  ``integrate`` fills the record and ``extend`` continues it
-    in place from the carried step state.  ``ts``, ``ys`` and ``fs`` are
-    array views of the knots, rebuilt after a change.  ``stats`` counts the
-    accepted and rejected steps, the rhs evaluations and the extensions.
+    A trajectory made by ``integrate`` keeps the step size its controller
+    proposed last, so ``extend`` can continue it instead of restarting.
+    ``stats`` counts the accepted and rejected steps, the rhs evaluations
+    and the extensions.
     """
 
     def __init__(self, ts, ys, fs, lam, history):
-        self._ts = [float(t) for t in ts]
-        self._ys = [np.asarray(y, dtype=float) for y in ys]
-        self._fs = [np.asarray(f, dtype=float) for f in fs]
+        self._set_knots(ts, ys, fs)
         self.lam = float(lam)
         self.history = _history_function(history)
         self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
                       "extensions": 0}
-        self._stepper = None  # (model, rtol, atol, next step) once integrated
-        self._publish()
+        self._resume = None  # (model, rtol, atol, next step) from integrate
 
-    def _publish(self):
-        """Refresh the array views of the knot lists."""
-        self.ts = np.array(self._ts)
-        self.ys = np.array(self._ys)
-        self.fs = np.array(self._fs)
-        self.t_start = self._ts[0]
-        self.t_end = self._ts[-1]
+    def _set_knots(self, ts, ys, fs):
+        self.ts = np.asarray(ts, dtype=float)
+        self.ys = np.asarray(ys, dtype=float)
+        self.fs = np.asarray(fs, dtype=float)
+        self.t_start = float(self.ts[0])
+        self.t_end = float(self.ts[-1])
 
     @property
     def dim(self) -> int:
         return self.ys.shape[1]
-
-    def _segment_eval(self, t, deriv=False):
-        ts = self._ts
-        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
-        t0, t1 = ts[i], ts[i + 1]
-        y0, y1 = self._ys[i], self._ys[i + 1]
-        f0, f1 = self._fs[i], self._fs[i + 1]
-        if not deriv:
-            return _hermite(t, t0, t1, y0, y1, f0, f1)
-        dt = t1 - t0
-        s = (t - t0) / dt
-        d00 = 6 * s * (s - 1) / dt
-        d10 = (1 - 4 * s + 3 * s * s)
-        d01 = -d00
-        d11 = (3 * s * s - 2 * s)
-        return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
-
-    def _lookup(self, t):
-        if t <= self.t_start:
-            if t < self.t_start - self.lam - 1e-9 * max(1.0, self.lam):
-                raise IntegrationError(
-                    f"delayed lookup at t={t} precedes the history interval")
-            return self.history(t)
-        return self._segment_eval(t)
 
     def value(self, t):
         """Dense-output state; scalar t gives (dim,), array t gives (m, dim)."""
@@ -107,7 +78,8 @@ class Trajectory:
         if tv > self.t_end + 1e-9 * max(1.0, abs(self.t_end)):
             raise IntegrationError(
                 f"lookup at t={tv} beyond the trajectory end {self.t_end}")
-        return np.asarray(self._lookup(min(tv, self.t_end)), dtype=float)
+        return np.asarray(_dense(min(tv, self.t_end), self.ts, self.ys,
+                                 self.fs, self.lam, self.history), dtype=float)
 
     def derivative(self, t):
         """Slope of the dense output; at or before the first knot, a central
@@ -117,69 +89,79 @@ class Trajectory:
             d = 1e-5 * max(1.0, self.lam)
             return (np.asarray(self.history(tv + d), dtype=float)
                     - np.asarray(self.history(tv - d), dtype=float)) / (2 * d)
-        return self._segment_eval(min(tv, self.t_end), deriv=True)
+        tv = min(tv, self.t_end)
+        ts = self.ts
+        i = min(int(np.searchsorted(ts, tv, side="right")) - 1, len(ts) - 2)
+        dt = ts[i + 1] - ts[i]
+        s = (tv - ts[i]) / dt
+        d00 = 6 * s * (s - 1) / dt
+        d10 = (1 - 4 * s + 3 * s * s)
+        d01 = -d00
+        d11 = (3 * s * s - 2 * s)
+        return (d00 * self.ys[i] + d10 * self.fs[i] + d01 * self.ys[i + 1]
+                + d11 * self.fs[i + 1])
 
     def extend(self, t_end):
-        """Continue the integration in place to t_end, from the last knot and
-        the step size the controller proposed there; earlier knots stay as
-        they are."""
-        if self._stepper is None:
+        """Continue the integration to t_end from the last knot and the step
+        size proposed there; the knots up to the old end stay as they are,
+        and if a step fails no knot is added."""
+        if self._resume is None:
             raise IntegrationError(
                 "only a trajectory made by integrate can be extended")
         if t_end <= self.t_end:
             raise IntegrationError(
                 f"t_end={t_end} does not lie beyond the trajectory end "
                 f"{self.t_end}")
-        self.stats["extensions"] += 1
         self._advance(t_end)
+        self.stats["extensions"] += 1
 
     def _advance(self, t_end):
-        """Dormand-Prince steps from the last knot up to t_end."""
-        model, rtol, atol, h = self._stepper
+        """Dormand-Prince steps from the last knot up to t_end.  The knots
+        are appended to lists that live only for this call."""
+        model, rtol, atol, h = self._resume
         lam = self.lam
-        h_max = lam / 4.0
-        stats = self.stats
+        ts, ys, fs = self.ts.tolist(), list(self.ys), list(self.fs)
 
         def rhs(t, state):
-            ydel = self._lookup(t - lam)
+            ydel = _dense(t - lam, ts, ys, fs, lam, self.history)
             return np.array(model.rhs(lam, list(state), list(ydel)), dtype=float)
 
-        t, y, f = self._ts[-1], self._ys[-1], self._fs[-1]
+        h_max = lam / 4.0
+        stats = self.stats
+        t, y, f = ts[-1], ys[-1], fs[-1]
         n_stages = 7
-        k = np.zeros((n_stages, self.dim))
+        k = np.zeros((n_stages, model.dim))
         min_h_floor = 1e-14
-        try:
-            while t < t_end:
-                h = min(h, h_max, t_end - t)
-                if h < min_h_floor * max(1.0, abs(t)):
-                    raise IntegrationError(f"step size underflow at t={t}")
-                k[0] = f
-                for i in range(1, n_stages):
-                    ti = t + _C[i] * h
-                    yi = y + h * (_A[i] @ k[:i])
-                    k[i] = rhs(ti, yi)
-                stats["rhs_evals"] += n_stages - 1
-                y5 = y + h * (_B5 @ k)
-                y4 = y + h * (_B4 @ k)
-                if not np.all(np.isfinite(y5)):
-                    raise IntegrationError(f"non-finite state at t={t + h}")
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-                err = float(np.max(np.abs(y5 - y4) / scale))
-                if err <= 1.0:
-                    t += h
-                    y = y5
-                    f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
-                    self._ts.append(t)
-                    self._ys.append(y)
-                    self._fs.append(f)
-                    stats["accepted"] += 1
-                else:
-                    stats["rejected"] += 1
-                factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
-                h *= min(5.0, max(0.2, factor))
-            self._stepper = (model, rtol, atol, h)
-        finally:
-            self._publish()  # keep the views whole if a step fails
+        while t < t_end:
+            h = min(h, h_max, t_end - t)
+            if h < min_h_floor * max(1.0, abs(t)):
+                raise IntegrationError(f"step size underflow at t={t}")
+            k[0] = f
+            for i in range(1, n_stages):
+                ti = t + _C[i] * h
+                yi = y + h * (_A[i] @ k[:i])
+                k[i] = rhs(ti, yi)
+            stats["rhs_evals"] += n_stages - 1
+            y5 = y + h * (_B5 @ k)
+            y4 = y + h * (_B4 @ k)
+            if not np.all(np.isfinite(y5)):
+                raise IntegrationError(f"non-finite state at t={t + h}")
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.max(np.abs(y5 - y4) / scale))
+            if err <= 1.0:
+                t += h
+                y = y5
+                f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
+                ts.append(t)
+                ys.append(y)
+                fs.append(f)
+                stats["accepted"] += 1
+            else:
+                stats["rejected"] += 1
+            factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
+            h *= min(5.0, max(0.2, factor))
+        self._set_knots(ts, ys, fs)
+        self._resume = (model, rtol, atol, h)
 
     def __repr__(self):
         return (f"Trajectory(lam={self.lam}, t=[{self.t_start}, {self.t_end}], "
@@ -192,6 +174,18 @@ def _history_function(history):
         return history
     value = np.asarray(history, dtype=float).copy()
     return lambda t: value.copy()
+
+
+def _dense(t, ts, ys, fs, lam, history):
+    """Dense output of the knots (lists or arrays): the history at or before
+    the first knot, no further back than lam; the Hermite segment after it."""
+    if t <= ts[0]:
+        if t < ts[0] - lam - 1e-9 * max(1.0, lam):
+            raise IntegrationError(
+                f"delayed lookup at t={t} precedes the history interval")
+        return history(t)
+    i = min(bisect_right(ts, t) - 1, len(ts) - 2)
+    return _hermite(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
 
 
 class Alignment:
@@ -226,7 +220,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     f = np.array(model.rhs(lam, list(y), list(history(-lam))), dtype=float)
     traj = Trajectory([0.0], [y], [f], lam, history)
     traj.stats["rhs_evals"] = 1
-    traj._stepper = (model, rtol, atol, min(lam / 4.0, t_end, 1e-2 * lam + 1e-12))
+    traj._resume = (model, rtol, atol, min(lam / 4.0, t_end, 1e-2 * lam + 1e-12))
     traj._advance(t_end)
     return traj
 

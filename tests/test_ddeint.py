@@ -137,6 +137,16 @@ class TestHistoryAndExtension:
         assert np.array_equal(traj.ts[:n], short.ts)
         assert np.array_equal(traj.ys[:n], short.ys)
 
+    def test_seeded_error_is_settled(self, sir_2pi8):
+        # near the onset a seeded run might stop while still close to its
+        # seed; continued to 480 periods it gives the same e_r (a constant
+        # history reaches it only after about 960 periods)
+        orbit = ob.reconstruct(sir_2pi8, 108.0)
+        e_r, _, traj = di.cross_validate(orbit)
+        traj.extend(480 * orbit.period)
+        align = di.detect_steady_state(traj, level=float(orbit.equilibrium[0]))
+        assert abs(di.relative_error(orbit, traj, align) - e_r) <= 1e-3 * e_r
+
     def test_sir_settles_in_the_first_span(self, sir_2pi8):
         # seeded with the orbit, the sir integration at lambda = 120 needs no
         # extension (a constant history needed 480 periods)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,19 @@ class TestDiagram:
         # a negative delay has no equilibrium (lambda = 50 has an orbit)
         rows = ob.bifurcation_diagram(ndde_msq8, ndde, [1.4, -1.0, 1.5])
         assert rows[1]["error"] != ""
+        assert not rows[0]["error"] and not rows[2]["error"]
+
+    def test_fallback_failure_recorded(self, ndde, ndde_msq8):
+        # a quartic delay polynomial with a fold near lambda = 1.9: past it
+        # neither the continuation scan nor the order-2 seed finds a root
+        folded = copy.copy(ndde_msq8)
+        lh = ndde_msq8.lambda_hats
+        folded.lambda_hats = np.array([lh[0], 0.0, lh[2], 0.0, -0.01])
+        with pytest.raises(NoRealRootError):
+            ob.solve_epsilon(folded, 3.0)
+        rows = ob.bifurcation_diagram(folded, ndde, [1.4, 3.0, 1.5])
+        assert rows[1]["error"].startswith("NoRealRootError")
+        assert rows[0]["eps"] > 0 and rows[2]["eps"] > 0
         assert not rows[0]["error"] and not rows[2]["error"]
 
     def test_extrema_match_integrator_amplitude(self, ndde, ndde_msq8):
