@@ -47,7 +47,8 @@ class Trajectory:
     A trajectory made by ``integrate`` keeps the step size its controller
     proposed last, so ``extend`` can continue it instead of restarting.
     ``stats`` counts the accepted and rejected steps, the rhs evaluations
-    and the extensions.
+    and the extensions, and holds the smallest and largest accepted step
+    (``h_min``, ``h_max``; None before the first step).
     """
 
     def __init__(self, ts, ys, fs, lam, history):
@@ -55,7 +56,7 @@ class Trajectory:
         self.lam = float(lam)
         self.history = _history_function(history)
         self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-                      "extensions": 0}
+                      "extensions": 0, "h_min": None, "h_max": None}
         self._resume = None  # (model, rtol, atol, next step) from integrate
 
     def _set_knots(self, ts, ys, fs):
@@ -162,6 +163,9 @@ class Trajectory:
             h *= min(5.0, max(0.2, factor))
         self._set_knots(ts, ys, fs)
         self._resume = (model, rtol, atol, h)
+        steps = np.diff(self.ts)
+        stats["h_min"] = float(steps.min())
+        stats["h_max"] = float(steps.max())
 
     def __repr__(self):
         return (f"Trajectory(lam={self.lam}, t=[{self.t_start}, {self.t_end}], "
@@ -189,11 +193,16 @@ def _dense(t, ts, ys, fs, lam, history):
 
 
 class Alignment:
-    """Phase anchor of a steady oscillation: crossing time and period."""
+    """Phase anchor of a steady oscillation: crossing time and period, and
+    the spreads of the last three periods and peak amplitudes that
+    ``detect_steady_state`` accepted (None when not measured)."""
 
-    def __init__(self, t0, period_est):
+    def __init__(self, t0, period_est, period_spread=None,
+                 amplitude_spread=None):
         self.t0 = float(t0)
         self.period_est = float(period_est)
+        self.period_spread = period_spread
+        self.amplitude_spread = amplitude_spread
 
     def __repr__(self):
         return f"Alignment(t0={self.t0:.6g}, period={self.period_est:.6g})"
@@ -273,14 +282,15 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=1e-6,
     last_p = periods[-3:]
     last_a = np.array([_cycle_peak(traj, traj.ts, d, level, up[i], up[i + 1])
                        for i in range(len(up) - 4, len(up) - 1)])
-    p_ok = np.max(np.abs(np.diff(last_p))) <= tol_per * float(np.mean(last_p))
-    a_ok = np.max(np.abs(np.diff(last_a))) <= tol_amp
-    if not (p_ok and a_ok):
+    p_spread = float(np.max(np.abs(np.diff(last_p))))
+    a_spread = float(np.max(np.abs(np.diff(last_a))))
+    if not (p_spread <= tol_per * float(np.mean(last_p))
+            and a_spread <= tol_amp):
         raise SteadyStateError(
-            "oscillation not settled: period spread "
-            f"{np.max(np.abs(np.diff(last_p))):.3e}, amplitude spread "
-            f"{np.max(np.abs(np.diff(last_a))):.3e}; integrate longer")
-    return Alignment(crossings[-1], float(periods[-1]))
+            f"oscillation not settled: period spread {p_spread:.3e}, "
+            f"amplitude spread {a_spread:.3e}; integrate longer")
+    return Alignment(crossings[-1], float(periods[-1]), period_spread=p_spread,
+                     amplitude_spread=a_spread)
 
 
 # -- phase-aligned comparison -----------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .trigpoly import TRIM_TOL, TrigPoly
+from .trigpoly import TRIM_TOL, TrigPoly, mul as tp_mul
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -59,6 +59,16 @@ class EpsSeries:
         self.coeffs = coeffs
         self.is_trig = is_trig
 
+    @classmethod
+    def _make(cls, coeffs: list, is_trig: bool) -> "EpsSeries":
+        """Unchecked constructor for a nonempty list of floats, or of
+        polynomials sharing one dim, as the results of the operations
+        below are."""
+        s = object.__new__(cls)
+        s.coeffs = coeffs
+        s.is_trig = is_trig
+        return s
+
     # -- structure -----------------------------------------------------------
 
     @property
@@ -73,8 +83,8 @@ class EpsSeries:
     def constant(cls, value, order: int) -> "EpsSeries":
         if isinstance(value, TrigPoly):
             zero = TrigPoly.zero(value.dim)
-            return cls([value] + [zero] * order)
-        return cls([float(value)] + [0.0] * order)
+            return cls._make([value] + [zero] * order, True)
+        return cls._make([float(value)] + [0.0] * order, False)
 
     def coefficient(self, j: int):
         return self.coeffs[j]
@@ -149,16 +159,18 @@ class EpsSeries:
                 raise DimensionMismatchError(
                     "cannot add a scalar series to a vector-valued series")
             embedded = [TrigPoly.constant([c]) for c in scalar.coeffs]
-            return EpsSeries([x + y for x, y in zip(embedded, trig.coeffs)])
+            return EpsSeries._make(
+                [x + y for x, y in zip(embedded, trig.coeffs)], True)
         if a.is_trig and a.dim != b.dim:
             raise DimensionMismatchError("dimension mismatch in series addition")
-        return EpsSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return EpsSeries._make([x + y for x, y in zip(a.coeffs, b.coeffs)],
+                               a.is_trig)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return EpsSeries([-c for c in self.coeffs])
+        return EpsSeries._make([-c for c in self.coeffs], self.is_trig)
 
     def __sub__(self, other):
         a, b = self._promote_pair(other)
@@ -201,7 +213,6 @@ class EpsSeries:
 def _coef_mul(x, y):
     xt, yt = isinstance(x, TrigPoly), isinstance(y, TrigPoly)
     if xt and yt:
-        from .trigpoly import mul as tp_mul
         return tp_mul(x, y)
     if xt:
         return x * y
@@ -219,21 +230,39 @@ def _coef_sub(x, y):
     return TrigPoly.constant(np.full(y.dim, float(x))) - y
 
 
+def _is_zero(c) -> bool:
+    """Exact zero coefficient: 0.0, or a degree-0 polynomial whose constant
+    is all zeros.  Products with it are skipped: adding an exact zero leaves
+    a finite sum as it is (up to the sign of a zero result)."""
+    if isinstance(c, TrigPoly):
+        return c.degree == 0 and not c.const.any()
+    return c == 0.0
+
+
 def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
     n = a.order
     if a.is_trig and b.is_trig and a.dim != 1 and b.dim != 1:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
+    is_trig = a.is_trig or b.is_trig
+    zero = TrigPoly.zero(max(a.dim, b.dim)) if is_trig else 0.0
+    live_a = [k for k, c in enumerate(a.coeffs) if not _is_zero(c)]
+    live_b = [not _is_zero(c) for c in b.coeffs]
     out = []
     for j in range(n + 1):
         acc = None
-        for k in range(j + 1):
-            term = _coef_mul(a.coeffs[k], b.coeffs[j - k])
-            acc = term if acc is None else acc + term
-        if isinstance(acc, TrigPoly):
+        for k in live_a:
+            if k > j:
+                break
+            if live_b[j - k]:
+                term = _coef_mul(a.coeffs[k], b.coeffs[j - k])
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = zero
+        elif isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)
         out.append(acc)
-    return EpsSeries(out)
+    return EpsSeries._make(out, is_trig)
 
 
 def _leading_scalar(s: EpsSeries) -> float:
@@ -259,15 +288,20 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
     t0 = _leading_scalar(t)
     if t0 == 0.0:
         raise ZeroDivisionError("series division by a series with zero leading term")
-    q = []
+    live_t = [k for k, c in enumerate(t.coeffs) if k and not _is_zero(c)]
+    q, live_q = [], []
     for j in range(s.order + 1):
         acc = s.coeffs[j]
-        for k in range(1, j + 1):
-            acc = _coef_sub(acc, _coef_mul(t.coeffs[k], q[j - k]))
+        for k in live_t:
+            if k > j:
+                break
+            if live_q[j - k]:
+                acc = _coef_sub(acc, _coef_mul(t.coeffs[k], q[j - k]))
         acc = acc * (1.0 / t0)
         if isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)
         q.append(acc)
+        live_q.append(not _is_zero(acc))
     return EpsSeries(q)
 
 

@@ -98,9 +98,10 @@ def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
     def p(e):
         return float(np.polyval(coeffs[::-1], e)) - target
 
+    dpoly = np.polyder(np.poly1d(coeffs[::-1]))
+
     def dp(e):
-        d = np.polyder(np.poly1d(coeffs[::-1]))
-        return float(d(e))
+        return float(dpoly(e))
 
     if start is None:
         lh2 = coeffs[2] if exp.order >= 2 else 0.0
@@ -115,7 +116,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
     # bending back where the truncation breaks down) are ignored.
     hi = 2.0 * float(start)
     grid = np.linspace(0.0, hi, 257)
-    vals = np.array([p(e) for e in grid])
+    vals = np.polyval(coeffs[::-1], grid) - target
     eps = None
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:

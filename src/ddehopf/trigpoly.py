@@ -27,6 +27,10 @@ TRIM_TOL = 1e-13
 class TrigPoly:
     """Immutable truncated Fourier series with vector coefficients.
 
+    The coefficient arrays must not be written after construction: the
+    complex spectrum used by :func:`mul` is built once per instance and
+    cached, and would go stale.
+
     Parameters
     ----------
     const : array_like, shape (dim,)
@@ -37,7 +41,7 @@ class TrigPoly:
         Sine coefficients b_1..b_K.
     """
 
-    __slots__ = ("const", "cos", "sin")
+    __slots__ = ("const", "cos", "sin", "_spec")
 
     def __init__(self, const, cos=None, sin=None):
         const = np.atleast_1d(np.asarray(const, dtype=float))
@@ -56,6 +60,18 @@ class TrigPoly:
         self.const = const
         self.cos = cos
         self.sin = sin
+        self._spec = None
+
+    @classmethod
+    def _make(cls, const, cos, sin) -> "TrigPoly":
+        """Unchecked constructor for arrays already of shape (dim,) and
+        (K, dim), as the results of the operations below are."""
+        u = object.__new__(cls)
+        u.const = const
+        u.cos = cos
+        u.sin = sin
+        u._spec = None
+        return u
 
     # -- basic structure ---------------------------------------------------
 
@@ -80,12 +96,13 @@ class TrigPoly:
         """A single harmonic: cos_vec*cos(k*tau) + sin_vec*sin(k*tau)."""
         if k == 0:
             return cls.constant(np.zeros(dim) if cos_vec is None else cos_vec)
-        u = cls.zero(dim, k)
+        cos = np.zeros((k, dim))
+        sin = np.zeros((k, dim))
         if cos_vec is not None:
-            u.cos[k - 1] = np.asarray(cos_vec, dtype=float)
+            cos[k - 1] = np.asarray(cos_vec, dtype=float)
         if sin_vec is not None:
-            u.sin[k - 1] = np.asarray(sin_vec, dtype=float)
-        return u
+            sin[k - 1] = np.asarray(sin_vec, dtype=float)
+        return cls(np.zeros(dim), cos, sin)
 
     def copy(self) -> "TrigPoly":
         return TrigPoly(self.const.copy(), self.cos.copy(), self.sin.copy())
@@ -96,11 +113,14 @@ class TrigPoly:
 
     def padded(self, degree: int) -> "TrigPoly":
         """Same polynomial stored with at least ``degree`` harmonics."""
-        extra = degree - self.degree
-        if extra <= 0:
+        K = self.degree
+        if degree <= K:
             return self
-        z = np.zeros((extra, self.dim))
-        return TrigPoly(self.const, np.vstack([self.cos, z]), np.vstack([self.sin, z]))
+        cos = np.zeros((degree, self.dim))
+        sin = np.zeros((degree, self.dim))
+        cos[:K] = self.cos
+        sin[:K] = self.sin
+        return TrigPoly._make(self.const, cos, sin)
 
     def max_abs(self) -> float:
         """Largest absolute coefficient over all harmonics and components."""
@@ -114,7 +134,7 @@ class TrigPoly:
         coefficient."""
         scale = self.max_abs()
         if scale == 0.0:
-            return TrigPoly(np.zeros(self.dim))
+            return TrigPoly.zero(self.dim)
         cut = tol * scale
         keep = self.degree
         while keep > 0 and (np.max(np.abs(self.cos[keep - 1])) <= cut
@@ -122,7 +142,7 @@ class TrigPoly:
             keep -= 1
         if keep == self.degree:
             return self
-        return TrigPoly(self.const, self.cos[:keep], self.sin[:keep])
+        return TrigPoly._make(self.const, self.cos[:keep], self.sin[:keep])
 
     def capped(self, degree: int) -> "TrigPoly":
         """Hard-truncate to ``degree`` harmonics (caller asserts the tail is dust)."""
@@ -152,7 +172,7 @@ class TrigPoly:
         if self.degree == 0:
             return TrigPoly.zero(self.dim)
         k = np.arange(1, self.degree + 1)[:, None]
-        return TrigPoly(np.zeros(self.dim), k * self.sin, -k * self.cos)
+        return TrigPoly._make(np.zeros(self.dim), k * self.sin, -k * self.cos)
 
     def shift(self, theta: float) -> "TrigPoly":
         """Exact delayed argument: returns u(tau - theta)."""
@@ -161,8 +181,8 @@ class TrigPoly:
         k = np.arange(1, self.degree + 1)
         c = np.cos(k * theta)[:, None]
         s = np.sin(k * theta)[:, None]
-        return TrigPoly(self.const, c * self.cos - s * self.sin,
-                        s * self.cos + c * self.sin)
+        return TrigPoly._make(self.const, c * self.cos - s * self.sin,
+                              s * self.cos + c * self.sin)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -177,7 +197,7 @@ class TrigPoly:
         self._check_dim(other)
         deg = max(self.degree, other.degree)
         a, b = self.padded(deg), other.padded(deg)
-        return TrigPoly(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
+        return TrigPoly._make(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
 
     def __sub__(self, other):
         if not isinstance(other, TrigPoly):
@@ -185,12 +205,13 @@ class TrigPoly:
         return self + (-other)
 
     def __neg__(self):
-        return TrigPoly(-self.const, -self.cos, -self.sin)
+        return TrigPoly._make(-self.const, -self.cos, -self.sin)
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return mul(self, other)
-        return TrigPoly(self.const * other, self.cos * other, self.sin * other)
+        return TrigPoly._make(self.const * other, self.cos * other,
+                              self.sin * other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -220,26 +241,23 @@ class TrigPoly:
     # -- complex spectrum (internal, used by mul) ----------------------------
 
     def _spectrum(self) -> np.ndarray:
-        """Complex coefficients c_k, k = -K..K, shape (2K+1, dim)."""
-        K, n = self.degree, self.dim
-        c = np.zeros((2 * K + 1, n), dtype=complex)
-        c[K] = self.const
-        for k in range(1, K + 1):
-            c[K + k] = 0.5 * (self.cos[k - 1] - 1j * self.sin[k - 1])
-            c[K - k] = 0.5 * (self.cos[k - 1] + 1j * self.sin[k - 1])
-        return c
+        """Complex coefficients c_k, k = -K..K, shape (2K+1, dim); built once
+        and cached."""
+        if self._spec is None:
+            K, n = self.degree, self.dim
+            c = np.zeros((2 * K + 1, n), dtype=complex)
+            c[K] = self.const
+            c[K + 1:] = 0.5 * (self.cos - 1j * self.sin)
+            c[:K][::-1] = 0.5 * (self.cos + 1j * self.sin)
+            self._spec = c
+        return self._spec
 
     @classmethod
     def _from_spectrum(cls, c: np.ndarray) -> "TrigPoly":
         K = (c.shape[0] - 1) // 2
-        n = c.shape[1]
-        const = c[K].real.copy()
-        cos = np.zeros((K, n))
-        sin = np.zeros((K, n))
-        for k in range(1, K + 1):
-            cos[k - 1] = (c[K + k] + c[K - k]).real
-            sin[k - 1] = (c[K - k] - c[K + k]).imag
-        return cls(const, cos, sin)
+        pos, neg = c[K + 1:], c[:K][::-1]
+        return cls._make(c[K].real.copy(), (pos + neg).real.copy(),
+                         (neg - pos).imag.copy())
 
 
 def mul(u: TrigPoly, v: TrigPoly) -> TrigPoly:

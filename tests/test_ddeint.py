@@ -106,6 +106,18 @@ class TestHistoryAndExtension:
         with pytest.raises(IntegrationError):
             traj.value(-1.5)
 
+    def test_step_size_stats(self, ndde):
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
+        steps = np.diff(traj.ts)
+        assert traj.stats["h_min"] == steps.min() > 0.0
+        assert traj.stats["h_max"] == steps.max() <= 1.4 / 4.0 * (1 + 1e-12)
+        traj.extend(40.0)
+        steps = np.diff(traj.ts)
+        assert traj.stats["h_min"] == steps.min()
+        assert traj.stats["h_max"] == steps.max()
+        fresh = di.Trajectory([0.0], [[1.0, 0.0]], [[0.0, 0.0]], 1.4, [1.0, 0.0])
+        assert fresh.stats["h_min"] is None and fresh.stats["h_max"] is None
+
     def test_extension_keeps_the_knots(self, ndde):
         short = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
@@ -151,10 +163,12 @@ class TestHistoryAndExtension:
         # seeded with the orbit, the sir integration at lambda = 120 needs no
         # extension (a constant history needed 480 periods)
         orbit = ob.reconstruct(sir_2pi8, 120.0)
-        e_r, _, traj = di.cross_validate(orbit)
+        e_r, align, traj = di.cross_validate(orbit)
         assert traj.t_end == 120 * orbit.period
         assert traj.stats["extensions"] == 0
         assert e_r < 0.007
+        assert 0.0 <= align.period_spread <= 1e-6 * align.period_est
+        assert 0.0 <= align.amplitude_spread <= 1e-6
 
 
 class TestDetectSteadyState:
@@ -167,6 +181,12 @@ class TestDetectSteadyState:
         al = di.detect_steady_state(traj, level=0.0, tol_amp=1e-6,
                                     tol_per=1e-6)
         assert abs(al.period_est - 2 * np.pi) < 1e-9 * 2 * np.pi
+        assert isinstance(al.period_spread, float)
+        assert isinstance(al.amplitude_spread, float)
+        assert 0.0 <= al.period_spread <= 1e-6 * al.period_est
+        assert 0.0 <= al.amplitude_spread <= 1e-6
+        plain = di.Alignment(al.t0, al.period_est)
+        assert plain.period_spread is None and plain.amplitude_spread is None
 
     def test_constant_trajectory_fails(self, ndde):
         traj = di.integrate(ndde, 1.4, [0.0, 0.0], 60.0)

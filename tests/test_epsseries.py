@@ -74,6 +74,53 @@ class TestAddMul:
             EpsSeries([1.0, 2.0]) * EpsSeries([1.0, 2.0, 3.0])
 
 
+class TestExactZeros:
+    # products with an exact zero coefficient are skipped; the results must
+    # be those of the full sums, bit for bit
+
+    def test_times_a_number_scales_each_coefficient(self, rng):
+        s = EpsSeries(list(rng.standard_normal(5)))
+        assert (s * 2.5).coeffs == [c * 2.5 for c in s.coeffs]
+        t = random_trig_series(rng, order=4, dim=2)
+        for c, d in zip(t.coeffs, (t * -0.3).coeffs):
+            assert np.array_equal(d.const, c.const * -0.3)
+            assert np.array_equal(d.cos, c.cos * -0.3)
+            assert np.array_equal(d.sin, c.sin * -0.3)
+
+    def test_zero_low_orders_give_zero_coefficients(self, rng):
+        a = EpsSeries([0.0, 0.0, 1.5, -2.0])
+        b = EpsSeries([0.0, 3.0, 0.5, 1.0])
+        assert (a * b).coeffs == [0.0, 0.0, 0.0, 4.5]
+        zero1, zero2 = TrigPoly.zero(1), TrigPoly.zero(2)
+        u = random_trig_series(rng, order=3, dim=2)
+        vec = EpsSeries([zero2] + u.coeffs[1:])
+        cases = [
+            (EpsSeries([zero1, zero1, COS, zero1]), vec),
+            (EpsSeries([0.0, 0.0, 2.0, 0.0]), vec),
+        ]
+        for lead, other in cases:
+            for p in (lead * other, other * lead):
+                assert p.is_trig and p.dim == 2
+                for c in p.coeffs[:3]:
+                    assert isinstance(c, TrigPoly)
+                    assert c.dim == 2 and c.degree == 0
+                    assert not c.const.any()
+                top = es._coef_mul(lead.coeffs[2], vec.coeffs[1]).truncate()
+                assert np.array_equal(p.coeffs[3].const, top.const)
+                assert np.array_equal(p.coeffs[3].cos, top.cos)
+                assert np.array_equal(p.coeffs[3].sin, top.sin)
+
+    def test_number_over_series_is_back_substitution(self):
+        t = EpsSeries([2.0, 0.0, 0.5, -1.0, 0.0, 0.25])
+        q = []
+        for j in range(6):
+            acc = 3.0 if j == 0 else 0.0
+            for k in range(1, j + 1):
+                acc = acc - t.coeffs[k] * q[j - k]
+            q.append(acc * (1.0 / 2.0))
+        assert (3.0 / t).coeffs == q
+
+
 class TestDiv:
     def test_geometric(self):
         q = 1.0 / EpsSeries([1.0, 1.0, 0.0, 0.0])

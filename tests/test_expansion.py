@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,21 @@ class TestExpand:
             assert np.array_equal(za.const, zb.const)
             assert np.array_equal(za.cos, zb.cos)
             assert np.array_equal(za.sin, zb.sin)
+
+    def test_matches_the_order20_reference_exactly(self, ndde_msq8):
+        # the recursion is triangular, so the first nine orders of the
+        # recorded order-20 run must come out bit for bit; any reordering of
+        # the jet arithmetic shows up here
+        path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                / "expand-ndde-n20.json")
+        ref = json.loads(path.read_text(encoding="utf-8"))
+        assert np.array_equal(ndde_msq8.lambda_hats, ref["lambda_hats"][:9])
+        assert np.array_equal(ndde_msq8.T_hats, ref["T_hats"][:9])
+        for Zj, data in zip(ndde_msq8.Z, ref["coefficients"][:9], strict=True):
+            expected = TrigPoly.from_dict(data)
+            assert np.array_equal(Zj.const, expected.const)
+            assert np.array_equal(Zj.cos, expected.cos)
+            assert np.array_equal(Zj.sin, expected.sin)
 
     def test_convention_rescaling_exact(self, ndde):
         a = xp.expand(ndde, 4, z0_scale="paper")

@@ -206,12 +206,36 @@ def test_inner_symmetric_bilinear_psd(u, v, w, c):
 def test_truncate_threshold(rng):
     u = random_poly(rng, dim=1, degree=2)
     padded = u.padded(6)
-    noisy = TrigPoly(padded.const, padded.cos, padded.sin)
-    noisy.cos[5, 0] = 1e-15 * u.max_abs()
+    cos = padded.cos.copy()
+    cos[5, 0] = 1e-15 * u.max_abs()
+    noisy = TrigPoly(padded.const, cos, padded.sin)
     assert noisy.truncate().degree <= 2
-    kept = TrigPoly(padded.const, padded.cos, padded.sin)
-    kept.cos[5, 0] = 1e-3 * u.max_abs()
+    cos = padded.cos.copy()
+    cos[5, 0] = 1e-3 * u.max_abs()
+    kept = TrigPoly(padded.const, cos, padded.sin)
     assert kept.truncate().degree == 6
+
+
+def test_cached_spectrum_matches_a_fresh_build(rng):
+    # the spectrum is cached per instance, so no constructor or operation may
+    # write a polynomial's arrays once it is built
+    u = random_poly(rng, dim=1, degree=3)
+    v = random_poly(rng, dim=2, degree=2)
+    polys = [
+        TrigPoly.harmonic(2, 3, cos_vec=[1.0, -2.0], sin_vec=[0.5, 3.0]),
+        TrigPoly.harmonic(1, 2, sin_vec=[4.0]),
+        TrigPoly.zero(2, 3),
+        TrigPoly.constant([1.5, -2.0]),
+        TrigPoly.from_dict(v.to_dict()),
+        v.padded(5).truncate(),
+        v.shift(0.7),
+        v.diff(),
+        tp.mul(u, v),
+    ]
+    for w in polys:
+        tp.mul(u, w)  # builds and uses the cached spectrum
+        fresh = TrigPoly(w.const.copy(), w.cos.copy(), w.sin.copy())
+        assert np.array_equal(w._spectrum(), fresh._spectrum())
 
 
 def test_json_roundtrip(rng):
