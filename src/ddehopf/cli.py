@@ -323,15 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "bifurcations of single-delay DDE systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=True, lam=False):
+    def common(p, formats, order=True, lam=False):
         p.add_argument("--model", choices=sorted(mdl.BUILTIN_MODELS),
                        help="built-in model name")
         p.add_argument("--params", metavar="FILE.json",
                        help="JSON model configuration file")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json", "svg"),
-                       default="csv")
+        p.add_argument("--format", choices=formats, default=formats[0])
         if order:
             p.add_argument("--order", type=int, default=8,
                            help="expansion order N (default 8)")
@@ -343,30 +342,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="delay value (model time units)")
 
     p = sub.add_parser("hopf", help="locate the Hopf point")
-    common(p, order=False)
+    common(p, ("json",), order=False)
     p.set_defaults(func=cmd_hopf)
 
     p = sub.add_parser("expand", help="compute series coefficients")
-    common(p)
+    common(p, ("csv", "json"))
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("solve", help="orbit at one delay")
-    common(p, lam=True)
+    common(p, ("csv", "json", "svg"), lam=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("residual", help="orbit defect in the model equation")
-    common(p, lam=True)
+    common(p, ("csv", "json"), lam=True)
     p.add_argument("--samples", type=int, default=2048)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("diagram", help="extrema over a delay grid")
-    common(p)
+    common(p, ("csv", "json", "svg"))
     p.add_argument("--lambda-grid", dest="lambda_grid", required=True,
                    metavar="a:b:n", help="grid start:stop:count")
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("validate", help="expansion vs reference integration")
-    common(p, lam=True)
+    common(p, ("csv", "json"), lam=True)
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--atol", type=float, default=1e-9)

@@ -24,6 +24,12 @@ import numpy as np
 from .errors import ComparisonError, IntegrationError, SteadyStateError
 from .orbit import _bisect, _golden_max, _hermite
 
+# Default tolerances of detect_steady_state, which cross_validate uses.
+STEADY_TOL_AMP = 1e-6
+STEADY_TOL_PER = 1e-6
+# Times cross_validate extends an unsettled trajectory to twice its end.
+MAX_DOUBLINGS = 2
+
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
@@ -254,8 +260,8 @@ def _cycle_peak(traj, ts, d, level, i0, i1):
     return _golden_max(f, a, b, float(np.abs(d[k])), 25)
 
 
-def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=1e-6,
-                        tol_per=1e-6) -> Alignment:
+def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
+                        tol_per=STEADY_TOL_PER) -> Alignment:
     """Find the settled oscillation phase reference.
 
     Scans upward crossings of component 1 through ``level`` (bisected on the
@@ -335,8 +341,7 @@ def relative_error(orbit, traj: Trajectory, align: Alignment,
     return float(np.max(np.abs(ref - app)) / np.max(np.abs(ref)))
 
 
-def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None,
-                   tol_amp=1e-6, tol_per=1e-6, max_doublings=2):
+def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None):
     """Integrate the model at the orbit's delay and measure the phase-aligned
     error.  Returns (e_r, alignment, trajectory).
 
@@ -344,7 +349,7 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None,
     (``orbit.evaluate``), so the integration starts close to the attracting
     cycle and the transient is short.  t_end defaults to 120 periods; while
     no steady state is detected, the same trajectory is extended to twice
-    its end, at most max_doublings times.
+    its end, at most MAX_DOUBLINGS times.
     """
     if history is None:
         history = orbit.evaluate
@@ -354,13 +359,12 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None,
     last_exc = None
     traj = integrate(orbit.expansion.model, orbit.lam, history, t_end,
                      rtol=rtol, atol=atol)
-    for doubling in range(max_doublings + 1):
+    for doubling in range(MAX_DOUBLINGS + 1):
         if doubling:
             t_end *= 2.0
             traj.extend(t_end)
         try:
-            align = detect_steady_state(traj, level=level, tol_amp=tol_amp,
-                                        tol_per=tol_per)
+            align = detect_steady_state(traj, level=level)
         except SteadyStateError as exc:
             last_exc = exc
             continue

@@ -11,10 +11,11 @@ are written against ordinary arithmetic (+, -, *, /, exp) and evaluated
 directly over this ring, which extracts order-by-order coefficients without
 any symbolic algebra.
 
-Mixing rules: numbers promote to constant series; a scalar series combines
-with a trig series by embedding its coefficients as degree-0 polynomials
-(addition requires the trig side to be scalar-valued, multiplication scales
-component-wise).  All operations require equal truncation orders.
+Numbers promote to constant series, and the series operations combine
+coefficients with plain ``+``, ``-`` and ``*``, so :class:`TrigPoly` holds
+the one rule for a number meeting a polynomial: added or subtracted, it acts
+on the constant term of a scalar-valued (dim 1) polynomial, and anything
+else raises.  All operations require equal truncation orders.
 """
 
 from __future__ import annotations
@@ -24,23 +25,20 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .trigpoly import TRIM_TOL, TrigPoly, mul as tp_mul
-
-_NUMBER_TYPES = (int, float, np.integer, np.floating)
+from .trigpoly import NUMBER_TYPES, TRIM_TOL, TrigPoly
 
 
 class EpsSeries:
     """Immutable truncated power series; see module docstring."""
 
-    __slots__ = ("coeffs", "is_trig")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         if not coeffs:
             raise DimensionMismatchError("a series needs at least the order-0 term")
-        is_trig = any(isinstance(c, TrigPoly) for c in coeffs)
-        if is_trig:
-            dims = {c.dim for c in coeffs if isinstance(c, TrigPoly)}
+        dims = {c.dim for c in coeffs if isinstance(c, TrigPoly)}
+        if dims:
             if len(dims) != 1:
                 raise DimensionMismatchError("trig coefficients must share dim")
             dim = dims.pop()
@@ -57,16 +55,14 @@ class EpsSeries:
         else:
             coeffs = [float(c) for c in coeffs]
         self.coeffs = coeffs
-        self.is_trig = is_trig
 
     @classmethod
-    def _make(cls, coeffs: list, is_trig: bool) -> "EpsSeries":
+    def _make(cls, coeffs: list) -> "EpsSeries":
         """Unchecked constructor for a nonempty list of floats, or of
         polynomials sharing one dim, as the results of the operations
         below are."""
         s = object.__new__(cls)
         s.coeffs = coeffs
-        s.is_trig = is_trig
         return s
 
     # -- structure -----------------------------------------------------------
@@ -76,15 +72,18 @@ class EpsSeries:
         return len(self.coeffs) - 1
 
     @property
+    def is_trig(self) -> bool:
+        return isinstance(self.coeffs[0], TrigPoly)
+
+    @property
     def dim(self) -> int:
         return self.coeffs[0].dim if self.is_trig else 1
 
     @classmethod
     def constant(cls, value, order: int) -> "EpsSeries":
         if isinstance(value, TrigPoly):
-            zero = TrigPoly.zero(value.dim)
-            return cls._make([value] + [zero] * order, True)
-        return cls._make([float(value)] + [0.0] * order, False)
+            return cls._make([value] + [TrigPoly.zero(value.dim)] * order)
+        return cls._make([float(value)] + [0.0] * order)
 
     def coefficient(self, j: int):
         return self.coeffs[j]
@@ -106,21 +105,16 @@ class EpsSeries:
         Requires a vanishing order-0 coefficient (to ``tol`` relative to the
         largest coefficient).  The freed top slot is filled with zero.
         """
-        scale = max(self._magnitude(), 1.0)
-        if self._coef_abs(self.coeffs[0]) > tol * scale:
+        if self.is_trig:
+            sizes = [c.max_abs() for c in self.coeffs]
+            zero = TrigPoly.zero(self.dim)
+        else:
+            sizes = [abs(c) for c in self.coeffs]
+            zero = 0.0
+        if sizes[0] > tol * max(max(sizes), 1.0):
             raise DimensionMismatchError(
                 "cannot divide by eps: order-0 coefficient is not zero")
-        zero = TrigPoly.zero(self.dim) if self.is_trig else 0.0
         return EpsSeries(self.coeffs[1:] + [zero])
-
-    def _magnitude(self) -> float:
-        if self.is_trig:
-            return max(c.max_abs() for c in self.coeffs)
-        return max(abs(c) for c in self.coeffs)
-
-    @staticmethod
-    def _coef_abs(c) -> float:
-        return c.max_abs() if isinstance(c, TrigPoly) else abs(c)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -139,8 +133,8 @@ class EpsSeries:
     # -- ring operations ---------------------------------------------------------
 
     def _promote_pair(self, other):
-        """Coerce to equal-kind operand lists of equal order."""
-        if isinstance(other, _NUMBER_TYPES):
+        """Promote a number to a constant series; check equal orders."""
+        if isinstance(other, NUMBER_TYPES):
             other = EpsSeries.constant(float(other), self.order)
         if not isinstance(other, EpsSeries):
             return None, None
@@ -153,24 +147,13 @@ class EpsSeries:
         a, b = self._promote_pair(other)
         if a is None:
             return NotImplemented
-        if a.is_trig != b.is_trig:
-            scalar, trig = (b, a) if a.is_trig else (a, b)
-            if trig.dim != 1:
-                raise DimensionMismatchError(
-                    "cannot add a scalar series to a vector-valued series")
-            embedded = [TrigPoly.constant([c]) for c in scalar.coeffs]
-            return EpsSeries._make(
-                [x + y for x, y in zip(embedded, trig.coeffs)], True)
-        if a.is_trig and a.dim != b.dim:
-            raise DimensionMismatchError("dimension mismatch in series addition")
-        return EpsSeries._make([x + y for x, y in zip(a.coeffs, b.coeffs)],
-                               a.is_trig)
+        return EpsSeries._make([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return EpsSeries._make([-c for c in self.coeffs], self.is_trig)
+        return EpsSeries._make([-c for c in self.coeffs])
 
     def __sub__(self, other):
         a, b = self._promote_pair(other)
@@ -191,43 +174,20 @@ class EpsSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBER_TYPES):
+        if isinstance(other, NUMBER_TYPES):
             return self * (1.0 / float(other))
         if not isinstance(other, EpsSeries):
             return NotImplemented
         return div(self, other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER_TYPES):
+        if isinstance(other, NUMBER_TYPES):
             return div(EpsSeries.constant(float(other), self.order), self)
         return NotImplemented
 
     def __repr__(self):
         kind = f"trig dim={self.dim}" if self.is_trig else "scalar"
         return f"EpsSeries(order={self.order}, {kind})"
-
-
-# -- coefficient-level product with the trig mixing rules -----------------------
-
-
-def _coef_mul(x, y):
-    xt, yt = isinstance(x, TrigPoly), isinstance(y, TrigPoly)
-    if xt and yt:
-        return tp_mul(x, y)
-    if xt:
-        return x * y
-    if yt:
-        return y * x
-    return x * y
-
-
-def _coef_sub(x, y):
-    xt, yt = isinstance(x, TrigPoly), isinstance(y, TrigPoly)
-    if xt == yt:
-        return x - y
-    if xt:
-        return x - TrigPoly.constant(np.full(x.dim, float(y)))
-    return TrigPoly.constant(np.full(y.dim, float(x))) - y
 
 
 def _is_zero(c) -> bool:
@@ -241,11 +201,10 @@ def _is_zero(c) -> bool:
 
 def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
     n = a.order
-    if a.is_trig and b.is_trig and a.dim != 1 and b.dim != 1:
+    if a.dim != 1 and b.dim != 1:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
-    is_trig = a.is_trig or b.is_trig
-    zero = TrigPoly.zero(max(a.dim, b.dim)) if is_trig else 0.0
+    zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
     live_a = [k for k, c in enumerate(a.coeffs) if not _is_zero(c)]
     live_b = [not _is_zero(c) for c in b.coeffs]
     out = []
@@ -255,14 +214,14 @@ def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
             if k > j:
                 break
             if live_b[j - k]:
-                term = _coef_mul(a.coeffs[k], b.coeffs[j - k])
+                term = a.coeffs[k] * b.coeffs[j - k]
                 acc = term if acc is None else acc + term
         if acc is None:
             acc = zero
         elif isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)
         out.append(acc)
-    return EpsSeries._make(out, is_trig)
+    return EpsSeries._make(out)
 
 
 def _leading_scalar(s: EpsSeries) -> float:
@@ -296,7 +255,7 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
             if k > j:
                 break
             if live_q[j - k]:
-                acc = _coef_sub(acc, _coef_mul(t.coeffs[k], q[j - k]))
+                acc = acc - t.coeffs[k] * q[j - k]
         acc = acc * (1.0 / t0)
         if isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)

@@ -11,7 +11,9 @@ nothing is sampled or transformed numerically.
 
 Products are defined for scalar*scalar and scalar*vector only; the product
 degree is exactly the sum of the factor degrees.  Degree growth is trimmed
-explicitly via :meth:`TrigPoly.truncate`, never silently.
+explicitly via :meth:`TrigPoly.truncate`, never silently.  A number added
+or subtracted on either side acts on the constant term, and only a
+scalar-valued (dim 1) polynomial accepts it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .errors import DimensionMismatchError
 
 # Relative threshold below which trailing harmonics are considered zero.
 TRIM_TOL = 1e-13
+
+NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class TrigPoly:
@@ -103,9 +107,6 @@ class TrigPoly:
         if sin_vec is not None:
             sin[k - 1] = np.asarray(sin_vec, dtype=float)
         return cls(np.zeros(dim), cos, sin)
-
-    def copy(self) -> "TrigPoly":
-        return TrigPoly(self.const.copy(), self.cos.copy(), self.sin.copy())
 
     def component(self, i: int) -> "TrigPoly":
         """Scalar (dim 1) polynomial holding component ``i``."""
@@ -192,6 +193,11 @@ class TrigPoly:
                 f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other):
+        if isinstance(other, NUMBER_TYPES):
+            if self.dim != 1:
+                raise DimensionMismatchError(
+                    f"cannot add a number to a dim-{self.dim} polynomial")
+            return TrigPoly._make(self.const + other, self.cos, self.sin)
         if not isinstance(other, TrigPoly):
             return NotImplemented
         self._check_dim(other)
@@ -199,10 +205,16 @@ class TrigPoly:
         a, b = self.padded(deg), other.padded(deg)
         return TrigPoly._make(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
 
+    def __radd__(self, other):
+        return self.__add__(other)
+
     def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
+        if not isinstance(other, (TrigPoly,) + NUMBER_TYPES):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __neg__(self):
         return TrigPoly._make(-self.const, -self.cos, -self.sin)
@@ -277,29 +289,6 @@ def mul(u: TrigPoly, v: TrigPoly) -> TrigPoly:
     for i in range(v.dim):
         out[:, i] = np.convolve(su, sv[:, i])
     return TrigPoly._from_spectrum(out)
-
-
-def linear_combination(coeffs, terms) -> TrigPoly:
-    """Coefficient-wise linear combination sum(c_i * u_i).
-
-    All terms must share dim; the result degree is the max input degree.
-    """
-    terms = list(terms)
-    coeffs = [float(c) for c in coeffs]
-    if not terms or len(coeffs) != len(terms):
-        raise DimensionMismatchError("coeffs and terms must be nonempty and matched")
-    dim = terms[0].dim
-    deg = 0
-    for t in terms:
-        if t.dim != dim:
-            raise DimensionMismatchError("all terms must share dim")
-        deg = max(deg, t.degree)
-    out = TrigPoly.zero(dim, deg)
-    for c, t in zip(coeffs, terms):
-        t = t.padded(deg)
-        out = TrigPoly(out.const + c * t.const, out.cos + c * t.cos,
-                       out.sin + c * t.sin)
-    return out
 
 
 def inner(u: TrigPoly, v: TrigPoly) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,33 @@ class TestDiagram:
 def test_json_format_every_subcommand(argv, capsys):
     assert run([*argv, "--model", "ndde", "--format", "json"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--format", "csv"],
+    ["expand", "--order", "3", "--format", "svg"],
+    ["residual", "--order", "3", "--lambda", "1.4", "--format", "svg"],
+    ["validate", "--order", "3", "--lambda", "1.4", "--format", "svg"],
+], ids=lambda argv: argv[0])
+def test_unwritten_format_is_refused(argv, tmp_path, capsys):
+    # each subcommand offers only the formats it writes; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--model", "ndde", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().out == ""
+
+
+def test_runtime_is_numpy_only():
+    code = ("import sys\n"
+            "from ddehopf import cli\n"
+            "assert cli.main(['expand', '--model', 'ndde', '--order', '2']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestValidate:

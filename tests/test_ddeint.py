@@ -249,12 +249,12 @@ class TestRelativeError:
     def test_error_table_rows(self, ndde, ndde_msq8, sir, sir_2pi8):
         # remaining published order-8 rows, each within a factor of two
         cases = [
-            (ndde_msq8, 1.8, 3.56, {"max_doublings": 3}),
-            (sir_2pi8, 140.0, 2.93, {}),
+            (ndde_msq8, 1.8, 3.56),
+            (sir_2pi8, 140.0, 2.93),
         ]
-        for exp, lam, stated, kw in cases:
+        for exp, lam, stated in cases:
             orbit = ob.reconstruct(exp, lam)
-            e_r, _, _ = di.cross_validate(orbit, **kw)
+            e_r, _, _ = di.cross_validate(orbit)
             assert stated / 2 < 100.0 * e_r < stated * 2, (lam, e_r)
 
 

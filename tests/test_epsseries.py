@@ -105,7 +105,7 @@ class TestExactZeros:
                     assert isinstance(c, TrigPoly)
                     assert c.dim == 2 and c.degree == 0
                     assert not c.const.any()
-                top = es._coef_mul(lead.coeffs[2], vec.coeffs[1]).truncate()
+                top = (lead.coeffs[2] * vec.coeffs[1]).truncate()
                 assert np.array_equal(p.coeffs[3].const, top.const)
                 assert np.array_equal(p.coeffs[3].cos, top.cos)
                 assert np.array_equal(p.coeffs[3].sin, top.sin)
@@ -119,6 +119,37 @@ class TestExactZeros:
                 acc = acc - t.coeffs[k] * q[j - k]
             q.append(acc * (1.0 / 2.0))
         assert (3.0 / t).coeffs == q
+
+
+def assert_bitwise_equal(p, q):
+    assert len(p.coeffs) == len(q.coeffs)
+    for a, b in zip(p.coeffs, q.coeffs):
+        for x, y in ((a.const, b.const), (a.cos, b.cos), (a.sin, b.sin)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestNumbers:
+    # a number meets a polynomial only through TrigPoly's rule: it acts on
+    # the constant term of a scalar-valued polynomial
+
+    def test_scalar_series_plus_vector_series_raises(self, rng):
+        s = EpsSeries([1.0, 2.0, 3.0])
+        v = random_trig_series(rng, order=2, dim=2)
+        for op in (lambda: s + v, lambda: v + s, lambda: s - v,
+                   lambda: v - s, lambda: v + 1.0, lambda: 1.0 - v):
+            with pytest.raises(DimensionMismatchError):
+                op()
+
+    def test_numbers_match_an_explicit_embedding(self, rng):
+        s = random_trig_series(rng, order=4)
+        s = EpsSeries([TrigPoly.constant([1.7])] + s.coeffs[1:])
+
+        def embedded(x):
+            return EpsSeries.constant(TrigPoly.constant([x]), s.order)
+
+        assert_bitwise_equal(1.0 / s, embedded(1.0) / s)
+        assert_bitwise_equal(s - 2.5, s - embedded(2.5))
+        assert_bitwise_equal(2.5 - s, embedded(2.5) - s)
 
 
 class TestDiv:

@@ -27,6 +27,20 @@ def sir_setup(sir):
     return hp, bases
 
 
+def assert_matches_record(result, path):
+    """Orders 0..result.order equal, bit for bit, those of a recorded
+    ``ddehopf expand --format json`` output."""
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    n = result.order + 1
+    assert np.array_equal(result.lambda_hats, ref["lambda_hats"][:n])
+    assert np.array_equal(result.T_hats, ref["T_hats"][:n])
+    for Zj, data in zip(result.Z, ref["coefficients"][:n], strict=True):
+        expected = TrigPoly.from_dict(data)
+        assert np.array_equal(Zj.const, expected.const)
+        assert np.array_equal(Zj.cos, expected.cos)
+        assert np.array_equal(Zj.sin, expected.sin)
+
+
 class TestAssembleRhs:
     def test_probe_matches_closed_form(self, ndde, ndde_setup, sir, sir_setup):
         for model, (hp, bases) in ((ndde, ndde_setup), (sir, sir_setup)):
@@ -196,16 +210,17 @@ class TestExpand:
         # the recursion is triangular, so the first nine orders of the
         # recorded order-20 run must come out bit for bit; any reordering of
         # the jet arithmetic shows up here
-        path = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-                / "expand-ndde-n20.json")
-        ref = json.loads(path.read_text(encoding="utf-8"))
-        assert np.array_equal(ndde_msq8.lambda_hats, ref["lambda_hats"][:9])
-        assert np.array_equal(ndde_msq8.T_hats, ref["T_hats"][:9])
-        for Zj, data in zip(ndde_msq8.Z, ref["coefficients"][:9], strict=True):
-            expected = TrigPoly.from_dict(data)
-            assert np.array_equal(Zj.const, expected.const)
-            assert np.array_equal(Zj.cos, expected.cos)
-            assert np.array_equal(Zj.sin, expected.sin)
+        assert_matches_record(ndde_msq8, Path(__file__).resolve().parents[1]
+                              / "perfbench" / "reference"
+                              / "expand-ndde-n20.json")
+
+    def test_matches_the_recorded_sir_expansion_exactly(self, sir_2pi8):
+        # recorded with `ddehopf expand --model sir --order 8 --format json`;
+        # scalar series meet polynomials on this path: the equilibrium series
+        # is added to each state component, and the scalar (1 - mu*lam)
+        # multiplies one
+        assert_matches_record(sir_2pi8, Path(__file__).resolve().parent
+                              / "data" / "expand-sir-n8-paper.json")
 
     def test_convention_rescaling_exact(self, ndde):
         a = xp.expand(ndde, 4, z0_scale="paper")

@@ -38,22 +38,41 @@ SIN = TrigPoly.harmonic(1, 1, sin_vec=[1.0])
 class TestLinearCombination:
     def test_additive_inverse(self, rng):
         u = random_poly(rng, dim=2, degree=4)
-        z = tp.linear_combination([1.0, -1.0], [u, u])
+        z = 1.0 * u + -1.0 * u
         assert z.max_abs() == 0.0
 
     def test_scaling(self):
-        v = tp.linear_combination([2.0], [COS])
+        v = 2.0 * COS
         assert v.cos[0, 0] == 2.0
         assert v.sin[0, 0] == 0.0
 
     def test_identity_split(self, rng):
         u = random_poly(rng, dim=3, degree=2)
-        v = tp.linear_combination([0.5, 0.5], [u, u])
+        v = 0.5 * u + 0.5 * u
         assert np.allclose(v.eval(0.37), u.eval(0.37), atol=1e-15)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            tp.linear_combination([1.0, 1.0], [COS, TrigPoly.zero(2)])
+            COS + TrigPoly.zero(2)
+
+
+class TestNumbers:
+    def test_number_acts_on_the_constant_term(self, rng):
+        u = random_poly(rng, degree=2)
+        for v, w, const in ((u + 2.5, u, u.const + 2.5),
+                            (2.5 + u, u, 2.5 + u.const),
+                            (u - 2.5, u, u.const - 2.5),
+                            (2.5 - u, -u, 2.5 - u.const)):
+            assert np.array_equal(v.const, const)
+            assert np.array_equal(v.cos, w.cos)
+            assert np.array_equal(v.sin, w.sin)
+
+    def test_number_plus_vector_raises(self):
+        u = TrigPoly.harmonic(2, 1, cos_vec=[1.0, 2.0])
+        for op in (lambda: 1.0 + u, lambda: u + 1.0, lambda: u - 1.0,
+                   lambda: 1.0 - u, lambda: np.float64(1.0) + u):
+            with pytest.raises(DimensionMismatchError):
+                op()
 
 
 class TestMul:
