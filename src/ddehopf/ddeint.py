@@ -5,9 +5,16 @@ The integrator advances a single-delay system from a history on [-lam, 0]
 pair, with the step capped at a quarter of the delay so every delayed lookup
 lands in already-completed territory (or in the history).  Dense output is
 the C1 cubic Hermite interpolant through the step endpoints, which keeps the
-delayed-argument accuracy commensurate with the local step error.  The
-returned trajectory carries the last proposed step size, so it can be
-extended later instead of restarted.
+delayed-argument accuracy commensurate with the local step error.
+
+The knots (t, y, y') are kept in preallocated arrays whose capacity doubles
+when they fill up; ``Trajectory.ts``, ``ys`` and ``fs`` are views of the
+filled rows.  Thanks to the step cap, the six delayed stage times of a step
+all lie behind its start, so one ``searchsorted`` finds their segments and
+one vectorised Hermite evaluation gives their states; lookups that reach the
+history take it point by point.  The model rhs is called on Python floats.
+The returned trajectory carries the last proposed step size, so ``extend``
+continues it in place instead of restarting.
 
 On top of it sit steady-state detection (upward equilibrium crossings of
 the first component, bisected on the dense output, with period and peak-
@@ -16,8 +23,6 @@ the numerical steady state and a reconstructed orbit.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -58,41 +63,51 @@ class Trajectory:
     """
 
     def __init__(self, ts, ys, fs, lam, history):
-        self._set_knots(ts, ys, fs)
+        self._knots = tuple(np.array(a, dtype=float) for a in (ts, ys, fs))
+        self._set_count(len(self._knots[0]))
         self.lam = float(lam)
         self.history = _history_function(history)
         self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
                       "extensions": 0, "h_min": None, "h_max": None}
         self._resume = None  # (model, rtol, atol, next step) from integrate
 
-    def _set_knots(self, ts, ys, fs):
-        self.ts = np.asarray(ts, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.fs = np.asarray(fs, dtype=float)
-        self.t_start = float(self.ts[0])
-        self.t_end = float(self.ts[-1])
+    def _set_count(self, n):
+        """Publish the first n rows of the knot storage as ts, ys and fs."""
+        ts, ys, fs = self._knots
+        self.ts, self.ys, self.fs = ts[:n], ys[:n], fs[:n]
+        self.t_start = float(ts[0])
+        self.t_end = float(ts[n - 1])
 
     @property
     def dim(self) -> int:
         return self.ys.shape[1]
 
-    def value(self, t):
-        """Dense-output state; scalar t gives (dim,), array t gives (m, dim)."""
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim:
-            return np.stack([self.value(float(tv)) for tv in t_arr])
-        tv = float(t_arr)
-        if tv > self.t_end + 1e-9 * max(1.0, abs(self.t_end)):
+    def _check_end(self, t):
+        """Refuse lookups past the end (beyond a relative 1e-9) or at NaN."""
+        t = np.atleast_1d(t)
+        bad = t[~(t <= self.t_end + 1e-9 * max(1.0, abs(self.t_end)))]
+        if bad.size:
             raise IntegrationError(
-                f"lookup at t={tv} beyond the trajectory end {self.t_end}")
-        return np.asarray(_dense(min(tv, self.t_end), self.ts, self.ys,
-                                 self.fs, self.lam, self.history), dtype=float)
+                f"lookup at t={bad[0]} beyond the trajectory end {self.t_end}")
+
+    def value(self, t):
+        """Dense-output state at t, a number or an array of any shape; the
+        result has shape t.shape + (dim,)."""
+        t_arr = np.asarray(t, dtype=float)
+        flat = t_arr.reshape(-1)
+        self._check_end(flat)
+        out = _dense(np.minimum(flat, self.t_end), self.ts, self.ys, self.fs,
+                     self.lam, self.history)
+        return out.reshape(t_arr.shape + (self.dim,))
 
     def derivative(self, t):
         """Slope of the dense output; at or before the first knot, a central
-        difference of the history over 1e-5 * max(1, lam) each side."""
+        difference of the history over 1e-5 * max(1, lam) each side.  Like
+        ``value``, it refuses t past the end or before the history."""
         tv = float(t)
+        self._check_end(tv)
         if tv <= self.t_start:
+            _check_history(tv, self.t_start, self.lam)
             d = 1e-5 * max(1.0, self.lam)
             return (np.asarray(self.history(tv + d), dtype=float)
                     - np.asarray(self.history(tv - d), dtype=float)) / (2 * d)
@@ -123,19 +138,17 @@ class Trajectory:
         self.stats["extensions"] += 1
 
     def _advance(self, t_end):
-        """Dormand-Prince steps from the last knot up to t_end.  The knots
-        are appended to lists that live only for this call."""
+        """Dormand-Prince steps from the last knot up to t_end.  Accepted
+        knots are written past the published ones, into storage that doubles
+        when full, and published when the last step is done."""
         model, rtol, atol, h = self._resume
-        lam = self.lam
-        ts, ys, fs = self.ts.tolist(), list(self.ys), list(self.fs)
-
-        def rhs(t, state):
-            ydel = _dense(t - lam, ts, ys, fs, lam, self.history)
-            return np.array(model.rhs(lam, list(state), list(ydel)), dtype=float)
-
+        lam, history, rhs = self.lam, self.history, model.rhs
+        ts, ys, fs = self._knots
+        n = len(self.ts)
+        t_first = self.t_start
+        t, y, f = self.t_end, self.ys[-1], self.fs[-1]
         h_max = lam / 4.0
         stats = self.stats
-        t, y, f = ts[-1], ys[-1], fs[-1]
         n_stages = 7
         k = np.zeros((n_stages, model.dim))
         min_h_floor = 1e-14
@@ -144,30 +157,43 @@ class Trajectory:
             if h < min_h_floor * max(1.0, abs(t)):
                 raise IntegrationError(f"step size underflow at t={t}")
             k[0] = f
-            for i in range(1, n_stages):
-                ti = t + _C[i] * h
-                yi = y + h * (_A[i] @ k[:i])
-                k[i] = rhs(ti, yi)
+            # stage i looks up t + c_i * h - lam, behind t as h <= lam / 4
+            delayed = t + _C[1:] * h - lam
+            if delayed[0] > t_first:
+                ydel = _hermite_knots(delayed, ts[:n], ys[:n], fs[:n])
+            else:
+                ydel = _dense(delayed, ts[:n], ys[:n], fs[:n], lam, history)
+            ydel = ydel.tolist()
+            try:
+                for i in range(1, n_stages):
+                    yi = y + h * (_A[i] @ k[:i])
+                    k[i] = rhs(lam, yi.tolist(), ydel[i - 1])
+            except ArithmeticError as exc:  # Python floats: 1/0, overflow
+                raise IntegrationError(
+                    f"model rhs failed near t={t}: {exc}") from exc
             stats["rhs_evals"] += n_stages - 1
             y5 = y + h * (_B5 @ k)
             y4 = y + h * (_B4 @ k)
-            if not np.all(np.isfinite(y5)):
+            if not np.isfinite(y5).all():
                 raise IntegrationError(f"non-finite state at t={t + h}")
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs(y5 - y4) / scale))
+            err = float((np.abs(y5 - y4) / scale).max())
             if err <= 1.0:
                 t += h
                 y = y5
                 f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
-                ts.append(t)
-                ys.append(y)
-                fs.append(f)
+                if n == len(ts):
+                    ts, ys, fs = (np.concatenate((a, np.empty_like(a)))
+                                  for a in (ts, ys, fs))
+                ts[n], ys[n], fs[n] = t, y, f
+                n += 1
                 stats["accepted"] += 1
             else:
                 stats["rejected"] += 1
             factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
             h *= min(5.0, max(0.2, factor))
-        self._set_knots(ts, ys, fs)
+        self._knots = (ts, ys, fs)
+        self._set_count(n)
         self._resume = (model, rtol, atol, h)
         steps = np.diff(self.ts)
         stats["h_min"] = float(steps.min())
@@ -186,16 +212,35 @@ def _history_function(history):
     return lambda t: value.copy()
 
 
+def _check_history(t, t_first, lam):
+    """Refuse a lookup before the history interval [t_first - lam, t_first]."""
+    if t < t_first - lam - 1e-9 * max(1.0, lam):
+        raise IntegrationError(
+            f"delayed lookup at t={t} precedes the history interval")
+
+
+def _hermite_knots(t, ts, ys, fs):
+    """Hermite dense output of the knots at the times t (1-D, after ts[0],
+    none past ts[-1]): one searchsorted finds every segment, as bisect_right
+    would, and one vectorised evaluation gives shape (len(t), dim)."""
+    i = np.minimum(ts.searchsorted(t, side="right") - 1, len(ts) - 2)
+    j = i + 1
+    return _hermite(t[:, None], ts[i][:, None], ts[j][:, None], ys[i], ys[j],
+                    fs[i], fs[j])
+
+
 def _dense(t, ts, ys, fs, lam, history):
-    """Dense output of the knots (lists or arrays): the history at or before
-    the first knot, no further back than lam; the Hermite segment after it."""
-    if t <= ts[0]:
-        if t < ts[0] - lam - 1e-9 * max(1.0, lam):
-            raise IntegrationError(
-                f"delayed lookup at t={t} precedes the history interval")
-        return history(t)
-    i = min(bisect_right(ts, t) - 1, len(ts) - 2)
-    return _hermite(t, ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1])
+    """Dense output of the knots at the times t (1-D, none past ts[-1]): the
+    Hermite segments after the first knot, and, point by point, the history
+    at or before it, no further back than lam."""
+    inner = t > ts[0]
+    out = np.empty((len(t), ys.shape[1]))
+    out[inner] = _hermite_knots(t[inner], ts, ys, fs)
+    for j in np.flatnonzero(~inner):
+        tj = float(t[j])
+        _check_history(tj, ts[0], lam)
+        out[j] = history(tj)
+    return out
 
 
 class Alignment:
@@ -232,7 +277,11 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     y = np.asarray(history(0.0), dtype=float)
     if y.shape != (model.dim,):
         raise IntegrationError(f"history must give states of dim {model.dim}")
-    f = np.array(model.rhs(lam, list(y), list(history(-lam))), dtype=float)
+    ydel = np.asarray(history(-lam), dtype=float)
+    try:
+        f = np.array(model.rhs(lam, y.tolist(), ydel.tolist()), dtype=float)
+    except ArithmeticError as exc:
+        raise IntegrationError(f"model rhs failed at t=0: {exc}") from exc
     traj = Trajectory([0.0], [y], [f], lam, history)
     traj.stats["rhs_evals"] = 1
     traj._resume = (model, rtol, atol, min(lam / 4.0, t_end, 1e-2 * lam + 1e-12))
@@ -277,16 +326,20 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
             f"only {len(up)} upward crossings found; trajectory too short "
             "or not oscillating")
 
-    def f(t):
-        return traj.value(t)[0] - level
+    ts, x, dx = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
 
-    crossings = np.array([_bisect(f, traj.ts[i], traj.ts[i + 1], f(traj.ts[i]))
-                          for i in up])
+    def crossing(i):
+        # bisect the crossing on the one Hermite segment that holds it
+        seg = (ts[i], ts[i + 1], x[i], x[i + 1], dx[i], dx[i + 1])
+        return _bisect(lambda t: _hermite(t, *seg) - level, ts[i], ts[i + 1],
+                       d[i])
+
+    crossings = np.array([crossing(i) for i in up])
     periods = np.diff(crossings)
     if len(periods) < 3:
         raise SteadyStateError("fewer than 3 full cycles in the trajectory")
     last_p = periods[-3:]
-    last_a = np.array([_cycle_peak(traj, traj.ts, d, level, up[i], up[i + 1])
+    last_a = np.array([_cycle_peak(traj, ts, d, level, up[i], up[i + 1])
                        for i in range(len(up) - 4, len(up) - 1)])
     p_spread = float(np.max(np.abs(np.diff(last_p))))
     a_spread = float(np.max(np.abs(np.diff(last_a))))

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,22 @@ def linear_model():
     # oscillation of period 2*pi = 4*lam.
     return mdl.DdeModel("lin", 1, {}, lambda lam, x, y: [-y[0]],
                         [0.0], (1.0, 1.5))
+
+
+@pytest.fixture(scope="module")
+def sir120(sir_2pi8):
+    """The seeded sir cross-validation at lambda = 120: (orbit, e_r, alignment,
+    trajectory).  Tests that use it must not extend the trajectory."""
+    orbit = ob.reconstruct(sir_2pi8, 120.0)
+    return (orbit, *di.cross_validate(orbit))
+
+
+def _segment(knots, ys, fs, t):
+    """Hermite dense output at one time t after the first knot, the segment
+    found by bisecting the knot times ``knots`` (a list)."""
+    i = min(bisect_right(knots, t) - 1, len(knots) - 2)
+    return ob._hermite(t, knots[i], knots[i + 1], ys[i], ys[i + 1], fs[i],
+                       fs[i + 1])
 
 
 def test_linear_characteristic_root():
@@ -84,6 +102,44 @@ class TestIntegrate:
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
         with pytest.raises(IntegrationError):
             traj.value(-10.0)
+
+    def test_derivative_guard_past_the_end(self, ndde):
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
+        assert np.array_equal(traj.derivative(10.0), traj.fs[-1])
+        with pytest.raises(IntegrationError):
+            traj.derivative(10.5)
+
+    def test_derivative_guard_before_the_history(self, ndde):
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
+        assert np.array_equal(traj.derivative(-1.4), np.zeros(2))
+        with pytest.raises(IntegrationError):
+            traj.derivative(-1.5)
+
+    def test_value_keeps_the_shape_of_its_argument(self, ndde):
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
+        assert traj.value(np.array([])).shape == (0, 2)
+        grid = np.linspace(-1.4, 10.0, 12).reshape(3, 4)
+        block = traj.value(grid)
+        assert block.shape == (3, 4, 2)
+        assert np.array_equal(block.reshape(12, 2), traj.value(grid.ravel()))
+        assert traj.value(5.0).shape == (2,)
+        assert np.array_equal(traj.value([[5.0]])[0, 0], traj.value(5.0))
+        with pytest.raises(IntegrationError):
+            traj.value(np.array([1.0, np.nan]))
+
+    def test_rhs_arithmetic_error_is_an_integration_error(self):
+        # the rhs sees Python floats, so 1/0 raises instead of giving inf
+        model = mdl.DdeModel("pole", 1, {}, lambda lam, x, y: [1.0 / y[0]],
+                             [1.0], (1.0, 1.5))
+        with pytest.raises(IntegrationError, match="t=0"):
+            di.integrate(model, 1.0, [0.0], 5.0)
+
+        def gap(t):  # nonzero at -lam and near 0, zero between
+            return np.array([1.0 if t == -1.0 or t > -0.1 else 0.0])
+
+        with pytest.raises(IntegrationError) as failed:
+            di.integrate(model, 1.0, gap, 5.0)
+        assert isinstance(failed.value.__cause__, ZeroDivisionError)
 
 
 class TestHistoryAndExtension:
@@ -159,16 +215,60 @@ class TestHistoryAndExtension:
         align = di.detect_steady_state(traj, level=float(orbit.equilibrium[0]))
         assert abs(di.relative_error(orbit, traj, align) - e_r) <= 1e-3 * e_r
 
-    def test_sir_settles_in_the_first_span(self, sir_2pi8):
+    def test_sir_settles_in_the_first_span(self, sir120):
         # seeded with the orbit, the sir integration at lambda = 120 needs no
         # extension (a constant history needed 480 periods)
-        orbit = ob.reconstruct(sir_2pi8, 120.0)
-        e_r, align, traj = di.cross_validate(orbit)
+        orbit, e_r, align, traj = sir120
         assert traj.t_end == 120 * orbit.period
         assert traj.stats["extensions"] == 0
         assert e_r < 0.007
         assert 0.0 <= align.period_spread <= 1e-6 * align.period_est
         assert 0.0 <= align.amplitude_spread <= 1e-6
+
+
+class TestBatchedLookup:
+    """The batched dense output (one searchsorted, one vectorised Hermite
+    evaluation) gives the bits of the per-point path."""
+
+    @staticmethod
+    def _check(traj, seed):
+        knots = traj.ts.tolist()
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([
+            rng.uniform(traj.t_start, traj.t_end, 300),
+            traj.ts[rng.integers(0, len(traj.ts), 100)],  # on a knot
+            traj.ts[:2], traj.ts[-2:],                   # first and last knots
+            np.linspace(-traj.lam, 0.0, 9),               # history
+        ])
+        rng.shuffle(times)
+        expected = np.array([
+            traj.history(t) if t <= knots[0]
+            else _segment(knots, traj.ys, traj.fs, t) for t in times.tolist()])
+        assert np.array_equal(traj.value(times), expected)
+
+    def test_ndde_seeded(self, ndde, ndde_msq8):
+        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        traj = di.integrate(ndde, 1.4, orbit.evaluate, 20 * orbit.period)
+        self._check(traj, 1)
+
+    def test_sir_at_120(self, sir120):
+        self._check(sir120[3], 2)
+
+    def test_stage_lookups_match_the_per_point_path(self, ndde, ndde_msq8,
+                                                    monkeypatch):
+        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        batched = di.integrate(ndde, 1.4, orbit.evaluate, 10 * orbit.period)
+
+        def per_point(t, ts, ys, fs):
+            knots = ts.tolist()
+            out = [_segment(knots, ys, fs, tv) for tv in t.tolist()]
+            return np.array(out).reshape(len(t), ys.shape[1])
+
+        monkeypatch.setattr(di, "_hermite_knots", per_point)
+        single = di.integrate(ndde, 1.4, orbit.evaluate, 10 * orbit.period)
+        for x, y in ((batched.ts, single.ts), (batched.ys, single.ys),
+                     (batched.fs, single.fs)):
+            assert np.array_equal(x, y)
 
 
 class TestDetectSteadyState:
