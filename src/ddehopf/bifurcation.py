@@ -31,13 +31,16 @@ RESONANCE_MAX_HARMONIC = 8
 
 
 class HopfPoint:
-    """Bifurcation point data: frequency, delay and complex null vectors."""
+    """Bifurcation point data: frequency, delay, complex null vectors and the
+    rescaled Jacobians A = P/omega0, B = Q/omega0 at the bifurcation delay."""
 
-    def __init__(self, omega0, lambda0, right_null, left_null):
+    def __init__(self, omega0, lambda0, right_null, left_null, A, B):
         self.omega0 = float(omega0)
         self.lambda0 = float(lambda0)
         self.right_null = np.asarray(right_null, dtype=complex)
         self.left_null = np.asarray(left_null, dtype=complex)
+        self.A = A
+        self.B = B
 
     @property
     def lambda_hat0(self) -> float:
@@ -77,12 +80,11 @@ def _scaled_det(mat) -> complex:
     return complex(np.linalg.det(mat / norms[:, None]))
 
 
-def find_hopf(model, omega_guess=None, lambda_guess=None,
-              resonance_tol=RESONANCE_TOL) -> HopfPoint:
+def find_hopf(model) -> HopfPoint:
     """Locate (omega0, lambda0) by a 2D Newton iteration on the real and
-    imaginary parts of the row-scaled characteristic determinant."""
-    w = model.hopf_hint[0] if omega_guess is None else float(omega_guess)
-    lam = model.hopf_hint[1] if lambda_guess is None else float(lambda_guess)
+    imaginary parts of the row-scaled characteristic determinant, started
+    from ``model.hopf_hint``."""
+    w, lam = model.hopf_hint
 
     w_floor = 1e-6 * max(abs(w), 1e-6)
     lam_floor = 1e-6 * max(abs(lam), 1e-6)
@@ -136,7 +138,7 @@ def find_hopf(model, omega_guess=None, lambda_guess=None,
         if mharm == 1:
             continue
         d = _scaled_det(characteristic_matrix(model, mharm * w, lam))
-        if abs(d) < resonance_tol:
+        if abs(d) < RESONANCE_TOL:
             raise ResonanceError(
                 f"characteristic root near harmonic {mharm} of omega0 "
                 f"(scaled determinant {abs(d):.2e})")
@@ -148,7 +150,7 @@ def find_hopf(model, omega_guess=None, lambda_guess=None,
     lh0 = w * lam
     W = 1j * np.eye(model.dim) + A.T + B.T * np.exp(1j * lh0)
     beta = _null_vector(W)
-    hp = HopfPoint(w, lam, alpha, beta)
+    hp = HopfPoint(w, lam, alpha, beta, A, B)
     _check_null_residuals(M, W, hp)
     return hp
 
@@ -234,8 +236,3 @@ def adjoint_operator(u: TrigPoly, A, B, lam_hat0: float) -> TrigPoly:
     B = np.asarray(B)
     return u.diff() + tp.matvec(A.T, u) + tp.matvec(B.T, u.shift(-lam_hat0))
 
-
-def rescaled_matrices(model, hp: HopfPoint):
-    """(A, B) = (P, Q)/omega0 at the bifurcation delay."""
-    P, Q = mdl.linearization(model, hp.lambda0)
-    return P / hp.omega0, Q / hp.omega0

@@ -150,6 +150,8 @@ def _parse_grid(spec: str):
         raise ModelError(f"bad --lambda-grid {spec!r}, expected a:b:n") from exc
     if n < 2:
         raise ModelError("--lambda-grid needs at least 2 points")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ModelError(f"--lambda-grid bounds must be finite, got {spec!r}")
     return np.linspace(a, b, n)
 
 
@@ -158,6 +160,8 @@ def _parse_grid(spec: str):
 
 def _orbit_at_delay(args):
     """(model, orbit): the configured model's orbit at the --lambda delay."""
+    if not np.isfinite(args.lam):
+        raise ModelError(f"--lambda must be finite, got {args.lam!r}")
     model = build_model(args)
     result = expand(model, args.order, z0_scale=args.z0_scale)
     return model, reconstruct(result, args.lam)
@@ -243,7 +247,7 @@ def cmd_solve(args) -> int:
 
 def cmd_residual(args) -> int:
     model, orbit = _orbit_at_delay(args)
-    r_r = residual(model, orbit, args.samples)
+    r_r = residual(orbit, args.samples)
     unit = model.time_unit
     if args.format == "json":
         _write_json(args.out, {"lambda": orbit.lam, "order": args.order,
@@ -255,10 +259,10 @@ def cmd_residual(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    grid = _parse_grid(args.lambda_grid)
     model = build_model(args)
     result = expand(model, args.order, z0_scale=args.z0_scale)
-    grid = _parse_grid(args.lambda_grid)
-    rows = bifurcation_diagram(result, model, grid)
+    rows = bifurcation_diagram(result, grid)
     unit = model.time_unit
     if args.format == "svg":
         series = []
@@ -292,7 +296,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_validate(args) -> int:
     model, orbit = _orbit_at_delay(args)
-    r_r = residual(model, orbit, args.samples)
+    r_r = residual(orbit, args.samples)
     e_r, align, _ = di.cross_validate(orbit, rtol=args.rtol, atol=args.atol)
     unit = model.time_unit
     row = {

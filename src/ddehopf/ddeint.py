@@ -34,6 +34,8 @@ STEADY_TOL_AMP = 1e-6
 STEADY_TOL_PER = 1e-6
 # Times cross_validate extends an unsettled trajectory to twice its end.
 MAX_DOUBLINGS = 2
+# Points per period at which relative_error compares trajectory and orbit.
+ERROR_SAMPLES = 1024
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -370,8 +372,7 @@ def _orbit_anchor(orbit) -> float:
     return _bisect(lambda t: float(orbit.deviation(t)[0]), ts[i], ts[i + 1], d[i])
 
 
-def relative_error(orbit, traj: Trajectory, align: Alignment,
-                   samples: int = 1024) -> float:
+def relative_error(orbit, traj: Trajectory, align: Alignment) -> float:
     """Sup-norm deviation between the settled trajectory and the orbit over
     one numerical period, both as deviations from the equilibrium, divided
     by the sup of the reference."""
@@ -388,7 +389,7 @@ def relative_error(orbit, traj: Trajectory, align: Alignment,
         raise ComparisonError("trajectory too short after the anchor")
     t_a = _orbit_anchor(orbit)
     eq = orbit.equilibrium
-    offs = np.linspace(0.0, T, samples, endpoint=False)
+    offs = np.linspace(0.0, T, ERROR_SAMPLES, endpoint=False)
     ref = traj.value(t0 + offs) - eq
     app = orbit.deviation(t_a + offs)
     return float(np.max(np.abs(ref - app)) / np.max(np.abs(ref)))

@@ -85,9 +85,6 @@ class EpsSeries:
             return cls._make([value] + [TrigPoly.zero(value.dim)] * order)
         return cls._make([float(value)] + [0.0] * order)
 
-    def coefficient(self, j: int):
-        return self.coeffs[j]
-
     def component(self, i: int) -> "EpsSeries":
         """Component series of a vector-valued trig series."""
         if not self.is_trig:

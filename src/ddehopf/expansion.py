@@ -61,7 +61,7 @@ class ExpansionResult:
     """
 
     def __init__(self, order, lambda_hats, T_hats, Z, hopf, bases, model,
-                 conventions, h_list, A, B):
+                 conventions, h_list):
         self.order = order
         self.lambda_hats = np.asarray(lambda_hats, dtype=float)
         self.T_hats = np.asarray(T_hats, dtype=float)
@@ -71,8 +71,6 @@ class ExpansionResult:
         self.model = model
         self.conventions = dict(conventions)
         self.h_list = list(h_list)
-        self.A = A
-        self.B = B
 
     @property
     def omega0(self) -> float:
@@ -106,8 +104,7 @@ class ExpansionResult:
         return ExpansionResult(order, self.lambda_hats[:order + 1],
                                self.T_hats[:order + 1], self.Z[:order + 1],
                                self.hopf, self.bases, self.model,
-                               self.conventions, self.h_list[:order],
-                               self.A, self.B)
+                               self.conventions, self.h_list[:order])
 
     def coefficient_table(self):
         """Rows (order, harmonic, component, cos, sin) for every coefficient."""
@@ -161,15 +158,14 @@ def order_coefficient(model, hp: HopfPoint, Z_list, lam_hats, T_hats,
         if not isinstance(gi, EpsSeries):
             gi = EpsSeries.constant(float(gi), n_ord)
         Fi = prefactor * gi
-        ci = Fi.coefficient(n_ord)
+        ci = Fi.coeffs[n_ord]
         if not isinstance(ci, TrigPoly):
             ci = TrigPoly.constant([float(ci)])
         comps.append(ci)
     return tp.stack(comps).truncate()
 
 
-def assemble_rhs(model, hp: HopfPoint, bases: LinearBases, Z_list,
-                 lam_hats, T_hats):
+def assemble_rhs(model, hp: HopfPoint, Z_list, lam_hats, T_hats):
     """(H0, R, S) for the current order from three rhs probes.
 
     H0 is the inhomogeneity at (lh_j, Th_j) = (0, 0); R and S are the exact
@@ -184,7 +180,7 @@ def assemble_rhs(model, hp: HopfPoint, bases: LinearBases, Z_list,
     return H0, R, S
 
 
-def closed_form_RS(model, hp: HopfPoint, bases: LinearBases, Z0: TrigPoly):
+def closed_form_RS(model, hp: HopfPoint, Z0: TrigPoly):
     """Closed forms of the sensitivities, used to cross-check the probes.
 
     R = (Z0' + lh0 * B Z0'(. - lh0)) / (2*pi)
@@ -196,7 +192,7 @@ def closed_form_RS(model, hp: HopfPoint, bases: LinearBases, Z0: TrigPoly):
     """
     w0 = hp.omega0
     lh0 = hp.lambda_hat0
-    _, B = bf.rescaled_matrices(model, hp)
+    B = hp.B
     h = 1e-6 * lh0
     Pp, Qp = mdl.linearization(model, (lh0 + h) / w0)
     Pm, Qm = mdl.linearization(model, (lh0 - h) / w0)
@@ -245,7 +241,7 @@ def solve_order(H0: TrigPoly, R: TrigPoly, S: TrigPoly, bases: LinearBases):
     return float(lam_j), float(T_j), h
 
 
-def solve_particular(h: TrigPoly, hp: HopfPoint, model, ab=None) -> TrigPoly:
+def solve_particular(h: TrigPoly, hp: HopfPoint) -> TrigPoly:
     """Particular solution of L Z = h by independent per-harmonic blocks.
 
     Harmonic k couples the cosine and sine coefficient vectors through a
@@ -255,7 +251,7 @@ def solve_particular(h: TrigPoly, hp: HopfPoint, model, ab=None) -> TrigPoly:
     sense (relative rank threshold 1e-8) and the residual is asserted, since
     solvability guarantees the right-hand side is in range.
     """
-    A, B = bf.rescaled_matrices(model, hp) if ab is None else ab
+    A, B = hp.A, hp.B
     lh0 = hp.lambda_hat0
     n = h.dim
     K = h.degree
@@ -359,14 +355,13 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
         raise ValueError(f"z0_scale must be one of {sorted(Z0_SCALES)}")
     hp = bf.find_hopf(model)
     bases = bf.null_bases(model, hp)
-    A, B = bf.rescaled_matrices(model, hp)
 
     scale = Z0_SCALES[z0_scale]
     Z0 = scale * bases.v2
 
     # Solvability of the bifurcation: the closed-form sensitivities must span
     # the adjoint null space.
-    R_cf, S_cf = closed_form_RS(model, hp, bases, Z0)
+    R_cf, S_cf = closed_form_RS(model, hp, Z0)
     _check_nonsingular_2x2(solvability_matrix(R_cf, S_cf, bases),
                            "bifurcation solvability matrix")
 
@@ -376,10 +371,10 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     h_list = []
     for j in range(1, order + 1):
         try:
-            H0, R, S = assemble_rhs(model, hp, bases, Z_list, lam_hats, T_hats)
+            H0, R, S = assemble_rhs(model, hp, Z_list, lam_hats, T_hats)
             lam_j, T_j, h = solve_order(H0, R, S, bases)
             h = enforce_degree(h, j + 1, f"h_{j}")
-            Z_hat = solve_particular(h, hp, model, ab=(A, B))
+            Z_hat = solve_particular(h, hp)
             Z_j = fix_homogeneous(Z_hat, Z0, bases)
             Z_j = enforce_degree(Z_j.truncate(), j + 1, f"Z_{j}")
         except (SolvabilityError, ResonanceError) as exc:
@@ -399,4 +394,4 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     conventions = {"z0_scale": scale, "z0_mode": z0_scale, "qj": 0.0,
                    "phase": "first-component sine"}
     return ExpansionResult(order, lam_hats, T_hats, Z_list, hp, bases, model,
-                           conventions, h_list, A, B)
+                           conventions, h_list)

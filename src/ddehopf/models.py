@@ -224,7 +224,7 @@ def _order1(value) -> float:
 
 def equilibrium(model: DdeModel, lam: float) -> np.ndarray:
     """Steady state x* with g(lam, x*, x*) = 0, by Newton from the model hint."""
-    if lam < 0:
+    if not lam >= 0:  # also refuses a NaN delay
         raise NewtonError("delay must be nonnegative")
     x = model.equilibrium_hint.copy()
     scale = max(1.0, float(np.max(np.abs(x))))
@@ -274,22 +274,15 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
         res = max(max(abs(c) for c in gi.coeffs) for gi in g)
         if res <= 1e-14 * scale:
             break
-        xs = [xs[i] - sum_series([float(Jinv[i, j]) * g[j]
-                                  for j in range(model.dim)])
-              for i in range(model.dim)]
+        steps = [[float(Jinv[i, j]) * g[j] for j in range(model.dim)]
+                 for i in range(model.dim)]
+        xs = [x - sum(terms[1:], terms[0]) for x, terms in zip(xs, steps)]
     g = model.rhs(lam_series, xs, xs)
     res = max(max(abs(c) for c in gi.coeffs) for gi in g)
     if res > 1e-10 * scale:
         raise NewtonError(
             f"equilibrium series residual {res:.2e} exceeds tolerance")
     return xs
-
-
-def sum_series(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 def linearization(model: DdeModel, lam: float):

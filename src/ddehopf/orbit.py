@@ -20,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import models as mdl
-from .errors import BelowBifurcationError, NewtonError, NoRealRootError
+from .errors import (BelowBifurcationError, DdeHopfError, NewtonError,
+                     NoRealRootError)
 from .expansion import ExpansionResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 EXTRAPOLATION_RESIDUAL = 0.05  # diagram points with larger residual are flagged
+EXTREMA_SAMPLES = 1024  # grid of orbit_extrema before its refinement
 
 
 # -- numerical kernels, shared with the reference integrator ------------------------
@@ -225,7 +227,7 @@ def _refined_max(f, taus, vals):
     return _golden_max(f, taus[k] - dt, taus[k] + dt, vals[k], 3)
 
 
-def residual(model, orbit: ReconstructedOrbit, samples: int = 2048) -> float:
+def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     """Relative defect sup|x' - g(lam, x, x_delayed)| / sup|x'| over a period.
 
     Both suprema are taken on a uniform grid (at least 256 points) and then
@@ -234,9 +236,10 @@ def residual(model, orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     """
     if samples < 256:
         raise ValueError("residual needs at least 256 samples")
+    model = orbit.expansion.model
     lam = orbit.lam
     shifted = orbit.profile.shift(orbit.omega_eff * lam)
-    dprofile = orbit.profile.diff()
+    dprofile = orbit._dprofile
     eq = orbit.equilibrium
 
     taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -268,9 +271,9 @@ def residual(model, orbit: ReconstructedOrbit, samples: int = 2048) -> float:
 # -- bifurcation diagram ------------------------------------------------------------
 
 
-def orbit_extrema(orbit: ReconstructedOrbit, samples: int = 1024):
+def orbit_extrema(orbit: ReconstructedOrbit):
     """(min, max) per component over one period, grid plus refinement."""
-    taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    taus = np.linspace(0.0, 2.0 * np.pi, EXTREMA_SAMPLES, endpoint=False)
     vals = orbit.profile.eval(taus) + orbit.equilibrium
     out = []
     for i in range(vals.shape[1]):
@@ -286,14 +289,14 @@ def orbit_extrema(orbit: ReconstructedOrbit, samples: int = 1024):
     return out
 
 
-def bifurcation_diagram(exp: ExpansionResult, model, lam_grid, samples=1024):
+def bifurcation_diagram(exp: ExpansionResult, lam_grid):
     """Per-delay oscillation extrema, with the equilibrium branch below the
     bifurcation and a residual-based extrapolation flag beyond it.
 
     Each amplitude solve scans from the previous point's eps; when that
     finds no root it falls back to the order-2 seed.  Returns a list of row
-    dicts; failures at individual grid points are recorded in the row and
-    the sweep continues.
+    dicts; a package error at an individual grid point is recorded in its
+    row and the sweep continues.
     """
     lam0 = exp.hopf.lambda0
     rows = []
@@ -314,15 +317,15 @@ def bifurcation_diagram(exp: ExpansionResult, model, lam_grid, samples=1024):
                     eps = solve_epsilon(exp, lam)
                 eps_prev = eps if eps > 0 else None
             if eps == 0.0:
-                eq = mdl.equilibrium(model, lam)
+                eq = mdl.equilibrium(exp.model, lam)
                 row["components"] = [(float(v), float(v)) for v in eq]
             else:
                 orbit = ReconstructedOrbit(exp, lam, eps)
                 row["eps"] = eps
-                row["residual"] = residual(model, orbit, max(256, samples // 2))
+                row["residual"] = residual(orbit, 512)
                 row["extrapolated"] = row["residual"] > EXTRAPOLATION_RESIDUAL
-                row["components"] = orbit_extrema(orbit, samples)
-        except Exception as exc:  # per-point failure, sweep continues
+                row["components"] = orbit_extrema(orbit)
+        except DdeHopfError as exc:  # per-point failure, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

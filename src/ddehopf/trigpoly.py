@@ -165,9 +165,6 @@ class TrigPoly:
             out = out + np.cos(kt) @ self.cos + np.sin(kt) @ self.sin
         return out[0] if scalar else out
 
-    def __call__(self, tau):
-        return self.eval(tau)
-
     def diff(self) -> "TrigPoly":
         """Term-wise derivative d/dtau."""
         if self.degree == 0:

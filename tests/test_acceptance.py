@@ -146,20 +146,20 @@ def test_c4_sir_period_coefficient(sir_2pi8):
                   "(stated 0.2400 is a misprint)")
 
 
-def test_c5_residual_reproduction(ndde, ndde_msq8, sir, sir_2pi8):
+def test_c5_residual_reproduction(ndde_msq8, sir_2pi8):
     stated = {2: 5.35, 4: 0.71, 6: 0.15, 8: 0.03}
     details = []
     ok = True
     for N, expected in stated.items():
         orbit = reconstruct(ndde_msq8.truncated(N), 1.4)
-        r = 100.0 * residual(ndde, orbit)
+        r = 100.0 * residual(orbit)
         details.append(f"N={N}: {r:.3f}% (stated {expected}%)")
         if not (expected / 2.0 <= r <= 2.0 * expected):
             ok = False
         if N == 8 and r > 0.1:
             ok = False
     sorbit = reconstruct(sir_2pi8, 120.0)
-    sr = 100.0 * residual(sir, sorbit)
+    sr = 100.0 * residual(sorbit)
     details.append(f"sir: {sr:.3f}%")
     if sr > 0.4:
         ok = False
@@ -227,9 +227,8 @@ def test_c8_property_suite(ndde, ndde_msq8, sir, sir_2pi8):
     for model, res in ((ndde, ndde_msq8), (sir, sir_2pi8)):
         hp, bases = res.hopf, res.bases
         Z0 = res.Z[0]
-        H0, R, S = xp.assemble_rhs(model, hp, bases, [Z0],
-                                   [hp.lambda_hat0], [TWO_PI])
-        R_cf, S_cf = xp.closed_form_RS(model, hp, bases, Z0)
+        H0, R, S = xp.assemble_rhs(model, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
+        R_cf, S_cf = xp.closed_form_RS(model, hp, Z0)
         scale = max(1.0, R_cf.max_abs(), S_cf.max_abs())
         probe_dev = max((R - R_cf).max_abs(), (S - S_cf).max_abs()) / scale
         if probe_dev > 1e-9:
@@ -241,7 +240,7 @@ def test_c8_property_suite(ndde, ndde_msq8, sir, sir_2pi8):
             Zj, hj = res.Z[j], res.h_list[j - 1]
             worst_orth = max(worst_orth, abs(tp.inner(hj, bases.w1)),
                              abs(tp.inner(hj, bases.w2)))
-            op = bf.critical_operator(Zj, res.A, res.B, hp.lambda_hat0)
+            op = bf.critical_operator(Zj, hp.A, hp.B, hp.lambda_hat0)
             dev = np.max(np.abs(op.eval(taus) - hj.eval(taus)))
             worst_op = max(worst_op, dev / max(1.0, hj.max_abs()))
             deg_ok = deg_ok and Zj.degree <= j + 1 and hj.degree <= j + 1
@@ -282,7 +281,7 @@ def test_c9_order20_scalability(ndde_msq20):
                   f"{ndde_msq20.wall_time:.1f} s")
 
 
-def test_c9_order20_residual(ndde, ndde_msq20):
+def test_c9_order20_residual(ndde_msq20):
     # Stated bound 1% at the largest delay; the order-20 residual is 2.34%.
     # Per order at lam = 1.8 the sup-norm residual (orbit.residual) is 2.335,
     # 1.885, 1.413, 1.449, 1.495, 2.146 and 2.335% for N = 14..20: it bottoms
@@ -293,7 +292,7 @@ def test_c9_order20_residual(ndde, ndde_msq20):
     # about 1.4x the published ones (0.99/0.71, 0.216/0.15, 0.044/0.03% at
     # N = 4, 6, 8); that is an observation, not a settlement.
     orbit = reconstruct(ndde_msq20, 1.8)
-    r = 100.0 * residual(ndde, orbit)
+    r = 100.0 * residual(orbit)
     ok = r <= 1.0
     assert report("C9 order-20 residual at the largest delay", ok,
                   f"r_r={r:.2f}% vs stated <= 1%")

@@ -1,9 +1,11 @@
+import copy
 import time
 
 import numpy as np
 import pytest
 
 from ddehopf import bifurcation as bf
+from ddehopf import models as mdl
 from ddehopf import trigpoly as tp
 from ddehopf.errors import HopfError, ResonanceError
 
@@ -34,19 +36,29 @@ class TestFindHopf:
             hp = bf.find_hopf(model)
             M = bf.characteristic_matrix(model, hp.omega0, hp.lambda0)
             assert np.linalg.norm(M @ hp.right_null) < 1e-9
-            A, B = bf.rescaled_matrices(model, hp)
-            W = (1j * np.eye(model.dim) + A.T
-                 + B.T * np.exp(1j * hp.lambda_hat0))
+            W = (1j * np.eye(model.dim) + hp.A.T
+                 + hp.B.T * np.exp(1j * hp.lambda_hat0))
             assert np.linalg.norm(W @ hp.left_null) < 1e-9
 
-    def test_resonance_guard_fires(self, ndde):
+    def test_rescaled_matrices_are_the_linearization(self, ndde, sir):
+        # A and B are P/omega0 and Q/omega0 at lambda0, bit for bit
+        for model in (ndde, sir):
+            hp = bf.find_hopf(model)
+            P, Q = mdl.linearization(model, hp.lambda0)
+            assert hp.A.tobytes() == (P / hp.omega0).tobytes()
+            assert hp.B.tobytes() == (Q / hp.omega0).tobytes()
+
+    def test_resonance_guard_fires(self, ndde, monkeypatch):
         # with an absurdly lax threshold every harmonic looks resonant
+        monkeypatch.setattr(bf, "RESONANCE_TOL", 1.0)
         with pytest.raises(ResonanceError):
-            bf.find_hopf(ndde, resonance_tol=1.0)
+            bf.find_hopf(ndde)
 
     def test_bad_start_fails(self, ndde):
+        far = copy.copy(ndde)
+        far.hopf_hint = (250.0, 400.0)
         with pytest.raises(HopfError):
-            bf.find_hopf(ndde, omega_guess=250.0, lambda_guess=400.0)
+            bf.find_hopf(far)
 
 
 class TestNullBases:
@@ -83,12 +95,11 @@ class TestNullBases:
         for model in (ndde, sir):
             hp = bf.find_hopf(model)
             bases = bf.null_bases(model, hp)
-            A, B = bf.rescaled_matrices(model, hp)
             for v in (bases.v1, bases.v2):
-                out = bf.critical_operator(v, A, B, hp.lambda_hat0)
+                out = bf.critical_operator(v, hp.A, hp.B, hp.lambda_hat0)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
             for w in (bases.w1, bases.w2):
-                out = bf.adjoint_operator(w, A, B, hp.lambda_hat0)
+                out = bf.adjoint_operator(w, hp.A, hp.B, hp.lambda_hat0)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
 
 
@@ -98,7 +109,7 @@ def test_solvability_matrix_nonsingular(ndde, sir):
         hp = bf.find_hopf(model)
         bases = bf.null_bases(model, hp)
         Z0 = 2 * np.pi * bases.v2
-        R, S = closed_form_RS(model, hp, bases, Z0)
+        R, S = closed_form_RS(model, hp, Z0)
         M = solvability_matrix(R, S, bases)
         scales = np.max(np.abs(M), axis=1)
         det = np.linalg.det(M / scales[:, None])

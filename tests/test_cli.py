@@ -91,6 +91,12 @@ class TestSolve:
     def test_bad_order_exit_code(self):
         assert run(["expand", "--model", "ndde", "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+    def test_non_finite_delay_exit_code(self, lam, capsys):
+        assert run(["solve", "--model", "ndde", "--order", "4",
+                    f"--lambda={lam}"]) == cli.EXIT_MODEL
+        assert capsys.readouterr().out == ""
+
 
 class TestResidual:
     def test_row(self, tmp_path):
@@ -123,6 +129,13 @@ class TestDiagram:
     def test_bad_grid(self):
         assert run(["diagram", "--model", "ndde", "--order", "4",
                     "--lambda-grid", "oops"]) == cli.EXIT_MODEL
+
+    @pytest.mark.parametrize("grid", ["nan:1.5:3", "1.4:inf:3", "-inf:1.5:3"])
+    def test_non_finite_grid_exit_code(self, grid, capsys):
+        assert run(["diagram", "--model", "ndde", "--order", "4",
+                    "--z0-scale", "msq", f"--lambda-grid={grid}"]) \
+            == cli.EXIT_MODEL
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,9 +45,9 @@ class TestAssembleRhs:
     def test_probe_matches_closed_form(self, ndde, ndde_setup, sir, sir_setup):
         for model, (hp, bases) in ((ndde, ndde_setup), (sir, sir_setup)):
             Z0 = TWO_PI * bases.v2
-            H0, R, S = xp.assemble_rhs(model, hp, bases, [Z0],
+            H0, R, S = xp.assemble_rhs(model, hp, [Z0],
                                        [hp.lambda_hat0], [TWO_PI])
-            R_cf, S_cf = xp.closed_form_RS(model, hp, bases, Z0)
+            R_cf, S_cf = xp.closed_form_RS(model, hp, Z0)
             scale = max(1.0, R_cf.max_abs(), S_cf.max_abs())
             assert (R - R_cf).max_abs() < 1e-9 * scale
             assert (S - S_cf).max_abs() < 1e-9 * scale
@@ -57,8 +57,7 @@ class TestAssembleRhs:
         # order-0 profile; measure it by symmetric finite differences.
         hp, bases = ndde_setup
         Z0 = TWO_PI * bases.v2
-        H0, _, _ = xp.assemble_rhs(ndde, hp, bases, [Z0],
-                                   [hp.lambda_hat0], [TWO_PI])
+        H0, _, _ = xp.assemble_rhs(ndde, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
         lam0, w0 = hp.lambda0, hp.omega0
         h = 1e-4
         for tau in np.linspace(0.0, 2 * np.pi, 17):
@@ -82,8 +81,7 @@ class TestAssembleRhs:
     def test_first_order_solvable(self, ndde, ndde_setup):
         hp, bases = ndde_setup
         Z0 = TWO_PI * bases.v2
-        H0, R, S = xp.assemble_rhs(ndde, hp, bases, [Z0],
-                                   [hp.lambda_hat0], [TWO_PI])
+        H0, R, S = xp.assemble_rhs(ndde, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
         lam1, T1, h1 = xp.solve_order(H0, R, S, bases)
         for w in (bases.w1, bases.w2):
             assert abs(tp.inner(h1, w)) < 1e-10
@@ -106,14 +104,13 @@ class TestSolveOrder:
 
 
 class TestSolveParticular:
-    def test_zero_rhs(self, ndde, ndde_setup):
+    def test_zero_rhs(self, ndde_setup):
         hp, _ = ndde_setup
-        out = xp.solve_particular(TrigPoly.zero(2, 0), hp, ndde)
+        out = xp.solve_particular(TrigPoly.zero(2, 0), hp)
         assert out.max_abs() < 1e-12
 
     def test_operator_application_oracle(self, ndde, ndde_setup, rng):
         hp, _ = ndde_setup
-        A, B = bf.rescaled_matrices(ndde, hp)
         # random inhomogeneity orthogonal to the adjoint null space: project out
         bases = bf.null_bases(ndde, hp)
         raw = TrigPoly(rng.standard_normal(2), rng.standard_normal((3, 2)),
@@ -121,9 +118,9 @@ class TestSolveParticular:
         h = raw
         for w in (bases.w1, bases.w2):
             h = h + (-tp.inner(raw, w) / tp.inner(w, w)) * w
-        z = xp.solve_particular(h, hp, ndde, ab=(A, B))
+        z = xp.solve_particular(h, hp)
         taus = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        lhs = bf.critical_operator(z, A, B, hp.lambda_hat0).eval(taus)
+        lhs = bf.critical_operator(z, hp.A, hp.B, hp.lambda_hat0).eval(taus)
         rhs = h.eval(taus)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, h.max_abs())
 
@@ -191,7 +188,7 @@ class TestExpand:
             assert abs(tp.inner(Zj, res.Z[0])) < 1e-9
             for w in (res.bases.w1, res.bases.w2):
                 assert abs(tp.inner(hj, w)) < 1e-10
-            lhs = bf.critical_operator(Zj, res.A, res.B,
+            lhs = bf.critical_operator(Zj, hp.A, hp.B,
                                        hp.lambda_hat0).eval(taus)
             rhs = hj.eval(taus)
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, hj.max_abs())

@@ -31,6 +31,13 @@ class TestEquilibrium:
         with pytest.raises(NewtonError):
             mdl.equilibrium(ndde, -0.1)
 
+    def test_nan_delay_rejected(self, ndde, sir):
+        # the ndde rhs ignores the delay, so a NaN one must not fall through
+        # to the Newton iteration and come back as the hint
+        for model in (ndde, sir):
+            with pytest.raises(NewtonError):
+                mdl.equilibrium(model, float("nan"))
+
 
 class TestEquilibriumSeries:
     def test_constant_series(self, sir):

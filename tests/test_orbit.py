@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from ddehopf import models as mdl
 from ddehopf import orbit as ob
 from ddehopf.errors import BelowBifurcationError, NoRealRootError
+
+DIAGRAM_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "reference" / "diagram-sir-n14.seed0.csv")
 
 
 class TestSolveEpsilon:
@@ -87,39 +91,38 @@ class TestOrbit:
 
 
 class TestResidual:
-    def test_ndde_even_orders(self, ndde, ndde_msq8):
+    def test_ndde_even_orders(self, ndde_msq8):
         published = {2: 5.35, 4: 0.71, 6: 0.15, 8: 0.03}
         values = {}
         for N, expected in published.items():
             orbit = ob.reconstruct(ndde_msq8.truncated(N), 1.4)
-            r = 100.0 * ob.residual(ndde, orbit)
+            r = 100.0 * ob.residual(orbit)
             values[N] = r
             assert r < 2.0 * expected and r > expected / 2.0, (N, r)
         # improvement on even orders
         assert values[8] < values[6] < values[4] < values[2]
 
-    def test_sir_residual(self, sir, sir_2pi8):
+    def test_sir_residual(self, sir_2pi8):
         orbit = ob.reconstruct(sir_2pi8, 120.0)
-        r = 100.0 * ob.residual(sir, orbit)
+        r = 100.0 * ob.residual(orbit)
         assert r < 0.4
 
-    def test_sample_floor(self, ndde, ndde_msq8):
+    def test_sample_floor(self, ndde_msq8):
         orbit = ob.reconstruct(ndde_msq8, 1.4)
         with pytest.raises(ValueError):
-            ob.residual(ndde, orbit, samples=100)
+            ob.residual(orbit, samples=100)
 
     def test_residual_convention_invariant(self, ndde):
         from ddehopf.expansion import expand
-        r_msq = ob.residual(ndde, ob.reconstruct(expand(ndde, 4, "msq"), 1.5))
-        r_2pi = ob.residual(ndde, ob.reconstruct(expand(ndde, 4, "paper"), 1.5))
+        r_msq = ob.residual(ob.reconstruct(expand(ndde, 4, "msq"), 1.5))
+        r_2pi = ob.residual(ob.reconstruct(expand(ndde, 4, "paper"), 1.5))
         assert abs(r_msq - r_2pi) < 1e-10 * max(r_msq, 1e-30)
 
 
 class TestDiagram:
-    def test_equilibrium_branch_and_onset(self, ndde, ndde_msq8):
+    def test_equilibrium_branch_and_onset(self, ndde_msq8):
         lam0 = ndde_msq8.hopf.lambda0
-        rows = ob.bifurcation_diagram(ndde_msq8, ndde,
-                                      [1.1, lam0, 1.4, 1.6])
+        rows = ob.bifurcation_diagram(ndde_msq8, [1.1, lam0, 1.4, 1.6])
         assert not any(r["error"] for r in rows)
         below = rows[0]
         for lo, hi in below["components"]:
@@ -132,24 +135,24 @@ class TestDiagram:
         widths = [hi - lo for lo, hi in beyond["components"]]
         assert min(widths) > 0.5
 
-    def test_continuation_just_past_the_onset(self, sir, sir_2pi8):
+    def test_continuation_just_past_the_onset(self, sir_2pi8):
         # the first point past lambda0 lies 0.1 steps beyond it; scanning the
         # next point on [0, 2 * eps_prev] alone misses its root
         lam0 = sir_2pi8.hopf.lambda0
         grid = lam0 + 0.1 + np.arange(-2.0, 4.0)
-        rows = ob.bifurcation_diagram(sir_2pi8, sir, grid)
+        rows = ob.bifurcation_diagram(sir_2pi8, grid)
         assert [r["error"] for r in rows] == [""] * len(grid)
         for r in rows[2:]:
             eps = ob.solve_epsilon(sir_2pi8, r["lambda"])
             assert abs(r["eps"] - eps) <= 1e-12 * eps
 
-    def test_per_point_failure_recorded(self, ndde, ndde_msq8):
+    def test_per_point_failure_recorded(self, ndde_msq8):
         # a negative delay has no equilibrium (lambda = 50 has an orbit)
-        rows = ob.bifurcation_diagram(ndde_msq8, ndde, [1.4, -1.0, 1.5])
+        rows = ob.bifurcation_diagram(ndde_msq8, [1.4, -1.0, 1.5])
         assert rows[1]["error"] != ""
         assert not rows[0]["error"] and not rows[2]["error"]
 
-    def test_fallback_failure_recorded(self, ndde, ndde_msq8):
+    def test_fallback_failure_recorded(self, ndde_msq8):
         # a quartic delay polynomial with a fold near lambda = 1.9: past it
         # neither the continuation scan nor the order-2 seed finds a root
         folded = copy.copy(ndde_msq8)
@@ -157,12 +160,21 @@ class TestDiagram:
         folded.lambda_hats = np.array([lh[0], 0.0, lh[2], 0.0, -0.01])
         with pytest.raises(NoRealRootError):
             ob.solve_epsilon(folded, 3.0)
-        rows = ob.bifurcation_diagram(folded, ndde, [1.4, 3.0, 1.5])
+        rows = ob.bifurcation_diagram(folded, [1.4, 3.0, 1.5])
         assert rows[1]["error"].startswith("NoRealRootError")
         assert rows[0]["eps"] > 0 and rows[2]["eps"] > 0
         assert not rows[0]["error"] and not rows[2]["error"]
 
-    def test_extrema_match_integrator_amplitude(self, ndde, ndde_msq8):
+    def test_programming_errors_propagate(self, ndde_msq8, monkeypatch):
+        # only package errors become error rows; a bug stops the sweep
+        def broken(orbit):
+            raise TypeError("broken extrema")
+
+        monkeypatch.setattr(ob, "orbit_extrema", broken)
+        with pytest.raises(TypeError, match="broken extrema"):
+            ob.bifurcation_diagram(ndde_msq8, [1.4, 1.5])
+
+    def test_extrema_match_integrator_amplitude(self, ndde_msq8):
         # peak-to-peak spread of the first component against the reference
         # integration at the smallest published delay
         from ddehopf import ddeint as di
@@ -183,8 +195,8 @@ class TestDiagram:
         # extrema are amplitudes only, so both normalizations agree
         from ddehopf.expansion import expand
         grid = [1.35, 1.45]
-        a = ob.bifurcation_diagram(expand(ndde, 4, "msq"), ndde, grid)
-        b = ob.bifurcation_diagram(expand(ndde, 4, "paper"), ndde, grid)
+        a = ob.bifurcation_diagram(expand(ndde, 4, "msq"), grid)
+        b = ob.bifurcation_diagram(expand(ndde, 4, "paper"), grid)
         for ra, rb in zip(a, b):
             assert np.allclose(ra["components"], rb["components"], atol=1e-9)
 
@@ -194,8 +206,19 @@ class TestDiagram:
         res = expand(sir, 14)
         grid = np.linspace(95.0, 150.0, 200)
         t0 = time.perf_counter()
-        rows = ob.bifurcation_diagram(res, sir, grid)
+        rows = ob.bifurcation_diagram(res, grid)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         assert not any(r["error"] for r in rows)
         assert sum(1 for r in rows if r["eps"] > 0) > 150
+        # every row equals, bit for bit, the recorded
+        # `ddehopf diagram --model sir --order 14 --lambda-grid 95:150:200`
+        lines = DIAGRAM_REFERENCE.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == 3 * len(rows)
+        for k, line in enumerate(lines):
+            lam, _, lo, hi, eps, flag = line.split(",")
+            r = rows[k // 3]
+            assert float(lam) == r["lambda"]
+            assert (float(lo), float(hi)) == r["components"][k % 3]
+            assert float(eps) == r["eps"]
+            assert flag == ("extrapolated" if r["extrapolated"] else "ok")
