@@ -33,7 +33,7 @@ from .errors import (BelowBifurcationError, ComparisonError, DdeHopfError,
                      HopfError, IntegrationError, ModelError, NewtonError,
                      NoRealRootError, ResonanceError, SolvabilityError,
                      SteadyStateError)
-from .expansion import expand
+from .expansion import Z0_SCALES, expand
 
 EXIT_MODEL = 3
 EXIT_HOPF = 4
@@ -339,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=8,
                            help="expansion order N (default 8)")
             p.add_argument("--z0-scale", dest="z0_scale", default="paper",
-                           choices=("paper", "msq", "orthonormal"),
+                           choices=tuple(Z0_SCALES),
                            help="normalization of the order-0 profile")
         if lam:
             p.add_argument("--lambda", dest="lam", type=float, required=True,

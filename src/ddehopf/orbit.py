@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import models as mdl
-from .errors import (BelowBifurcationError, DdeHopfError, NewtonError,
-                     NoRealRootError)
+from .errors import (BelowBifurcationError, DdeHopfError, ModelError,
+                     NewtonError, NoRealRootError)
 from .expansion import ExpansionResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -82,16 +82,18 @@ def _hermite(t, t0, t1, y0, y1, f0, f1):
     return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
-def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
+def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
     """Smallest nonnegative amplitude parameter for a prescribed delay.
 
-    A sign scan of the delay polynomial on [0, 2*start] locates the first
-    crossing (the branch continuous from eps = 0 at the bifurcation), which
-    is then bisected and Newton-polished to 1e-14.  The scan radius comes
-    from the order-2 inversion, or from ``start`` when sweeping a grid by
-    continuation.  Later crossings, where the truncated polynomial bends
-    back beyond its validity, are ignored.
+    A sign scan of the delay polynomial on [0, 2*seed], the seed being the
+    order-2 inversion, locates the first crossing (the branch continuous
+    from eps = 0 at the bifurcation), which is then bisected down to
+    adjacent doubles.  Later crossings, where the truncated polynomial bends
+    back beyond its validity, are ignored.  Delays below the bifurcation
+    raise BelowBifurcationError, a non-finite delay a ModelError.
     """
+    if not np.isfinite(lam):
+        raise ModelError(f"delay must be finite, got {lam}")
     lam0 = exp.hopf.lambda0
     target = exp.omega0 * lam
     coeffs = exp.lambda_hats
@@ -101,27 +103,19 @@ def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
             "no periodic orbit on this side")
     if abs(lam - lam0) <= 1e-12 * max(1.0, lam0):
         return 0.0
+    lh2 = coeffs[2] if exp.order >= 2 else 0.0
+    if lh2 <= 0.0:
+        raise NoRealRootError(
+            "cannot seed the amplitude solve: the order-2 delay "
+            f"coefficient {lh2:.3e} is not positive")
 
     def p(e):
         return float(np.polyval(coeffs[::-1], e)) - target
 
-    dpoly = np.polyder(np.poly1d(coeffs[::-1]))
-
-    def dp(e):
-        return float(dpoly(e))
-
-    if start is None:
-        lh2 = coeffs[2] if exp.order >= 2 else 0.0
-        if lh2 <= 0.0:
-            raise NoRealRootError(
-                "cannot seed the amplitude solve: the order-2 delay "
-                f"coefficient {lh2:.3e} is not positive")
-        start = float(np.sqrt((target - coeffs[0]) / lh2))
-
-    # Sign scan on [0, 2*start]: the branch grows from eps = 0, so the
-    # wanted root is the first crossing; later crossings (the polynomial
-    # bending back where the truncation breaks down) are ignored.
-    hi = 2.0 * float(start)
+    # Sign scan on [0, hi]: the branch grows from eps = 0, so the wanted
+    # root is the first crossing; later crossings (the polynomial bending
+    # back where the truncation breaks down) are ignored.
+    hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
     grid = np.linspace(0.0, hi, 257)
     vals = np.polyval(coeffs[::-1], grid) - target
     eps = None
@@ -136,22 +130,9 @@ def solve_epsilon(exp: ExpansionResult, lam: float, start=None) -> float:
         raise NoRealRootError(
             f"no amplitude root in [0, {hi:.4f}] for delay {lam} "
             "(delay beyond the validity of the truncated series)")
-
-    scale = max(1.0, abs(target))
-    for _ in range(100):
-        val = p(eps)
-        if abs(val) <= 1e-14 * scale:
-            break
-        der = dp(eps)
-        if der == 0.0:
-            break
-        step = val / der
-        if not np.isfinite(eps - step) or abs(step) > 0.25 * max(eps, 1.0):
-            break  # keep the bisection result near a fold of the polynomial
-        eps -= step
-    if eps < 0.0 or abs(p(eps)) > 1e-12 * scale:
+    if abs(p(eps)) > 1e-12 * max(1.0, abs(target)):
         raise NoRealRootError(
-            f"amplitude root polish failed for delay {lam} "
+            f"amplitude root for delay {lam} misses the delay equation "
             f"(residual {p(eps):.2e})")
     return float(eps)
 
@@ -209,11 +190,9 @@ class ReconstructedOrbit:
                 f"period={self.period:.6g}, order={self.order})")
 
 
-def reconstruct(exp: ExpansionResult, lam: float, eps=None) -> ReconstructedOrbit:
-    """Orbit at delay lam; eps may be supplied to skip the root solve."""
-    if eps is None:
-        eps = solve_epsilon(exp, lam)
-    return ReconstructedOrbit(exp, lam, eps)
+def reconstruct(exp: ExpansionResult, lam: float) -> ReconstructedOrbit:
+    """Orbit at delay lam, its amplitude from solve_epsilon."""
+    return ReconstructedOrbit(exp, lam, solve_epsilon(exp, lam))
 
 
 # -- residual ---------------------------------------------------------------------
@@ -239,29 +218,23 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     model = orbit.expansion.model
     lam = orbit.lam
     shifted = orbit.profile.shift(orbit.omega_eff * lam)
-    dprofile = orbit._dprofile
     eq = orbit.equilibrium
 
+    def speed(tau):
+        return orbit._dprofile.eval(tau) * orbit.omega_eff
+
+    def defect(tau):
+        """max_i |x_i' - g_i| and max_i |x_i'| at tau, a number or an array."""
+        x = orbit.profile.eval(tau) + eq
+        xd = shifted.eval(tau) + eq
+        dx = speed(tau)
+        g = model.rhs_vector(lam, x.T, xd.T).T
+        return np.max(np.abs(dx - g), axis=-1), np.max(np.abs(dx), axis=-1)
+
     taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    x = orbit.profile.eval(taus) + eq
-    xd = shifted.eval(taus) + eq
-    dx = dprofile.eval(taus) * orbit.omega_eff
-    g = model.rhs_vector(lam, x.T, xd.T).T
-    num = np.max(np.abs(dx - g), axis=1)
-    den = np.max(np.abs(dx), axis=1)
-
-    def num_at(tau):
-        xv = orbit.profile.eval(tau) + eq
-        xdv = shifted.eval(tau) + eq
-        dxv = dprofile.eval(tau) * orbit.omega_eff
-        gv = model.rhs_vector(lam, xv, xdv)
-        return float(np.max(np.abs(dxv - gv)))
-
-    def den_at(tau):
-        return float(np.max(np.abs(dprofile.eval(tau) * orbit.omega_eff)))
-
-    sup_num = _refined_max(num_at, taus, num)
-    sup_den = _refined_max(den_at, taus, den)
+    num, den = defect(taus)
+    sup_num = _refined_max(lambda tau: defect(tau)[0], taus, num)
+    sup_den = _refined_max(lambda tau: np.max(np.abs(speed(tau))), taus, den)
     if sup_den == 0.0:
         # zero-amplitude orbit: the defect is the equilibrium residual
         return 0.0 if sup_num < 1e-9 else float("inf")
@@ -289,43 +262,36 @@ def orbit_extrema(orbit: ReconstructedOrbit):
     return out
 
 
+def _diagram_row(exp: ExpansionResult, lam: float) -> dict:
+    """One diagram row; a package error is recorded in it, not raised."""
+    row = {"lambda": float(lam), "eps": 0.0, "residual": 0.0,
+           "extrapolated": False, "components": None, "error": ""}
+    try:
+        try:
+            eps = solve_epsilon(exp, lam)
+        except BelowBifurcationError:
+            eps = 0.0
+        if eps == 0.0:
+            eq = mdl.equilibrium(exp.model, lam)
+            row["components"] = [(float(v), float(v)) for v in eq]
+        else:
+            orbit = ReconstructedOrbit(exp, lam, eps)
+            row["eps"] = eps
+            row["residual"] = residual(orbit, 512)
+            row["extrapolated"] = row["residual"] > EXTRAPOLATION_RESIDUAL
+            row["components"] = orbit_extrema(orbit)
+    except DdeHopfError as exc:  # per-point failure, sweep continues
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
 def bifurcation_diagram(exp: ExpansionResult, lam_grid):
     """Per-delay oscillation extrema, with the equilibrium branch below the
     bifurcation and a residual-based extrapolation flag beyond it.
 
-    Each amplitude solve scans from the previous point's eps; when that
-    finds no root it falls back to the order-2 seed.  Returns a list of row
-    dicts; a package error at an individual grid point is recorded in its
-    row and the sweep continues.
+    Each point is solved on its own: solve_epsilon gives its amplitude, and
+    its BelowBifurcationError marks the equilibrium branch.  Returns a list
+    of row dicts; a package error at an individual grid point is recorded in
+    its row and the sweep continues.
     """
-    lam0 = exp.hopf.lambda0
-    rows = []
-    eps_prev = None
-    for lam in lam_grid:
-        row = {"lambda": float(lam), "eps": 0.0, "residual": 0.0,
-               "extrapolated": False, "components": None, "error": ""}
-        try:
-            eps = 0.0
-            if lam >= lam0 * (1.0 - 1e-12):
-                try:
-                    eps = solve_epsilon(exp, lam, start=eps_prev)
-                except NoRealRootError:
-                    if eps_prev is None:
-                        raise
-                    # the continuation radius 2*eps_prev is too short just
-                    # past the onset, where eps grows like sqrt(lam - lam0)
-                    eps = solve_epsilon(exp, lam)
-                eps_prev = eps if eps > 0 else None
-            if eps == 0.0:
-                eq = mdl.equilibrium(exp.model, lam)
-                row["components"] = [(float(v), float(v)) for v in eq]
-            else:
-                orbit = ReconstructedOrbit(exp, lam, eps)
-                row["eps"] = eps
-                row["residual"] = residual(orbit, 512)
-                row["extrapolated"] = row["residual"] > EXTRAPOLATION_RESIDUAL
-                row["components"] = orbit_extrema(orbit)
-        except DdeHopfError as exc:  # per-point failure, sweep continues
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
+    return [_diagram_row(exp, lam) for lam in lam_grid]

@@ -6,7 +6,7 @@ import pytest
 
 from ddehopf import models as mdl
 from ddehopf import orbit as ob
-from ddehopf.errors import BelowBifurcationError, NoRealRootError
+from ddehopf.errors import BelowBifurcationError, ModelError, NoRealRootError
 
 DIAGRAM_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
                      / "reference" / "diagram-sir-n14.seed0.csv")
@@ -31,6 +31,11 @@ class TestSolveEpsilon:
             hopf=SimpleNamespace(lambda0=1.5), omega0=1.0, order=4)
         with pytest.raises(NoRealRootError):
             ob.solve_epsilon(stub, 4.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_rejected(self, ndde_msq8, lam):
+        with pytest.raises(ModelError, match="finite"):
+            ob.solve_epsilon(ndde_msq8, lam)
 
     def test_identity_on_delay_curve(self, ndde_msq8):
         for eps in np.linspace(0.05, 1.0, 12):
@@ -136,15 +141,17 @@ class TestDiagram:
         assert min(widths) > 0.5
 
     def test_continuation_just_past_the_onset(self, sir_2pi8):
-        # the first point past lambda0 lies 0.1 steps beyond it; scanning the
-        # next point on [0, 2 * eps_prev] alone misses its root
+        # the first point past lambda0 lies 0.1 steps beyond it, where a scan
+        # continued from the previous point's eps would miss the next root;
+        # every row equals the one-point sweep and the reversed sweep exactly
         lam0 = sir_2pi8.hopf.lambda0
         grid = lam0 + 0.1 + np.arange(-2.0, 4.0)
         rows = ob.bifurcation_diagram(sir_2pi8, grid)
         assert [r["error"] for r in rows] == [""] * len(grid)
-        for r in rows[2:]:
-            eps = ob.solve_epsilon(sir_2pi8, r["lambda"])
-            assert abs(r["eps"] - eps) <= 1e-12 * eps
+        backward = ob.bifurcation_diagram(sir_2pi8, grid[::-1])[::-1]
+        for r, b, lam in zip(rows, backward, grid):
+            assert r == ob.bifurcation_diagram(sir_2pi8, [lam])[0]
+            assert r == b
 
     def test_per_point_failure_recorded(self, ndde_msq8):
         # a negative delay has no equilibrium (lambda = 50 has an orbit)
@@ -154,7 +161,8 @@ class TestDiagram:
 
     def test_fallback_failure_recorded(self, ndde_msq8):
         # a quartic delay polynomial with a fold near lambda = 1.9: past it
-        # neither the continuation scan nor the order-2 seed finds a root
+        # the scan from the order-2 seed finds no root, and that point's
+        # error row leaves its neighbours untouched
         folded = copy.copy(ndde_msq8)
         lh = ndde_msq8.lambda_hats
         folded.lambda_hats = np.array([lh[0], 0.0, lh[2], 0.0, -0.01])
