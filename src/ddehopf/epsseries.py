@@ -16,6 +16,16 @@ coefficients with plain ``+``, ``-`` and ``*``, so :class:`TrigPoly` holds
 the one rule for a number meeting a polynomial: added or subtracted, it acts
 on the constant term of a scalar-valued (dim 1) polynomial, and anything
 else raises.  All operations require equal truncation orders.
+
+A coefficient is computed only where it reaches the result.  A series h
+with v leading exact-zero coefficients raises the order of whatever it
+multiplies by v, so in sum_m w_m h^m (the analytic functions) and in the
+delayed-state ladder the m-th term needs its factors only up to order
+N - m*v; the products and derivatives above that order are not formed.
+This is exact, not an approximation: the dropped coefficients would only
+ever meet those leading exact zeros, and every coefficient still formed is
+the same sum in the same order, so results are bit for bit those of the
+full computation.
 """
 
 from __future__ import annotations
@@ -196,8 +206,12 @@ def _is_zero(c) -> bool:
     return c == 0.0
 
 
-def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
+    """Truncated product a*b.  With ``top``, only the coefficients up to that
+    order are formed and the ones above it are exact zeros; the ones formed
+    are the same sums, in the same order, as without it."""
     n = a.order
+    top = n if top is None else max(top, -1)
     if a.dim != 1 and b.dim != 1:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
@@ -205,7 +219,7 @@ def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
     live_a = [k for k, c in enumerate(a.coeffs) if not _is_zero(c)]
     live_b = [not _is_zero(c) for c in b.coeffs]
     out = []
-    for j in range(n + 1):
+    for j in range(top + 1):
         acc = None
         for k in live_a:
             if k > j:
@@ -218,7 +232,18 @@ def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
         elif isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)
         out.append(acc)
+    out.extend([zero] * (n - top))
     return EpsSeries._make(out)
+
+
+def _leading_zeros(s: EpsSeries) -> int:
+    """Number of leading exact-zero coefficients."""
+    v = 0
+    for c in s.coeffs:
+        if not _is_zero(c):
+            break
+        v += 1
+    return v
 
 
 def _leading_scalar(s: EpsSeries) -> float:
@@ -265,45 +290,61 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
 
 
 def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
-    """f^(m)(c0)/m! for m = 0..n for the supported analytic functions."""
+    """f^(m)(c0)/m! for m = 0..n for the supported analytic functions.
+
+    A leading term outside the real domain of f, or weights beyond the
+    float range, raise ValueError.
+    """
+    if not math.isfinite(c0):
+        raise ValueError(f"{fid} of a series with non-finite leading term")
     w = np.empty(n + 1)
-    if fid == "exp":
-        e = math.exp(c0)
-        fact = 1.0
-        for m in range(n + 1):
-            w[m] = e / fact
-            fact *= (m + 1)
-    elif fid == "log":
-        if c0 <= 0.0:
-            raise ValueError("log of a series with non-positive leading term")
-        w[0] = math.log(c0)
-        for m in range(1, n + 1):
-            w[m] = ((-1.0) ** (m - 1)) / (m * c0 ** m)
-    elif fid == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        p = float(exponent)
-        if c0 == 0.0:
-            raise ValueError("pow of a series with zero leading term")
-        coef = c0 ** p
-        w[0] = coef
-        for m in range(1, n + 1):
-            coef *= (p - (m - 1)) / (m * c0)
-            w[m] = coef
-    elif fid == "sin":
-        cycle = (math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0))
-        fact = 1.0
-        for m in range(n + 1):
-            w[m] = cycle[m % 4] / fact
-            fact *= (m + 1)
-    elif fid == "cos":
-        cycle = (math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0))
-        fact = 1.0
-        for m in range(n + 1):
-            w[m] = cycle[m % 4] / fact
-            fact *= (m + 1)
-    else:
-        raise ValueError(f"unsupported analytic function {fid!r}")
+    try:
+        if fid == "exp":
+            e = math.exp(c0)
+            fact = 1.0
+            for m in range(n + 1):
+                w[m] = e / fact
+                fact *= (m + 1)
+        elif fid == "log":
+            if c0 <= 0.0:
+                raise ValueError("log of a series with non-positive leading term")
+            w[0] = math.log(c0)
+            for m in range(1, n + 1):
+                w[m] = ((-1.0) ** (m - 1)) / (m * c0 ** m)
+        elif fid == "pow":
+            if exponent is None:
+                raise ValueError("pow requires an exponent")
+            p = float(exponent)
+            if c0 == 0.0:
+                raise ValueError("pow of a series with zero leading term")
+            if c0 < 0.0 and not p.is_integer():
+                raise ValueError("pow of a series with negative leading term "
+                                 "needs an integer exponent")
+            coef = c0 ** p
+            w[0] = coef
+            for m in range(1, n + 1):
+                coef *= (p - (m - 1)) / (m * c0)
+                w[m] = coef
+        elif fid == "sin":
+            cycle = (math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0))
+            fact = 1.0
+            for m in range(n + 1):
+                w[m] = cycle[m % 4] / fact
+                fact *= (m + 1)
+        elif fid == "cos":
+            cycle = (math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0))
+            fact = 1.0
+            for m in range(n + 1):
+                w[m] = cycle[m % 4] / fact
+                fact *= (m + 1)
+        else:
+            raise ValueError(f"unsupported analytic function {fid!r}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{fid} of a series with leading term {c0!r} "
+                         "overflows") from exc
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{fid} of a series with leading term {c0!r} "
+                         "overflows")
     return w
 
 
@@ -312,15 +353,19 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
 
     The order-0 coefficient must be constant; the Taylor recentering
     f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the truncation order
-    because h has no order-0 part.
+    because h has no order-0 part.  Evaluated by Horner's rule, where step m
+    is multiplied by h a further m times: with v leading exact zeros in h
+    only its orders up to N - m*v reach the result, and only those are
+    formed (all of them when v = 0).
     """
     n = s.order
     c0 = _leading_scalar(s)
     w = _taylor_weights(fid, c0, n, exponent)
     h = s - c0
+    v = _leading_zeros(h)
     acc = EpsSeries.constant(float(w[n]), n)
     for m in range(n - 1, -1, -1):
-        acc = acc * h + float(w[m])
+        acc = _cauchy(acc, h, n - m * v) + float(w[m])
     return acc
 
 
@@ -366,7 +411,9 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
         sum_{m=0..N} (-dtheta)^m / m! * shift(d^m Z / dtau^m, theta0),
 
     exact at the truncation order because dtheta is nilpotent there and
-    tau-derivatives of trigonometric polynomials are exact.
+    tau-derivatives of trigonometric polynomials are exact.  With v leading
+    exact zeros in dtheta, term m starts at order m*v, so it needs d^m Z and
+    its shift only up to order N - m*v, and the ladder forms no more.
     """
     if not Z.is_trig:
         raise DimensionMismatchError("delayed_state expects a trig series")
@@ -381,16 +428,21 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
             f"leading coefficient {theta.coeffs[0]}")
     n = Z.order
     minus_dtheta = -(theta - theta0)
-    deriv = Z
+    v = _leading_zeros(minus_dtheta)
+    zero = TrigPoly.zero(Z.dim)
+    deriv = Z.coeffs
     power = EpsSeries.constant(1.0, n)
     fact = 1.0
     acc = None
     for m in range(n + 1):
-        shifted = EpsSeries([c.shift(theta0) for c in deriv.coeffs])
+        top = max(n - m * v, -1)
+        if m:
+            deriv = [c.diff() for c in deriv[:top + 1]]
+        shifted = EpsSeries._make([c.shift(theta0) for c in deriv]
+                                  + [zero] * (n - top))
         term = _cauchy(power, shifted) * (1.0 / fact)
         acc = term if acc is None else acc + term
         if m < n:
-            deriv = EpsSeries([c.diff() for c in deriv.coeffs])
             power = _cauchy(power, minus_dtheta)
             fact *= (m + 1)
     return acc

@@ -21,6 +21,7 @@ Two systems ship with the package:
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping
 from numbers import Real
 
@@ -32,6 +33,12 @@ from .errors import DimensionMismatchError, ModelError, NewtonError
 
 EQ_TOL = 1e-12
 EQ_MAX_ITER = 50
+# Solve results kept per model (the oldest is dropped first).
+EQ_MEMO_SIZE = 1024
+
+# model -> {("x" | "PQ", delay): read-only solve results}; weak, so a model's
+# entries go with it, and a copied model solves afresh.
+_SOLVED = weakref.WeakKeyDictionary()
 
 
 class DdeModel:
@@ -222,10 +229,38 @@ def _order1(value) -> float:
     return 0.0  # rhs component independent of the probed arguments
 
 
+def _memo(model: DdeModel, key, solve):
+    """Value of ``solve()`` stored on ``model`` under ``key``, so that it is
+    computed once while the model lives (and its key is among the last
+    EQ_MEMO_SIZE)."""
+    memo = _SOLVED.setdefault(model, {})
+    if key not in memo:
+        value = solve()
+        if len(memo) >= EQ_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return memo[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def equilibrium(model: DdeModel, lam: float) -> np.ndarray:
-    """Steady state x* with g(lam, x*, x*) = 0, by Newton from the model hint."""
+    """Steady state x* with g(lam, x*, x*) = 0, by Newton from the model hint.
+
+    Solved once per model and delay; the array returned is shared and
+    read-only.
+    """
     if not lam >= 0:  # also refuses a NaN delay
         raise NewtonError("delay must be nonnegative")
+    lam = float(lam)
+    return _memo(model, ("x", lam),
+                 lambda: _read_only(_solve_equilibrium(model, lam)))
+
+
+def _solve_equilibrium(model: DdeModel, lam: float) -> np.ndarray:
     x = model.equilibrium_hint.copy()
     scale = max(1.0, float(np.max(np.abs(x))))
     converged = False
@@ -261,7 +296,7 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
     order = lam_series.order
     lam0 = float(lam_series.coeffs[0])
     x0 = equilibrium(model, lam0)
-    Jx, Jy = _jet_jacobians(model, lam0, x0)
+    Jx, Jy = linearization(model, lam0)
     try:
         Jinv = np.linalg.inv(Jx + Jy)
     except np.linalg.LinAlgError as exc:
@@ -286,6 +321,11 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
 
 
 def linearization(model: DdeModel, lam: float):
-    """(P, Q): Jacobians of the rhs at the lam-dependent equilibrium."""
+    """(P, Q): Jacobians of the rhs at the lam-dependent equilibrium.
+
+    Formed once per model and delay, like the equilibrium; read-only.
+    """
     x_star = equilibrium(model, lam)
-    return _jet_jacobians(model, lam, x_star)
+    lam = float(lam)
+    return _memo(model, ("PQ", lam), lambda: tuple(
+        _read_only(J) for J in _jet_jacobians(model, lam, x_star)))

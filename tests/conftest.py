@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def sir():
 def ndde_msq8(ndde):
     """Order-8 car-following expansion, mean-square normalization."""
     return expansion.expand(ndde, 8, z0_scale="msq")
+
+
+@pytest.fixture(scope="session")
+def ndde_msq20(ndde):
+    """Order-20 car-following expansion, mean-square normalization, with its
+    wall time in ``wall_time``."""
+    t0 = time.perf_counter()
+    result = expansion.expand(ndde, 20, z0_scale="msq")
+    result.wall_time = time.perf_counter() - t0
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -37,14 +37,6 @@ def report(criterion, ok, detail):
     return ok
 
 
-@pytest.fixture(scope="module")
-def ndde_msq20(ndde):
-    t0 = time.perf_counter()
-    result = xp.expand(ndde, 20, z0_scale="msq")
-    result.wall_time = time.perf_counter() - t0
-    return result
-
-
 def test_c1_ndde_hopf_point(ndde):
     t0 = time.perf_counter()
     hp = bf.find_hopf(ndde)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddehopf import epsseries as es
+from ddehopf import trigpoly as tp
 from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import DimensionMismatchError
 from ddehopf.trigpoly import TrigPoly
@@ -217,6 +218,21 @@ class TestAnalytic:
         with pytest.raises(DimensionMismatchError):
             es.exp(EpsSeries([COS, TrigPoly.zero(1)]))
 
+    def test_pow_of_negative_leading_term_needs_integer_exponent(self):
+        with pytest.raises(ValueError):
+            es.powf(EpsSeries([-1.0, 1.0, 0.0]), 0.5)
+        assert es.powf(EpsSeries([-1.0, 1.0, 0.0]), 2).coeffs == [1.0, -2.0, 1.0]
+
+    def test_overflowing_weights_raise(self):
+        with pytest.raises(ValueError):
+            es.exp(EpsSeries([800.0, 1.0]))
+        with pytest.raises(ValueError):
+            es.powf(EpsSeries([1e-100, 1.0, 0.0, 0.0]), -3.0)
+        with pytest.raises(ValueError):
+            es.log(EpsSeries([1e-200, 1.0, 0.0]))
+        with pytest.raises(ValueError):
+            es.sin(EpsSeries([float("inf"), 1.0]))
+
     def test_pow_and_trig(self):
         s = EpsSeries([2.0, 0.5, 0.1, 0.0, 0.0])
         p = es.powf(s, 0.5)
@@ -265,6 +281,110 @@ class TestDelayedState:
         theta = EpsSeries([1.0, 0.5, 0.0])
         with pytest.raises(DimensionMismatchError):
             es.delayed_state(Z, theta, 1.0 + 1e-6)
+
+
+def full_analytic(fid, s, exponent=None):
+    """Horner evaluation of the Taylor recentering with every product formed
+    to full order."""
+    n = s.order
+    c0 = es._leading_scalar(s)
+    w = es._taylor_weights(fid, c0, n, exponent)
+    h = s - c0
+    acc = EpsSeries.constant(float(w[n]), n)
+    for m in range(n - 1, -1, -1):
+        acc = acc * h + float(w[m])
+    return acc
+
+
+def full_delayed_state(Z, theta, theta0):
+    """The derivative/shift ladder with every coefficient formed."""
+    minus_dtheta = -(theta - theta0)
+    deriv = Z
+    power = EpsSeries.constant(1.0, Z.order)
+    fact = 1.0
+    acc = None
+    for m in range(Z.order + 1):
+        shifted = EpsSeries([c.shift(theta0) for c in deriv.coeffs])
+        term = power * shifted * (1.0 / fact)
+        acc = term if acc is None else acc + term
+        deriv = EpsSeries([c.diff() for c in deriv.coeffs])
+        power = power * minus_dtheta
+        fact *= m + 1
+    return acc
+
+
+def assert_same_bits(p, q):
+    if p.is_trig:
+        assert_bitwise_equal(p, q)
+    else:
+        assert np.array(p.coeffs).tobytes() == np.array(q.coeffs).tobytes()
+
+
+class TestTrimming:
+    # only the coefficients that reach the result are formed; the result must
+    # be that of the full computation, bit for bit
+    ORDER = 12
+
+    def inputs(self):
+        """(series, v): seeded scalar and dim-1 trig series with v leading
+        exact zeros after the order-0 term is taken off; v = 0 has an order-0
+        harmonic below TRIM_TOL."""
+        n = self.ORDER
+        rng = np.random.default_rng(12)
+        scalar = [1.3] + list(0.5 * rng.standard_normal(n))
+        sparse = [1.3, 0.0] + list(0.5 * rng.standard_normal(n - 1))
+        trig = random_trig_series(rng, order=n)
+        trig = [TrigPoly.constant([1.3])] + [0.3 * c for c in trig.coeffs[1:]]
+        dusty = [TrigPoly([1.3], [[5e-14]], [[0.0]])] + trig[1:]
+        return [(EpsSeries(scalar), 1), (EpsSeries(sparse), 2),
+                (EpsSeries(trig), 1), (EpsSeries(dusty), 0)]
+
+    @pytest.mark.parametrize("fid,exponent", [
+        ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
+        ("sin", None), ("cos", None)])
+    def test_analytic_equals_the_full_horner(self, fid, exponent):
+        for s, v in self.inputs():
+            assert es._leading_zeros(s - es._leading_scalar(s)) == v
+            assert_same_bits(es.analytic(fid, s, exponent),
+                             full_analytic(fid, s, exponent))
+
+    @pytest.mark.parametrize("v", [0, 1, 2])
+    def test_delayed_state_equals_the_full_ladder(self, v):
+        n = self.ORDER
+        rng = np.random.default_rng(v)
+        Z = EpsSeries([0.3 * c for c in random_trig_series(
+            rng, order=n, dim=2).coeffs])
+        theta0 = 1.1
+        tail = list(0.2 * rng.standard_normal(n))
+        if v == 0:  # an order-0 offset the base-point check still accepts
+            theta = EpsSeries([theta0 + 5e-13] + tail)
+        else:
+            theta = EpsSeries([theta0] + [0.0] * (v - 1) + tail[v - 1:])
+        assert es._leading_zeros(theta - theta0) == v
+        assert_bitwise_equal(es.delayed_state(Z, theta, theta0),
+                             full_delayed_state(Z, theta, theta0))
+        Z1 = Z.component(0)
+        assert_bitwise_equal(es.delayed_state(Z1, theta, theta0),
+                             full_delayed_state(Z1, theta, theta0))
+
+    def test_trig_exp_forms_only_the_products_it_needs(self, monkeypatch):
+        # step m of the Horner loop forms orders up to 12 - m of acc*h, so
+        # sum_{p=2..12} p(p+1)/2 = 363 products of polynomials, where the
+        # full loop forms 11 * 78 = 858
+        calls = []
+        mul = tp.mul
+
+        def counted(u, v):
+            calls.append(1)
+            return mul(u, v)
+
+        monkeypatch.setattr(tp, "mul", counted)
+        s = self.inputs()[2][0]
+        es.exp(s)
+        assert len(calls) == 363
+        calls.clear()
+        full_analytic("exp", s)
+        assert len(calls) == 858
 
 
 @settings(max_examples=40, deadline=None)

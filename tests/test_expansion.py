@@ -203,11 +203,11 @@ class TestExpand:
             assert np.array_equal(za.cos, zb.cos)
             assert np.array_equal(za.sin, zb.sin)
 
-    def test_matches_the_order20_reference_exactly(self, ndde_msq8):
-        # the recursion is triangular, so the first nine orders of the
-        # recorded order-20 run must come out bit for bit; any reordering of
-        # the jet arithmetic shows up here
-        assert_matches_record(ndde_msq8, Path(__file__).resolve().parents[1]
+    def test_matches_the_order20_reference_exactly(self, ndde_msq20):
+        # all 21 orders of the recorded order-20 run must come out bit for
+        # bit; any reordering of the jet arithmetic, or a dropped coefficient
+        # that did reach the result, shows up here
+        assert_matches_record(ndde_msq20, Path(__file__).resolve().parents[1]
                               / "perfbench" / "reference"
                               / "expand-ndde-n20.json")
 

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from ddehopf import expansion
 from ddehopf import models as mdl
 from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import ModelError, NewtonError
@@ -37,6 +40,40 @@ class TestEquilibrium:
         for model in (ndde, sir):
             with pytest.raises(NewtonError):
                 mdl.equilibrium(model, float("nan"))
+
+
+class TestSolvedOncePerDelay:
+    def test_one_solve_per_distinct_delay(self, monkeypatch):
+        # a fresh model, so that no earlier test has solved its delays yet
+        model = mdl.make_sir()
+        solved = []
+        solve = mdl._solve_equilibrium
+
+        def recorded(model_, lam):
+            solved.append(lam)
+            return solve(model_, lam)
+
+        monkeypatch.setattr(mdl, "_solve_equilibrium", recorded)
+        expansion.expand(model, 4, z0_scale="paper")
+        assert solved and len(solved) == len(set(solved))
+        x = mdl.equilibrium(model, 120)
+        assert mdl.equilibrium(model, 120.0) is x
+        P, Q = mdl.linearization(model, np.float64(120.0))
+        assert mdl.linearization(model, 120.0)[0] is P
+        assert solved.count(120.0) == 1
+        # a copy may be given another hint, so it solves for itself
+        mdl.equilibrium(copy.copy(model), 120.0)
+        assert solved.count(120.0) == 2
+
+    def test_results_are_read_only_and_unchanged(self, sir):
+        x = mdl.equilibrium(sir, 110.0)
+        assert np.array_equal(x, mdl._solve_equilibrium(sir, 110.0))
+        P, Q = mdl.linearization(sir, 110.0)
+        for a in (x, P, Q):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        Jx, Jy = mdl._jet_jacobians(sir, 110.0, x)
+        assert np.array_equal(P, Jx) and np.array_equal(Q, Jy)
 
 
 class TestEquilibriumSeries:
