@@ -315,11 +315,11 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
                         tol_per=STEADY_TOL_PER) -> Alignment:
     """Find the settled oscillation phase reference.
 
-    Scans upward crossings of component 1 through ``level`` (bisected on the
-    dense output); steady state is declared when the last three period
-    estimates agree to tol_per (relative) and the last three per-cycle peak
-    amplitudes agree to tol_amp (absolute).  Returns the last crossing and
-    the last period estimate.
+    Scans upward crossings of component 1 through ``level`` and bisects the
+    last four on the dense output; steady state is declared when the last
+    three period estimates agree to tol_per (relative) and the last three
+    per-cycle peak amplitudes agree to tol_amp (absolute).  Returns the last
+    crossing and the last period estimate.
     """
     d = traj.ys[:, 0] - level
     up = np.nonzero((d[:-1] <= 0.0) & (d[1:] > 0.0))[0]
@@ -336,11 +336,9 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
         return _bisect(lambda t: _hermite(t, *seg) - level, ts[i], ts[i + 1],
                        d[i])
 
-    crossings = np.array([crossing(i) for i in up])
-    periods = np.diff(crossings)
-    if len(periods) < 3:
-        raise SteadyStateError("fewer than 3 full cycles in the trajectory")
-    last_p = periods[-3:]
+    # only the last four crossings (three periods) are read
+    crossings = [crossing(i) for i in up[-4:]]
+    last_p = np.diff(crossings)
     last_a = np.array([_cycle_peak(traj, ts, d, level, up[i], up[i + 1])
                        for i in range(len(up) - 4, len(up) - 1)])
     p_spread = float(np.max(np.abs(np.diff(last_p))))
@@ -350,7 +348,7 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
         raise SteadyStateError(
             f"oscillation not settled: period spread {p_spread:.3e}, "
             f"amplitude spread {a_spread:.3e}; integrate longer")
-    return Alignment(crossings[-1], float(periods[-1]), period_spread=p_spread,
+    return Alignment(crossings[-1], float(last_p[-1]), period_spread=p_spread,
                      amplitude_spread=a_spread)
 
 

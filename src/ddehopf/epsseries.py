@@ -26,6 +26,20 @@ This is exact, not an approximation: the dropped coefficients would only
 ever meet those leading exact zeros, and every coefficient still formed is
 the same sum in the same order, so results are bit for bit those of the
 full computation.
+
+A scalar series may also carry a 1-D float array as a coefficient above
+order 0, one entry per direction: a first-order series [x, e] with e a row
+of the identity is a probe whose order-1 coefficient is the derivative
+along every direction at once (vector forward mode), so one rhs call gives
+a whole Jacobian.  Such an array counts as an exact zero only when every
+entry is zero.  Entry by entry it runs the same operations as the scalar
+series of that one direction, except that a product the scalar path skips,
+because its factor in that direction is an exact zero, is here formed as an
+exact 0*x term; adding that term leaves every nonzero sum as it is, so at
+most the sign of an exact-zero entry could differ (a negative number times
+a zero direction gives -0.0 where the scalar path keeps 0.0).  The
+Jacobians of the built-in models come out bit for bit those of one call
+per direction.
 """
 
 from __future__ import annotations
@@ -63,14 +77,15 @@ class EpsSeries:
                         "cannot mix scalars into a vector-valued series")
             coeffs = norm
         else:
-            coeffs = [float(c) for c in coeffs]
+            coeffs = [c if isinstance(c, np.ndarray) else float(c)
+                      for c in coeffs]
         self.coeffs = coeffs
 
     @classmethod
     def _make(cls, coeffs: list) -> "EpsSeries":
-        """Unchecked constructor for a nonempty list of floats, or of
-        polynomials sharing one dim, as the results of the operations
-        below are."""
+        """Unchecked constructor for a nonempty list of floats (direction
+        arrays above order 0), or of polynomials sharing one dim, as the
+        results of the operations below are."""
         s = object.__new__(cls)
         s.coeffs = coeffs
         return s
@@ -198,11 +213,14 @@ class EpsSeries:
 
 
 def _is_zero(c) -> bool:
-    """Exact zero coefficient: 0.0, or a degree-0 polynomial whose constant
-    is all zeros.  Products with it are skipped: adding an exact zero leaves
-    a finite sum as it is (up to the sign of a zero result)."""
+    """Exact zero coefficient: 0.0, a direction array of zeros, or a
+    degree-0 polynomial whose constant is all zeros.  Products with it are
+    skipped: adding an exact zero leaves a finite sum as it is (up to the
+    sign of a zero result)."""
     if isinstance(c, TrigPoly):
         return c.degree == 0 and not c.const.any()
+    if isinstance(c, np.ndarray):
+        return not c.any()
     return c == 0.0
 
 

@@ -207,26 +207,19 @@ def sir_r0(params) -> float:
 
 def _jet_jacobians(model, lam, point):
     """(Jx, Jy): Jacobians of the rhs in the instantaneous and delayed slots,
-    from first-order series probes at ``point`` (exact to rounding)."""
+    from one rhs call on first-order series probes at ``point``: the probe
+    of slot i carries the unit direction e_i (instantaneous) or e_{n+i}
+    (delayed) as its order-1 coefficient, so the order-1 coefficients of
+    the result are the rows of [Jx | Jy] (exact to rounding)."""
     n = model.dim
-    Jx = np.empty((n, n))
-    Jy = np.empty((n, n))
     base = [float(v) for v in point]
-    for j in range(n):
-        probe = [EpsSeries([base[i], 1.0 if i == j else 0.0]) for i in range(n)]
-        fixed = [EpsSeries([base[i], 0.0]) for i in range(n)]
-        gx = model.rhs(lam, probe, fixed)
-        gy = model.rhs(lam, fixed, probe)
-        for i in range(n):
-            Jx[i, j] = _order1(gx[i])
-            Jy[i, j] = _order1(gy[i])
-    return Jx, Jy
-
-
-def _order1(value) -> float:
-    if isinstance(value, EpsSeries):
-        return float(value.coeffs[1])
-    return 0.0  # rhs component independent of the probed arguments
+    eye = np.eye(2 * n)
+    g = model.rhs(lam, [EpsSeries([base[i], eye[i]]) for i in range(n)],
+                  [EpsSeries([base[i], eye[n + i]]) for i in range(n)])
+    # a component independent of the probes may come back as a plain number
+    J = np.array([np.broadcast_to(gi.coeffs[1] if isinstance(gi, EpsSeries)
+                                  else 0.0, 2 * n) for gi in g], dtype=float)
+    return J[:, :n], J[:, n:]
 
 
 def _memo(model: DdeModel, key, solve):
@@ -308,12 +301,13 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
         g = model.rhs(lam_series, xs, xs)
         res = max(max(abs(c) for c in gi.coeffs) for gi in g)
         if res <= 1e-14 * scale:
-            break
+            break  # g is the residual of the xs returned
         steps = [[float(Jinv[i, j]) * g[j] for j in range(model.dim)]
                  for i in range(model.dim)]
         xs = [x - sum(terms[1:], terms[0]) for x, terms in zip(xs, steps)]
-    g = model.rhs(lam_series, xs, xs)
-    res = max(max(abs(c) for c in gi.coeffs) for gi in g)
+    else:  # out of sweeps: the last step has not been checked yet
+        g = model.rhs(lam_series, xs, xs)
+        res = max(max(abs(c) for c in gi.coeffs) for gi in g)
     if res > 1e-10 * scale:
         raise NewtonError(
             f"equilibrium series residual {res:.2e} exceeds tolerance")

@@ -109,8 +109,15 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
             "cannot seed the amplitude solve: the order-2 delay "
             f"coefficient {lh2:.3e} is not positive")
 
+    horner = coeffs[::-1].tolist()
+
     def p(e):
-        return float(np.polyval(coeffs[::-1], e)) - target
+        # np.polyval's loop on a number, in Python floats: the same
+        # operations in the same order, without numpy's per-scalar cost
+        y = 0.0
+        for c in horner:
+            y = y * e + c
+        return y - target
 
     # Sign scan on [0, hi]: the branch grows from eps = 0, so the wanted
     # root is the first crossing; later crossings (the polynomial bending

@@ -288,6 +288,38 @@ class TestDetectSteadyState:
         plain = di.Alignment(al.t0, al.period_est)
         assert plain.period_spread is None and plain.amplitude_spread is None
 
+    def test_only_the_crossings_read_are_bisected(self, sir120, monkeypatch):
+        orbit, _, align, traj = sir120
+        level = float(orbit.equilibrium[0])
+        # every upward crossing bisected, as the alignment reads them
+        ts, x, dx = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+        d = x - level
+        up = np.nonzero((d[:-1] <= 0.0) & (d[1:] > 0.0))[0]
+        crossings = np.array([ob._bisect(
+            lambda t, i=i: ob._hermite(t, ts[i], ts[i + 1], x[i], x[i + 1],
+                                       dx[i], dx[i + 1]) - level,
+            ts[i], ts[i + 1], d[i]) for i in up])
+        periods = np.diff(crossings)
+        last_a = [di._cycle_peak(traj, ts, d, level, up[i], up[i + 1])
+                  for i in range(len(up) - 4, len(up) - 1)]
+        assert len(up) > 100
+        expected = (crossings[-1], periods[-1],
+                    np.max(np.abs(np.diff(periods[-3:]))),
+                    np.max(np.abs(np.diff(last_a))))
+        got = (align.t0, align.period_est, align.period_spread,
+               align.amplitude_spread)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        bisected = []
+        bisect = di._bisect
+
+        def counted(*args):
+            bisected.append(args[1])
+            return bisect(*args)
+
+        monkeypatch.setattr(di, "_bisect", counted)
+        di.detect_steady_state(traj, level=level)
+        assert len(bisected) == 4
+
     def test_constant_trajectory_fails(self, ndde):
         traj = di.integrate(ndde, 1.4, [0.0, 0.0], 60.0)
         with pytest.raises(SteadyStateError):

@@ -387,6 +387,67 @@ class TestTrimming:
         assert len(calls) == 858
 
 
+class TestDirectionArrays:
+    # an order-1 series whose order-1 coefficient is an array of directions
+    # must give, entry by entry, the scalar series of each direction, bit
+    # for bit; the last direction is all zeros
+    A0, B0 = 0.8, 1.7
+    DA = np.array([1.0, 0.0, -0.35, 2.0, 0.0])
+    DB = np.array([0.0, 1.0, 1.25, -0.5, 0.0])
+
+    def per_direction(self, f):
+        """(array result, the scalar results of each direction)."""
+        out = f(EpsSeries([self.A0, self.DA]), EpsSeries([self.B0, self.DB]))
+        refs = [f(EpsSeries([self.A0, x]), EpsSeries([self.B0, y]))
+                for x, y in zip(self.DA, self.DB)]
+        return out, refs
+
+    @pytest.mark.parametrize("f", [
+        es.exp, es.log, es.sin, es.cos,
+        lambda a: es.powf(a, 0.5), lambda a: es.powf(a, -1.5),
+        lambda a: 2.5 + a, lambda a: a + 2.5, lambda a: -2.5 + a,
+        lambda a: 2.5 - a, lambda a: a - 2.5, lambda a: -2.5 - a,
+        lambda a: 2.5 * a, lambda a: a * 2.5, lambda a: 2.5 / a],
+        ids=["exp", "log", "sin", "cos", "pow0.5", "pow-1.5", "n+a", "a+n",
+             "-n+a", "n-a", "a-n", "-n-a", "n*a", "a*n", "n/a"])
+    def test_one_series(self, f):
+        out, refs = self.per_direction(lambda a, b: f(a))
+        self.assert_per_direction_bits(out, refs)
+
+    @pytest.mark.parametrize("f", [
+        lambda a, b: a / b, lambda a, b: a * b, lambda a, b: a + b,
+        lambda a, b: a - b], ids=["a/b", "a*b", "a+b", "a-b"])
+    def test_two_series(self, f):
+        out, refs = self.per_direction(f)
+        self.assert_per_direction_bits(out, refs)
+
+    def test_a_negative_factor_may_only_sign_a_zero(self):
+        # the scalar path skips the product with an exact-zero direction and
+        # keeps 0.0; the array path forms it and gets -0.0
+        for f in (lambda a, b: -2.5 * a, lambda a, b: a / -2.5):
+            out, refs = self.per_direction(f)
+            ref = np.array([r.coeffs[1] for r in refs])
+            live = self.DA != 0.0
+            assert out.coeffs[1][live].tobytes() == ref[live].tobytes()
+            assert np.all(out.coeffs[1][~live] == 0.0)
+            assert np.all(ref[~live] == 0.0)
+            assert np.all(np.signbit(out.coeffs[1][~live]))
+
+    def test_zero_only_when_every_entry_is(self):
+        assert es._is_zero(np.zeros(3))
+        assert not es._is_zero(np.array([0.0, 0.0, 1e-300]))
+        s = EpsSeries([1.0, np.zeros(3)])
+        assert isinstance(s.coeffs[1], np.ndarray)
+        assert es._leading_zeros(s - 1.0) == 2
+
+    def assert_per_direction_bits(self, out, refs):
+        assert isinstance(out.coeffs[1], np.ndarray)
+        assert all(np.float64(out.coeffs[0]).tobytes()
+                   == np.float64(r.coeffs[0]).tobytes() for r in refs)
+        assert (out.coeffs[1].tobytes()
+                == np.array([r.coeffs[1] for r in refs]).tobytes())
+
+
 @settings(max_examples=40, deadline=None)
 @given(trig_series(), trig_series(), trig_series())
 def test_ring_axioms(a, b, c):

@@ -76,6 +76,76 @@ class TestSolvedOncePerDelay:
         assert np.array_equal(P, Jx) and np.array_equal(Q, Jy)
 
 
+def jacobians_by_columns(model, lam, point):
+    """(Jx, Jy) from 2n rhs calls: one probe per column and slot, each a
+    scalar series with a 1.0 or 0.0 order-1 coefficient."""
+    n = model.dim
+    Jx = np.empty((n, n))
+    Jy = np.empty((n, n))
+    base = [float(v) for v in point]
+    for j in range(n):
+        probe = [EpsSeries([base[i], 1.0 if i == j else 0.0]) for i in range(n)]
+        fixed = [EpsSeries([base[i], 0.0]) for i in range(n)]
+        gx = model.rhs(lam, probe, fixed)
+        gy = model.rhs(lam, fixed, probe)
+        for i in range(n):
+            Jx[i, j] = gx[i].coeffs[1] if isinstance(gx[i], EpsSeries) else 0.0
+            Jy[i, j] = gy[i].coeffs[1] if isinstance(gy[i], EpsSeries) else 0.0
+    return Jx, Jy
+
+
+class TestJetJacobians:
+    # both slots' probes ride on one rhs call as direction arrays; the
+    # result must be that of one call per column and slot, bit for bit
+    def points(self, model, lams):
+        """(lam, point): the equilibria, the Newton start and an off-state
+        point over the delays."""
+        for lam in lams:
+            eq = mdl.equilibrium(model, lam)
+            for point in (eq, model.equilibrium_hint, 1.1 * eq + 0.05):
+                yield lam, point
+
+    def test_equal_to_one_call_per_column(self, ndde, sir):
+        for model, lams in ((ndde, np.linspace(0.5, 2.5, 9)),
+                            (sir, np.linspace(95.0, 150.0, 12))):
+            for lam, point in self.points(model, lams):
+                for J, ref in zip(mdl._jet_jacobians(model, lam, point),
+                                  jacobians_by_columns(model, lam, point)):
+                    assert J.tobytes() == ref.tobytes()
+
+    def test_a_component_free_of_the_state(self):
+        model = mdl.DdeModel("const", 2, {}, lambda lam, x, y: [y[1], 3.0],
+                             [0.0, 0.0], (1.0, 1.0))
+        Jx, Jy = mdl._jet_jacobians(model, 1.0, [0.5, -0.5])
+        assert np.array_equal(Jx, np.zeros((2, 2)))
+        assert np.array_equal(Jy, [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_one_rhs_call_per_jacobian(self, monkeypatch):
+        jacobians = []
+        jet_jacobians = mdl._jet_jacobians
+
+        def counted_jacobians(model, lam, point):
+            jacobians.append(lam)
+            return jet_jacobians(model, lam, point)
+
+        monkeypatch.setattr(mdl, "_jet_jacobians", counted_jacobians)
+        for model in (mdl.make_ndde(), mdl.make_sir()):
+            series_calls = []
+            rhs = model.rhs
+
+            def counted(lam, x, y, rhs=rhs):
+                if isinstance(x[0], EpsSeries):
+                    series_calls.append(lam)
+                return rhs(lam, x, y)
+
+            model.rhs = counted
+            jacobians.clear()
+            # the Newton solve of the equilibrium, then the linearization
+            mdl.linearization(model, model.hopf_hint[1])
+            assert len(jacobians) >= 2
+            assert len(series_calls) == len(jacobians)
+
+
 class TestEquilibriumSeries:
     def test_constant_series(self, sir):
         lam_ser = EpsSeries([120.0, 0.0, 0.0])
@@ -89,6 +159,22 @@ class TestEquilibriumSeries:
         xs = mdl.equilibrium_series(ndde, EpsSeries([1.5, 1.0, 0.0, 0.0]))
         for x in xs:
             assert max(abs(c) for c in x.coeffs) < 1e-12
+
+    def test_a_converged_sweep_is_not_evaluated_again(self):
+        # the ndde equilibrium is the origin at every delay, so the first
+        # sweep's rhs is the residual of the series returned
+        model = mdl.make_ndde()
+        calls = []
+        rhs = model.rhs
+
+        def counted(lam, x, y):
+            calls.append(lam)
+            return rhs(lam, x, y)
+
+        mdl.linearization(model, 1.5)
+        model.rhs = counted
+        mdl.equilibrium_series(model, EpsSeries([1.5, 1.0, 0.0, 0.0]))
+        assert len(calls) == 1
 
     def test_sir_derivative_oracle(self, sir):
         xs = mdl.equilibrium_series(sir, EpsSeries([120.0, 1.0, 0.0]))

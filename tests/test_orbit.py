@@ -43,6 +43,28 @@ class TestSolveEpsilon:
             back = ob.solve_epsilon(ndde_msq8, lam)
             assert abs(back - eps) < 1e-10
 
+    def test_bisected_polynomial_is_polyval_bit_for_bit(self, ndde_msq8,
+                                                         monkeypatch):
+        # the bisection's Horner loop runs on Python floats; every value it
+        # gives must be np.polyval's on the same number
+        brackets = []
+        bisect = ob._bisect
+
+        def recorded(f, a, b, fa):
+            brackets.append((f, a, b))
+            return bisect(f, a, b, fa)
+
+        monkeypatch.setattr(ob, "_bisect", recorded)
+        coeffs = ndde_msq8.lambda_hats[::-1]
+        for lam in np.linspace(1.35, 1.8, 6):
+            ob.solve_epsilon(ndde_msq8, lam)
+            f, a, b = brackets.pop()
+            target = ndde_msq8.omega0 * lam
+            for e in [0.0, 0.5, 2.0, *np.linspace(a, b, 9).tolist()]:
+                expected = float(np.polyval(coeffs, e)) - target
+                assert np.float64(f(e)).tobytes() == \
+                    np.float64(expected).tobytes()
+
 
 class TestKernels:
     @pytest.mark.parametrize("f, a, b, root", [
