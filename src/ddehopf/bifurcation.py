@@ -74,7 +74,11 @@ def characteristic_matrix(model, omega, lam):
 
 
 def _scaled_det(mat) -> complex:
-    """Determinant of the row-normalized matrix; zero exactly when det is."""
+    """Determinant of the row-normalized matrix; zero exactly when det is.
+    A 1x1 matrix is returned unscaled, since its normalized entry would have
+    modulus 1 everywhere."""
+    if mat.shape == (1, 1):
+        return complex(mat[0, 0])
     norms = np.linalg.norm(mat, axis=1)
     norms[norms == 0.0] = 1.0
     return complex(np.linalg.det(mat / norms[:, None]))
@@ -226,12 +230,22 @@ def _check_orthonormal(bases: LinearBases):
 
 
 def critical_operator(u: TrigPoly, A, B, lam_hat0: float) -> TrigPoly:
-    """L u = u' - A u - B u(. - lam_hat0)."""
+    """L u = u' - A u - B u(. - lam_hat0).
+
+    The expansion never applies L (it solves with L's per-harmonic blocks);
+    this is the reference definition that tests check the per-order solves
+    and the null space against.
+    """
     return u.diff() - tp.matvec(A, u) - tp.matvec(B, u.shift(lam_hat0))
 
 
 def adjoint_operator(u: TrigPoly, A, B, lam_hat0: float) -> TrigPoly:
-    """L* u = u' + A^T u + B^T u(. + lam_hat0)."""
+    """L* u = u' + A^T u + B^T u(. + lam_hat0).
+
+    The reference definition of the adjoint, which tests check the adjoint
+    null space against; a normal-form (first Lyapunov coefficient) check
+    projects with it.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
     return u.diff() + tp.matvec(A.T, u) + tp.matvec(B.T, u.shift(-lam_hat0))

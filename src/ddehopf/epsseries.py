@@ -7,9 +7,20 @@ An :class:`EpsSeries` is the ring element
 
 where every c_j is either a float (scalar series) or a :class:`TrigPoly`
 (trig series, all coefficients sharing one dim).  Model right-hand sides
-are written against ordinary arithmetic (+, -, *, /, exp) and evaluated
-directly over this ring, which extracts order-by-order coefficients without
-any symbolic algebra.
+are written against ordinary arithmetic (+, -, *, / with a number on either
+side, and exp, log, sin, cos, powf) and evaluated directly over this ring,
+which extracts order-by-order coefficients without any symbolic algebra.
+
+Port list.  These are all the operations of the ring, and each one is used,
+by the package or by user-written right-hand sides; a replacement of
+EpsSeries must provide exactly these (a test keeps this list equal to the
+module's public names):
+
+* EpsSeries members: ``coeffs``, ``order``, ``is_trig``, ``dim``,
+  ``constant``, ``component``, ``times_eps``, unary ``-``, and the binary
+  ``+``, ``-``, ``*`` and ``/``, each with a number on either side;
+* functions: ``div``, ``analytic``, ``exp``, ``log``, ``sin``, ``cos``,
+  ``powf``, ``delayed_state``.
 
 Numbers promote to constant series, and the series operations combine
 coefficients with plain ``+``, ``-`` and ``*``, so :class:`TrigPoly` holds
@@ -120,37 +131,6 @@ class EpsSeries:
         """Multiply by eps: shift coefficients up, dropping the top one."""
         zero = TrigPoly.zero(self.dim) if self.is_trig else 0.0
         return EpsSeries([zero] + self.coeffs[:-1])
-
-    def over_eps(self, tol: float = 1e-9) -> "EpsSeries":
-        """Divide by eps: shift coefficients down.
-
-        Requires a vanishing order-0 coefficient (to ``tol`` relative to the
-        largest coefficient).  The freed top slot is filled with zero.
-        """
-        if self.is_trig:
-            sizes = [c.max_abs() for c in self.coeffs]
-            zero = TrigPoly.zero(self.dim)
-        else:
-            sizes = [abs(c) for c in self.coeffs]
-            zero = 0.0
-        if sizes[0] > tol * max(max(sizes), 1.0):
-            raise DimensionMismatchError(
-                "cannot divide by eps: order-0 coefficient is not zero")
-        return EpsSeries(self.coeffs[1:] + [zero])
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval(self, eps: float):
-        """Horner evaluation; returns a float or a TrigPoly."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = c + acc * eps
-        return acc
-
-    def eval_at(self, tau, eps: float):
-        """Value of a trig series at (tau, eps)."""
-        val = self.eval(eps)
-        return val.eval(tau) if isinstance(val, TrigPoly) else val
 
     # -- ring operations ---------------------------------------------------------
 
@@ -307,6 +287,14 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
 # -- analytic functions of a series ------------------------------------------------
 
 
+# The derivatives f^(m)(c0), m = 0, 1, ..., repeat with these periods.
+_CYCLES = {
+    "exp": lambda c: (math.exp(c),),
+    "sin": lambda c: (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c)),
+    "cos": lambda c: (math.cos(c), -math.sin(c), -math.cos(c), math.sin(c)),
+}
+
+
 def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
     """f^(m)(c0)/m! for m = 0..n for the supported analytic functions.
 
@@ -317,18 +305,23 @@ def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
         raise ValueError(f"{fid} of a series with non-finite leading term")
     w = np.empty(n + 1)
     try:
-        if fid == "exp":
-            e = math.exp(c0)
+        if fid in _CYCLES:
+            cycle = _CYCLES[fid](c0)
             fact = 1.0
             for m in range(n + 1):
-                w[m] = e / fact
+                w[m] = cycle[m % len(cycle)] / fact
                 fact *= (m + 1)
         elif fid == "log":
             if c0 <= 0.0:
                 raise ValueError("log of a series with non-positive leading term")
+            # (-1)^(m-1) / (m c0^m) from powers of 1/c0, which stay finite
+            # wherever the weights do
             w[0] = math.log(c0)
+            r = 1.0 / c0
+            power = -1.0
             for m in range(1, n + 1):
-                w[m] = ((-1.0) ** (m - 1)) / (m * c0 ** m)
+                power *= -r
+                w[m] = power / m
         elif fid == "pow":
             if exponent is None:
                 raise ValueError("pow requires an exponent")
@@ -343,18 +336,6 @@ def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
             for m in range(1, n + 1):
                 coef *= (p - (m - 1)) / (m * c0)
                 w[m] = coef
-        elif fid == "sin":
-            cycle = (math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0))
-            fact = 1.0
-            for m in range(n + 1):
-                w[m] = cycle[m % 4] / fact
-                fact *= (m + 1)
-        elif fid == "cos":
-            cycle = (math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0))
-            fact = 1.0
-            for m in range(n + 1):
-                w[m] = cycle[m % 4] / fact
-                fact *= (m + 1)
         else:
             raise ValueError(f"unsupported analytic function {fid!r}")
     except (OverflowError, ZeroDivisionError) as exc:
@@ -395,24 +376,33 @@ def exp(x):
 
 
 def log(x):
+    """Generic natural logarithm.  No built-in model calls it; it is kept
+    for user-written right-hand sides (see README, "Custom models")."""
     if isinstance(x, EpsSeries):
         return analytic("log", x)
     return np.log(x)
 
 
 def sin(x):
+    """Generic sine, kept for user-written right-hand sides (for instance
+    x' = -sin x(t - lam)); no built-in model calls it."""
     if isinstance(x, EpsSeries):
         return analytic("sin", x)
     return np.sin(x)
 
 
 def cos(x):
+    """Generic cosine, kept for user-written right-hand sides; no built-in
+    model calls it."""
     if isinstance(x, EpsSeries):
         return analytic("cos", x)
     return np.cos(x)
 
 
 def powf(x, p):
+    """Generic real power x**p (series have no ``**``), kept for
+    user-written right-hand sides such as Mackey-Glass, 2y/(1 + y^10) - x;
+    no built-in model calls it."""
     if isinstance(x, EpsSeries):
         return analytic("pow", x, exponent=p)
     return np.power(x, p)

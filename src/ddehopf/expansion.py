@@ -82,10 +82,6 @@ class ExpansionResult:
     def T_hat_of(self, eps: float) -> float:
         return float(np.polyval(self.T_hats[::-1], eps))
 
-    def lambda_of(self, eps: float) -> float:
-        """Physical delay corresponding to an amplitude parameter."""
-        return self.lambda_hat_of(eps) / self.omega0
-
     def orbit_profile(self, eps: float) -> TrigPoly:
         """eps * sum_j Z_j(tau) eps^j as a single polynomial (deviation only)."""
         acc = self.Z[self.order]

@@ -2,7 +2,8 @@
 
 A :class:`DdeModel` wraps a right-hand side g(lam, x, y) -> vector, where
 y is the delayed state x(t - lam).  The rhs is written against ordinary
-arithmetic (+, -, *, /, exp) so the very same function evaluates over
+arithmetic (+, -, *, / with a number on either side, and exp, log, sin, cos,
+powf from :mod:`ddehopf.epsseries`) so the very same function evaluates over
 floats, numpy arrays and :class:`~ddehopf.epsseries.EpsSeries`; Jacobians
 and higher expansion data are obtained by probing it with series arguments
 rather than by symbolic differentiation.

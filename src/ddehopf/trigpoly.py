@@ -203,6 +203,8 @@ class TrigPoly:
         return TrigPoly._make(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
 
     def __radd__(self, other):
+        """number + polynomial: the package writes the number on the right,
+        but a user-written rhs may put it on either side."""
         return self.__add__(other)
 
     def __sub__(self, other):
@@ -236,13 +238,6 @@ class TrigPoly:
             "cos": self.cos.tolist(),
             "sin": self.sin.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrigPoly":
-        u = cls(data["const"], data["cos"], data["sin"])
-        if u.dim != data["dim"] or u.degree != data["degree"]:
-            raise DimensionMismatchError("inconsistent serialized TrigPoly")
-        return u
 
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, degree={self.degree})"

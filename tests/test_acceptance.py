@@ -246,6 +246,8 @@ def test_c8_property_suite(ndde, ndde_msq8, sir, sir_2pi8):
             f"{model.name}: probe={probe_dev:.1e}, orth={worst_orth:.1e}, "
             f"op={worst_op:.1e}, phase={worst_phase:.1e}, q={worst_q:.1e}")
     # evaluation homomorphism spot checks
+    from series_oracles import eval_at
+
     from ddehopf.epsseries import EpsSeries
     from ddehopf.trigpoly import TrigPoly
     rng = np.random.default_rng(7)
@@ -256,9 +258,9 @@ def test_c8_property_suite(ndde, ndde_msq8, sir, sir_2pi8):
     hom_dev = 0.0
     for eps in (0.01, 0.1):
         for tau in (0.3, 2.7):
-            direct = (s.eval_at(tau, eps)[0] * t.eval_at(tau, eps)[0]
-                      + s.eval_at(tau, eps)[0])
-            via = (s * t + s).eval_at(tau, eps)[0]
+            direct = (eval_at(s, tau, eps)[0] * eval_at(t, tau, eps)[0]
+                      + eval_at(s, tau, eps)[0])
+            via = eval_at(s * t + s, tau, eps)[0]
             # quadratic truncation tail bounded by the order-3 term
             hom_dev = max(hom_dev, abs(direct - via)
                           - 2.0 * abs(eps) ** 3 * 10.0)

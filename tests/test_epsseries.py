@@ -1,7 +1,12 @@
+import inspect
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from series_oracles import eval_at, eval_series
 
 from ddehopf import epsseries as es
 from ddehopf import trigpoly as tp
@@ -59,16 +64,14 @@ class TestAddMul:
         p = s * t
         for eps in (0.02, 0.1):
             for tau in (0.3, 2.1, 5.5):
-                direct = s.eval_at(tau, eps) * t.eval_at(tau, eps)
                 # products of order > 3 are truncated away
-                tail = sum(s.eval_at(tau, eps) * 0 for _ in ())
                 full = 0.0
                 for i in range(4):
                     for j in range(4):
                         if i + j <= 3:
                             full += (s.coeffs[i].eval(tau)[0] * eps ** i
                                      * t.coeffs[j].eval(tau)[0] * eps ** j)
-                assert abs(p.eval_at(tau, eps)[0] - full) < 1e-10
+                assert abs(eval_at(p, tau, eps)[0] - full) < 1e-10
 
     def test_order_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -202,7 +205,7 @@ class TestAnalytic:
         e = es.exp(s)
         tau, eps = 0.7, 0.05
         direct = np.exp(0.3 + eps * 0.2 * np.cos(tau))
-        assert abs(e.eval_at(tau, eps)[0] - direct) < 1e-10
+        assert abs(eval_at(e, tau, eps)[0] - direct) < 1e-10
 
     def test_log_domain_error(self):
         with pytest.raises(ValueError):
@@ -233,13 +236,19 @@ class TestAnalytic:
         with pytest.raises(ValueError):
             es.sin(EpsSeries([float("inf"), 1.0]))
 
+    def test_log_of_a_large_leading_term(self):
+        # the weights (-1)^(m-1) / (m c0^m) are finite although c0^m is not
+        out = es.log(EpsSeries([1e200, 1.0, 0.0]))
+        assert out.coeffs == [math.log(1e200), 1e-200, 0.0]
+
     def test_pow_and_trig(self):
         s = EpsSeries([2.0, 0.5, 0.1, 0.0, 0.0])
         p = es.powf(s, 0.5)
         eps = 0.03
-        assert abs(p.eval(eps) - np.sqrt(s.eval(eps))) < 1e-8
-        assert abs(es.sin(s).eval(eps) - np.sin(s.eval(eps))) < 1e-8
-        assert abs(es.cos(s).eval(eps) - np.cos(s.eval(eps))) < 1e-8
+        x = eval_series(s, eps)
+        assert abs(eval_series(p, eps) - np.sqrt(x)) < 1e-8
+        assert abs(eval_series(es.sin(s), eps) - np.sin(x)) < 1e-8
+        assert abs(eval_series(es.cos(s), eps) - np.cos(x)) < 1e-8
 
 
 class TestDelayedState:
@@ -271,10 +280,10 @@ class TestDelayedState:
         theta = EpsSeries([theta0, 0.4, -0.2, 0.1])
         d = es.delayed_state(Z, theta, theta0)
         eps = 0.01
-        th = theta.eval(eps)
+        th = eval_series(theta, eps)
         for tau in (0.0, 1.0, 3.9):
-            expected = Z.eval(eps).eval(tau - th)
-            assert np.max(np.abs(d.eval_at(tau, eps) - expected)) < 1e-8
+            expected = eval_series(Z, eps).eval(tau - th)
+            assert np.max(np.abs(eval_at(d, tau, eps) - expected)) < 1e-8
 
     def test_base_point_mismatch(self, rng):
         Z = random_trig_series(rng, order=2)
@@ -478,20 +487,36 @@ def test_exp_inverse(s):
        st.floats(0.0, 6.28))
 def test_evaluation_homomorphism(a, b, eps, tau):
     # truncation error bounded away by small eps: compare at matching order
-    add = (a + b).eval_at(tau, eps)
-    assert abs(add[0] - (a.eval_at(tau, eps)[0] + b.eval_at(tau, eps)[0])) \
+    add = eval_at(a + b, tau, eps)
+    assert abs(add[0] - (eval_at(a, tau, eps)[0] + eval_at(b, tau, eps)[0])) \
         < 1e-8 * max(1.0, abs(add[0]))
 
 
-def test_times_over_eps(rng):
+def test_times_eps(rng):
     s = random_trig_series(rng, order=3)
     up = s.times_eps()
     assert up.coeffs[0].max_abs() == 0.0
-    back = up.over_eps()
-    for a, b in zip(back.coeffs[:-1], s.coeffs[:-1]):
+    for a, b in zip(up.coeffs[1:], s.coeffs[:-1]):
         assert (a - b).max_abs() == 0.0
-    with pytest.raises(DimensionMismatchError):
-        EpsSeries([1.0, 0.0]).over_eps()
+
+
+def test_port_list_is_the_public_api():
+    # the module docstring's port list names every public member of
+    # EpsSeries and every public function of the module, and nothing else
+    listed = re.search(r"\* EpsSeries members:(.*?)\n\* functions:(.*?)\n\n",
+                       es.__doc__, re.S)
+    members, functions = (set(re.findall(r"``([a-z_]+)``", part))
+                          for part in listed.groups())
+    assert members == {n for n in vars(EpsSeries) if not n.startswith("_")}
+    assert functions == {
+        n for n, f in vars(es).items() if not n.startswith("_")
+        and inspect.isfunction(f) and f.__module__ == es.__name__}
+    # unary -, and + - * / with a number on either side
+    operators = {"__neg__"} | {f"__{r}{op}__" for op in (
+        "add", "sub", "mul", "truediv") for r in ("", "r")}
+    assert operators == {n for n, f in vars(EpsSeries).items()
+                         if n.startswith("__") and inspect.isfunction(f)
+                         } - {"__init__", "__repr__"}
 
 
 def test_scalar_embeds_into_trig():

@@ -39,7 +39,7 @@ class TestSolveEpsilon:
 
     def test_identity_on_delay_curve(self, ndde_msq8):
         for eps in np.linspace(0.05, 1.0, 12):
-            lam = ndde_msq8.lambda_of(eps)
+            lam = ndde_msq8.lambda_hat_of(eps) / ndde_msq8.omega0
             back = ob.solve_epsilon(ndde_msq8, lam)
             assert abs(back - eps) < 1e-10
 
