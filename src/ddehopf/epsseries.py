@@ -38,6 +38,23 @@ ever meet those leading exact zeros, and every coefficient still formed is
 the same sum in the same order, so results are bit for bit those of the
 full computation.
 
+Within one order of the expansion a coefficient is also formed only once.
+The order-j rhs is probed three times, and the probes differ only in the
+series' coefficients j and j+1, so most products and quotients of the
+second and third probe repeat those of the first.  Inside
+``_shared_coefficients()`` (which ``expansion.assemble_rhs`` enters around
+its probes, and which drops every entry on exit) a product or quotient
+stores each coefficient it forms under the content of the input
+coefficients it depends on, and reuses it when the same content comes
+again.  Coefficient j of a*b or s/t depends on the inputs' coefficients
+0..j only (the same terms summed in the same order, the same exact-zero
+skips and the same trim), so a reused coefficient is what the same
+operations would form again, bit for bit.  The keys are exact content,
+never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a direction
+array's shape and bytes, a polynomial's dim and array bytes; and the
+key of coefficient j chains to that of j-1, so each entry is constant in
+size.  Outside that scope no key is formed.
+
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
 of the identity is a probe whose order-1 coefficient is the derivative
@@ -56,6 +73,9 @@ per direction.
 from __future__ import annotations
 
 import math
+import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -204,6 +224,70 @@ def _is_zero(c) -> bool:
     return c == 0.0
 
 
+# -- coefficients shared within one order ---------------------------------------
+
+# Coefficients formed inside _shared_coefficients(); None outside it, and in
+# every other thread.  Maps (link, key of input x_j, key of input y_j) ->
+# (link of this entry, the coefficient), where a link names the inputs'
+# coefficients 0..j-1: the kind of operation at j = 0, later the number of
+# the entry j-1.
+_memo = ContextVar("ddehopf_shared_coefficients", default=None)
+
+_DOUBLE = struct.Struct("d")
+
+
+@contextmanager
+def _shared_coefficients():
+    """Within this block, products and quotients reuse the coefficients they
+    formed before from the same input content (see the module docstring).
+    The memo is emptied on exit, also when the block raises."""
+    memo = {}
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+        memo.clear()
+
+
+def _coef_key(c):
+    """Exact content of a coefficient (a polynomial, a direction array or a
+    float) as a key."""
+    if isinstance(c, TrigPoly):
+        return c._content_key()
+    if isinstance(c, np.ndarray):
+        return (c.shape, c.tobytes())
+    return _DOUBLE.pack(c)
+
+
+class _Chain:
+    """The memo walk of one product or quotient, coefficient by coefficient:
+    ``lookup`` gives the stored coefficient j or None, in which case the
+    caller forms it and hands it to ``store``.  Inert outside the scope."""
+
+    __slots__ = ("memo", "link", "key")
+
+    def __init__(self, kind: str):
+        self.memo = _memo.get()
+        self.link = None if self.memo is None else kind
+
+    def lookup(self, x, y):
+        if self.link is None:
+            return None
+        self.key = (self.link, _coef_key(x), _coef_key(y))
+        hit = self.memo.get(self.key)
+        if hit is None:
+            return None
+        self.link, value = hit
+        return value
+
+    def store(self, value):
+        if self.link is not None:
+            self.link = len(self.memo)
+            self.memo[self.key] = (self.link, value)
+        return value
+
+
 def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
     """Truncated product a*b.  With ``top``, only the coefficients up to that
     order are formed and the ones above it are exact zeros; the ones formed
@@ -216,9 +300,13 @@ def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
     zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
     live_a = [k for k, c in enumerate(a.coeffs) if not _is_zero(c)]
     live_b = [not _is_zero(c) for c in b.coeffs]
+    chain = _Chain("cauchy")
     out = []
     for j in range(top + 1):
-        acc = None
+        acc = chain.lookup(a.coeffs[j], b.coeffs[j])
+        if acc is not None:
+            out.append(acc)
+            continue
         for k in live_a:
             if k > j:
                 break
@@ -229,7 +317,7 @@ def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
             acc = zero
         elif isinstance(acc, TrigPoly):
             acc = acc.truncate(TRIM_TOL)
-        out.append(acc)
+        out.append(chain.store(acc))
     out.extend([zero] * (n - top))
     return EpsSeries._make(out)
 
@@ -268,17 +356,21 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
     if t0 == 0.0:
         raise ZeroDivisionError("series division by a series with zero leading term")
     live_t = [k for k, c in enumerate(t.coeffs) if k and not _is_zero(c)]
+    chain = _Chain("div")
     q, live_q = [], []
     for j in range(s.order + 1):
-        acc = s.coeffs[j]
-        for k in live_t:
-            if k > j:
-                break
-            if live_q[j - k]:
-                acc = acc - t.coeffs[k] * q[j - k]
-        acc = acc * (1.0 / t0)
-        if isinstance(acc, TrigPoly):
-            acc = acc.truncate(TRIM_TOL)
+        acc = chain.lookup(s.coeffs[j], t.coeffs[j])
+        if acc is None:
+            acc = s.coeffs[j]
+            for k in live_t:
+                if k > j:
+                    break
+                if live_q[j - k]:
+                    acc = acc - t.coeffs[k] * q[j - k]
+            acc = acc * (1.0 / t0)
+            if isinstance(acc, TrigPoly):
+                acc = acc.truncate(TRIM_TOL)
+            chain.store(acc)
         q.append(acc)
         live_q.append(not _is_zero(acc))
     return EpsSeries(q)

@@ -34,7 +34,7 @@ from . import bifurcation as bf
 from . import models as mdl
 from . import trigpoly as tp
 from .bifurcation import HopfPoint, LinearBases
-from .epsseries import EpsSeries, delayed_state
+from .epsseries import EpsSeries, _shared_coefficients, delayed_state
 from .errors import ResonanceError, SolvabilityError
 from .trigpoly import TrigPoly
 
@@ -166,13 +166,16 @@ def assemble_rhs(model, hp: HopfPoint, Z_list, lam_hats, T_hats):
 
     H0 is the inhomogeneity at (lh_j, Th_j) = (0, 0); R and S are the exact
     affine sensitivities in the period and delay directions, so that
-    h_j = H0 + Th_j*R + lh_j*S.
+    h_j = H0 + Th_j*R + lh_j*S.  The probes differ only in the series'
+    top coefficients, so they share the coefficients below those (bit for
+    bit, see the ``epsseries`` docstring).
     """
-    H0 = order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 0.0)
-    S = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 1.0, 0.0)
-         - H0).truncate()
-    R = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 1.0)
-         - H0).truncate()
+    with _shared_coefficients():
+        H0 = order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 0.0)
+        S = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 1.0, 0.0)
+             - H0).truncate()
+        R = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 1.0)
+             - H0).truncate()
     return H0, R, S
 
 

@@ -32,8 +32,9 @@ class TrigPoly:
     """Immutable truncated Fourier series with vector coefficients.
 
     The coefficient arrays must not be written after construction: the
-    complex spectrum used by :func:`mul` is built once per instance and
-    cached, and would go stale.
+    complex spectrum used by :func:`mul` and the content key used by the
+    series products are built once per instance and cached, and would go
+    stale.
 
     Parameters
     ----------
@@ -45,7 +46,7 @@ class TrigPoly:
         Sine coefficients b_1..b_K.
     """
 
-    __slots__ = ("const", "cos", "sin", "_spec")
+    __slots__ = ("const", "cos", "sin", "_spec", "_key")
 
     def __init__(self, const, cos=None, sin=None):
         const = np.atleast_1d(np.asarray(const, dtype=float))
@@ -65,6 +66,7 @@ class TrigPoly:
         self.cos = cos
         self.sin = sin
         self._spec = None
+        self._key = None
 
     @classmethod
     def _make(cls, const, cos, sin) -> "TrigPoly":
@@ -75,6 +77,7 @@ class TrigPoly:
         u.cos = cos
         u.sin = sin
         u._spec = None
+        u._key = None
         return u
 
     # -- basic structure ---------------------------------------------------
@@ -242,7 +245,15 @@ class TrigPoly:
     def __repr__(self):
         return f"TrigPoly(dim={self.dim}, degree={self.degree})"
 
-    # -- complex spectrum (internal, used by mul) ----------------------------
+    # -- cached internals: the spectrum (used by mul), the content key --------
+
+    def _content_key(self) -> tuple:
+        """(dim, const bytes, cos bytes, sin bytes): equal exactly when the
+        polynomials are the same floats, bit for bit; built once and cached."""
+        if self._key is None:
+            self._key = (self.const.shape[0], self.const.tobytes(),
+                         self.cos.tobytes(), self.sin.tobytes())
+        return self._key
 
     def _spectrum(self) -> np.ndarray:
         """Complex coefficients c_k, k = -K..K, shape (2K+1, dim); built once

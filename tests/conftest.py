@@ -45,5 +45,11 @@ def sir_2pi8(sir):
 
 
 @pytest.fixture(scope="session")
+def sir_2pi14(sir):
+    """Order-14 epidemic expansion, 2*pi normalization."""
+    return expansion.expand(sir, 14, z0_scale="paper")
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

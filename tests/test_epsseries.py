@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from series_oracles import eval_at, eval_series
 
 from ddehopf import epsseries as es
+from ddehopf import models
 from ddehopf import trigpoly as tp
 from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import DimensionMismatchError
@@ -455,6 +457,54 @@ class TestDirectionArrays:
                    == np.float64(r.coeffs[0]).tobytes() for r in refs)
         assert (out.coeffs[1].tobytes()
                 == np.array([r.coeffs[1] for r in refs]).tobytes())
+
+
+class TestSharedCoefficients:
+    # inside es._shared_coefficients() a product or quotient reuses the
+    # coefficients it formed before from the same input bytes
+
+    def test_div_keeps_the_sign_of_a_zero(self):
+        t = EpsSeries([2.0, 0.0])
+        with es._shared_coefficients():
+            for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+                a = es.div(EpsSeries([1.0, first]), t)
+                b = es.div(EpsSeries([1.0, second]), t)
+                assert math.copysign(1.0, a.coeffs[1]) == math.copysign(1.0, first)
+                assert math.copysign(1.0, b.coeffs[1]) == math.copysign(1.0, second)
+
+    def test_direction_arrays_give_the_same_bytes(self, ndde, sir):
+        # the Jacobian probes carry arrays of directions (products and, for
+        # sir, a quotient); the second call inside the scope reuses the first
+        for model, lam in ((ndde, 1.3), (sir, 100.0)):
+            point = models.equilibrium(model, lam)
+            outside = models._jet_jacobians(model, lam, point)
+            with es._shared_coefficients() as memo:
+                inside = [models._jet_jacobians(model, lam, point)
+                          for _ in range(2)]
+                assert memo
+            for pair in inside:
+                for a, b in zip(pair, outside, strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_memo_is_emptied_on_exit(self):
+        s = random_trig_series(np.random.default_rng(5), order=4)
+        with es._shared_coefficients() as memo:
+            s * s
+            assert memo
+        assert not memo and es._memo.get() is None
+
+    def test_the_scope_is_per_thread(self):
+        seen = []
+        with es._shared_coefficients():
+            worker = threading.Thread(target=lambda: seen.append(es._memo.get()))
+            worker.start()
+            worker.join()
+        assert seen == [None]
+
+    def test_no_key_outside_the_scope(self):
+        s = random_trig_series(np.random.default_rng(6), order=3)
+        es.div(s * s, EpsSeries([2.0, 1.0, 0.5, 0.0]))
+        assert all(c._key is None for c in s.coeffs)
 
 
 @settings(max_examples=40, deadline=None)

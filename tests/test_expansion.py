@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from ddehopf import bifurcation as bf
+from ddehopf import epsseries as es
 from ddehopf import expansion as xp
+from ddehopf import models
 from ddehopf import trigpoly as tp
+from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import SolvabilityError
 from ddehopf.trigpoly import TrigPoly
 
@@ -85,6 +88,59 @@ class TestAssembleRhs:
         lam1, T1, h1 = xp.solve_order(H0, R, S, bases)
         for w in (bases.w1, bases.w2):
             assert abs(tp.inner(h1, w)) < 1e-10
+
+    @pytest.mark.parametrize("case", ["ndde_msq20", "sir_2pi14"])
+    def test_shared_probes_equal_separate_probes(self, case, request,
+                                                 monkeypatch):
+        # the three probes of an order share the coefficients they have in
+        # common; at every order H0, R and S must still be those of three
+        # separate order_coefficient calls, bit for bit, from fewer
+        # polynomial products
+        result = request.getfixturevalue(case)
+        products = []
+        mul = tp.mul
+
+        def counted(u, v):
+            products.append(1)
+            return mul(u, v)
+
+        monkeypatch.setattr(tp, "mul", counted)
+        for j in range(1, result.order + 1):
+            args = (result.model, result.hopf, result.Z[:j],
+                    list(result.lambda_hats[:j]), list(result.T_hats[:j]))
+            products.clear()
+            H0, R, S = xp.assemble_rhs(*args)
+            shared = len(products)
+            products.clear()
+            H0_bare = xp.order_coefficient(*args, 0.0, 0.0)
+            S_bare = xp.order_coefficient(*args, 1.0, 0.0) - H0_bare
+            R_bare = xp.order_coefficient(*args, 0.0, 1.0) - H0_bare
+            assert shared < len(products)
+            for p, q in ((H0, H0_bare), (R, R_bare.truncate()),
+                         (S, S_bare.truncate())):
+                for x, y in ((p.const, q.const), (p.cos, q.cos),
+                             (p.sin, q.sin)):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_memo_is_emptied_when_the_rhs_raises(self, ndde, ndde_setup):
+        hp, bases = ndde_setup
+        seen = []
+
+        def rhs(lam, x, y):
+            g = ndde.rhs(lam, x, y)
+            if isinstance(lam, EpsSeries):  # the equilibrium series
+                memo = es._memo.get()
+                seen.append((memo, len(memo)))
+                raise RuntimeError("rhs failed")
+            return g
+
+        model = models.DdeModel("failing", 2, ndde.params, rhs,
+                                ndde.equilibrium_hint, ndde.hopf_hint)
+        with pytest.raises(RuntimeError):
+            xp.assemble_rhs(model, hp, [TWO_PI * bases.v2],
+                            [hp.lambda_hat0], [TWO_PI])
+        memo, size = seen[0]
+        assert size > 0 and not memo and es._memo.get() is None
 
 
 class TestSolveOrder:
