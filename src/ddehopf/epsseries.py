@@ -38,22 +38,29 @@ ever meet those leading exact zeros, and every coefficient still formed is
 the same sum in the same order, so results are bit for bit those of the
 full computation.
 
-Within one order of the expansion a coefficient is also formed only once.
+Across the orders of the expansion a coefficient is also formed only once.
 The order-j rhs is probed three times, and the probes differ only in the
-series' coefficients j and j+1, so most products and quotients of the
-second and third probe repeat those of the first.  Inside
-``_shared_coefficients()`` (which ``expansion.assemble_rhs`` enters around
-its probes, and which drops every entry on exit) a product or quotient
-stores each coefficient it forms under the content of the input
-coefficients it depends on, and reuses it when the same content comes
-again.  Coefficient j of a*b or s/t depends on the inputs' coefficients
-0..j only (the same terms summed in the same order, the same exact-zero
-skips and the same trim), so a reused coefficient is what the same
-operations would form again, bit for bit.  The keys are exact content,
-never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a direction
-array's shape and bytes, a polynomial's dim and array bytes; and the
-key of coefficient j chains to that of j-1, so each entry is constant in
-size.  Outside that scope no key is formed.
+series' coefficients j and j+1; and their inputs agree with those of the
+order-(j-1) probes below coefficient j-1, so most products and quotients
+repeat coefficients formed at the order before.  Inside
+``_shared_coefficients()`` (which ``expansion.expand`` enters around its
+order loop and ``expansion.assemble_rhs`` again around the three probes of
+each order) a product or quotient stores each coefficient it forms under
+the content of the input coefficients it depends on, and reuses it when the
+same content comes again.  Coefficient j of a*b or s/t depends on the
+inputs' coefficients 0..j only (the same terms summed in the same order,
+the same exact-zero skips and the same trim), so a reused coefficient is
+what the same operations would form again, bit for bit.  The keys are exact
+content, never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a
+direction array's shape and bytes, a polynomial's dim and array bytes; and
+the key of coefficient j chains to that of j-1 by the number of its entry,
+so each entry is constant in size.  Each order starts a new generation of
+the memo and only two are kept, the current order's and the previous one's:
+a coefficient found in the previous generation is carried into the current
+one, and the rest of the previous generation is dropped when the next order
+starts.  Entry numbers come from a running count and never repeat (see
+``_Generations``).  The memo is emptied when the outermost scope exits,
+also on error; outside it no key is formed.
 
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
@@ -224,24 +231,58 @@ def _is_zero(c) -> bool:
     return c == 0.0
 
 
-# -- coefficients shared within one order ---------------------------------------
+# -- coefficients shared across consecutive orders ------------------------------
 
-# Coefficients formed inside _shared_coefficients(); None outside it, and in
-# every other thread.  Maps (link, key of input x_j, key of input y_j) ->
-# (link of this entry, the coefficient), where a link names the inputs'
-# coefficients 0..j-1: the kind of operation at j = 0, later the number of
-# the entry j-1.
+# The memo of the open _shared_coefficients() scope; None outside it, and in
+# every other thread.
 _memo = ContextVar("ddehopf_shared_coefficients", default=None)
 
 _DOUBLE = struct.Struct("d")
+
+
+class _Generations:
+    """The memo of one scope, in two generations: the coefficients formed or
+    reused by the current order and those of the order before.  Each maps
+    (link, key of input x_j, key of input y_j) -> (number of this entry, the
+    coefficient), where a link names the inputs' coefficients 0..j-1: the
+    kind of operation at j = 0, later the number of the entry j-1.  Entries
+    are numbered by a running count, never by the size of a generation, so
+    no number names two entries and a link cannot match an entry of another
+    input."""
+
+    __slots__ = ("current", "previous", "numbered")
+
+    def __init__(self):
+        self.current = {}
+        self.previous = {}
+        self.numbered = 0
+
+    def __len__(self):
+        return len(self.current) + len(self.previous)
+
+    def advance(self):
+        """Start a new generation; the one before the current is dropped."""
+        self.previous = self.current
+        self.current = {}
+
+    def clear(self):
+        self.current.clear()
+        self.previous.clear()
 
 
 @contextmanager
 def _shared_coefficients():
     """Within this block, products and quotients reuse the coefficients they
     formed before from the same input content (see the module docstring).
-    The memo is emptied on exit, also when the block raises."""
-    memo = {}
+    Entered inside an open block, it starts a new generation of that block's
+    memo instead.  The memo is emptied when the outermost block exits, also
+    when it raises."""
+    memo = _memo.get()
+    if memo is not None:
+        memo.advance()
+        yield memo
+        return
+    memo = _Generations()
     token = _memo.set(memo)
     try:
         yield memo
@@ -263,7 +304,9 @@ def _coef_key(c):
 class _Chain:
     """The memo walk of one product or quotient, coefficient by coefficient:
     ``lookup`` gives the stored coefficient j or None, in which case the
-    caller forms it and hands it to ``store``.  Inert outside the scope."""
+    caller forms it and hands it to ``store``.  A coefficient found in the
+    previous generation is carried into the current one.  Inert outside the
+    scope."""
 
     __slots__ = ("memo", "link", "key")
 
@@ -274,17 +317,23 @@ class _Chain:
     def lookup(self, x, y):
         if self.link is None:
             return None
-        self.key = (self.link, _coef_key(x), _coef_key(y))
-        hit = self.memo.get(self.key)
+        memo = self.memo
+        key = self.key = (self.link, _coef_key(x), _coef_key(y))
+        hit = memo.current.get(key)
         if hit is None:
-            return None
+            hit = memo.previous.get(key)
+            if hit is None:
+                return None
+            memo.current[key] = hit
         self.link, value = hit
         return value
 
     def store(self, value):
         if self.link is not None:
-            self.link = len(self.memo)
-            self.memo[self.key] = (self.link, value)
+            memo = self.memo
+            self.link = memo.numbered
+            memo.numbered += 1
+            memo.current[self.key] = (self.link, value)
         return value
 
 

@@ -168,7 +168,10 @@ def assemble_rhs(model, hp: HopfPoint, Z_list, lam_hats, T_hats):
     affine sensitivities in the period and delay directions, so that
     h_j = H0 + Th_j*R + lh_j*S.  The probes differ only in the series'
     top coefficients, so they share the coefficients below those (bit for
-    bit, see the ``epsseries`` docstring).
+    bit, see the ``epsseries`` docstring).  Called inside an open
+    ``_shared_coefficients()`` block, as ``expand`` does, the three probes
+    start a new generation of its memo and also reuse the coefficients the
+    previous order formed.
     """
     with _shared_coefficients():
         H0 = order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 0.0)
@@ -368,27 +371,30 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     lam_hats = [hp.lambda_hat0]
     T_hats = [TWO_PI]
     h_list = []
-    for j in range(1, order + 1):
-        try:
-            H0, R, S = assemble_rhs(model, hp, Z_list, lam_hats, T_hats)
-            lam_j, T_j, h = solve_order(H0, R, S, bases)
-            h = enforce_degree(h, j + 1, f"h_{j}")
-            Z_hat = solve_particular(h, hp)
-            Z_j = fix_homogeneous(Z_hat, Z0, bases)
-            Z_j = enforce_degree(Z_j.truncate(), j + 1, f"Z_{j}")
-        except (SolvabilityError, ResonanceError) as exc:
-            raise type(exc)(f"order {j}: {exc}") from exc
-        zscale = max(1.0, Z_j.max_abs())
-        if abs(float(Z_j.eval(0.0)[0])) > 1e-10 * zscale:
-            raise SolvabilityError(
-                f"order {j}: phase condition Z^1(0) = 0 violated")
-        if abs(tp.inner(Z_j, Z0)) > 1e-9 * max(1.0, zscale * Z0.max_abs()):
-            raise SolvabilityError(
-                f"order {j}: orthogonality <Z_j, Z0> = 0 violated")
-        Z_list.append(Z_j)
-        lam_hats.append(lam_j)
-        T_hats.append(T_j)
-        h_list.append(h)
+    # one memo across the orders: the order-j rhs shares its coefficients
+    # 0..j-1 with the order-(j-1) rhs (see the ``epsseries`` docstring)
+    with _shared_coefficients():
+        for j in range(1, order + 1):
+            try:
+                H0, R, S = assemble_rhs(model, hp, Z_list, lam_hats, T_hats)
+                lam_j, T_j, h = solve_order(H0, R, S, bases)
+                h = enforce_degree(h, j + 1, f"h_{j}")
+                Z_hat = solve_particular(h, hp)
+                Z_j = fix_homogeneous(Z_hat, Z0, bases)
+                Z_j = enforce_degree(Z_j.truncate(), j + 1, f"Z_{j}")
+            except (SolvabilityError, ResonanceError) as exc:
+                raise type(exc)(f"order {j}: {exc}") from exc
+            zscale = max(1.0, Z_j.max_abs())
+            if abs(float(Z_j.eval(0.0)[0])) > 1e-10 * zscale:
+                raise SolvabilityError(
+                    f"order {j}: phase condition Z^1(0) = 0 violated")
+            if abs(tp.inner(Z_j, Z0)) > 1e-9 * max(1.0, zscale * Z0.max_abs()):
+                raise SolvabilityError(
+                    f"order {j}: orthogonality <Z_j, Z0> = 0 violated")
+            Z_list.append(Z_j)
+            lam_hats.append(lam_j)
+            T_hats.append(T_j)
+            h_list.append(h)
 
     conventions = {"z0_scale": scale, "z0_mode": z0_scale, "qj": 0.0,
                    "phase": "first-component sine"}

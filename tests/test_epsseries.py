@@ -486,6 +486,17 @@ class TestSharedCoefficients:
                 for a, b in zip(pair, outside, strict=True):
                     assert a.tobytes() == b.tobytes()
 
+    def test_entry_numbers_never_repeat_across_generations(self):
+        # three generations whose products have the same order-1 inputs but
+        # different order-0 ones; had a generation numbered its entries from
+        # its own size, the link of the order-1 coefficient would name an
+        # entry of the generation before and bring back its coefficient
+        with es._shared_coefficients():
+            for x0, y0 in ((1.0, 3.0), (5.0, 6.0), (7.0, 8.0)):
+                with es._shared_coefficients():
+                    out = EpsSeries([x0, 2.0]) * EpsSeries([y0, 4.0])
+                assert out.coeffs == [x0 * y0, x0 * 4.0 + 2.0 * y0]
+
     def test_memo_is_emptied_on_exit(self):
         s = random_trig_series(np.random.default_rng(5), order=4)
         with es._shared_coefficients() as memo:

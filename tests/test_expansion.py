@@ -1,3 +1,4 @@
+import contextlib
 import json
 from pathlib import Path
 
@@ -92,10 +93,13 @@ class TestAssembleRhs:
     @pytest.mark.parametrize("case", ["ndde_msq20", "sir_2pi14"])
     def test_shared_probes_equal_separate_probes(self, case, request,
                                                  monkeypatch):
-        # the three probes of an order share the coefficients they have in
-        # common; at every order H0, R and S must still be those of three
-        # separate order_coefficient calls, bit for bit, from fewer
-        # polynomial products
+        # expand carries the memo from one order to the next; its result
+        # must be that of an expand with no memo at all (three separate
+        # order_coefficient calls per order), bit for bit, from fewer
+        # polynomial products than sharing within each order alone.  And a
+        # standalone assemble_rhs shares within its three probes: at every
+        # order H0, R and S must still be the separate probes', bit for
+        # bit, from fewer products
         result = request.getfixturevalue(case)
         products = []
         mul = tp.mul
@@ -105,22 +109,43 @@ class TestAssembleRhs:
             return mul(u, v)
 
         monkeypatch.setattr(tp, "mul", counted)
-        for j in range(1, result.order + 1):
-            args = (result.model, result.hopf, result.Z[:j],
-                    list(result.lambda_hats[:j]), list(result.T_hats[:j]))
+        args = (result.model, result.order, result.conventions["z0_mode"])
+        carried = xp.expand(*args)
+        carried_products = len(products)
+
+        separate = []
+        assemble = xp.assemble_rhs
+
+        def recorded(*probe_args):
             products.clear()
-            H0, R, S = xp.assemble_rhs(*args)
-            shared = len(products)
+            H0_R_S = assemble(*probe_args)
+            separate.append((H0_R_S, len(products)))
+            return H0_R_S
+
+        monkeypatch.setattr(xp, "assemble_rhs", recorded)
+        monkeypatch.setattr(xp, "_shared_coefficients", contextlib.nullcontext)
+        bare = xp.expand(*args)
+        monkeypatch.setattr(xp, "assemble_rhs", assemble)
+        monkeypatch.setattr(xp, "_shared_coefficients",
+                            es._shared_coefficients)
+        for name in ("lambda_hats", "T_hats"):
+            assert (np.array(getattr(carried, name)).tobytes()
+                    == np.array(getattr(bare, name)).tobytes())
+        pairs = list(zip(carried.Z, bare.Z, strict=True))
+
+        per_order = 0
+        for j, (H0_R_S_bare, bare_products) in enumerate(separate, 1):
             products.clear()
-            H0_bare = xp.order_coefficient(*args, 0.0, 0.0)
-            S_bare = xp.order_coefficient(*args, 1.0, 0.0) - H0_bare
-            R_bare = xp.order_coefficient(*args, 0.0, 1.0) - H0_bare
-            assert shared < len(products)
-            for p, q in ((H0, H0_bare), (R, R_bare.truncate()),
-                         (S, S_bare.truncate())):
-                for x, y in ((p.const, q.const), (p.cos, q.cos),
-                             (p.sin, q.sin)):
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            H0_R_S = xp.assemble_rhs(
+                result.model, result.hopf, carried.Z[:j],
+                list(carried.lambda_hats[:j]), list(carried.T_hats[:j]))
+            per_order += len(products)
+            assert len(products) < bare_products
+            pairs += zip(H0_R_S, H0_R_S_bare, strict=True)
+        assert carried_products < per_order
+        for p, q in pairs:
+            for x, y in ((p.const, q.const), (p.cos, q.cos), (p.sin, q.sin)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_memo_is_emptied_when_the_rhs_raises(self, ndde, ndde_setup):
         hp, bases = ndde_setup
@@ -139,6 +164,63 @@ class TestAssembleRhs:
         with pytest.raises(RuntimeError):
             xp.assemble_rhs(model, hp, [TWO_PI * bases.v2],
                             [hp.lambda_hat0], [TWO_PI])
+        memo, size = seen[0]
+        assert size > 0 and not memo and es._memo.get() is None
+
+    def test_memo_spans_the_orders_and_keeps_two(self, ndde, monkeypatch):
+        # expand keeps one memo across its orders; while order j runs, every
+        # entry in it was formed or reused at order j-1 or j, a coefficient
+        # reused at every order is kept however long ago it was formed, and
+        # the memo is emptied when expand returns and when the rhs raises
+        # part-way
+        memos, order, last_used, formed, old_hits = [], [0], {}, {}, [0]
+        probe, lookup, store = (xp.order_coefficient, es._Chain.lookup,
+                                es._Chain.store)
+
+        def checked_probe(model, hp, Z_list, *rest):
+            j = order[0] = len(Z_list)
+            memo = es._memo.get()
+            memos.append(memo)
+            assert all(last_used[key] >= j - 1
+                       for key in (*memo.current, *memo.previous))
+            return probe(model, hp, Z_list, *rest)
+
+        def dated_lookup(self, x, y):
+            value = lookup(self, x, y)
+            if value is not None:
+                last_used[self.key] = order[0]
+                old_hits[0] += formed[self.key] <= order[0] - 2
+            return value
+
+        def dated_store(self, value):
+            store(self, value)
+            last_used[self.key] = formed[self.key] = order[0]
+            return value
+
+        monkeypatch.setattr(xp, "order_coefficient", checked_probe)
+        monkeypatch.setattr(es._Chain, "lookup", dated_lookup)
+        monkeypatch.setattr(es._Chain, "store", dated_store)
+        xp.expand(ndde, 8, z0_scale="msq")
+        memo = memos[0]
+        assert len(memos) == 3 * 8 and all(m is memo for m in memos)
+        assert min(last_used.values()) == 1  # some entries were dropped
+        assert old_hits[0] > 0
+        assert not memo and es._memo.get() is None
+
+        monkeypatch.undo()
+        seen = []
+
+        def rhs(lam, x, y):
+            if isinstance(x[0], EpsSeries) and x[0].order == 4:  # order 3
+                memo = es._memo.get()
+                seen.append((memo, len(memo)))
+                raise RuntimeError("rhs failed")
+            return ndde.rhs(lam, x, y)
+
+        model = models.DdeModel("failing", 2, ndde.params, rhs,
+                                ndde.equilibrium_hint, ndde.hopf_hint)
+        with pytest.raises(RuntimeError):
+            xp.expand(model, 5, z0_scale="msq")
         memo, size = seen[0]
         assert size > 0 and not memo and es._memo.get() is None
 
