@@ -42,25 +42,28 @@ Across the orders of the expansion a coefficient is also formed only once.
 The order-j rhs is probed three times, and the probes differ only in the
 series' coefficients j and j+1; and their inputs agree with those of the
 order-(j-1) probes below coefficient j-1, so most products and quotients
-repeat coefficients formed at the order before.  Inside
-``_shared_coefficients()`` (which ``expansion.expand`` enters around its
-order loop and ``expansion.assemble_rhs`` again around the three probes of
-each order) a product or quotient stores each coefficient it forms under
-the content of the input coefficients it depends on, and reuses it when the
-same content comes again.  Coefficient j of a*b or s/t depends on the
-inputs' coefficients 0..j only (the same terms summed in the same order,
-the same exact-zero skips and the same trim), so a reused coefficient is
-what the same operations would form again, bit for bit.  The keys are exact
-content, never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a
-direction array's shape and bytes, a polynomial's dim and array bytes; and
-the key of coefficient j chains to that of j-1 by the number of its entry,
-so each entry is constant in size.  Each order starts a new generation of
-the memo and only two are kept, the current order's and the previous one's:
-a coefficient found in the previous generation is carried into the current
-one, and the rest of the previous generation is dropped when the next order
-starts.  Entry numbers come from a running count and never repeat (see
-``_Generations``).  The memo is emptied when the outermost scope exits,
-also on error; outside it no key is formed.
+repeat coefficients formed at the order before.  ``expansion.expand`` is
+the one caller that opens ``_shared_coefficients()``, around its order
+loop, and it starts a new generation of the memo at the top of each order
+(``advance``).  Inside that scope a product or quotient stores each
+coefficient it forms under the content of the input coefficients it
+depends on, and reuses it when the same content comes again; outside it
+(``assemble_rhs`` called on its own, say) nothing is shared and no key is
+formed.  Coefficient j of a*b or s/t depends on the inputs' coefficients
+0..j only (the same terms summed in the same order, the same exact-zero
+skips and the same trim), so a reused coefficient is what the same
+operations would form again, bit for bit.  The keys are exact content,
+never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a direction
+array's shape and bytes, a polynomial's dim and array bytes; and the key of
+coefficient j chains to that of j-1 by the number of its entry, so each
+entry is constant in size.  Only two generations are kept, the current
+order's and the previous one's.  One walk, ``_walk``, serves both
+operations: it looks coefficient j up in the current generation, then in
+the previous one, carries a previous hit into the current generation, and
+forms, numbers and stores only a miss.  Entry numbers come from a running
+count and never repeat (see ``_Generations``).  The exact-zero tests that
+skip products belong to forming a coefficient, so a found coefficient
+costs none.  The memo is emptied when the scope exits, also on error.
 
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
@@ -100,6 +103,10 @@ class EpsSeries:
         if not coeffs:
             raise DimensionMismatchError("a series needs at least the order-0 term")
         dims = {c.dim for c in coeffs if isinstance(c, TrigPoly)}
+        if isinstance(coeffs[0], np.ndarray) or dims and any(
+                isinstance(c, np.ndarray) for c in coeffs):
+            raise DimensionMismatchError(
+                "direction arrays belong in a scalar series above order 0")
         if dims:
             if len(dims) != 1:
                 raise DimensionMismatchError("trig coefficients must share dim")
@@ -265,30 +272,22 @@ class _Generations:
         self.previous = self.current
         self.current = {}
 
-    def clear(self):
-        self.current.clear()
-        self.previous.clear()
-
 
 @contextmanager
 def _shared_coefficients():
     """Within this block, products and quotients reuse the coefficients they
     formed before from the same input content (see the module docstring).
-    Entered inside an open block, it starts a new generation of that block's
-    memo instead.  The memo is emptied when the outermost block exits, also
-    when it raises."""
-    memo = _memo.get()
-    if memo is not None:
-        memo.advance()
-        yield memo
-        return
+    Each block opens a fresh memo, whose caller starts every further
+    generation with ``advance()``, and empties it on exit, also when the
+    block raises."""
     memo = _Generations()
     token = _memo.set(memo)
     try:
         yield memo
     finally:
         _memo.reset(token)
-        memo.clear()
+        memo.current.clear()
+        memo.previous.clear()
 
 
 def _coef_key(c):
@@ -301,40 +300,32 @@ def _coef_key(c):
     return _DOUBLE.pack(c)
 
 
-class _Chain:
-    """The memo walk of one product or quotient, coefficient by coefficient:
-    ``lookup`` gives the stored coefficient j or None, in which case the
-    caller forms it and hands it to ``store``.  A coefficient found in the
-    previous generation is carried into the current one.  Inert outside the
-    scope."""
-
-    __slots__ = ("memo", "link", "key")
-
-    def __init__(self, kind: str):
-        self.memo = _memo.get()
-        self.link = None if self.memo is None else kind
-
-    def lookup(self, x, y):
-        if self.link is None:
-            return None
-        memo = self.memo
-        key = self.key = (self.link, _coef_key(x), _coef_key(y))
+def _walk(kind: str, x: list, y: list, top: int, form) -> list:
+    """Coefficients 0..top of a product or quotient of the coefficient lists
+    x and y, where ``form(j, out)`` forms coefficient j from the ones before
+    it in ``out``.  Inside ``_shared_coefficients()`` coefficient j is
+    looked up in the current generation, then in the previous one, whose
+    hit is carried into the current one; only a miss is formed, numbered
+    and stored."""
+    memo = _memo.get()
+    out = []
+    if memo is None:
+        for j in range(top + 1):
+            out.append(form(j, out))
+        return out
+    link = kind
+    for j in range(top + 1):
+        key = (link, _coef_key(x[j]), _coef_key(y[j]))
         hit = memo.current.get(key)
         if hit is None:
             hit = memo.previous.get(key)
             if hit is None:
-                return None
+                hit = (memo.numbered, form(j, out))
+                memo.numbered += 1
             memo.current[key] = hit
-        self.link, value = hit
-        return value
-
-    def store(self, value):
-        if self.link is not None:
-            memo = self.memo
-            self.link = memo.numbered
-            memo.numbered += 1
-            memo.current[self.key] = (self.link, value)
-        return value
+        link, value = hit
+        out.append(value)
+    return out
 
 
 def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
@@ -347,28 +338,20 @@ def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
     zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
-    live_a = [k for k, c in enumerate(a.coeffs) if not _is_zero(c)]
-    live_b = [not _is_zero(c) for c in b.coeffs]
-    chain = _Chain("cauchy")
-    out = []
-    for j in range(top + 1):
-        acc = chain.lookup(a.coeffs[j], b.coeffs[j])
-        if acc is not None:
-            out.append(acc)
-            continue
-        for k in live_a:
-            if k > j:
-                break
-            if live_b[j - k]:
-                term = a.coeffs[k] * b.coeffs[j - k]
+    x, y = a.coeffs, b.coeffs
+
+    def form(j, out):
+        acc = None
+        for k in range(j + 1):
+            if not _is_zero(x[k]) and not _is_zero(y[j - k]):
+                term = x[k] * y[j - k]
                 acc = term if acc is None else acc + term
         if acc is None:
-            acc = zero
-        elif isinstance(acc, TrigPoly):
-            acc = acc.truncate(TRIM_TOL)
-        out.append(chain.store(acc))
-    out.extend([zero] * (n - top))
-    return EpsSeries._make(out)
+            return zero
+        return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
+
+    return EpsSeries._make(_walk("cauchy", x, y, top, form)
+                           + [zero] * (n - top))
 
 
 def _leading_zeros(s: EpsSeries) -> int:
@@ -404,25 +387,17 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
     t0 = _leading_scalar(t)
     if t0 == 0.0:
         raise ZeroDivisionError("series division by a series with zero leading term")
-    live_t = [k for k, c in enumerate(t.coeffs) if k and not _is_zero(c)]
-    chain = _Chain("div")
-    q, live_q = [], []
-    for j in range(s.order + 1):
-        acc = chain.lookup(s.coeffs[j], t.coeffs[j])
-        if acc is None:
-            acc = s.coeffs[j]
-            for k in live_t:
-                if k > j:
-                    break
-                if live_q[j - k]:
-                    acc = acc - t.coeffs[k] * q[j - k]
-            acc = acc * (1.0 / t0)
-            if isinstance(acc, TrigPoly):
-                acc = acc.truncate(TRIM_TOL)
-            chain.store(acc)
-        q.append(acc)
-        live_q.append(not _is_zero(acc))
-    return EpsSeries(q)
+    x, y = s.coeffs, t.coeffs
+
+    def form(j, q):
+        acc = x[j]
+        for k in range(1, j + 1):
+            if not _is_zero(y[k]) and not _is_zero(q[j - k]):
+                acc = acc - y[k] * q[j - k]
+        acc = acc * (1.0 / t0)
+        return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
+
+    return EpsSeries(_walk("div", x, y, s.order, form))
 
 
 # -- analytic functions of a series ------------------------------------------------

@@ -167,18 +167,16 @@ def assemble_rhs(model, hp: HopfPoint, Z_list, lam_hats, T_hats):
     H0 is the inhomogeneity at (lh_j, Th_j) = (0, 0); R and S are the exact
     affine sensitivities in the period and delay directions, so that
     h_j = H0 + Th_j*R + lh_j*S.  The probes differ only in the series'
-    top coefficients, so they share the coefficients below those (bit for
-    bit, see the ``epsseries`` docstring).  Called inside an open
-    ``_shared_coefficients()`` block, as ``expand`` does, the three probes
-    start a new generation of its memo and also reuse the coefficients the
-    previous order formed.
+    top coefficients.  Inside ``expand`` they share the jet coefficients
+    they have in common, with each other and with the previous order's
+    probes; called on its own, every probe forms its own, and the bits are
+    the same either way (see the ``epsseries`` docstring).
     """
-    with _shared_coefficients():
-        H0 = order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 0.0)
-        S = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 1.0, 0.0)
-             - H0).truncate()
-        R = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 1.0)
-             - H0).truncate()
+    H0 = order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 0.0)
+    S = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 1.0, 0.0)
+         - H0).truncate()
+    R = (order_coefficient(model, hp, Z_list, lam_hats, T_hats, 0.0, 1.0)
+         - H0).truncate()
     return H0, R, S
 
 
@@ -371,10 +369,12 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     lam_hats = [hp.lambda_hat0]
     T_hats = [TWO_PI]
     h_list = []
-    # one memo across the orders: the order-j rhs shares its coefficients
-    # 0..j-1 with the order-(j-1) rhs (see the ``epsseries`` docstring)
-    with _shared_coefficients():
+    # one memo across the orders, a generation per order: the order-j rhs
+    # shares its coefficients 0..j-1 with the order-(j-1) rhs (see the
+    # ``epsseries`` docstring)
+    with _shared_coefficients() as memo:
         for j in range(1, order + 1):
+            memo.advance()
             try:
                 H0, R, S = assemble_rhs(model, hp, Z_list, lam_hats, T_hats)
                 lam_j, T_j, h = solve_order(H0, R, S, bases)

@@ -451,6 +451,15 @@ class TestDirectionArrays:
         assert isinstance(s.coeffs[1], np.ndarray)
         assert es._leading_zeros(s - 1.0) == 2
 
+    def test_only_a_scalar_series_above_order_0_takes_one(self):
+        d = np.array([1.0, 2.0])
+        for misplaced in (
+                lambda: es.exp(EpsSeries([d, 1.0])),
+                lambda: es.div(EpsSeries([1.0, 0.0]), EpsSeries([d, 1.0])),
+                lambda: EpsSeries([TrigPoly.constant([1.0]), d])):
+            with pytest.raises(DimensionMismatchError):
+                misplaced()
+
     def assert_per_direction_bits(self, out, refs):
         assert isinstance(out.coeffs[1], np.ndarray)
         assert all(np.float64(out.coeffs[0]).tobytes()
@@ -491,11 +500,27 @@ class TestSharedCoefficients:
         # different order-0 ones; had a generation numbered its entries from
         # its own size, the link of the order-1 coefficient would name an
         # entry of the generation before and bring back its coefficient
-        with es._shared_coefficients():
+        with es._shared_coefficients() as memo:
             for x0, y0 in ((1.0, 3.0), (5.0, 6.0), (7.0, 8.0)):
-                with es._shared_coefficients():
-                    out = EpsSeries([x0, 2.0]) * EpsSeries([y0, 4.0])
+                memo.advance()
+                out = EpsSeries([x0, 2.0]) * EpsSeries([y0, 4.0])
                 assert out.coeffs == [x0 * y0, x0 * 4.0 + 2.0 * y0]
+
+    def test_a_reused_coefficient_tests_no_zero(self, monkeypatch):
+        # the exact-zero tests belong to forming a coefficient: a product
+        # and a quotient whose every coefficient is found make none
+        s = random_trig_series(np.random.default_rng(7), order=4)
+        t = EpsSeries([2.0, 0.0, 1.0, 0.0, 0.5])
+        calls = []
+        is_zero = es._is_zero
+        with es._shared_coefficients():
+            first = [s * s, es.div(s, t)]
+            monkeypatch.setattr(es, "_is_zero",
+                                lambda c: calls.append(c) or is_zero(c))
+            again = [s * s, es.div(s, t)]
+        assert not calls
+        for p, q in zip(first, again, strict=True):
+            assert all(x is y for x, y in zip(p.coeffs, q.coeffs, strict=True))
 
     def test_memo_is_emptied_on_exit(self):
         s = random_trig_series(np.random.default_rng(5), order=4)

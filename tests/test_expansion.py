@@ -96,10 +96,11 @@ class TestAssembleRhs:
         # expand carries the memo from one order to the next; its result
         # must be that of an expand with no memo at all (three separate
         # order_coefficient calls per order), bit for bit, from fewer
-        # polynomial products than sharing within each order alone.  And a
-        # standalone assemble_rhs shares within its three probes: at every
-        # order H0, R and S must still be the separate probes', bit for
-        # bit, from fewer products
+        # polynomial products than sharing within each order alone.  At
+        # every order the three probes sharing one memo, and at the top
+        # order a standalone assemble_rhs, which opens none, must give the
+        # memo-free probes' H0, R and S, bit for bit: the first from fewer
+        # products, the second from as many
         result = request.getfixturevalue(case)
         products = []
         mul = tp.mul
@@ -122,12 +123,13 @@ class TestAssembleRhs:
             separate.append((H0_R_S, len(products)))
             return H0_R_S
 
+        # an expand whose memo is never opened: its probes share nothing
         monkeypatch.setattr(xp, "assemble_rhs", recorded)
-        monkeypatch.setattr(xp, "_shared_coefficients", contextlib.nullcontext)
-        bare = xp.expand(*args)
-        monkeypatch.setattr(xp, "assemble_rhs", assemble)
         monkeypatch.setattr(xp, "_shared_coefficients",
-                            es._shared_coefficients)
+                            lambda: contextlib.nullcontext(es._Generations()))
+        bare = xp.expand(*args)
+        monkeypatch.undo()
+        monkeypatch.setattr(tp, "mul", counted)
         for name in ("lambda_hats", "T_hats"):
             assert (np.array(getattr(carried, name)).tobytes()
                     == np.array(getattr(bare, name)).tobytes())
@@ -135,20 +137,24 @@ class TestAssembleRhs:
 
         per_order = 0
         for j, (H0_R_S_bare, bare_products) in enumerate(separate, 1):
+            inputs = (result.model, result.hopf, carried.Z[:j],
+                      list(carried.lambda_hats[:j]),
+                      list(carried.T_hats[:j]))
             products.clear()
-            H0_R_S = xp.assemble_rhs(
-                result.model, result.hopf, carried.Z[:j],
-                list(carried.lambda_hats[:j]), list(carried.T_hats[:j]))
+            with es._shared_coefficients():
+                H0_R_S = xp.assemble_rhs(*inputs)
             per_order += len(products)
             assert len(products) < bare_products
             pairs += zip(H0_R_S, H0_R_S_bare, strict=True)
+        products.clear()
+        pairs += zip(xp.assemble_rhs(*inputs), H0_R_S_bare, strict=True)
+        assert len(products) == bare_products
         assert carried_products < per_order
         for p, q in pairs:
             for x, y in ((p.const, q.const), (p.cos, q.cos), (p.sin, q.sin)):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    def test_memo_is_emptied_when_the_rhs_raises(self, ndde, ndde_setup):
-        hp, bases = ndde_setup
+    def test_memo_is_emptied_when_the_rhs_raises(self, ndde):
         seen = []
 
         def rhs(lam, x, y):
@@ -162,49 +168,37 @@ class TestAssembleRhs:
         model = models.DdeModel("failing", 2, ndde.params, rhs,
                                 ndde.equilibrium_hint, ndde.hopf_hint)
         with pytest.raises(RuntimeError):
-            xp.assemble_rhs(model, hp, [TWO_PI * bases.v2],
-                            [hp.lambda_hat0], [TWO_PI])
+            xp.expand(model, 2, z0_scale="msq")
         memo, size = seen[0]
         assert size > 0 and not memo and es._memo.get() is None
 
     def test_memo_spans_the_orders_and_keeps_two(self, ndde, monkeypatch):
-        # expand keeps one memo across its orders; while order j runs, every
-        # entry in it was formed or reused at order j-1 or j, a coefficient
-        # reused at every order is kept however long ago it was formed, and
-        # the memo is emptied when expand returns and when the rhs raises
-        # part-way
-        memos, order, last_used, formed, old_hits = [], [0], {}, {}, [0]
-        probe, lookup, store = (xp.order_coefficient, es._Chain.lookup,
-                                es._Chain.store)
+        # expand keeps one memo across its orders and starts a generation
+        # for each: while order j runs, the memo holds what order j-1 left
+        # in its generation and what order j formed or reused, nothing
+        # older; an entry formed at order j-2 or before is still carried
+        # along when it is reused; and the memo is emptied when expand
+        # returns and when the rhs raises part-way.  Entries are dated by
+        # their running numbers
+        memos, first, left = [], [], []
+        assemble = xp.assemble_rhs
 
-        def checked_probe(model, hp, Z_list, *rest):
-            j = order[0] = len(Z_list)
+        def checked(*probe_args):
             memo = es._memo.get()
             memos.append(memo)
-            assert all(last_used[key] >= j - 1
-                       for key in (*memo.current, *memo.previous))
-            return probe(model, hp, Z_list, *rest)
+            first.append(memo.numbered)
+            assert not memo.current
+            assert memo.previous.keys() == (left[-1].keys() if left else set())
+            H0_R_S = assemble(*probe_args)
+            left.append({key: n for key, (n, _) in memo.current.items()})
+            return H0_R_S
 
-        def dated_lookup(self, x, y):
-            value = lookup(self, x, y)
-            if value is not None:
-                last_used[self.key] = order[0]
-                old_hits[0] += formed[self.key] <= order[0] - 2
-            return value
-
-        def dated_store(self, value):
-            store(self, value)
-            last_used[self.key] = formed[self.key] = order[0]
-            return value
-
-        monkeypatch.setattr(xp, "order_coefficient", checked_probe)
-        monkeypatch.setattr(es._Chain, "lookup", dated_lookup)
-        monkeypatch.setattr(es._Chain, "store", dated_store)
+        monkeypatch.setattr(xp, "assemble_rhs", checked)
         xp.expand(ndde, 8, z0_scale="msq")
         memo = memos[0]
-        assert len(memos) == 3 * 8 and all(m is memo for m in memos)
-        assert min(last_used.values()) == 1  # some entries were dropped
-        assert old_hits[0] > 0
+        assert len(memos) == 8 and all(m is memo for m in memos)
+        assert any(min(left[i].values()) < first[i - 1]
+                   for i in range(1, len(left)))
         assert not memo and es._memo.get() is None
 
         monkeypatch.undo()
