@@ -1,20 +1,33 @@
 """Reference DDE integrator (method of steps) and orbit cross-validation.
 
 The integrator advances a single-delay system from a history on [-lam, 0]
-(a constant state or a function of t) with the embedded Dormand-Prince 5(4)
-pair, with the step capped at a quarter of the delay so every delayed lookup
-lands in already-completed territory (or in the history).  Dense output is
-the C1 cubic Hermite interpolant through the step endpoints, which keeps the
-delayed-argument accuracy commensurate with the local step error.
+(a constant state or a function of t) with DOP853, the explicit Runge-Kutta
+method of order 8 by Dormand and Prince with its 5th- and 3rd-order error
+estimators and its 7th-order continuous extension (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed., sections II.5-II.6).  The
+step is capped at a quarter of the delay, so every delayed lookup lands in
+already-completed territory (or in the history).
 
-The knots (t, y, y') are kept in preallocated arrays whose capacity doubles
-when they fill up; ``Trajectory.ts``, ``ys`` and ``fs`` are views of the
-filled rows.  Thanks to the step cap, the six delayed stage times of a step
-all lie behind its start, so one ``searchsorted`` finds their segments and
-one vectorised Hermite evaluation gives their states; lookups that reach the
-history take it point by point.  The model rhs is called on Python floats.
-The returned trajectory carries the last proposed step size, so ``extend``
-continues it in place instead of restarting.
+Each segment between two knots keeps the seven extension vectors F0..F6 of
+its step, and one nested evaluator
+
+    y(t0 + x h) = y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))),
+
+serves the delayed lookups, ``Trajectory.value``, ``Trajectory.derivative``
+and the crossing bisection.  With F3..F6 = 0 it is the cubic Hermite
+interpolant through (t, y, y') at the two knots, so a trajectory built from
+knots alone means that interpolant.  The extension costs three rhs calls
+per accepted step, on top of the twelve per attempted step.
+
+The knots (t, y, y') and the extension vectors are kept in preallocated
+arrays whose capacity doubles when they fill up; ``Trajectory.ts``, ``ys``,
+``fs`` and ``coeffs`` are views of the filled rows.  Thanks to the step cap,
+the fifteen delayed stage times of a step all lie behind its start, so one
+``searchsorted`` finds their segments and one vectorised evaluation gives
+their states; lookups that reach the history take it point by point.  The
+model rhs is called on Python floats.  The returned trajectory carries the
+last proposed step size, so ``extend`` continues it in place instead of
+restarting.
 
 On top of it sit steady-state detection (upward equilibrium crossings of
 the first component, bisected on the dense output, with period and peak-
@@ -24,10 +37,12 @@ the numerical steady state and a reconstructed orbit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ComparisonError, IntegrationError, SteadyStateError
-from .orbit import _bisect, _golden_max, _hermite
+from .orbit import _bisect, _golden_max
 
 # Default tolerances of detect_steady_state, which cross_validate uses.
 STEADY_TOL_AMP = 1e-6
@@ -37,25 +52,93 @@ MAX_DOUBLINGS = 2
 # Points per period at which relative_error compares trajectory and orbit.
 ERROR_SAMPLES = 1024
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
 
+def _table(text):
+    """Rows of a coefficient table written as text, rows separated by ';'
+    and entries by blanks.  As text, the coefficients do not each become a
+    syntax-tree node when the module is compiled (about 0.2 MB at the peak)."""
+    return [[float(v) for v in row.split()] for row in text.split(";")]
+
+
+# DOP853 tableau: the coefficients of Hairer's dop853.f (Hairer, Norsett &
+# Wanner, section II.6), each as the shortest decimal that rounds to the same
+# double.  Stages 1-11 are the method's; row 12 of A is the 8th-order weights
+# B, so stage 12 is f at the new state (first same as last); stages 13-15 are
+# the continuous extension's.
+(_C,) = np.array(_table("""
+    0.0 0.05260015195876773 0.0789002279381516 0.1183503419072274
+    0.2816496580927726 0.3333333333333333 0.25 0.3076923076923077
+    0.6512820512820513 0.6 0.8571428571428571 1.0 1.0 0.1 0.2
+    0.7777777777777778"""))
+_A = np.array([row + [0.0] * (16 - len(row)) for row in _table("""
+    ;
+    0.05260015195876773;
+    0.0197250569845379 0.0591751709536137;
+    0.02958758547680685 0.0 0.08876275643042054;
+    0.2413651341592667 0.0 -0.8845494793282861 0.924834003261792;
+    0.037037037037037035 0.0 0.0 0.17082860872947386 0.12546768756682242;
+    0.037109375 0.0 0.0 0.17025221101954405 0.06021653898045596 -0.017578125;
+    0.03709200011850479 0.0 0.0 0.17038392571223998 0.10726203044637328
+    -0.015319437748624402 0.008273789163814023;
+    0.6241109587160757 0.0 0.0 -3.3608926294469414 -0.868219346841726
+    27.59209969944671 20.154067550477894 -43.48988418106996;
+    0.47766253643826434 0.0 0.0 -2.4881146199716677 -0.590290826836843
+    21.230051448181193 15.279233632882423 -33.28821096898486
+    -0.020331201708508627;
+    -0.9371424300859873 0.0 0.0 5.186372428844064 1.0914373489967295
+    -8.149787010746927 -18.52006565999696 22.739487099350505 2.4936055526796523
+    -3.0467644718982196;
+    2.273310147516538 0.0 0.0 -10.53449546673725 -2.0008720582248625
+    -17.9589318631188 27.94888452941996 -2.8589982771350235 -8.87285693353063
+    12.360567175794303 0.6433927460157636;
+    0.054293734116568765 0.0 0.0 0.0 0.0 4.450312892752409 1.8915178993145003
+    -5.801203960010585 0.3111643669578199 -0.1521609496625161
+    0.20136540080403034 0.04471061572777259;
+    0.056167502283047954 0.0 0.0 0.0 0.0 0.0 0.25350021021662483
+    -0.2462390374708025 -0.12419142326381637 0.15329179827876568
+    0.00820105229563469 0.007567897660545699 -0.008298;
+    0.03183464816350214 0.0 0.0 0.0 0.0 0.028300909672366776
+    0.053541988307438566 -0.05492374857139099 0.0 0.0 -0.00010834732869724932
+    0.0003825710908356584 -0.00034046500868740456 0.1413124436746325;
+    -0.42889630158379194 0.0 0.0 0.0 0.0 -4.697621415361164 7.683421196062599
+    4.06898981839711 0.3567271874552811 0.0 0.0 0.0 -0.0013990241651590145
+    2.9475147891527724 -9.15095847217987""")])
+_B = _A[12, :12]
+# The error estimators' weights over stages 0-11: the 5th-order one, and the
+# 3rd-order one as B minus the 3rd-order weights (these are nonzero at stages
+# 0, 8 and 11).
+_E5, _B3 = np.array(_table("""
+    0.01312004499419488 0.0 0.0 0.0 0.0 -1.2251564463762044 -0.4957589496572502
+    1.6643771824549864 -0.35032884874997366 0.3341791187130175
+    0.08192320648511571 -0.022355307863886294;
+    0.2440944881889764 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.7338466882816118 0.0 0.0
+    0.022058823529411766"""))
+_E3 = _B - _B3
+# Extension vectors F3..F6 = h * (_D @ k) over all sixteen stages.
+_D = np.array(_table("""
+    -8.428938276109013 0.0 0.0 0.0 0.0 0.5667149535193777 -3.0689499459498917
+    2.38466765651207 2.117034582445028 -0.871391583777973 2.2404374302607883
+    0.6315787787694688 -0.08899033645133331 18.148505520854727
+    -9.194632392478356 -4.436036387594894;
+    10.427508642579134 0.0 0.0 0.0 0.0 242.28349177525817 165.20045171727028
+    -374.5467547226902 -22.113666853125306 7.733432668472264
+    -30.674084731089398 -9.332130526430229 15.697238121770845
+    -31.139403219565178 -9.35292435884448 35.81684148639408;
+    19.985053242002433 0.0 0.0 0.0 0.0 -387.0373087493518 -189.17813819516758
+    527.8081592054236 -11.57390253995963 6.8812326946963 -1.0006050966910838
+    0.7777137798053443 -2.778205752353508 -60.19669523126412 84.32040550667716
+    11.99229113618279;
+    -25.69393346270375 0.0 0.0 0.0 0.0 -154.18974869023643 -231.5293791760455
+    357.6391179106141 93.40532418362432 -37.45832313645163 104.0996495089623
+    29.8402934266605 -43.53345659001114 96.32455395918828 -39.17726167561544
+    -149.72683625798564"""))
 
 class Trajectory:
-    """Dense numerical solution: cubic Hermite segments between the knots
-    (t, y, y'), and the history at or before the first knot.
+    """Dense numerical solution: on each segment between the knots
+    (t, y, y'), the continuous extension with its vectors F0..F6 (``coeffs``,
+    shape (len(ts) - 1, 7, dim)), and the history at or before the first
+    knot.  Built from knots alone, the segments hold the cubic Hermite
+    interpolant (F3..F6 = 0).
 
     A trajectory made by ``integrate`` keeps the step size its controller
     proposed last, so ``extend`` can continue it instead of restarting.
@@ -65,8 +148,13 @@ class Trajectory:
     """
 
     def __init__(self, ts, ys, fs, lam, history):
-        self._knots = tuple(np.array(a, dtype=float) for a in (ts, ys, fs))
-        self._set_count(len(self._knots[0]))
+        ts, ys, fs = (np.array(a, dtype=float) for a in (ts, ys, fs))
+        coeffs = np.zeros((len(ts), 7, ys.shape[1]))
+        h = np.diff(ts)[:, None]
+        coeffs[:-1, :3] = np.stack(
+            _hermite_part(h, np.diff(ys, axis=0), fs[:-1], fs[1:]), axis=1)
+        self._knots = (ts, ys, fs, coeffs)
+        self._set_count(len(ts))
         self.lam = float(lam)
         self.history = _history_function(history)
         self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
@@ -74,9 +162,11 @@ class Trajectory:
         self._resume = None  # (model, rtol, atol, next step) from integrate
 
     def _set_count(self, n):
-        """Publish the first n rows of the knot storage as ts, ys and fs."""
-        ts, ys, fs = self._knots
+        """Publish the first n knots as ts, ys and fs, and the n - 1
+        segments between them as coeffs."""
+        ts, ys, fs, coeffs = self._knots
         self.ts, self.ys, self.fs = ts[:n], ys[:n], fs[:n]
+        self.coeffs = coeffs[:n - 1]
         self.t_start = float(ts[0])
         self.t_end = float(ts[n - 1])
 
@@ -98,14 +188,15 @@ class Trajectory:
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.reshape(-1)
         self._check_end(flat)
-        out = _dense(np.minimum(flat, self.t_end), self.ts, self.ys, self.fs,
-                     self.lam, self.history)
+        out = _dense(np.minimum(flat, self.t_end), self.ts, self.ys,
+                     self.coeffs, self.lam, self.history)
         return out.reshape(t_arr.shape + (self.dim,))
 
     def derivative(self, t):
-        """Slope of the dense output; at or before the first knot, a central
-        difference of the history over 1e-5 * max(1, lam) each side.  Like
-        ``value``, it refuses t past the end or before the history."""
+        """Slope of the dense output, at a knot the stored rhs value; at or
+        before the first knot, a central difference of the history over
+        1e-5 * max(1, lam) each side.  Like ``value``, it refuses t past the
+        end or before the history."""
         tv = float(t)
         self._check_end(tv)
         if tv <= self.t_start:
@@ -116,14 +207,11 @@ class Trajectory:
         tv = min(tv, self.t_end)
         ts = self.ts
         i = min(int(np.searchsorted(ts, tv, side="right")) - 1, len(ts) - 2)
-        dt = ts[i + 1] - ts[i]
-        s = (tv - ts[i]) / dt
-        d00 = 6 * s * (s - 1) / dt
-        d10 = (1 - 4 * s + 3 * s * s)
-        d01 = -d00
-        d11 = (3 * s * s - 2 * s)
-        return (d00 * self.ys[i] + d10 * self.fs[i] + d01 * self.ys[i + 1]
-                + d11 * self.fs[i + 1])
+        h = ts[i + 1] - ts[i]
+        x = (tv - ts[i]) / h
+        if x == 0.0 or x == 1.0:  # the extension matches f there, but rounds
+            return self.fs[i + int(x)].copy()
+        return _extension(x, self.ys[i], self.coeffs[i], slope=True) / h
 
     def extend(self, t_end):
         """Continue the integration to t_end from the last knot and the step
@@ -140,61 +228,70 @@ class Trajectory:
         self.stats["extensions"] += 1
 
     def _advance(self, t_end):
-        """Dormand-Prince steps from the last knot up to t_end.  Accepted
-        knots are written past the published ones, into storage that doubles
-        when full, and published when the last step is done."""
+        """DOP853 steps from the last knot up to t_end.  Accepted knots and
+        their segments are written past the published ones, into storage
+        that doubles when full, and published when the last step is done."""
         model, rtol, atol, h = self._resume
-        lam, history, rhs = self.lam, self.history, model.rhs
-        ts, ys, fs = self._knots
+        lam, history, rhs, dim = self.lam, self.history, model.rhs, model.dim
+        ts, ys, fs, coeffs = self._knots
         n = len(self.ts)
         t_first = self.t_start
         t, y, f = self.t_end, self.ys[-1], self.fs[-1]
         h_max = lam / 4.0
         stats = self.stats
-        n_stages = 7
-        k = np.zeros((n_stages, model.dim))
+        k = np.zeros((16, dim))
         min_h_floor = 1e-14
+
+        def stages(first, last):
+            """Stages first..last-1 into k; returns the last stage's state."""
+            try:
+                for s in range(first, last):
+                    yi = y + h * (_A[s, :s] @ k[:s])
+                    k[s] = rhs(lam, yi.tolist(), ydel[s - 1])
+            except ArithmeticError as exc:  # Python floats: 1/0, overflow
+                raise IntegrationError(
+                    f"model rhs failed near t={t}: {exc}") from exc
+            stats["rhs_evals"] += last - first
+            return yi
+
         while t < t_end:
             h = min(h, h_max, t_end - t)
             if h < min_h_floor * max(1.0, abs(t)):
                 raise IntegrationError(f"step size underflow at t={t}")
             k[0] = f
-            # stage i looks up t + c_i * h - lam, behind t as h <= lam / 4
+            # stage s looks up t + c_s * h - lam, behind t as h <= lam / 4;
+            # c_1 is the smallest node
             delayed = t + _C[1:] * h - lam
             if delayed[0] > t_first:
-                ydel = _hermite_knots(delayed, ts[:n], ys[:n], fs[:n])
+                ydel = _segments(delayed, ts[:n], ys, coeffs)
             else:
-                ydel = _dense(delayed, ts[:n], ys[:n], fs[:n], lam, history)
+                ydel = _dense(delayed, ts[:n], ys, coeffs, lam, history)
             ydel = ydel.tolist()
-            try:
-                for i in range(1, n_stages):
-                    yi = y + h * (_A[i] @ k[:i])
-                    k[i] = rhs(lam, yi.tolist(), ydel[i - 1])
-            except ArithmeticError as exc:  # Python floats: 1/0, overflow
-                raise IntegrationError(
-                    f"model rhs failed near t={t}: {exc}") from exc
-            stats["rhs_evals"] += n_stages - 1
-            y5 = y + h * (_B5 @ k)
-            y4 = y + h * (_B4 @ k)
-            if not np.isfinite(y5).all():
+            y_new = stages(1, 13)  # stage 12 is f(t + h, y_new)
+            if not np.isfinite(y_new).all():
                 raise IntegrationError(f"non-finite state at t={t + h}")
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float((np.abs(y5 - y4) / scale).max())
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            e5, e3 = ((_E5 @ k[:12]) / scale, (_E3 @ k[:12]) / scale)
+            n5, n3 = float(e5 @ e5), float(e3 @ e3)
+            den = n5 + 0.01 * n3
+            err = h * n5 / math.sqrt(dim * den) if den > 0.0 else 0.0
             if err <= 1.0:
-                t += h
-                y = y5
-                f = k[6].copy()  # FSAL: last stage is f(t+h, y5)
+                stages(13, 16)
                 if n == len(ts):
-                    ts, ys, fs = (np.concatenate((a, np.empty_like(a)))
-                                  for a in (ts, ys, fs))
+                    ts, ys, fs, coeffs = (np.concatenate((a, np.empty_like(a)))
+                                          for a in (ts, ys, fs, coeffs))
+                coeffs[n - 1, :3] = _hermite_part(h, y_new - y, f, k[12])
+                coeffs[n - 1, 3:] = h * (_D @ k)
+                t += h
+                y, f = y_new, k[12].copy()
                 ts[n], ys[n], fs[n] = t, y, f
                 n += 1
                 stats["accepted"] += 1
             else:
                 stats["rejected"] += 1
-            factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
-            h *= min(5.0, max(0.2, factor))
-        self._knots = (ts, ys, fs)
+            factor = 0.9 * max(err, 1e-16) ** -0.125
+            h *= min(6.0, max(1.0 / 3.0, factor))
+        self._knots = (ts, ys, fs, coeffs)
         self._set_count(n)
         self._resume = (model, rtol, atol, h)
         steps = np.diff(self.ts)
@@ -221,23 +318,45 @@ def _check_history(t, t_first, lam):
             f"delayed lookup at t={t} precedes the history interval")
 
 
-def _hermite_knots(t, ts, ys, fs):
-    """Hermite dense output of the knots at the times t (1-D, after ts[0],
-    none past ts[-1]): one searchsorted finds every segment, as bisect_right
+def _hermite_part(h, dy, f0, f1):
+    """F0, F1, F2 of a segment of length h with increment dy and end slopes
+    f0, f1: alone (F3..F6 = 0) they make the cubic Hermite interpolant."""
+    return dy, h * f0 - dy, 2 * dy - h * (f1 + f0)
+
+
+def _extension(x, y0, F, slope=False):
+    """The dense output y0 + x (F0 + (1-x) (F1 + x (F2 + ...))) of a segment
+    at x = (t - t0) / h in [0, 1], with F[0..6] its extension vectors; with
+    ``slope``, its derivative in x instead.
+
+    The arguments may be numbers or broadcasting arrays.  Only +, - and *
+    are used, which round the same on numbers and arrays."""
+    u = 1 - x
+    q, dq = F[6], 0.0
+    for j in range(5, -1, -1):
+        w = x if j % 2 else u
+        if slope:
+            dq = (q if j % 2 else -q) + w * dq
+        q = F[j] + w * q
+    return q + x * dq if slope else y0 + x * q
+
+
+def _segments(t, ts, ys, coeffs):
+    """Dense output of the knots ts at the times t (1-D, after ts[0], none
+    past ts[-1]): one searchsorted finds every segment, as bisect_right
     would, and one vectorised evaluation gives shape (len(t), dim)."""
     i = np.minimum(ts.searchsorted(t, side="right") - 1, len(ts) - 2)
-    j = i + 1
-    return _hermite(t[:, None], ts[i][:, None], ts[j][:, None], ys[i], ys[j],
-                    fs[i], fs[j])
+    x = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return _extension(x[:, None], ys[i], coeffs[i].transpose(1, 0, 2))
 
 
-def _dense(t, ts, ys, fs, lam, history):
-    """Dense output of the knots at the times t (1-D, none past ts[-1]): the
-    Hermite segments after the first knot, and, point by point, the history
-    at or before it, no further back than lam."""
+def _dense(t, ts, ys, coeffs, lam, history):
+    """Dense output of the knots ts at the times t (1-D, none past ts[-1]):
+    the segments after the first knot, and, point by point, the history at
+    or before it, no further back than lam."""
     inner = t > ts[0]
     out = np.empty((len(t), ys.shape[1]))
-    out[inner] = _hermite_knots(t[inner], ts, ys, fs)
+    out[inner] = _segments(t[inner], ts, ys, coeffs)
     for j in np.flatnonzero(~inner):
         tj = float(t[j])
         _check_history(tj, ts[0], lam)
@@ -328,13 +447,14 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
             f"only {len(up)} upward crossings found; trajectory too short "
             "or not oscillating")
 
-    ts, x, dx = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+    ts, x, F = traj.ts, traj.ys[:, 0], traj.coeffs[:, :, 0]
 
     def crossing(i):
-        # bisect the crossing on the one Hermite segment that holds it
-        seg = (ts[i], ts[i + 1], x[i], x[i + 1], dx[i], dx[i + 1])
-        return _bisect(lambda t: _hermite(t, *seg) - level, ts[i], ts[i + 1],
-                       d[i])
+        # bisect the crossing on the one segment that holds it, in floats
+        t0, h = float(ts[i]), float(ts[i + 1] - ts[i])
+        x0, Fi = float(x[i]), F[i].tolist()
+        return _bisect(lambda t: _extension((t - t0) / h, x0, Fi) - level,
+                       ts[i], ts[i + 1], d[i])
 
     # only the last four crossings (three periods) are read
     crossings = [crossing(i) for i in up[-4:]]

@@ -66,22 +66,6 @@ def _golden_max(f, a, b, seed, iterations):
     return float(best)
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite interpolant at t through values y and slopes f at t0, t1.
-
-    The arguments may be numbers or broadcasting arrays.  (1 - s) is squared
-    by multiplication, which rounds the same on numbers and arrays; a numpy
-    scalar ``** 2`` goes through C ``pow`` and can differ from it by 1 ulp."""
-    dt = t1 - t0
-    s = (t - t0) / dt
-    u = 1 - s
-    h00 = (1 + 2 * s) * (u * u)
-    h10 = s * (u * u)
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
-
-
 def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
     """Smallest nonnegative amplitude parameter for a prescribed delay.
 

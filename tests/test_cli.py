@@ -170,6 +170,8 @@ def test_runtime_is_numpy_only():
     code = ("import sys\n"
             "from ddehopf import cli\n"
             "assert cli.main(['expand', '--model', 'ndde', '--order', '2']) == 0\n"
+            "assert cli.main(['validate', '--model', 'ndde', '--order', '4',\n"
+            "                 '--lambda', '1.4']) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -26,12 +26,84 @@ def sir120(sir_2pi8):
     return (orbit, *di.cross_validate(orbit))
 
 
-def _segment(knots, ys, fs, t):
-    """Hermite dense output at one time t after the first knot, the segment
-    found by bisecting the knot times ``knots`` (a list)."""
+def _segment(knots, ys, coeffs, t):
+    """Dense output at one time t after the first knot, the segment found by
+    bisecting the knot times ``knots`` (a list)."""
     i = min(bisect_right(knots, t) - 1, len(knots) - 2)
-    return ob._hermite(t, knots[i], knots[i + 1], ys[i], ys[i + 1], fs[i],
-                       fs[i + 1])
+    return di._extension((t - knots[i]) / (knots[i + 1] - knots[i]), ys[i],
+                         coeffs[i])
+
+
+# Order of each rooted tree up to order 5 and its density gamma: a
+# Runge-Kutta method has order 5 when its weights b give b . Phi(t) =
+# 1 / gamma(t) on each of them (Hairer, Norsett & Wanner, section II.2).
+TREE_ORDER = np.array([1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5])
+TREE_GAMMA = np.array([1, 2, 3, 6, 4, 8, 12, 24, 5, 10, 15, 30, 20, 20, 40,
+                       60, 120])
+
+
+def _elementary_weights(A, c):
+    """Phi(t) of each tree in TREE_ORDER's order, one row per stage."""
+    Ac, Ac2 = A @ c, A @ c ** 2
+    AAc = A @ Ac
+    return np.array([
+        np.ones_like(c), c,
+        c ** 2, Ac,
+        c ** 3, c * Ac, Ac2, AAc,
+        c ** 4, c ** 2 * Ac, c * Ac2, c * AAc, Ac ** 2, A @ c ** 3,
+        A @ (c * Ac), A @ Ac2, A @ AAc])
+
+
+class TestTableau:
+    """The transcribed DOP853 coefficients, checked in numpy alone."""
+
+    def test_row_sums_and_order_conditions(self):
+        assert np.abs(di._A.sum(axis=1) - di._C).max() < 1e-14
+        assert abs(di._B.sum() - 1.0) < 1e-15
+        phi = _elementary_weights(di._A[:12, :12], di._C[:12])
+        # the method itself and its 5th-order embedded weights hold through
+        # order 5; the 3rd-order weights through order 3
+        assert np.abs(phi @ di._B - 1.0 / TREE_GAMMA).max() < 1e-14
+        assert np.abs(phi @ (di._B - di._E5) - 1.0 / TREE_GAMMA).max() < 1e-14
+        third = TREE_ORDER <= 3
+        assert np.abs((phi @ (di._B - di._E3) - 1.0 / TREE_GAMMA)[third]
+                      ).max() < 1e-14
+
+    def test_extension_order_conditions(self):
+        # the weights of the dense output at x, over all sixteen stages, hold
+        # through order 5 with x^order / gamma on the right
+        b = np.zeros(16)
+        b[:12] = di._B
+        e0, e12 = np.eye(16)[0], np.eye(16)[12]
+        F = [*di._hermite_part(1.0, b, e0, e12), *di._D]
+        phi = _elementary_weights(di._A, di._C)
+        for x in (0.1, 0.37, 0.5, 0.9):
+            weights = di._extension(x, 0.0, F)
+            assert np.abs(phi @ weights - x ** TREE_ORDER / TREE_GAMMA
+                          ).max() < 1e-14
+
+    def test_sine_history_stays_on_the_sine(self, linear_model):
+        # sin t solves x'(t) = -x(t - pi/2) exactly; ten periods at the
+        # default tolerances
+        lam = np.pi / 2
+        traj = di.integrate(linear_model, lam,
+                            lambda t: np.array([np.sin(t)]), 40 * lam)
+        t = np.linspace(0.0, 40 * lam, 5001)
+        assert np.max(np.abs(traj.value(t)[:, 0] - np.sin(t))) < 1e-8
+
+
+class TestExtension:
+    def test_rounds_the_same_on_numbers_and_arrays(self):
+        # the integrator evaluates the extension on arrays, ``derivative`` on
+        # numpy scalars and the crossing bisection on Python floats
+        rng = np.random.default_rng(7)
+        x = rng.random(10_000)
+        y0, F = 0.8, rng.normal(size=7)
+        for slope in (False, True):
+            whole = di._extension(x, y0, F, slope)
+            for xs, Fs in ((x, F), (x.tolist(), F.tolist())):
+                one_by_one = [di._extension(xv, y0, Fs, slope) for xv in xs]
+                assert np.array_equal(whole, one_by_one)
 
 
 def test_linear_characteristic_root():
@@ -141,6 +213,15 @@ class TestIntegrate:
             di.integrate(model, 1.0, gap, 5.0)
         assert isinstance(failed.value.__cause__, ZeroDivisionError)
 
+        # the first step (lam / 100, accepted: x' = 1 exactly) looks up
+        # t = -0.999 only for its extension stage at c = 0.1
+        def notch(t):
+            return np.array([0.0 if -0.9991 < t < -0.9989 else 1.0])
+
+        with pytest.raises(IntegrationError) as failed:
+            di.integrate(model, 1.0, notch, 5.0)
+        assert isinstance(failed.value.__cause__, ZeroDivisionError)
+
 
 class TestHistoryAndExtension:
     def test_callable_constant_history_is_bitwise(self, ndde):
@@ -186,7 +267,9 @@ class TestHistoryAndExtension:
         st = traj.stats
         assert st["extensions"] == 1 and short.stats["extensions"] == 0
         assert st["accepted"] == len(traj.ts) - 1
-        assert st["rhs_evals"] == 1 + 6 * (st["accepted"] + st["rejected"])
+        # twelve stages per attempted step, three more per accepted one
+        assert st["rhs_evals"] == (1 + 12 * (st["accepted"] + st["rejected"])
+                                   + 3 * st["accepted"])
         with pytest.raises(IntegrationError):
             traj.extend(40.0)
         with pytest.raises(IntegrationError):
@@ -227,8 +310,8 @@ class TestHistoryAndExtension:
 
 
 class TestBatchedLookup:
-    """The batched dense output (one searchsorted, one vectorised Hermite
-    evaluation) gives the bits of the per-point path."""
+    """The batched dense output (one searchsorted, one vectorised evaluation
+    of the extension) gives the bits of the per-point path."""
 
     @staticmethod
     def _check(traj, seed):
@@ -243,7 +326,8 @@ class TestBatchedLookup:
         rng.shuffle(times)
         expected = np.array([
             traj.history(t) if t <= knots[0]
-            else _segment(knots, traj.ys, traj.fs, t) for t in times.tolist()])
+            else _segment(knots, traj.ys, traj.coeffs, t)
+            for t in times.tolist()])
         assert np.array_equal(traj.value(times), expected)
 
     def test_ndde_seeded(self, ndde, ndde_msq8):
@@ -259,12 +343,12 @@ class TestBatchedLookup:
         orbit = ob.reconstruct(ndde_msq8, 1.4)
         batched = di.integrate(ndde, 1.4, orbit.evaluate, 10 * orbit.period)
 
-        def per_point(t, ts, ys, fs):
+        def per_point(t, ts, ys, coeffs):
             knots = ts.tolist()
-            out = [_segment(knots, ys, fs, tv) for tv in t.tolist()]
+            out = [_segment(knots, ys, coeffs, tv) for tv in t.tolist()]
             return np.array(out).reshape(len(t), ys.shape[1])
 
-        monkeypatch.setattr(di, "_hermite_knots", per_point)
+        monkeypatch.setattr(di, "_segments", per_point)
         single = di.integrate(ndde, 1.4, orbit.evaluate, 10 * orbit.period)
         for x, y in ((batched.ts, single.ts), (batched.ys, single.ys),
                      (batched.fs, single.fs)):
@@ -292,12 +376,12 @@ class TestDetectSteadyState:
         orbit, _, align, traj = sir120
         level = float(orbit.equilibrium[0])
         # every upward crossing bisected, as the alignment reads them
-        ts, x, dx = traj.ts, traj.ys[:, 0], traj.fs[:, 0]
+        ts, x, F = traj.ts, traj.ys[:, 0], traj.coeffs[:, :, 0]
         d = x - level
         up = np.nonzero((d[:-1] <= 0.0) & (d[1:] > 0.0))[0]
         crossings = np.array([ob._bisect(
-            lambda t, i=i: ob._hermite(t, ts[i], ts[i + 1], x[i], x[i + 1],
-                                       dx[i], dx[i + 1]) - level,
+            lambda t, i=i: di._extension((t - ts[i]) / (ts[i + 1] - ts[i]),
+                                         x[i], F[i]) - level,
             ts[i], ts[i + 1], d[i]) for i in up])
         periods = np.diff(crossings)
         last_a = [di._cycle_peak(traj, ts, d, level, up[i], up[i + 1])
@@ -413,3 +497,8 @@ class TestToleranceConvergence:
 
         a1, a2 = amplitude(1e-9), amplitude(5e-10)
         assert abs(a2 - a1) < 1e-6 * abs(a1)
+
+    def test_sir_error_at_the_defaults_is_converged(self, sir120):
+        orbit, e_r, _, _ = sir120
+        tight, _, _ = di.cross_validate(orbit, rtol=1e-12, atol=1e-12)
+        assert abs(e_r - tight) <= 1e-6 * tight

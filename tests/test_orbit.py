@@ -84,15 +84,6 @@ class TestKernels:
         kept = ob._golden_max(f, 0.0, 1.0, np.float64(2.0), 3)
         assert type(kept) is float and kept == 2.0
 
-    def test_hermite_rounds_the_same_on_numbers_and_arrays(self):
-        # the integrator evaluates the interpolant on arrays and on numpy
-        # scalars; (1 - s) ** 2 on a numpy scalar goes through C pow, which
-        # differs from the array square in about 1 input of 1 000
-        t = 0.3 + 1.4 * np.random.default_rng(7).random(10_000)
-        knots = (0.3, 1.7, 0.8, -1.1, 0.4, 2.3)
-        one_by_one = np.array([ob._hermite(tv, *knots) for tv in t])
-        assert np.array_equal(ob._hermite(t, *knots), one_by_one)
-
 
 class TestOrbit:
     def test_zero_amplitude_is_equilibrium(self, sir_2pi8, sir):
