@@ -143,8 +143,10 @@ class Trajectory:
     A trajectory made by ``integrate`` keeps the step size its controller
     proposed last, so ``extend`` can continue it instead of restarting.
     ``stats`` counts the accepted and rejected steps, the rhs evaluations
-    and the extensions, and holds the smallest and largest accepted step
-    (``h_min``, ``h_max``; None before the first step).
+    and the extensions, and holds the smallest accepted step the controller
+    chose (``h_min``: a last step shortened to land on the end of an
+    ``integrate`` or ``extend`` call does not count) and the largest
+    accepted step (``h_max``); each is None before such a step.
     """
 
     def __init__(self, ts, ys, fs, lam, history):
@@ -254,8 +256,12 @@ class Trajectory:
             stats["rhs_evals"] += last - first
             return yi
 
+        h_min = stats["h_min"] or math.inf  # None before the first step
         while t < t_end:
-            h = min(h, h_max, t_end - t)
+            h = min(h, h_max)
+            clipped = t_end - t < h  # shortened to land on t_end
+            if clipped:
+                h = t_end - t
             if h < min_h_floor * max(1.0, abs(t)):
                 raise IntegrationError(f"step size underflow at t={t}")
             k[0] = f
@@ -283,6 +289,8 @@ class Trajectory:
                 coeffs[n - 1, :3] = _hermite_part(h, y_new - y, f, k[12])
                 coeffs[n - 1, 3:] = h * (_D @ k)
                 t += h
+                if not clipped:
+                    h_min = min(h_min, float(t - ts[n - 1]))
                 y, f = y_new, k[12].copy()
                 ts[n], ys[n], fs[n] = t, y, f
                 n += 1
@@ -294,9 +302,8 @@ class Trajectory:
         self._knots = (ts, ys, fs, coeffs)
         self._set_count(n)
         self._resume = (model, rtol, atol, h)
-        steps = np.diff(self.ts)
-        stats["h_min"] = float(steps.min())
-        stats["h_max"] = float(steps.max())
+        stats["h_min"] = h_min if h_min < math.inf else None
+        stats["h_max"] = float(np.diff(self.ts).max())
 
     def __repr__(self):
         return (f"Trajectory(lam={self.lam}, t=[{self.t_start}, {self.t_end}], "

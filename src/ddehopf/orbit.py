@@ -13,6 +13,10 @@ The orbit is then
 with omega_eff = 2*pi*omega0/Th(eps), so the period is Th(eps)/omega0.
 This module also measures the defect of that orbit inside the model equation
 (the relative residual) and sweeps delay grids into bifurcation diagrams.
+Neighbouring orbits of a sweep share their profile degree, so their uniform
+grids are sampled from one cos/sin table per grid and degree
+(``TrigPoly.sample``) rather than from trigonometric functions evaluated
+anew for each orbit.
 """
 
 from __future__ import annotations
@@ -202,7 +206,10 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
 
     Both suprema are taken on a uniform grid (at least 256 points) and then
     sharpened by a short golden-section refinement around the grid maxima;
-    x' is the exact derivative of the trigonometric profile.
+    x' is the exact derivative of the trigonometric profile.  The grid
+    values come from ``TrigPoly.sample``, whose cos/sin table is shared by
+    the orbits of a sweep that have the same profile degree; the refinement
+    evaluates single points.
     """
     if samples < 256:
         raise ValueError("residual needs at least 256 samples")
@@ -211,21 +218,24 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     shifted = orbit.profile.shift(orbit.omega_eff * lam)
     eq = orbit.equilibrium
 
-    def speed(tau):
-        return orbit._dprofile.eval(tau) * orbit.omega_eff
-
-    def defect(tau):
-        """max_i |x_i' - g_i| and max_i |x_i'| at tau, a number or an array."""
-        x = orbit.profile.eval(tau) + eq
-        xd = shifted.eval(tau) + eq
-        dx = speed(tau)
-        g = model.rhs_vector(lam, x.T, xd.T).T
+    def defect(x, xd, dx):
+        """max_i |x_i' - g_i| and max_i |x_i'| from the profile, its
+        delayed copy and its tau-derivative, at one tau or on a grid."""
+        dx = dx * orbit.omega_eff
+        g = model.rhs_vector(lam, (x + eq).T, (xd + eq).T).T
         return np.max(np.abs(dx - g), axis=-1), np.max(np.abs(dx), axis=-1)
 
+    def defect_at(tau):
+        return defect(orbit.profile.eval(tau), shifted.eval(tau),
+                      orbit._dprofile.eval(tau))
+
     taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    num, den = defect(taus)
-    sup_num = _refined_max(lambda tau: defect(tau)[0], taus, num)
-    sup_den = _refined_max(lambda tau: np.max(np.abs(speed(tau))), taus, den)
+    num, den = defect(orbit.profile.sample(samples), shifted.sample(samples),
+                      orbit._dprofile.sample(samples))
+    sup_num = _refined_max(lambda tau: defect_at(tau)[0], taus, num)
+    sup_den = _refined_max(
+        lambda tau: np.max(np.abs(orbit._dprofile.eval(tau) * orbit.omega_eff)),
+        taus, den)
     if sup_den == 0.0:
         # zero-amplitude orbit: the defect is the equilibrium residual
         return 0.0 if sup_num < 1e-9 else float("inf")
@@ -236,9 +246,10 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
 
 
 def orbit_extrema(orbit: ReconstructedOrbit):
-    """(min, max) per component over one period, grid plus refinement."""
+    """(min, max) per component over one period, grid plus refinement; the
+    grid is sampled like ``residual``'s, from a shared table."""
     taus = np.linspace(0.0, 2.0 * np.pi, EXTREMA_SAMPLES, endpoint=False)
-    vals = orbit.profile.eval(taus) + orbit.equilibrium
+    vals = orbit.profile.sample(EXTREMA_SAMPLES) + orbit.equilibrium
     out = []
     for i in range(vals.shape[1]):
         comp = orbit.profile.component(i)

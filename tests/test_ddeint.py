@@ -244,13 +244,19 @@ class TestHistoryAndExtension:
             traj.value(-1.5)
 
     def test_step_size_stats(self, ndde):
-        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
+        """h_min is the smallest accepted step the controller chose: the
+        last step of an integrate or extend call, shortened to land on its
+        end, does not count, however short it is."""
+        full = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], float(full.ts[-2]) + 1e-4)
         steps = np.diff(traj.ts)
-        assert traj.stats["h_min"] == steps.min() > 0.0
+        assert steps[-1] < 2e-4 < steps[:-1].min()
+        assert traj.stats["h_min"] == steps[:-1].min() > 0.0
         assert traj.stats["h_max"] == steps.max() <= 1.4 / 4.0 * (1 + 1e-12)
+        first = len(steps)
         traj.extend(40.0)
         steps = np.diff(traj.ts)
-        assert traj.stats["h_min"] == steps.min()
+        assert traj.stats["h_min"] == np.delete(steps, [first - 1, -1]).min()
         assert traj.stats["h_max"] == steps.max()
         fresh = di.Trajectory([0.0], [[1.0, 0.0]], [[0.0, 0.0]], 1.4, [1.0, 0.0])
         assert fresh.stats["h_min"] is None and fresh.stats["h_max"] is None

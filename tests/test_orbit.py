@@ -1,4 +1,5 @@
 import copy
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ddehopf import models as mdl
 from ddehopf import orbit as ob
+from ddehopf import trigpoly as tp
 from ddehopf.errors import BelowBifurcationError, ModelError, NoRealRootError
 
 DIAGRAM_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -220,6 +222,28 @@ class TestDiagram:
         b = ob.bifurcation_diagram(expand(ndde, 4, "paper"), grid)
         for ra, rb in zip(a, b):
             assert np.allclose(ra["components"], rb["components"], atol=1e-9)
+
+    def test_sweep_shares_the_grid_tables(self, sir_2pi14, monkeypatch):
+        """The 200-point order-14 sir sweep builds two cos/sin tables (the
+        512-point residual grid and the 1024-point extrema grid) per profile
+        degree, not per orbit, and never holds more than two."""
+        build = tp._grid_table
+        alive = []  # weak references to the cos table of each build
+
+        def counted(n, degree):
+            assert sum(ref() is not None for ref in alive) <= 1
+            cos, sin = build(n, degree)
+            alive.append(weakref.ref(cos))
+            return cos, sin
+
+        tp._grid_tables.cache_clear()
+        monkeypatch.setattr(tp, "_grid_table", counted)
+        rows = ob.bifurcation_diagram(sir_2pi14, np.linspace(95.0, 150.0, 200))
+        degrees = {sir_2pi14.orbit_profile(r["eps"]).degree
+                   for r in rows if r["eps"] > 0}
+        orbits = sum(1 for r in rows if r["eps"] > 0)
+        assert orbits > 150
+        assert len(alive) == 2 * len(degrees) < orbits / 10
 
     def test_sir_diagram_200_points_under_30s(self, sir):
         import time

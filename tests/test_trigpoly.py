@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ddehopf import trigpoly as tp
 from ddehopf.errors import DimensionMismatchError
 from ddehopf.trigpoly import TrigPoly
+from series_oracles import eval_batch
 
 
 def random_poly(rng, dim=1, degree=3, scale=1.0):
@@ -181,6 +182,64 @@ class TestEval:
         tau = 0.83
         assert np.allclose((u + v).eval(tau), u.eval(tau) + v.eval(tau),
                            atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_scalar_path_rounds_like_the_batch_formula(self, rng, dim):
+        """A number, a numpy float and a 0-d array all give the one-point
+        batch value byte for byte, shape (dim,); so does a component, whose
+        coefficients are strided views."""
+        taus = [0.0, 2.0 * np.pi, -0.7, -13.1, 7.9, 40.2, 1e-9]
+        taus += list(rng.uniform(-20.0, 20.0, 40))
+        for degree in (0, 1, 2, 7, 15, 20):
+            u = random_poly(rng, dim=dim, degree=degree)
+            for p in (u, u.component(dim - 1)):
+                for tau in taus:
+                    want = eval_batch(p, tau)[0].tobytes()
+                    for form in (float(tau), np.float64(tau), np.array(tau)):
+                        got = p.eval(form)
+                        assert got.shape == (p.dim,)
+                        assert got.tobytes() == want
+
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_scalar_result_is_a_fresh_array(self, rng, degree):
+        u = random_poly(rng, dim=2, degree=degree)
+        before = u.eval(0.3).copy()
+        u.eval(0.3)[:] = 99.0
+        assert u.eval(0.3).tobytes() == before.tobytes()
+        assert not np.any(u.const == 99.0)
+
+    def test_array_path_is_the_batch_formula(self, rng):
+        u = random_poly(rng, dim=3, degree=9)
+        taus = rng.uniform(-10.0, 10.0, 33)
+        assert u.eval(taus).tobytes() == eval_batch(u, taus).tobytes()
+
+
+class TestSample:
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+    def test_equals_eval_on_the_grid(self, rng, n):
+        taus = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        for dim in (1, 2, 3):
+            for degree in range(21):
+                u = random_poly(rng, dim=dim, degree=degree)
+                for p in (u, u.component(dim - 1)):
+                    got = p.sample(n)
+                    assert got.shape == (n, p.dim)
+                    assert got.tobytes() == p.eval(taus).tobytes()
+
+    def test_tables_are_read_only(self, rng):
+        random_poly(rng, dim=2, degree=6).sample(512)
+        cos, sin = tp._grid_tables(6)(512)
+        assert not cos.flags.writeable and not sin.flags.writeable
+        with pytest.raises(ValueError):
+            cos[0, 0] = 2.0
+
+    @pytest.mark.parametrize("degree", [0, 6])
+    def test_writing_a_result_leaves_the_next_one(self, rng, degree):
+        u = random_poly(rng, dim=2, degree=degree)
+        first = u.sample(512)
+        want = first.tobytes()
+        first[:] = 99.0
+        assert u.sample(512).tobytes() == want
 
 
 @settings(max_examples=60, deadline=None)
