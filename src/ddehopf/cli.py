@@ -11,7 +11,13 @@ validate  expansion vs reference integration (residual + phase-aligned error)
 
 Outputs are CSV (with units in the header row), JSON, or a minimal SVG
 polyline plot; repeated runs with the same configuration produce identical
-bytes.  Model parameters can be overridden from a JSON config file
+bytes.  Each ``cmd_*`` computes its results and returns their renderings: a
+mapping from each of its formats to a function that returns the text
+(``expand``'s CSV renders a mapping of file suffixes to its two tables).
+``main`` calls the one that ``--format`` names and alone writes it, to
+``--out`` or to stdout.
+
+Model parameters can be overridden from a JSON config file
 {"model": ..., "params": {...}, "hopf_hint": {"omega": ..., "lambda": ...}};
 command-line flags take precedence over the file, the file over defaults.
 """
@@ -50,49 +56,39 @@ _EXIT_CODES = (
 )
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    return str(v)
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _emit(path, text):
-    """Write text to the file at path, or to stdout when path is empty."""
-    if path:
+def _emit(path, rendering):
+    """Write a rendering to the file at path, or to stdout when path is
+    empty.  A mapping of file suffixes to texts (``expand``'s two CSV
+    tables) gives one file per suffix, named after path with ``.csv``
+    stripped, or all its texts in turn on stdout."""
+    if isinstance(rendering, dict):
+        for suffix, text in rendering.items():
+            _emit(path and path.removesuffix(".csv") + suffix, text)
+    elif path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(rendering)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(rendering)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _emit(path, "\n".join(lines) + "\n")
+def _csv(header, rows) -> str:
+    return "".join(",".join(map(_cell, r)) + "\n" for r in [header, *rows])
 
 
-def _write_json(path, obj):
-    _emit(path, json.dumps(obj, indent=2) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_svg(path, series, title):
-    """Minimal polyline plot: series is a list of (label, xs, ys)."""
+def _svg(series, title) -> str:
+    """Minimal polyline plot: series is a list of (label, xs, ys).  A series
+    without points is left out; with none left, only the frame is drawn."""
     width, height, margin = 640, 480, 50.0
-    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    x0, x1 = float(np.min(xs_all)), float(np.max(xs_all))
-    y0, y1 = float(np.min(ys_all)), float(np.max(ys_all))
-    xspan = (x1 - x0) or 1.0
-    yspan = (y1 - y0) or 1.0
+    series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series if len(xs)]
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
                "#e377c2"]
     parts = [
@@ -104,12 +100,20 @@ def _write_svg(path, series, title):
         f'<rect x="{margin:.6g}" y="{margin:.6g}" '
         f'width="{width - 2 * margin:.6g}" height="{height - 2 * margin:.6g}" '
         'fill="none" stroke="black"/>',
-        f'<text x="{margin:.6g}" y="{height - margin / 4:.6g}" '
-        f'font-size="11">x: [{x0:.6g}, {x1:.6g}]  y: [{y0:.6g}, {y1:.6g}]</text>',
     ]
+    if series:
+        xs_all = np.concatenate([s[1] for s in series])
+        ys_all = np.concatenate([s[2] for s in series])
+        x0, x1 = float(np.min(xs_all)), float(np.max(xs_all))
+        y0, y1 = float(np.min(ys_all)), float(np.max(ys_all))
+        xspan = (x1 - x0) or 1.0
+        yspan = (y1 - y0) or 1.0
+        parts.append(f'<text x="{margin:.6g}" y="{height - margin / 4:.6g}" '
+                     f'font-size="11">x: [{x0:.6g}, {x1:.6g}]  '
+                     f'y: [{y0:.6g}, {y1:.6g}]</text>')
     for idx, (label, xs, ys) in enumerate(series):
         pts = []
-        for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
+        for x, y in zip(xs, ys):
             px = margin + (x - x0) / xspan * (width - 2 * margin)
             py = height - margin - (y - y0) / yspan * (height - 2 * margin)
             pts.append(f"{px:.2f},{py:.2f}")
@@ -120,7 +124,19 @@ def _write_svg(path, series, title):
                      f'y="{margin + 14 * (idx + 1):.6g}" font-size="11" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    _emit(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
+
+
+_TIME_KEYS = ("lambda", "period_expansion", "period_numeric")
+
+
+def _record(model, row) -> dict:
+    """Renderings of one result row: a JSON object, or a one-row CSV whose
+    time-valued columns carry the model's time unit."""
+    header = [f"{key} [{model.time_unit}]" if key in _TIME_KEYS else key
+              for key in row]
+    return {"json": lambda: _json(row),
+            "csv": lambda: _csv(header, [row.values()])}
 
 
 def build_model(args) -> mdl.DdeModel:
@@ -167,154 +183,110 @@ def _orbit_at_delay(args):
     return model, reconstruct(result, args.lam)
 
 
-def cmd_hopf(args) -> int:
+def cmd_hopf(args) -> dict:
     model = build_model(args)
     hp = find_hopf(model)
     bases = null_bases(model, hp)
-    obj = hp.to_dict()
-    obj["v_basis"] = [bases.v1.to_dict(), bases.v2.to_dict()]
-    obj["w_basis"] = [bases.w1.to_dict(), bases.w2.to_dict()]
-    _write_json(args.out, obj)
-    return 0
+    return {"json": lambda: _json({
+        **hp.to_dict(),
+        "v_basis": [bases.v1.to_dict(), bases.v2.to_dict()],
+        "w_basis": [bases.w1.to_dict(), bases.w2.to_dict()],
+    })}
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> dict:
     model = build_model(args)
     result = expand(model, args.order, z0_scale=args.z0_scale)
-    series_rows = [(j, result.lambda_hats[j], result.T_hats[j])
-                   for j in range(result.order + 1)]
-    coef_rows = result.coefficient_table()
-    if args.format == "json":
-        obj = {
+    orders = range(result.order + 1)
+    return {
+        "csv": lambda: {
+            "_series.csv": _csv(
+                ["order", "lambda_hat [dimensionless]", "T_hat [dimensionless]"],
+                [(j, result.lambda_hats[j], result.T_hats[j]) for j in orders]),
+            "_coefficients.csv": _csv(
+                ["order", "harmonic", "component", "cos", "sin"],
+                [(j, k, model.state_labels[i], c, s)
+                 for (j, k, i, c, s) in result.coefficient_table()]),
+        },
+        "json": lambda: _json({
             "model": model.name,
             "order": result.order,
             "omega0": result.omega0,
             "conventions": result.conventions,
             "lambda_hats": result.lambda_hats.tolist(),
             "T_hats": result.T_hats.tolist(),
-            "coefficients": [result.Z[j].to_dict()
-                             for j in range(result.order + 1)],
-        }
-        _write_json(args.out, obj)
-        return 0
-    series_header = ["order", "lambda_hat [dimensionless]",
-                     "T_hat [dimensionless]"]
-    coef_header = ["order", "harmonic", "component", "cos", "sin"]
-    coef_rows = [(j, k, model.state_labels[i], c, s)
-                 for (j, k, i, c, s) in coef_rows]
-    if args.out:
-        stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-        _write_csv(stem + "_series.csv", series_header, series_rows)
-        _write_csv(stem + "_coefficients.csv", coef_header, coef_rows)
-    else:
-        _write_csv(None, series_header, series_rows)
-        _write_csv(None, coef_header, coef_rows)
-    return 0
+            "coefficients": [result.Z[j].to_dict() for j in orders],
+        }),
+    }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> dict:
     model, orbit = _orbit_at_delay(args)
-    extrema = orbit_extrema(orbit)
-    unit = model.time_unit
-    if args.format == "svg":
-        ts = np.linspace(0.0, orbit.period, 512)
-        vals = orbit.evaluate(ts)
-        series = [(model.state_labels[i], ts, vals[:, i])
-                  for i in range(model.dim)]
-        _write_svg(args.out, series,
-                   f"{model.name} orbit, delay {orbit.lam:g} {unit}")
-        return 0
-    if args.format == "json":
-        obj = {
+    unit, labels = model.time_unit, model.state_labels
+    ts = np.linspace(0.0, orbit.period, 512)
+    return {
+        "csv": lambda: _csv(
+            [f"lambda [{unit}]", "eps", f"period [{unit}]", "order",
+             "component", "min", "max"],
+            [(orbit.lam, orbit.eps, orbit.period, orbit.order, label, lo, hi)
+             for label, (lo, hi) in zip(labels, orbit_extrema(orbit))]),
+        "json": lambda: _json({
             "lambda": orbit.lam,
             "eps": orbit.eps,
             "period": orbit.period,
             "order": orbit.order,
             "equilibrium": orbit.equilibrium.tolist(),
-            "extrema": {model.state_labels[i]: list(extrema[i])
-                        for i in range(model.dim)},
-        }
-        _write_json(args.out, obj)
-    else:
-        header = [f"lambda [{unit}]", "eps", f"period [{unit}]", "order",
-                  "component", "min", "max"]
-        rows = [(orbit.lam, orbit.eps, orbit.period, orbit.order,
-                 model.state_labels[i], extrema[i][0], extrema[i][1])
-                for i in range(model.dim)]
-        _write_csv(args.out, header, rows)
-    return 0
+            "extrema": {label: list(ext)
+                        for label, ext in zip(labels, orbit_extrema(orbit))},
+        }),
+        "svg": lambda: _svg(
+            list(zip(labels, [ts] * model.dim, orbit.evaluate(ts).T)),
+            f"{model.name} orbit, delay {orbit.lam:g} {unit}"),
+    }
 
 
-def cmd_residual(args) -> int:
+def cmd_residual(args) -> dict:
     model, orbit = _orbit_at_delay(args)
-    r_r = residual(orbit, args.samples)
-    unit = model.time_unit
-    if args.format == "json":
-        _write_json(args.out, {"lambda": orbit.lam, "order": args.order,
-                               "eps": orbit.eps, "r_r": r_r})
-    else:
-        _write_csv(args.out, [f"lambda [{unit}]", "order", "eps", "r_r"],
-                   [(orbit.lam, args.order, orbit.eps, r_r)])
-    return 0
+    return _record(model, {"lambda": orbit.lam, "order": args.order,
+                           "eps": orbit.eps,
+                           "r_r": residual(orbit, args.samples)})
 
 
-def cmd_diagram(args) -> int:
+def cmd_diagram(args) -> dict:
     grid = _parse_grid(args.lambda_grid)
     model = build_model(args)
     result = expand(model, args.order, z0_scale=args.z0_scale)
     rows = bifurcation_diagram(result, grid)
-    unit = model.time_unit
-    if args.format == "svg":
-        series = []
-        ok = [r for r in rows if not r["error"]]
-        for i in range(model.dim):
-            xs = [r["lambda"] for r in ok]
-            series.append((f"{model.state_labels[i]} min", xs,
-                           [r["components"][i][0] for r in ok]))
-            series.append((f"{model.state_labels[i]} max", xs,
-                           [r["components"][i][1] for r in ok]))
-        _write_svg(args.out, series, f"{model.name} oscillation extrema")
-        return 0
-    if args.format == "json":
-        _write_json(args.out, rows)
-        return 0
-    header = [f"lambda [{unit}]", "component", "min", "max", "eps",
-              "residual_flag"]
-    flat = []
-    for r in rows:
-        if r["error"]:
-            flat.append((r["lambda"], "error", "", "", "", r["error"]))
-            continue
-        for i in range(model.dim):
-            flag = "extrapolated" if r["extrapolated"] else "ok"
-            flat.append((r["lambda"], model.state_labels[i],
-                         r["components"][i][0], r["components"][i][1],
-                         r["eps"], flag))
-    _write_csv(args.out, header, flat)
-    return 0
-
-
-def cmd_validate(args) -> int:
-    model, orbit = _orbit_at_delay(args)
-    r_r = residual(orbit, args.samples)
-    e_r, align, _ = di.cross_validate(orbit, rtol=args.rtol, atol=args.atol)
-    unit = model.time_unit
-    row = {
-        "lambda": orbit.lam,
-        "order": args.order,
-        "r_r": r_r,
-        "e_r": e_r,
-        "period_expansion": orbit.period,
-        "period_numeric": align.period_est,
+    labels = model.state_labels
+    ok = [r for r in rows if not r["error"]]
+    return {
+        "csv": lambda: _csv(
+            [f"lambda [{model.time_unit}]", "component", "min", "max", "eps",
+             "residual_flag"],
+            [line for r in rows for line in (
+                [(r["lambda"], "error", "", "", "", r["error"])] if r["error"]
+                else [(r["lambda"], label, lo, hi, r["eps"],
+                       "extrapolated" if r["extrapolated"] else "ok")
+                      for label, (lo, hi) in zip(labels, r["components"])])]),
+        "json": lambda: _json(rows),
+        "svg": lambda: _svg(
+            [(f"{label} {end}", [r["lambda"] for r in ok],
+              [r["components"][i][k] for r in ok])
+             for i, label in enumerate(labels)
+             for k, end in enumerate(("min", "max"))],
+            f"{model.name} oscillation extrema"),
     }
-    if args.format == "json":
-        _write_json(args.out, row)
-    else:
-        _write_csv(args.out,
-                   [f"lambda [{unit}]", "order", "r_r", "e_r",
-                    f"period_expansion [{unit}]", f"period_numeric [{unit}]"],
-                   [tuple(row.values())])
-    return 0
+
+
+def cmd_validate(args) -> dict:
+    model, orbit = _orbit_at_delay(args)
+    # keep no reference to the trajectory: residual's sample tables are
+    # then built after it is freed, below the integration's peak memory
+    e_r, align = di.cross_validate(orbit, rtol=args.rtol, atol=args.atol)[:2]
+    return _record(model, {"lambda": orbit.lam, "order": args.order,
+                           "r_r": residual(orbit, args.samples), "e_r": e_r,
+                           "period_expansion": orbit.period,
+                           "period_numeric": align.period_est})
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -381,7 +353,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.out, args.func(args)[args.format]())
+        return 0
     except DdeHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for types, code in _EXIT_CODES:

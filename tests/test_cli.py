@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,35 @@ class TestDiagram:
         assert run(["diagram", "--model", "ndde", "--order", "4",
                     "--lambda-grid", "oops"]) == cli.EXIT_MODEL
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_all_error_sweep_renders_only_its_format(self, fmt, monkeypatch,
+                                                     capsys):
+        # every grid point failed: each format still writes its output, and
+        # only the renderer of the asked format runs
+        rows = [{"lambda": lam, "eps": 0.0, "residual": 0.0,
+                 "extrapolated": False, "components": None,
+                 "error": "NoRealRootError: no root"} for lam in (1.3, 1.4)]
+        monkeypatch.setattr(cli, "bifurcation_diagram", lambda exp, grid: rows)
+        ran = []
+        for name in ("_csv", "_json", "_svg"):
+            def spy(*a, _name=name, _real=getattr(cli, name)):
+                ran.append(_name)
+                return _real(*a)
+            monkeypatch.setattr(cli, name, spy)
+        assert run(["diagram", "--model", "ndde", "--order", "2",
+                    "--lambda-grid", "1.3:1.4:2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert ran == ["_" + fmt]
+        if fmt == "csv":
+            assert out.splitlines()[1:] == [
+                "1.3,error,,,,NoRealRootError: no root",
+                "1.4,error,,,,NoRealRootError: no root"]
+        elif fmt == "json":
+            assert json.loads(out) == rows
+        else:
+            assert out.startswith("<svg") and out.endswith("</svg>\n")
+            assert "<polyline" not in out
+
     @pytest.mark.parametrize("grid", ["nan:1.5:3", "1.4:inf:3", "-inf:1.5:3"])
     def test_non_finite_grid_exit_code(self, grid, capsys):
         assert run(["diagram", "--model", "ndde", "--order", "4",
@@ -192,6 +222,31 @@ class TestValidate:
                           "period_expansion [s]", "period_numeric [s]"]
         vals = lines[1].split(",")
         assert float(vals[2]) < 0.01 and float(vals[3]) < 0.01
+
+    def test_trajectory_is_freed_before_the_residual(self, monkeypatch):
+        # residual's sample tables must not add to the integration's peak
+        # memory, so the trajectory is gone by the time residual runs
+        trajectories = []
+        cross_validate, residual = cli.di.cross_validate, cli.residual
+
+        def keep_weakref(*a, **kw):
+            out = cross_validate(*a, **kw)
+            trajectories.append(weakref.ref(out[2]))
+            return out
+
+        def check_freed(orbit, samples):
+            assert trajectories and trajectories[0]() is None
+            return residual(orbit, samples)
+
+        monkeypatch.setattr(cli.di, "cross_validate", keep_weakref)
+        monkeypatch.setattr(cli, "residual", check_freed)
+        assert run(["validate", "--model", "ndde", "--order", "3",
+                    "--lambda", "1.4"]) == 0
+
+    def test_too_few_samples_exit_code(self, capsys):
+        assert run(["validate", "--model", "ndde", "--order", "3",
+                    "--lambda", "1.4", "--samples", "100"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestConfig:
