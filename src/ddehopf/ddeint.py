@@ -13,21 +13,19 @@ its step, and one nested evaluator
 
     y(t0 + x h) = y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))),
 
-serves the delayed lookups, ``Trajectory.value``, ``Trajectory.derivative``
-and the crossing bisection.  With F3..F6 = 0 it is the cubic Hermite
-interpolant through (t, y, y') at the two knots, so a trajectory built from
-knots alone means that interpolant.  The extension costs three rhs calls
-per accepted step, on top of the twelve per attempted step.
+serves the delayed lookups, ``Trajectory.value`` and the crossing
+bisection.  With F3..F6 = 0 it is the cubic Hermite interpolant through
+(t, y, y') at the two knots.  The extension costs three rhs calls per
+accepted step, on top of the twelve per attempted step.
 
-The knots (t, y, y') and the extension vectors are kept in preallocated
-arrays whose capacity doubles when they fill up; ``Trajectory.ts``, ``ys``,
-``fs`` and ``coeffs`` are views of the filled rows.  Thanks to the step cap,
-the fifteen delayed stage times of a step all lie behind its start, so one
-``searchsorted`` finds their segments and one vectorised evaluation gives
-their states; lookups that reach the history take it point by point.  The
-model rhs is called on Python floats.  The returned trajectory carries the
-last proposed step size, so ``extend`` continues it in place instead of
-restarting.
+``integrate`` alone builds a trajectory, in one pass: the knots
+(t, y, y') and the extension vectors go into arrays whose capacity doubles
+when they fill up, and the ``Trajectory`` returned holds read-only views of
+the filled rows.  Thanks to the step cap, the fifteen delayed stage times
+of a step all lie behind its start, so one ``searchsorted`` finds their
+segments and one vectorised evaluation gives their states; lookups that
+reach the history take it point by point.  The model rhs is called on
+Python floats.
 
 On top of it sit steady-state detection (upward equilibrium crossings of
 the first component, bisected on the dense output, with period and peak-
@@ -47,7 +45,7 @@ from .orbit import _bisect, _golden_max
 # Default tolerances of detect_steady_state, which cross_validate uses.
 STEADY_TOL_AMP = 1e-6
 STEADY_TOL_PER = 1e-6
-# Times cross_validate extends an unsettled trajectory to twice its end.
+# Times cross_validate integrates again from t = 0 over twice the span.
 MAX_DOUBLINGS = 2
 # Points per period at which relative_error compares trajectory and orbit.
 ERROR_SAMPLES = 1024
@@ -134,176 +132,45 @@ _D = np.array(_table("""
     -149.72683625798564"""))
 
 class Trajectory:
-    """Dense numerical solution: on each segment between the knots
-    (t, y, y'), the continuous extension with its vectors F0..F6 (``coeffs``,
-    shape (len(ts) - 1, 7, dim)), and the history at or before the first
-    knot.  Built from knots alone, the segments hold the cubic Hermite
-    interpolant (F3..F6 = 0).
+    """Dense numerical solution, as ``integrate`` returns it: the knots
+    (t, y, y') (``ts``, ``ys``, ``fs``), on each segment between them the
+    continuous extension with its vectors F0..F6 (``coeffs``, shape
+    (len(ts) - 1, 7, dim)), and the history at or before the first knot.
+    The arrays are read-only.
 
-    A trajectory made by ``integrate`` keeps the step size its controller
-    proposed last, so ``extend`` can continue it instead of restarting.
-    ``stats`` counts the accepted and rejected steps, the rhs evaluations
-    and the extensions, and holds the smallest accepted step the controller
-    chose (``h_min``: a last step shortened to land on the end of an
-    ``integrate`` or ``extend`` call does not count) and the largest
-    accepted step (``h_max``); each is None before such a step.
+    ``stats`` counts the accepted and rejected steps and the rhs
+    evaluations, and holds the smallest accepted step the controller chose
+    (``h_min``: a last step shortened to land on t_end does not count, and
+    the first step never is) and the largest accepted step (``h_max``).
     """
 
-    def __init__(self, ts, ys, fs, lam, history):
-        ts, ys, fs = (np.array(a, dtype=float) for a in (ts, ys, fs))
-        coeffs = np.zeros((len(ts), 7, ys.shape[1]))
-        h = np.diff(ts)[:, None]
-        coeffs[:-1, :3] = np.stack(
-            _hermite_part(h, np.diff(ys, axis=0), fs[:-1], fs[1:]), axis=1)
-        self._knots = (ts, ys, fs, coeffs)
-        self._set_count(len(ts))
-        self.lam = float(lam)
-        self.history = _history_function(history)
-        self.stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-                      "extensions": 0, "h_min": None, "h_max": None}
-        self._resume = None  # (model, rtol, atol, next step) from integrate
-
-    def _set_count(self, n):
-        """Publish the first n knots as ts, ys and fs, and the n - 1
-        segments between them as coeffs."""
-        ts, ys, fs, coeffs = self._knots
-        self.ts, self.ys, self.fs = ts[:n], ys[:n], fs[:n]
-        self.coeffs = coeffs[:n - 1]
+    def __init__(self, ts, ys, fs, coeffs, lam, history, stats):
+        for a in (ts, ys, fs, coeffs):
+            a.setflags(write=False)
+        self.ts, self.ys, self.fs, self.coeffs = ts, ys, fs, coeffs
         self.t_start = float(ts[0])
-        self.t_end = float(ts[n - 1])
+        self.t_end = float(ts[-1])
+        self.lam = lam
+        self.history = history
+        self.stats = stats
 
     @property
     def dim(self) -> int:
         return self.ys.shape[1]
 
-    def _check_end(self, t):
-        """Refuse lookups past the end (beyond a relative 1e-9) or at NaN."""
-        t = np.atleast_1d(t)
-        bad = t[~(t <= self.t_end + 1e-9 * max(1.0, abs(self.t_end)))]
+    def value(self, t):
+        """Dense-output state at t, a number or an array of any shape; the
+        result has shape t.shape + (dim,).  Refuses t past the end (beyond a
+        relative 1e-9), before the history, or NaN."""
+        t_arr = np.asarray(t, dtype=float)
+        flat = t_arr.reshape(-1)
+        bad = flat[~(flat <= self.t_end + 1e-9 * max(1.0, abs(self.t_end)))]
         if bad.size:
             raise IntegrationError(
                 f"lookup at t={bad[0]} beyond the trajectory end {self.t_end}")
-
-    def value(self, t):
-        """Dense-output state at t, a number or an array of any shape; the
-        result has shape t.shape + (dim,)."""
-        t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.reshape(-1)
-        self._check_end(flat)
         out = _dense(np.minimum(flat, self.t_end), self.ts, self.ys,
                      self.coeffs, self.lam, self.history)
         return out.reshape(t_arr.shape + (self.dim,))
-
-    def derivative(self, t):
-        """Slope of the dense output, at a knot the stored rhs value; at or
-        before the first knot, a central difference of the history over
-        1e-5 * max(1, lam) each side.  Like ``value``, it refuses t past the
-        end or before the history."""
-        tv = float(t)
-        self._check_end(tv)
-        if tv <= self.t_start:
-            _check_history(tv, self.t_start, self.lam)
-            d = 1e-5 * max(1.0, self.lam)
-            return (np.asarray(self.history(tv + d), dtype=float)
-                    - np.asarray(self.history(tv - d), dtype=float)) / (2 * d)
-        tv = min(tv, self.t_end)
-        ts = self.ts
-        i = min(int(np.searchsorted(ts, tv, side="right")) - 1, len(ts) - 2)
-        h = ts[i + 1] - ts[i]
-        x = (tv - ts[i]) / h
-        if x == 0.0 or x == 1.0:  # the extension matches f there, but rounds
-            return self.fs[i + int(x)].copy()
-        return _extension(x, self.ys[i], self.coeffs[i], slope=True) / h
-
-    def extend(self, t_end):
-        """Continue the integration to t_end from the last knot and the step
-        size proposed there; the knots up to the old end stay as they are,
-        and if a step fails no knot is added."""
-        if self._resume is None:
-            raise IntegrationError(
-                "only a trajectory made by integrate can be extended")
-        if t_end <= self.t_end:
-            raise IntegrationError(
-                f"t_end={t_end} does not lie beyond the trajectory end "
-                f"{self.t_end}")
-        self._advance(t_end)
-        self.stats["extensions"] += 1
-
-    def _advance(self, t_end):
-        """DOP853 steps from the last knot up to t_end.  Accepted knots and
-        their segments are written past the published ones, into storage
-        that doubles when full, and published when the last step is done."""
-        model, rtol, atol, h = self._resume
-        lam, history, rhs, dim = self.lam, self.history, model.rhs, model.dim
-        ts, ys, fs, coeffs = self._knots
-        n = len(self.ts)
-        t_first = self.t_start
-        t, y, f = self.t_end, self.ys[-1], self.fs[-1]
-        h_max = lam / 4.0
-        stats = self.stats
-        k = np.zeros((16, dim))
-        min_h_floor = 1e-14
-
-        def stages(first, last):
-            """Stages first..last-1 into k; returns the last stage's state."""
-            try:
-                for s in range(first, last):
-                    yi = y + h * (_A[s, :s] @ k[:s])
-                    k[s] = rhs(lam, yi.tolist(), ydel[s - 1])
-            except ArithmeticError as exc:  # Python floats: 1/0, overflow
-                raise IntegrationError(
-                    f"model rhs failed near t={t}: {exc}") from exc
-            stats["rhs_evals"] += last - first
-            return yi
-
-        h_min = stats["h_min"] or math.inf  # None before the first step
-        while t < t_end:
-            h = min(h, h_max)
-            clipped = t_end - t < h  # shortened to land on t_end
-            if clipped:
-                h = t_end - t
-            if h < min_h_floor * max(1.0, abs(t)):
-                raise IntegrationError(f"step size underflow at t={t}")
-            k[0] = f
-            # stage s looks up t + c_s * h - lam, behind t as h <= lam / 4;
-            # c_1 is the smallest node
-            delayed = t + _C[1:] * h - lam
-            if delayed[0] > t_first:
-                ydel = _segments(delayed, ts[:n], ys, coeffs)
-            else:
-                ydel = _dense(delayed, ts[:n], ys, coeffs, lam, history)
-            ydel = ydel.tolist()
-            y_new = stages(1, 13)  # stage 12 is f(t + h, y_new)
-            if not np.isfinite(y_new).all():
-                raise IntegrationError(f"non-finite state at t={t + h}")
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            e5, e3 = ((_E5 @ k[:12]) / scale, (_E3 @ k[:12]) / scale)
-            n5, n3 = float(e5 @ e5), float(e3 @ e3)
-            den = n5 + 0.01 * n3
-            err = h * n5 / math.sqrt(dim * den) if den > 0.0 else 0.0
-            if err <= 1.0:
-                stages(13, 16)
-                if n == len(ts):
-                    ts, ys, fs, coeffs = (np.concatenate((a, np.empty_like(a)))
-                                          for a in (ts, ys, fs, coeffs))
-                coeffs[n - 1, :3] = _hermite_part(h, y_new - y, f, k[12])
-                coeffs[n - 1, 3:] = h * (_D @ k)
-                t += h
-                if not clipped:
-                    h_min = min(h_min, float(t - ts[n - 1]))
-                y, f = y_new, k[12].copy()
-                ts[n], ys[n], fs[n] = t, y, f
-                n += 1
-                stats["accepted"] += 1
-            else:
-                stats["rejected"] += 1
-            factor = 0.9 * max(err, 1e-16) ** -0.125
-            h *= min(6.0, max(1.0 / 3.0, factor))
-        self._knots = (ts, ys, fs, coeffs)
-        self._set_count(n)
-        self._resume = (model, rtol, atol, h)
-        stats["h_min"] = h_min if h_min < math.inf else None
-        stats["h_max"] = float(np.diff(self.ts).max())
 
     def __repr__(self):
         return (f"Trajectory(lam={self.lam}, t=[{self.t_start}, {self.t_end}], "
@@ -318,34 +185,23 @@ def _history_function(history):
     return lambda t: value.copy()
 
 
-def _check_history(t, t_first, lam):
-    """Refuse a lookup before the history interval [t_first - lam, t_first]."""
-    if t < t_first - lam - 1e-9 * max(1.0, lam):
-        raise IntegrationError(
-            f"delayed lookup at t={t} precedes the history interval")
-
-
 def _hermite_part(h, dy, f0, f1):
     """F0, F1, F2 of a segment of length h with increment dy and end slopes
     f0, f1: alone (F3..F6 = 0) they make the cubic Hermite interpolant."""
     return dy, h * f0 - dy, 2 * dy - h * (f1 + f0)
 
 
-def _extension(x, y0, F, slope=False):
+def _extension(x, y0, F):
     """The dense output y0 + x (F0 + (1-x) (F1 + x (F2 + ...))) of a segment
-    at x = (t - t0) / h in [0, 1], with F[0..6] its extension vectors; with
-    ``slope``, its derivative in x instead.
+    at x = (t - t0) / h in [0, 1], with F[0..6] its extension vectors.
 
     The arguments may be numbers or broadcasting arrays.  Only +, - and *
     are used, which round the same on numbers and arrays."""
     u = 1 - x
-    q, dq = F[6], 0.0
+    q = F[6]
     for j in range(5, -1, -1):
-        w = x if j % 2 else u
-        if slope:
-            dq = (q if j % 2 else -q) + w * dq
-        q = F[j] + w * q
-    return q + x * dq if slope else y0 + x * q
+        q = F[j] + (x if j % 2 else u) * q
+    return y0 + x * q
 
 
 def _segments(t, ts, ys, coeffs):
@@ -366,7 +222,9 @@ def _dense(t, ts, ys, coeffs, lam, history):
     out[inner] = _segments(t[inner], ts, ys, coeffs)
     for j in np.flatnonzero(~inner):
         tj = float(t[j])
-        _check_history(tj, ts[0], lam)
+        if tj < ts[0] - lam - 1e-9 * max(1.0, lam):
+            raise IntegrationError(
+                f"delayed lookup at t={tj} precedes the history interval")
         out[j] = history(tj)
     return out
 
@@ -391,30 +249,96 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     """Integrate on [0, t_end] from a history on [-lam, 0].
 
     ``history`` is a constant state or a callable t -> state; the solution
-    starts from history(0).  The step size is error-controlled to
+    starts from history(0).  DOP853 steps are error-controlled to
     (rtol, atol) and capped at lam/4 so delayed arguments always fall behind
-    the current step.  The returned trajectory can be continued with
-    ``Trajectory.extend``.
+    the current step.  Accepted knots and their segments go into arrays
+    whose capacity doubles when full; the trajectory returned holds views
+    of the filled rows.
     """
-    if t_end <= 0:
-        raise IntegrationError("t_end must be positive")
+    lam = float(lam)
+    if not 0.0 < lam < math.inf:
+        raise IntegrationError(f"lam={lam} must be finite and positive")
+    if not 0.0 < t_end < math.inf:
+        raise IntegrationError(f"t_end={t_end} must be finite and positive")
     if not (1e-12 <= rtol <= 1e-3 and 1e-12 <= atol <= 1e-3):
         raise IntegrationError("tolerances must lie in [1e-12, 1e-3]")
-    lam = float(lam)
     history = _history_function(history)
+    rhs, dim = model.rhs, model.dim
     y = np.asarray(history(0.0), dtype=float)
-    if y.shape != (model.dim,):
-        raise IntegrationError(f"history must give states of dim {model.dim}")
-    ydel = np.asarray(history(-lam), dtype=float)
+    if y.shape != (dim,):
+        raise IntegrationError(f"history must give states of dim {dim}")
+    past = np.asarray(history(-lam), dtype=float).tolist()
     try:
-        f = np.array(model.rhs(lam, y.tolist(), ydel.tolist()), dtype=float)
+        f = np.array(rhs(lam, y.tolist(), past), dtype=float)
     except ArithmeticError as exc:
         raise IntegrationError(f"model rhs failed at t=0: {exc}") from exc
-    traj = Trajectory([0.0], [y], [f], lam, history)
-    traj.stats["rhs_evals"] = 1
-    traj._resume = (model, rtol, atol, min(lam / 4.0, t_end, 1e-2 * lam + 1e-12))
-    traj._advance(t_end)
-    return traj
+    ts, ys, fs = np.zeros(1), y[None].copy(), f[None].copy()
+    coeffs = np.zeros((1, 7, dim))
+    n, t = 1, 0.0
+    h = min(lam / 4.0, t_end, 1e-2 * lam + 1e-12)
+    h_min, h_max = math.inf, lam / 4.0
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 1}
+    k = np.zeros((16, dim))
+    min_h_floor = 1e-14
+
+    def stages(first, last):
+        """Stages first..last-1 into k; returns the last stage's state."""
+        try:
+            for s in range(first, last):
+                yi = y + h * (_A[s, :s] @ k[:s])
+                k[s] = rhs(lam, yi.tolist(), ydel[s - 1])
+        except ArithmeticError as exc:  # Python floats: 1/0, overflow
+            raise IntegrationError(
+                f"model rhs failed near t={t}: {exc}") from exc
+        stats["rhs_evals"] += last - first
+        return yi
+
+    while t < t_end:
+        h = min(h, h_max)
+        clipped = t_end - t < h  # shortened to land on t_end
+        if clipped:
+            h = t_end - t
+        if h < min_h_floor * max(1.0, abs(t)):
+            raise IntegrationError(f"step size underflow at t={t}")
+        k[0] = f
+        # stage s looks up t + c_s * h - lam, behind t as h <= lam / 4;
+        # c_1 is the smallest node
+        delayed = t + _C[1:] * h - lam
+        if delayed[0] > 0.0:
+            ydel = _segments(delayed, ts[:n], ys, coeffs)
+        else:
+            ydel = _dense(delayed, ts[:n], ys, coeffs, lam, history)
+        ydel = ydel.tolist()
+        y_new = stages(1, 13)  # stage 12 is f(t + h, y_new)
+        if not np.isfinite(y_new).all():
+            raise IntegrationError(f"non-finite state at t={t + h}")
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        e5, e3 = ((_E5 @ k[:12]) / scale, (_E3 @ k[:12]) / scale)
+        n5, n3 = float(e5 @ e5), float(e3 @ e3)
+        den = n5 + 0.01 * n3
+        err = h * n5 / math.sqrt(dim * den) if den > 0.0 else 0.0
+        if err <= 1.0:
+            stages(13, 16)
+            if n == len(ts):
+                ts, ys, fs, coeffs = (np.concatenate((a, np.empty_like(a)))
+                                      for a in (ts, ys, fs, coeffs))
+            coeffs[n - 1, :3] = _hermite_part(h, y_new - y, f, k[12])
+            coeffs[n - 1, 3:] = h * (_D @ k)
+            t += h
+            if not clipped:
+                h_min = min(h_min, float(t - ts[n - 1]))
+            y, f = y_new, k[12].copy()
+            ts[n], ys[n], fs[n] = t, y, f
+            n += 1
+            stats["accepted"] += 1
+        else:
+            stats["rejected"] += 1
+        factor = 0.9 * max(err, 1e-16) ** -0.125
+        h *= min(6.0, max(1.0 / 3.0, factor))
+    stats["h_min"] = h_min
+    stats["h_max"] = float(np.diff(ts[:n]).max())
+    return Trajectory(ts[:n], ys[:n], fs[:n], coeffs[:n - 1], lam, history,
+                      stats)
 
 
 # -- steady state ---------------------------------------------------------------
@@ -527,8 +451,8 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None):
     The default history is the reconstructed orbit itself on [-lam, 0]
     (``orbit.evaluate``), so the integration starts close to the attracting
     cycle and the transient is short.  t_end defaults to 120 periods; while
-    no steady state is detected, the same trajectory is extended to twice
-    its end, at most MAX_DOUBLINGS times.
+    no steady state is detected, the model is integrated again from t = 0
+    over twice the span, at most MAX_DOUBLINGS times.
     """
     if history is None:
         history = orbit.evaluate
@@ -536,12 +460,9 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None):
         t_end = 120.0 * orbit.period
     level = float(orbit.equilibrium[0])
     last_exc = None
-    traj = integrate(orbit.expansion.model, orbit.lam, history, t_end,
-                     rtol=rtol, atol=atol)
     for doubling in range(MAX_DOUBLINGS + 1):
-        if doubling:
-            t_end *= 2.0
-            traj.extend(t_end)
+        traj = integrate(orbit.expansion.model, orbit.lam, history,
+                         t_end * 2.0 ** doubling, rtol=rtol, atol=atol)
         try:
             align = detect_steady_state(traj, level=level)
         except SteadyStateError as exc:
@@ -549,4 +470,4 @@ def cross_validate(orbit, rtol=1e-9, atol=1e-9, history=None, t_end=None):
             continue
         return relative_error(orbit, traj, align), align, traj
     raise SteadyStateError(
-        f"no steady state reached after extending t_end: {last_exc}")
+        f"no steady state reached after doubling t_end: {last_exc}")

@@ -21,9 +21,20 @@ def linear_model():
 @pytest.fixture(scope="module")
 def sir120(sir_2pi8):
     """The seeded sir cross-validation at lambda = 120: (orbit, e_r, alignment,
-    trajectory).  Tests that use it must not extend the trajectory."""
+    trajectory)."""
     orbit = ob.reconstruct(sir_2pi8, 120.0)
     return (orbit, *di.cross_validate(orbit))
+
+
+def _hermite_trajectory(ts, ys, fs, lam, history):
+    """A trajectory through the knots (ts, ys, fs) whose segments hold the
+    cubic Hermite interpolant (F3..F6 = 0)."""
+    ts, ys, fs = (np.array(a, dtype=float) for a in (ts, ys, fs))
+    coeffs = np.zeros((len(ts) - 1, 7, ys.shape[1]))
+    coeffs[:, :3] = np.stack(di._hermite_part(
+        np.diff(ts)[:, None], np.diff(ys, axis=0), fs[:-1], fs[1:]), axis=1)
+    return di.Trajectory(ts, ys, fs, coeffs, lam, di._history_function(history),
+                         {})
 
 
 def _segment(knots, ys, coeffs, t):
@@ -94,16 +105,15 @@ class TestTableau:
 
 class TestExtension:
     def test_rounds_the_same_on_numbers_and_arrays(self):
-        # the integrator evaluates the extension on arrays, ``derivative`` on
-        # numpy scalars and the crossing bisection on Python floats
+        # the integrator evaluates the extension on arrays and the crossing
+        # bisection on Python floats
         rng = np.random.default_rng(7)
         x = rng.random(10_000)
         y0, F = 0.8, rng.normal(size=7)
-        for slope in (False, True):
-            whole = di._extension(x, y0, F, slope)
-            for xs, Fs in ((x, F), (x.tolist(), F.tolist())):
-                one_by_one = [di._extension(xv, y0, Fs, slope) for xv in xs]
-                assert np.array_equal(whole, one_by_one)
+        whole = di._extension(x, y0, F)
+        for xs, Fs in ((x, F), (x.tolist(), F.tolist())):
+            one_by_one = [di._extension(xv, y0, Fs) for xv in xs]
+            assert np.array_equal(whole, one_by_one)
 
 
 def test_linear_characteristic_root():
@@ -138,6 +148,15 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             di.integrate(ndde, 1.4, [0.0, 0.0], 10.0, rtol=1e-2)
 
+    def test_delay_and_end_must_be_finite_and_positive(self, ndde):
+        inf, nan = float("inf"), float("nan")
+        for lam in (inf, 0.0, -1.0, nan):
+            with pytest.raises(IntegrationError, match="lam="):
+                di.integrate(ndde, lam, [1.0, 0.0], 10.0)
+        for t_end in (nan, inf, -inf, 0.0, -1.0):
+            with pytest.raises(IntegrationError, match="t_end="):
+                di.integrate(ndde, 1.4, [1.0, 0.0], t_end)
+
     def test_dense_output_continuity(self, ndde):
         traj = di.integrate(ndde, 1.4, [5.0, 0.0], 40.0)
         for k in (len(traj.ts) // 3, len(traj.ts) // 2):
@@ -146,9 +165,6 @@ class TestIntegrate:
             left = traj.value(t - eps)
             right = traj.value(t + eps)
             assert np.max(np.abs(left - right)) < 1e-9
-            dl = traj.derivative(t - eps)
-            dr = traj.derivative(t + eps)
-            assert np.max(np.abs(dl - dr)) < 1e-9
 
     def test_interpolant_matches_knots(self, ndde):
         traj = di.integrate(ndde, 1.4, [5.0, 0.0], 20.0)
@@ -156,7 +172,8 @@ class TestIntegrate:
             assert np.max(np.abs(traj.value(traj.ts[k]) - traj.ys[k])) < 1e-12
 
     def test_hermite_reproduces_a_cubic(self):
-        # cubic Hermite dense output is exact on cubics, in value and slope
+        # the extension with F3..F6 = 0 is the cubic Hermite interpolant,
+        # exact on cubics
         def p(t):
             return 0.5 * t ** 3 - 2.0 * t ** 2 + t - 3.0
 
@@ -164,28 +181,24 @@ class TestIntegrate:
             return 1.5 * t ** 2 - 4.0 * t + 1.0
 
         ts = [0.0, 0.3, 1.1, 2.0]
-        traj = di.Trajectory(ts, [[p(t)] for t in ts], [[dp(t)] for t in ts],
-                             1.0, [p(ts[0])])
         for t in np.linspace(0.01, 1.99, 23):
-            assert abs(traj.value(t)[0] - p(t)) < 1e-13
-            assert abs(traj.derivative(t)[0] - dp(t)) < 1e-12
+            i = bisect_right(ts, t) - 1
+            t0, t1 = ts[i], ts[i + 1]
+            F = [*di._hermite_part(t1 - t0, p(t1) - p(t0), dp(t0), dp(t1)),
+                 0.0, 0.0, 0.0, 0.0]
+            x = (t - t0) / (t1 - t0)
+            assert abs(di._extension(x, p(t0), F) - p(t)) < 1e-13
 
     def test_history_guard(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
         with pytest.raises(IntegrationError):
             traj.value(-10.0)
 
-    def test_derivative_guard_past_the_end(self, ndde):
+    def test_value_guard_past_the_end(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
-        assert np.array_equal(traj.derivative(10.0), traj.fs[-1])
+        assert np.array_equal(traj.value(10.0), traj.ys[-1])
         with pytest.raises(IntegrationError):
-            traj.derivative(10.5)
-
-    def test_derivative_guard_before_the_history(self, ndde):
-        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
-        assert np.array_equal(traj.derivative(-1.4), np.zeros(2))
-        with pytest.raises(IntegrationError):
-            traj.derivative(-1.5)
+            traj.value(10.5)
 
     def test_value_keeps_the_shape_of_its_argument(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
@@ -224,13 +237,16 @@ class TestIntegrate:
 
 
 class TestHistoryAndExtension:
+    """Histories, step statistics, and what replaced extending a trajectory
+    in place: integrating again from t = 0 over a longer span."""
+
     def test_callable_constant_history_is_bitwise(self, ndde):
         a = di.integrate(ndde, 1.4, [1.0, 0.0], 30.0)
         b = di.integrate(ndde, 1.4, lambda t: np.array([1.0, 0.0]), 30.0)
         for x, y in ((a.ts, b.ts), (a.ys, b.ys), (a.fs, b.fs)):
             assert np.array_equal(x, y)
 
-    def test_value_and_derivative_follow_callable_history(self, ndde):
+    def test_value_follows_callable_history(self, ndde):
         def hist(t):
             return np.array([np.sin(t), 0.5 * np.cos(2 * t)])
 
@@ -238,78 +254,75 @@ class TestHistoryAndExtension:
         assert np.array_equal(traj.ys[0], hist(0.0))
         for t in (-1.4, -0.9, -0.2, 0.0):
             assert np.array_equal(traj.value(t), hist(t))
-            slope = np.array([np.cos(t), -np.sin(2 * t)])
-            assert np.max(np.abs(traj.derivative(t) - slope)) < 1e-8
         with pytest.raises(IntegrationError):
             traj.value(-1.5)
 
     def test_step_size_stats(self, ndde):
         """h_min is the smallest accepted step the controller chose: the
-        last step of an integrate or extend call, shortened to land on its
-        end, does not count, however short it is."""
+        last step, shortened to land on t_end, does not count, however short
+        it is.  The first step is never shortened (it is at most t_end), so
+        h_min is always a number."""
         full = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], float(full.ts[-2]) + 1e-4)
         steps = np.diff(traj.ts)
         assert steps[-1] < 2e-4 < steps[:-1].min()
         assert traj.stats["h_min"] == steps[:-1].min() > 0.0
         assert traj.stats["h_max"] == steps.max() <= 1.4 / 4.0 * (1 + 1e-12)
-        first = len(steps)
-        traj.extend(40.0)
-        steps = np.diff(traj.ts)
-        assert traj.stats["h_min"] == np.delete(steps, [first - 1, -1]).min()
-        assert traj.stats["h_max"] == steps.max()
-        fresh = di.Trajectory([0.0], [[1.0, 0.0]], [[0.0, 0.0]], 1.4, [1.0, 0.0])
-        assert fresh.stats["h_min"] is None and fresh.stats["h_max"] is None
+        one = di.integrate(ndde, 1.4, [1.0, 0.0], 1e-3)
+        assert one.stats["h_min"] == one.stats["h_max"] == 1e-3
+        assert one.stats["accepted"] == len(one.ts) - 1 == 1
 
     def test_extension_keeps_the_knots(self, ndde):
+        # a longer span passes through the knots of a shorter one up to its
+        # last step, the one shortened to land on its end; twelve rhs calls
+        # per attempted step, three more per accepted one
         short = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
-        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 20.0)
-        n = len(traj.ts)
-        traj.extend(40.0)
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 40.0)
         assert traj.t_start == 0.0 and traj.t_end == 40.0
+        n = len(short.ts) - 1
         for x, y in ((traj.ts, short.ts), (traj.ys, short.ys),
-                     (traj.fs, short.fs)):
-            assert np.array_equal(x[:n], y)
-        st = traj.stats
-        assert st["extensions"] == 1 and short.stats["extensions"] == 0
-        assert st["accepted"] == len(traj.ts) - 1
-        # twelve stages per attempted step, three more per accepted one
-        assert st["rhs_evals"] == (1 + 12 * (st["accepted"] + st["rejected"])
-                                   + 3 * st["accepted"])
-        with pytest.raises(IntegrationError):
-            traj.extend(40.0)
-        with pytest.raises(IntegrationError):
-            di.Trajectory(short.ts, short.ys, short.fs, 1.4, [1.0, 0.0]).extend(50.0)
+                     (traj.fs, short.fs), (traj.coeffs, short.coeffs)):
+            assert np.array_equal(x[:n - 1], y[:n - 1])
+        for st, tr in ((traj.stats, traj), (short.stats, short)):
+            assert st["accepted"] == len(tr.ts) - 1
+            assert st["rhs_evals"] == (1 + 12 * (st["accepted"] + st["rejected"])
+                                       + 3 * st["accepted"])
 
-    def test_cross_validate_extends_instead_of_restarting(self, ndde, ndde_msq8):
-        # a constant history and a short first span force one extension
+    def test_trajectory_is_read_only(self, ndde):
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
+        for a in (traj.ts, traj.ys, traj.fs, traj.coeffs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_cross_validate_doubles_its_span(self, ndde, ndde_msq8):
+        # a constant history and a short first span force one doubling, a
+        # whole integration from t = 0 over twice the span
         orbit = ob.reconstruct(ndde_msq8, 1.4)
         first = 12 * orbit.period  # settles between 15 and 20 periods
         start = orbit.evaluate(0.0)
-        short = di.integrate(ndde, 1.4, start, first)
         _, _, traj = di.cross_validate(orbit, history=start, t_end=first)
-        assert traj.stats["extensions"] == 1
         assert traj.t_start == 0.0 and traj.t_end == 2 * first
-        n = len(short.ts)
-        assert np.array_equal(traj.ts[:n], short.ts)
-        assert np.array_equal(traj.ys[:n], short.ys)
+        whole = di.integrate(ndde, 1.4, start, 2 * first)
+        for x, y in ((traj.ts, whole.ts), (traj.ys, whole.ys),
+                     (traj.coeffs, whole.coeffs)):
+            assert np.array_equal(x, y)
+        assert traj.stats == whole.stats
 
     def test_seeded_error_is_settled(self, sir_2pi8):
         # near the onset a seeded run might stop while still close to its
-        # seed; continued to 480 periods it gives the same e_r (a constant
+        # seed; integrated over 480 periods it gives the same e_r (a constant
         # history reaches it only after about 960 periods)
         orbit = ob.reconstruct(sir_2pi8, 108.0)
-        e_r, _, traj = di.cross_validate(orbit)
-        traj.extend(480 * orbit.period)
-        align = di.detect_steady_state(traj, level=float(orbit.equilibrium[0]))
-        assert abs(di.relative_error(orbit, traj, align) - e_r) <= 1e-3 * e_r
+        e_r, _, _ = di.cross_validate(orbit)
+        e_long, _, traj = di.cross_validate(orbit, t_end=480 * orbit.period)
+        assert traj.t_end == 480 * orbit.period
+        assert abs(e_long - e_r) <= 1e-3 * e_r
 
     def test_sir_settles_in_the_first_span(self, sir120):
         # seeded with the orbit, the sir integration at lambda = 120 needs no
-        # extension (a constant history needed 480 periods)
+        # second span (a constant history needed 480 periods)
         orbit, e_r, align, traj = sir120
         assert traj.t_end == 120 * orbit.period
-        assert traj.stats["extensions"] == 0
         assert e_r < 0.007
         assert 0.0 <= align.period_spread <= 1e-6 * align.period_est
         assert 0.0 <= align.amplitude_spread <= 1e-6
@@ -365,9 +378,8 @@ class TestDetectSteadyState:
     def test_pure_sinusoid(self, linear_model):
         # build a synthetic trajectory holding exactly sin(t)
         ts = np.linspace(0.0, 16 * np.pi, 4001)
-        ys = np.sin(ts)[:, None]
-        fs = np.cos(ts)[:, None]
-        traj = di.Trajectory(ts, ys, fs, 1.0, np.zeros(1))
+        traj = _hermite_trajectory(ts, np.sin(ts)[:, None], np.cos(ts)[:, None],
+                                   1.0, np.zeros(1))
         al = di.detect_steady_state(traj, level=0.0, tol_amp=1e-6,
                                     tol_per=1e-6)
         assert abs(al.period_est - 2 * np.pi) < 1e-9 * 2 * np.pi
@@ -430,8 +442,9 @@ class TestRelativeError:
                 return traj.value(align.t0 - Shim.period + np.asarray(t))
 
             @staticmethod
-            def derivative(t):
-                return traj.derivative(align.t0 - Shim.period + float(t))
+            def derivative(t):  # central difference of the dense output
+                d = 1e-6 * Shim.period
+                return (Shim.deviation(t + d) - Shim.deviation(t - d)) / (2 * d)
 
         shifted = di.Alignment(align.t0 - align.period_est, align.period_est)
         err = di.relative_error(Shim, traj, shifted)
@@ -478,6 +491,35 @@ class TestRelativeError:
             orbit = ob.reconstruct(exp, lam)
             e_r, _, _ = di.cross_validate(orbit)
             assert stated / 2 < 100.0 * e_r < stated * 2, (lam, e_r)
+
+
+class TestOrbitAnchor:
+    """The scan-and-bisect fallback of ``_orbit_anchor``, for an orbit whose
+    first component falls at t = 0."""
+
+    @staticmethod
+    def _stub(deviation, period=3.0):
+        class Stub:
+            @staticmethod
+            def derivative(t):
+                d = 1e-6 * period
+                return (deviation(t + d) - deviation(t - d)) / (2 * d)
+
+        Stub.period = period
+        Stub.deviation = staticmethod(deviation)
+        return Stub
+
+    def test_falling_orbit_is_anchored_half_a_period_on(self):
+        T = 3.0
+        stub = self._stub(lambda t: -np.sin(2 * np.pi * np.asarray(t) / T
+                                            )[..., None], T)
+        assert stub.derivative(0.0)[0] < 0.0
+        assert abs(di._orbit_anchor(stub) - T / 2) <= 4 * np.spacing(T)
+
+    def test_no_upward_crossing_is_refused(self):
+        stub = self._stub(lambda t: -np.ones(np.shape(t) + (1,)))
+        with pytest.raises(ComparisonError, match="no upward"):
+            di._orbit_anchor(stub)
 
 
 class TestToleranceConvergence:

@@ -65,6 +65,29 @@ class TestSolvedOncePerDelay:
         mdl.equilibrium(copy.copy(model), 120.0)
         assert solved.count(120.0) == 2
 
+    def test_oldest_solve_is_dropped_at_the_memo_size(self, monkeypatch):
+        model = mdl.make_sir()
+        solved = []
+        solve = mdl._solve_equilibrium
+
+        def recorded(model_, lam):
+            solved.append(lam)
+            return solve(model_, lam)
+
+        monkeypatch.setattr(mdl, "_solve_equilibrium", recorded)
+        monkeypatch.setattr(mdl, "EQ_MEMO_SIZE", 2)
+        first, _, third = (mdl.equilibrium(model, lam)
+                           for lam in (110.0, 120.0, 130.0))
+        assert solved == [110.0, 120.0, 130.0]
+        assert mdl.equilibrium(model, 130.0) is third
+        assert solved == [110.0, 120.0, 130.0]
+        again = mdl.equilibrium(model, 110.0)
+        assert solved == [110.0, 120.0, 130.0, 110.0]
+        assert again is not first and np.array_equal(again, first)
+        for x in (first, third, again):
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
     def test_results_are_read_only_and_unchanged(self, sir):
         x = mdl.equilibrium(sir, 110.0)
         assert np.array_equal(x, mdl._solve_equilibrium(sir, 110.0))
