@@ -31,39 +31,63 @@ else raises.  All operations require equal truncation orders.
 A coefficient is computed only where it reaches the result.  A series h
 with v leading exact-zero coefficients raises the order of whatever it
 multiplies by v, so in sum_m w_m h^m (the analytic functions) and in the
-delayed-state ladder the m-th term needs its factors only up to order
-N - m*v; the products and derivatives above that order are not formed.
-This is exact, not an approximation: the dropped coefficients would only
-ever meet those leading exact zeros, and every coefficient still formed is
-the same sum in the same order, so results are bit for bit those of the
-full computation.
+delayed-state sum the m-th term needs its factors only up to order N - m*v;
+the products and derivatives above that order are not formed.  This is
+exact, not an approximation: the dropped coefficients would only ever meet
+those leading exact zeros, and every coefficient still formed is the same
+sum in the same order, so results are bit for bit those of the full
+computation.
 
 Across the orders of the expansion a coefficient is also formed only once.
 The order-j rhs is probed three times, and the probes differ only in the
 series' coefficients j and j+1; and their inputs agree with those of the
-order-(j-1) probes below coefficient j-1, so most products and quotients
-repeat coefficients formed at the order before.  ``expansion.expand`` is
-the one caller that opens ``_shared_coefficients()``, around its order
-loop, and it starts a new generation of the memo at the top of each order
-(``advance``).  Inside that scope a product or quotient stores each
-coefficient it forms under the content of the input coefficients it
-depends on, and reuses it when the same content comes again; outside it
-(``assemble_rhs`` called on its own, say) nothing is shared and no key is
-formed.  Coefficient j of a*b or s/t depends on the inputs' coefficients
-0..j only (the same terms summed in the same order, the same exact-zero
-skips and the same trim), so a reused coefficient is what the same
-operations would form again, bit for bit.  The keys are exact content,
-never a digest: a float's 8 bytes (so 0.0 and -0.0 differ), a direction
-array's shape and bytes, a polynomial's dim and array bytes; and the key of
-coefficient j chains to that of j-1 by the number of its entry, so each
-entry is constant in size.  Only two generations are kept, the current
-order's and the previous one's.  One walk, ``_walk``, serves both
-operations: it looks coefficient j up in the current generation, then in
-the previous one, carries a previous hit into the current generation, and
-forms, numbers and stores only a miss.  Entry numbers come from a running
-count and never repeat (see ``_Generations``).  The exact-zero tests that
-skip products belong to forming a coefficient, so a found coefficient
-costs none.  The memo is emptied when the scope exits, also on error.
+order-(j-1) probes below coefficient j-1, so most coefficients repeat ones
+formed at the order before.  ``expansion.expand`` is the one caller that
+opens ``_shared_coefficients()``, around its order loop, and it starts a
+new generation of the memo at the top of each order (``advance``).  All
+four operations that combine coefficients, products, quotients,
+``delayed_state`` and ``analytic``, form their results one coefficient at
+a time through one walk, ``_walk``.  Inside the scope it stores the entry
+it forms for coefficient j under the content of the inputs' coefficients j
+and a link to entry j-1, and reuses it when the same content comes again;
+outside it (``assemble_rhs`` called on its own, say) the same recurrences
+form every entry, nothing is shared and no key is formed.  An entry is the
+coefficient itself for a product or quotient; the delayed state adds its
+column of powers [(-dtheta)^m]_j, and an analytic function's entry is its
+column of Horner partial sums, which a later order extends in place.
+
+What an entry depends on.  Coefficient j of a*b or s/t depends on the
+inputs' coefficients 0..j only (the same terms summed in the same order,
+the same exact-zero skips and the same trim), so a reused coefficient is
+what the same operations would form again, bit for bit.  The delayed state
+and the analytic functions also see the truncation order N, through their
+number of terms.  With v the leading exact zeros of dtheta or of h = s - c0:
+
+* v >= 1: coefficient j < N depends only on the inputs' coefficients 0..j;
+* the top coefficient j = N depends also on whether v = 1.  For the delayed
+  state that decides whether a trailing exact-zero term is added, the only
+  one that turns a -0.0 into 0.0, so an entry keeps the coefficient without
+  and with it.  For an analytic function it decides whether Horner's float
+  start A_N = w_N is reached, along the diagonal of partial sums A_m[N - m],
+  so those sums are kept by a second walk whose key holds N;
+* v = 0: every coefficient depends on N, and the key holds N.
+
+The keys are exact content, never a digest: a float's 8 bytes (so 0.0 and
+-0.0 differ), a direction array's shape and bytes, a polynomial's dim and
+array bytes; and the key of coefficient j chains to that of j-1 by the
+number of its entry, so each key is constant in size.  Only two
+generations are kept, the current order's and the previous one's: the walk
+looks coefficient j up in the current generation, then in the previous
+one, carries a previous hit into the current generation, and forms,
+numbers and stores only a miss.  Entry numbers come from a running count
+and never repeat (see ``_Generations``).  The exact-zero tests that skip
+products belong to forming a coefficient, so a found coefficient costs
+none.  The shifted derivatives shift(d^m Z_i, theta0) of the delayed state
+are kept beside the generations, keyed by theta0 and the content of Z_i:
+Z_0..Z_{j-1} recur at every order, so they last for the whole scope, each
+growing by a derivative when a higher order needs one (outside the scope
+they are kept for the one call).  The memo is emptied when the scope exits,
+also on error.
 
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
@@ -250,22 +274,24 @@ _DOUBLE = struct.Struct("d")
 class _Generations:
     """The memo of one scope, in two generations: the coefficients formed or
     reused by the current order and those of the order before.  Each maps
-    (link, key of input x_j, key of input y_j) -> (number of this entry, the
-    coefficient), where a link names the inputs' coefficients 0..j-1: the
-    kind of operation at j = 0, later the number of the entry j-1.  Entries
-    are numbered by a running count, never by the size of a generation, so
-    no number names two entries and a link cannot match an entry of another
-    input."""
+    (link, keys of the inputs' coefficients j) -> (number of this entry, the
+    entry formed for j), where a link names the inputs' coefficients
+    0..j-1: the kind of operation at j = 0, later the number of the entry
+    j-1.  Entries are numbered by a running count, never by the size of a
+    generation, so no number names two entries and a link cannot match an
+    entry of another input.  ``ladders`` holds the shifted derivatives of
+    the delayed state for every generation of the scope."""
 
-    __slots__ = ("current", "previous", "numbered")
+    __slots__ = ("current", "previous", "numbered", "ladders")
 
     def __init__(self):
         self.current = {}
         self.previous = {}
         self.numbered = 0
+        self.ladders = {}
 
     def __len__(self):
-        return len(self.current) + len(self.previous)
+        return len(self.current) + len(self.previous) + len(self.ladders)
 
     def advance(self):
         """Start a new generation; the one before the current is dropped."""
@@ -275,7 +301,7 @@ class _Generations:
 
 @contextmanager
 def _shared_coefficients():
-    """Within this block, products and quotients reuse the coefficients they
+    """Within this block, the series operations reuse the coefficients they
     formed before from the same input content (see the module docstring).
     Each block opens a fresh memo, whose caller starts every further
     generation with ``advance()``, and empties it on exit, also when the
@@ -288,6 +314,7 @@ def _shared_coefficients():
         _memo.reset(token)
         memo.current.clear()
         memo.previous.clear()
+        memo.ladders.clear()
 
 
 def _coef_key(c):
@@ -300,22 +327,21 @@ def _coef_key(c):
     return _DOUBLE.pack(c)
 
 
-def _walk(kind: str, x: list, y: list, top: int, form) -> list:
-    """Coefficients 0..top of a product or quotient of the coefficient lists
-    x and y, where ``form(j, out)`` forms coefficient j from the ones before
-    it in ``out``.  Inside ``_shared_coefficients()`` coefficient j is
-    looked up in the current generation, then in the previous one, whose
-    hit is carried into the current one; only a miss is formed, numbered
-    and stored."""
+def _walk(kind, inputs, form) -> list:
+    """Entries 0..n of an operation on the coefficient lists ``inputs`` (all
+    of order n), where ``form(j, out)`` forms entry j from the ones before
+    it in ``out``.  Inside ``_shared_coefficients()`` entry j is looked up
+    in the current generation, then in the previous one, whose hit is
+    carried into the current one; only a miss is formed, numbered and
+    stored."""
     memo = _memo.get()
     out = []
-    if memo is None:
-        for j in range(top + 1):
-            out.append(form(j, out))
-        return out
     link = kind
-    for j in range(top + 1):
-        key = (link, _coef_key(x[j]), _coef_key(y[j]))
+    for j, coefs in enumerate(zip(*inputs)):
+        if memo is None:
+            out.append(form(j, out))
+            continue
+        key = (link, *map(_coef_key, coefs))
         hit = memo.current.get(key)
         if hit is None:
             hit = memo.previous.get(key)
@@ -328,30 +354,30 @@ def _walk(kind: str, x: list, y: list, top: int, form) -> list:
     return out
 
 
-def _cauchy(a: EpsSeries, b: EpsSeries, top: int | None = None) -> EpsSeries:
-    """Truncated product a*b.  With ``top``, only the coefficients up to that
-    order are formed and the ones above it are exact zeros; the ones formed
-    are the same sums, in the same order, as without it."""
-    n = a.order
-    top = n if top is None else max(top, -1)
+def _dot(pairs, zero):
+    """Sum of the products x*y of ``pairs``, left to right, skipping every
+    pair with an exact-zero factor; trimmed to TRIM_TOL if a polynomial,
+    ``zero`` if every pair is skipped."""
+    acc = None
+    for x, y in pairs:
+        if not _is_zero(x) and not _is_zero(y):
+            term = x * y
+            acc = term if acc is None else acc + term
+    if acc is None:
+        return zero
+    return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
+
+
+def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+    """Truncated product a*b."""
     if a.dim != 1 and b.dim != 1:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
     zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
     x, y = a.coeffs, b.coeffs
-
-    def form(j, out):
-        acc = None
-        for k in range(j + 1):
-            if not _is_zero(x[k]) and not _is_zero(y[j - k]):
-                term = x[k] * y[j - k]
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return zero
-        return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
-
-    return EpsSeries._make(_walk("cauchy", x, y, top, form)
-                           + [zero] * (n - top))
+    return EpsSeries._make(_walk(
+        "cauchy", (x, y),
+        lambda j, out: _dot(zip(x[:j + 1], y[j::-1]), zero)))
 
 
 def _leading_zeros(s: EpsSeries) -> int:
@@ -397,7 +423,7 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
         acc = acc * (1.0 / t0)
         return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
 
-    return EpsSeries(_walk("div", x, y, s.order, form))
+    return EpsSeries(_walk("div", (x, y), form))
 
 
 # -- analytic functions of a series ------------------------------------------------
@@ -463,25 +489,53 @@ def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
     return w
 
 
+def _new_column(j, out):
+    """An empty column, filled in place by ``analytic``."""
+    return []
+
+
 def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     """Compose an analytic function with a series.
 
     The order-0 coefficient must be constant; the Taylor recentering
     f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the truncation order
-    because h has no order-0 part.  Evaluated by Horner's rule, where step m
-    is multiplied by h a further m times: with v leading exact zeros in h
-    only its orders up to N - m*v reach the result, and only those are
-    formed (all of them when v = 0).
+    because h has no order-0 part.  It is Horner's rule, A_N = w_N and
+    A_m = A_{m+1} h + w_m, formed coefficient by coefficient: coefficient i
+    carries its column of partial sums A_m[i], m = 0..(N - i)/v with v
+    leading exact zeros in h (m = 0..N when v = 0), because the terms of
+    step m meet h a further m times; no others are formed.
     """
     n = s.order
     c0 = _leading_scalar(s)
     w = _taylor_weights(fid, c0, n, exponent)
     h = s - c0
     v = _leading_zeros(h)
-    acc = EpsSeries.constant(float(w[n]), n)
-    for m in range(n - 1, -1, -1):
-        acc = _cauchy(acc, h, n - m * v) + float(w[m])
-    return acc
+    y = h.coeffs
+    zero = TrigPoly.zero(1) if h.is_trig else 0.0
+    kind = ("analytic", fid, _DOUBLE.pack(c0),
+            exponent if exponent is None else _DOUBLE.pack(float(exponent)))
+    cols = []
+    for i, (shared, reaching) in enumerate(zip(
+            _walk(kind, (y,), _new_column),
+            _walk(kind + (n, v), (y,), _new_column))):
+        top = (n - i) // v if v else n
+        # the sums A_m[i] with i < (N - m) v never reach the start A_N, so
+        # they are the same at every order: all of the column at v >= 2, all
+        # but its top at v = 1, none at v = 0; the others are kept by order
+        keep = top + (v > 1) if v else 0
+        col = shared[:keep]
+        col += [None] * (keep - len(col)) + (
+            reaching or [None] * (top + 1 - keep))
+        cols.append(col)
+        for m in range(top, -1, -1):
+            if col[m] is None:
+                start = float(w[m]) if i == 0 else 0.0
+                col[m] = start if m == n else _dot(
+                    [(cols[k][m + 1], y[i - k]) for k in range(i - v + 1)],
+                    zero) + start
+        shared[len(shared):keep] = col[len(shared):keep]
+        reaching[:] = col[keep:]
+    return EpsSeries._make([col[0] for col in cols])
 
 
 def exp(x):
@@ -535,9 +589,11 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
         sum_{m=0..N} (-dtheta)^m / m! * shift(d^m Z / dtau^m, theta0),
 
     exact at the truncation order because dtheta is nilpotent there and
-    tau-derivatives of trigonometric polynomials are exact.  With v leading
-    exact zeros in dtheta, term m starts at order m*v, so it needs d^m Z and
-    its shift only up to order N - m*v, and the ladder forms no more.
+    tau-derivatives of trigonometric polynomials are exact.  It is formed
+    coefficient by coefficient: with v leading exact zeros in dtheta,
+    (-dtheta)^m starts at order m*v, so coefficient k takes the terms
+    m = 0..k/v (all N + 1 when v = 0), and carries its column of powers
+    [(-dtheta)^m]_k for the coefficients above it.
     """
     if not Z.is_trig:
         raise DimensionMismatchError("delayed_state expects a trig series")
@@ -553,20 +609,42 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
     n = Z.order
     minus_dtheta = -(theta - theta0)
     v = _leading_zeros(minus_dtheta)
+    d = minus_dtheta.coeffs
     zero = TrigPoly.zero(Z.dim)
-    deriv = Z.coeffs
-    power = EpsSeries.constant(1.0, n)
-    fact = 1.0
-    acc = None
-    for m in range(n + 1):
-        top = max(n - m * v, -1)
-        if m:
-            deriv = [c.diff() for c in deriv[:top + 1]]
-        shifted = EpsSeries._make([c.shift(theta0) for c in deriv]
-                                  + [zero] * (n - top))
-        term = _cauchy(power, shifted) * (1.0 / fact)
-        acc = term if acc is None else acc + term
-        if m < n:
-            power = _cauchy(power, minus_dtheta)
-            fact *= (m + 1)
-    return acc
+    memo = _memo.get()
+    cache = {} if memo is None else memo.ladders
+    base = _DOUBLE.pack(theta0)
+    ladders = [cache.setdefault(i if memo is None else (base, _coef_key(c)),
+                                []) for i, c in enumerate(Z.coeffs)]
+
+    def shifted(i, m):
+        """shift(d^m Z_i / dtau^m, theta0), its ladder grown as needed."""
+        ladder = ladders[i]
+        while len(ladder) <= m:
+            deriv = ladder[-1][0].diff() if ladder else Z.coeffs[i]
+            ladder.append((deriv, deriv.shift(theta0)))
+        return ladder[m][1]
+
+    def form(k, out):
+        """(coefficient k without and with the exact-zero terms
+        m = last+1..N, which add as one; [(-dtheta)^m]_k, m = 0..last)."""
+        last = k // v if v else n
+        powers = [e[2] for e in out]
+        col = [1.0 if k == 0 else 0.0]
+        powers.append(col)
+        acc, fact = None, 1.0
+        for m in range(last + 1):
+            if m:
+                col.append(_dot([(powers[i][m - 1], d[k - i])
+                                 for i in range((m - 1) * v, k - v + 1)], 0.0))
+                fact *= m
+            term = _dot([(powers[i][m], shifted(k - i, m))
+                         for i in range(m * v, k + 1)], zero)
+            term = _dot([(term, 1.0 / fact)], zero)
+            acc = term if acc is None else acc + term
+        return acc, acc + zero, col
+
+    # with v = 0 every term reaches every coefficient, so all depend on N
+    out = _walk(("delayed", base) + (() if v else (n,)), (Z.coeffs, d), form)
+    return EpsSeries._make([e[0] if not v or k // v == n else e[1]
+                            for k, e in enumerate(out)])

@@ -324,11 +324,15 @@ def full_delayed_state(Z, theta, theta0):
     return acc
 
 
+def bits(c):
+    """Exact content of a coefficient, with its kind."""
+    if isinstance(c, TrigPoly):
+        return c.cos.shape, c.const.tobytes(), c.cos.tobytes(), c.sin.tobytes()
+    return type(c).__name__, np.asarray(c).tobytes()
+
+
 def assert_same_bits(p, q):
-    if p.is_trig:
-        assert_bitwise_equal(p, q)
-    else:
-        assert np.array(p.coeffs).tobytes() == np.array(q.coeffs).tobytes()
+    assert [bits(c) for c in p.coeffs] == [bits(c) for c in q.coeffs]
 
 
 class TestTrimming:
@@ -396,6 +400,116 @@ class TestTrimming:
         calls.clear()
         full_analytic("exp", s)
         assert len(calls) == 858
+
+
+class TestInsideTheScope:
+    # expand opens the scope, starts a generation per order and grows its
+    # series by one order at a time, keeping the coefficients below the top
+    # and probing the top one with several values.  Inside the scope every
+    # result must still be its oracle's, bit for bit: a coefficient that
+    # depends on the order (the top one at v = 1, every one at v = 0) must
+    # not be served from an order before
+    ORDERS = range(1, 13)
+
+    def grow(self, op, oracle, *coeff_lists):
+        """The oracle's results outside the scope, {order: result} with the
+        top coefficients as given; inside it, with a generation per order,
+        op's results for the top coefficients as given and negated must be
+        the oracle's."""
+        def probes(n):
+            return [[EpsSeries(c[:n] + [sign * c[n]]) for c in coeff_lists]
+                    for sign in (1.0, -1.0)]
+
+        refs = {n: [oracle(*args) for args in probes(n)] for n in self.ORDERS}
+        with es._shared_coefficients() as memo:
+            for n in self.ORDERS:
+                memo.advance()
+                for args, ref in zip(probes(n), refs[n], strict=True):
+                    assert_same_bits(op(*args), ref)
+        return {n: refs[n][0] for n in self.ORDERS}
+
+    def analytic_inputs(self, fid):
+        """{name: (coefficients of order 12, v)}."""
+        n = max(self.ORDERS)
+        rng = np.random.default_rng(20)
+        trig = [0.3 * c for c in random_trig_series(rng, order=n).coeffs]
+        # the -0.0 of h_1 stays in the top coefficient of order 1, which
+        # Horner's float start w_1 scales, and is 0.0 at order 2, where a
+        # polynomial partial sum multiplies it
+        trig[1] = TrigPoly([0.3], [[-0.0], [0.5]], [[0.7], [0.2]])
+        # an order-0 harmonic up to TRIM_TOL * c0 counts as dust; at c0 =
+        # 1e10 that is 1e-3, and as the weights of sin and cos do not shrink
+        # with c0 the terms of order N move the lower coefficients
+        c0 = 1e10 if fid in ("sin", "cos") else 1.3
+        return {
+            "scalar v=1": ([1.3] + list(0.5 * rng.standard_normal(n)), 1),
+            "scalar v=2": ([1.3, 0.0] + list(0.5 * rng.standard_normal(n - 1)),
+                           2),
+            "directions": ([1.3] + list(0.5 * rng.standard_normal((n, 4))), 1),
+            "trig v=1": ([TrigPoly.constant([0.4])] + trig[1:], 1),
+            "trig v=0": ([TrigPoly([c0], [[5e-14 * c0]], [[0.0]])] + trig[1:],
+                         0)}
+
+    @pytest.mark.parametrize("fid,exponent", [
+        ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
+        ("sin", None), ("cos", None)])
+    def test_analytic(self, fid, exponent):
+        for name, (coeffs, v) in self.analytic_inputs(fid).items():
+            s = EpsSeries(coeffs)
+            assert es._leading_zeros(s - es._leading_scalar(s)) == v, name
+            below, top = order_dependence(self.grow(
+                lambda s: es.analytic(fid, s, exponent),
+                lambda s: full_analytic(fid, s, exponent), coeffs))
+            # with v >= 1 the coefficients below the top never depend on N,
+            # nor with v >= 2 the top one
+            if v or fid in ("sin", "cos"):
+                assert below == (v == 0), name
+            if v > 1:
+                assert not top, name
+            if fid == "exp" and name == "trig v=1":
+                assert top
+
+    @pytest.mark.parametrize("v", [0, 1, 2])
+    def test_delayed_state(self, v):
+        n = max(self.ORDERS)
+        rng = np.random.default_rng(v)
+        Z = [0.3 * c for c in random_trig_series(rng, order=n, dim=2).coeffs]
+        theta0 = 1.1
+        tail = list(0.2 * rng.standard_normal(n))
+        if v == 0:
+            # the -0.0s of Z_0 stay in coefficient 0 at order 1, and the next
+            # order's term turns them into 0.0
+            Z[0] = TrigPoly([-0.0, -0.0], Z[0].cos, Z[0].sin)
+            theta = [theta0 + 5e-13] + tail
+        else:
+            theta = [theta0] + [0.0] * (v - 1) + tail[v - 1:]
+        if v == 1:
+            # the -0.0s of Z_1 stay in the top coefficient of order 1, to
+            # which no trailing exact-zero term is added, and are 0.0 at
+            # order 2, where one is
+            Z[1] = TrigPoly([-0.0, -0.0], Z[1].cos, Z[1].sin)
+            theta[1] = abs(theta[1])
+        for Zs in (Z, [c.component(0) for c in Z]):
+            assert es._leading_zeros(EpsSeries(theta) - theta0) == v
+            below, top = order_dependence(self.grow(
+                lambda Z, theta: es.delayed_state(Z, theta, theta0),
+                lambda Z, theta: full_delayed_state(Z, theta, theta0),
+                Zs, theta))
+            assert below == (v == 0)
+            if v:
+                assert top == (v == 1)
+
+
+def order_dependence(refs):
+    """Whether some coefficient below the top of an order's result differs
+    from that coefficient at the next order, and whether some top one does."""
+    below = top = False
+    for n in list(refs)[:-1]:
+        moved = [bits(a) != bits(b)
+                 for a, b in zip(refs[n].coeffs, refs[n + 1].coeffs)]
+        below |= any(moved[:-1])
+        top |= moved[-1]
+    return below, top
 
 
 class TestDirectionArrays:

@@ -219,6 +219,30 @@ class TestAssembleRhs:
         assert size > 0 and not memo and es._memo.get() is None
 
 
+    def test_work_of_an_order_12_expand(self, ndde, monkeypatch):
+        # a count of work, where a timer would be unreliable: the polynomial
+        # products, delayed shifts and polynomial sums of one expand.  Each
+        # coefficient is formed once per content, and the shifted
+        # derivatives of Z_0..Z_j once per scope; re-forming the whole
+        # Horner loop of exp and the derivative/shift ladder at every probe
+        # took as many products but 920 shifts and 10,388 sums
+        counts = dict.fromkeys(("mul", "shift", "__add__"), 0)
+
+        def counting(owner, name):
+            method = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return method(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(tp, "mul")
+        counting(TrigPoly, "shift")
+        counting(TrigPoly, "__add__")
+        xp.expand(ndde, 12, "msq")
+        assert counts == {"mul": 1284, "shift": 60, "__add__": 5764}
+
+
 class TestSolveOrder:
     def test_ndde_first_order_vanishes(self, ndde_msq8):
         assert abs(ndde_msq8.lambda_hats[1]) < 1e-9
