@@ -98,11 +98,9 @@ def find_hopf(model) -> HopfPoint:
                                               max(lam_, lam_floor)))
         return np.array([d.real, d.imag])
 
-    converged = False
     r = f(w, lam)
     for _ in range(HOPF_MAX_ITER):
         if np.max(np.abs(r)) <= 1e-13:
-            converged = True
             break
         hw = 1e-7 * max(abs(w), 1e-3)
         hl = 1e-7 * max(abs(lam), 1e-3)
@@ -129,8 +127,9 @@ def find_hopf(model) -> HopfPoint:
         w, lam, r = w_new, lam_new, r_new
         if not (np.isfinite(w) and np.isfinite(lam)):
             raise HopfError("Hopf point Newton diverged")
-    residual = float(np.max(np.abs(f(w, lam))))
-    if not converged and residual > 1e-11:
+    # r = f(w, lam) here, and a converged r lies below the bound
+    residual = float(np.max(np.abs(r)))
+    if residual > 1e-11:
         raise HopfError(
             f"Hopf point Newton did not converge in {HOPF_MAX_ITER} iterations "
             f"(residual {residual:.2e})")

@@ -44,24 +44,34 @@ series' coefficients j and j+1; and their inputs agree with those of the
 order-(j-1) probes below coefficient j-1, so most coefficients repeat ones
 formed at the order before.  ``expansion.expand`` is the one caller that
 opens ``_shared_coefficients()``, around its order loop, and it starts a
-new generation of the memo at the top of each order (``advance``).  All
-four operations that combine coefficients, products, quotients,
-``delayed_state`` and ``analytic``, form their results one coefficient at
-a time through one walk, ``_walk``.  Inside the scope it stores the entry
-it forms for coefficient j under the content of the inputs' coefficients j
-and a link to entry j-1, and reuses it when the same content comes again;
-outside it (``assemble_rhs`` called on its own, say) the same recurrences
-form every entry, nothing is shared and no key is formed.  An entry is the
-coefficient itself for a product or quotient; the delayed state adds its
-column of powers [(-dtheta)^m]_j, and an analytic function's entry is its
-column of Horner partial sums, which a later order extends in place.
+new generation of the memo at the top of each order (``advance``).  The
+memo has one door, ``_walk``: each of the four operations that combine
+coefficients, products, quotients, ``delayed_state`` and ``analytic``, is
+one walk over its inputs' coefficients, and entry j of the walk holds all
+that the operation keeps for coefficient j.  Inside the scope the walk
+stores the entry it forms for j under the content of the inputs'
+coefficients j and a link to entry j-1, and reuses it when the same content
+comes again; outside it (``assemble_rhs`` called on its own, say) the same
+recurrences form every entry, nothing is shared and no key is formed.  An
+entry is:
+
+* for a product or quotient, the coefficient itself;
+* for the delayed state, the coefficient, its column of powers
+  [(-dtheta)^m]_j and the ladder of shifted derivatives
+  shift(d^m Z_j, theta0), grown in place as later coefficients need more
+  rungs (an exact-zero Z_j has none, and meets no product);
+* for an analytic function, its column of Horner partial sums, split into
+  the sums that are the same at every order and the others, tagged with
+  the (N, v) they hold for; a later call extends the first part in place
+  and forms the second again unless its (N, v) is the tag.
 
 What an entry depends on.  Coefficient j of a*b or s/t depends on the
 inputs' coefficients 0..j only (the same terms summed in the same order,
 the same exact-zero skips and the same trim), so a reused coefficient is
-what the same operations would form again, bit for bit.  The delayed state
-and the analytic functions also see the truncation order N, through their
-number of terms.  With v the leading exact zeros of dtheta or of h = s - c0:
+what the same operations would form again, bit for bit; a rung of a
+ladder depends on Z_j alone.  The delayed state and the analytic functions
+also see the truncation order N, through their number of terms.  With v
+the leading exact zeros of dtheta or of h = s - c0:
 
 * v >= 1: coefficient j < N depends only on the inputs' coefficients 0..j;
 * the top coefficient j = N depends also on whether v = 1.  For the delayed
@@ -69,8 +79,9 @@ number of terms.  With v the leading exact zeros of dtheta or of h = s - c0:
   one that turns a -0.0 into 0.0, so an entry keeps the coefficient without
   and with it.  For an analytic function it decides whether Horner's float
   start A_N = w_N is reached, along the diagonal of partial sums A_m[N - m],
-  so those sums are kept by a second walk whose key holds N;
-* v = 0: every coefficient depends on N, and the key holds N.
+  so those sums are the tagged part of the column;
+* v = 0: every coefficient depends on N; the delayed state's key holds N,
+  and an analytic column keeps all its sums in the tagged part.
 
 The keys are exact content, never a digest: a float's 8 bytes (so 0.0 and
 -0.0 differ), a direction array's shape and bytes, a polynomial's dim and
@@ -82,12 +93,7 @@ one, carries a previous hit into the current generation, and forms,
 numbers and stores only a miss.  Entry numbers come from a running count
 and never repeat (see ``_Generations``).  The exact-zero tests that skip
 products belong to forming a coefficient, so a found coefficient costs
-none.  The shifted derivatives shift(d^m Z_i, theta0) of the delayed state
-are kept beside the generations, keyed by theta0 and the content of Z_i:
-Z_0..Z_{j-1} recur at every order, so they last for the whole scope, each
-growing by a derivative when a higher order needs one (outside the scope
-they are kept for the one call).  The memo is emptied when the scope exits,
-also on error.
+none.  The memo is emptied when the scope exits, also on error.
 
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
@@ -272,26 +278,24 @@ _DOUBLE = struct.Struct("d")
 
 
 class _Generations:
-    """The memo of one scope, in two generations: the coefficients formed or
+    """The memo of one scope, in two generations: the entries formed or
     reused by the current order and those of the order before.  Each maps
     (link, keys of the inputs' coefficients j) -> (number of this entry, the
     entry formed for j), where a link names the inputs' coefficients
     0..j-1: the kind of operation at j = 0, later the number of the entry
     j-1.  Entries are numbered by a running count, never by the size of a
     generation, so no number names two entries and a link cannot match an
-    entry of another input.  ``ladders`` holds the shifted derivatives of
-    the delayed state for every generation of the scope."""
+    entry of another input.  Only ``_walk`` reads or writes them."""
 
-    __slots__ = ("current", "previous", "numbered", "ladders")
+    __slots__ = ("current", "previous", "numbered")
 
     def __init__(self):
         self.current = {}
         self.previous = {}
         self.numbered = 0
-        self.ladders = {}
 
     def __len__(self):
-        return len(self.current) + len(self.previous) + len(self.ladders)
+        return len(self.current) + len(self.previous)
 
     def advance(self):
         """Start a new generation; the one before the current is dropped."""
@@ -301,7 +305,7 @@ class _Generations:
 
 @contextmanager
 def _shared_coefficients():
-    """Within this block, the series operations reuse the coefficients they
+    """Within this block, the series operations reuse the entries they
     formed before from the same input content (see the module docstring).
     Each block opens a fresh memo, whose caller starts every further
     generation with ``advance()``, and empties it on exit, also when the
@@ -314,7 +318,6 @@ def _shared_coefficients():
         _memo.reset(token)
         memo.current.clear()
         memo.previous.clear()
-        memo.ladders.clear()
 
 
 def _coef_key(c):
@@ -490,8 +493,10 @@ def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
 
 
 def _new_column(j, out):
-    """An empty column, filled in place by ``analytic``."""
-    return []
+    """An empty column entry, filled in place by ``analytic``: [the partial
+    sums that are the same at every order, the (N, v) of the others, the
+    others]."""
+    return [[], None, []]
 
 
 def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
@@ -515,17 +520,16 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     kind = ("analytic", fid, _DOUBLE.pack(c0),
             exponent if exponent is None else _DOUBLE.pack(float(exponent)))
     cols = []
-    for i, (shared, reaching) in enumerate(zip(
-            _walk(kind, (y,), _new_column),
-            _walk(kind + (n, v), (y,), _new_column))):
+    for i, entry in enumerate(_walk(kind, (y,), _new_column)):
+        shared, tag, reaching = entry
         top = (n - i) // v if v else n
         # the sums A_m[i] with i < (N - m) v never reach the start A_N, so
         # they are the same at every order: all of the column at v >= 2, all
-        # but its top at v = 1, none at v = 0; the others are kept by order
+        # but its top at v = 1, none at v = 0; the others hold for one (N, v)
         keep = top + (v > 1) if v else 0
         col = shared[:keep]
         col += [None] * (keep - len(col)) + (
-            reaching or [None] * (top + 1 - keep))
+            reaching if tag == (n, v) else [None] * (top + 1 - keep))
         cols.append(col)
         for m in range(top, -1, -1):
             if col[m] is None:
@@ -534,7 +538,7 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
                     [(cols[k][m + 1], y[i - k]) for k in range(i - v + 1)],
                     zero) + start
         shared[len(shared):keep] = col[len(shared):keep]
-        reaching[:] = col[keep:]
+        entry[1:] = (n, v), col[keep:]
     return EpsSeries._make([col[0] for col in cols])
 
 
@@ -611,40 +615,41 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
     v = _leading_zeros(minus_dtheta)
     d = minus_dtheta.coeffs
     zero = TrigPoly.zero(Z.dim)
-    memo = _memo.get()
-    cache = {} if memo is None else memo.ladders
-    base = _DOUBLE.pack(theta0)
-    ladders = [cache.setdefault(i if memo is None else (base, _coef_key(c)),
-                                []) for i, c in enumerate(Z.coeffs)]
 
-    def shifted(i, m):
-        """shift(d^m Z_i / dtau^m, theta0), its ladder grown as needed."""
-        ladder = ladders[i]
+    def shifted(ladder, m):
+        """shift(d^m Z_i / dtau^m, theta0) from the ladder of Z_i, grown as
+        needed; zero for an exact-zero Z_i, which has none."""
+        if ladder is None:
+            return zero
         while len(ladder) <= m:
-            deriv = ladder[-1][0].diff() if ladder else Z.coeffs[i]
+            deriv = ladder[-1][0].diff()
             ladder.append((deriv, deriv.shift(theta0)))
         return ladder[m][1]
 
     def form(k, out):
         """(coefficient k without and with the exact-zero terms
-        m = last+1..N, which add as one; [(-dtheta)^m]_k, m = 0..last)."""
+        m = last+1..N, which add as one; [(-dtheta)^m]_k, m = 0..last; the
+        ladder of Z_k)."""
         last = k // v if v else n
-        powers = [e[2] for e in out]
         col = [1.0 if k == 0 else 0.0]
-        powers.append(col)
+        z = Z.coeffs[k]
+        ladder = None if _is_zero(z) else [(z, z.shift(theta0))]
+        powers = [e[2] for e in out] + [col]
+        ladders = [e[3] for e in out] + [ladder]
         acc, fact = None, 1.0
         for m in range(last + 1):
             if m:
                 col.append(_dot([(powers[i][m - 1], d[k - i])
                                  for i in range((m - 1) * v, k - v + 1)], 0.0))
                 fact *= m
-            term = _dot([(powers[i][m], shifted(k - i, m))
+            term = _dot([(powers[i][m], shifted(ladders[k - i], m))
                          for i in range(m * v, k + 1)], zero)
             term = _dot([(term, 1.0 / fact)], zero)
             acc = term if acc is None else acc + term
-        return acc, acc + zero, col
+        return acc, acc + zero, col, ladder
 
     # with v = 0 every term reaches every coefficient, so all depend on N
-    out = _walk(("delayed", base) + (() if v else (n,)), (Z.coeffs, d), form)
+    out = _walk(("delayed", _DOUBLE.pack(theta0)) + (() if v else (n,)),
+                (Z.coeffs, d), form)
     return EpsSeries._make([e[0] if not v or k // v == n else e[1]
                             for k, e in enumerate(out)])

@@ -359,12 +359,6 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     scale = Z0_SCALES[z0_scale]
     Z0 = scale * bases.v2
 
-    # Solvability of the bifurcation: the closed-form sensitivities must span
-    # the adjoint null space.
-    R_cf, S_cf = closed_form_RS(model, hp, Z0)
-    _check_nonsingular_2x2(solvability_matrix(R_cf, S_cf, bases),
-                           "bifurcation solvability matrix")
-
     Z_list = [Z0]
     lam_hats = [hp.lambda_hat0]
     T_hats = [TWO_PI]

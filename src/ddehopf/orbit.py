@@ -109,10 +109,17 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
 
     # Sign scan on [0, hi]: the branch grows from eps = 0, so the wanted
     # root is the first crossing; later crossings (the polynomial bending
-    # back where the truncation breaks down) are ignored.
-    hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
-    grid = np.linspace(0.0, hi, 257)
-    vals = np.polyval(coeffs[::-1], grid) - target
+    # back where the truncation breaks down) are ignored.  The signs are
+    # tested on Python floats, whose products may overflow to a signed inf.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
+            grid = np.linspace(0.0, hi, 257)
+            vals = (np.polyval(coeffs[::-1], grid) - target).tolist()
+    except FloatingPointError as exc:
+        raise NoRealRootError(
+            f"the delay polynomial overflows on the amplitude scan for "
+            f"delay {lam}") from exc
     eps = None
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:

@@ -98,6 +98,14 @@ class TestSolve:
                     f"--lambda={lam}"]) == cli.EXIT_MODEL
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_delay_exit_code(self, capsys):
+        # the amplitude scan of a delay near the float range overflows;
+        # that is a typed error with one line on stderr, not a warning
+        assert run(["residual", "--model", "ndde", "--order", "4",
+                    "--lambda", "1e300"]) == cli.EXIT_EPSILON
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "overflows" in err
+
 
 class TestResidual:
     def test_row(self, tmp_path):

@@ -651,6 +651,50 @@ class TestSharedCoefficients:
             worker.join()
         assert seen == [None]
 
+    @pytest.mark.parametrize("op", [
+        lambda s, t: s * t, lambda s, t: es.div(s, t),
+        lambda s, t: es.delayed_state(s, 1.1 + t.times_eps(), 1.1),
+        lambda s, t: es.exp(t)], ids=["cauchy", "div", "delayed", "analytic"])
+    def test_one_walk_per_operation(self, op, monkeypatch):
+        # each operation that combines coefficients goes through the memo
+        # by exactly one walk, inside the scope and outside it
+        s = random_trig_series(np.random.default_rng(8), order=5)
+        t = EpsSeries([2.0, 0.5, 0.0, -1.0, 0.25, 0.125])
+        walks = []
+        walk = es._walk
+        monkeypatch.setattr(
+            es, "_walk", lambda *args: walks.append(args[0]) or walk(*args))
+        op(s, t)
+        with es._shared_coefficients():
+            op(s, t)
+        assert len(walks) == 2 and walks[0] == walks[1]
+
+    def test_the_memo_holds_only_its_generations(self):
+        assert es._Generations.__slots__ == ("current", "previous", "numbered")
+
+    def test_the_ladders_live_in_the_entries(self, monkeypatch):
+        # the shifted derivatives of Z_k are kept in the entry of
+        # coefficient k: a second delayed state of the same series inside
+        # the scope shifts nothing, and an exact-zero Z_k is never shifted
+        Z = EpsSeries(random_trig_series(np.random.default_rng(9), order=4,
+                                         dim=2).coeffs[:4]
+                      + [TrigPoly.zero(2)])
+        theta = EpsSeries([1.1, 0.3, -0.2, 0.1, 0.05])
+        shifted = []
+        shift = TrigPoly.shift
+        monkeypatch.setattr(TrigPoly, "shift",
+                            lambda u, x: shifted.append(u) or shift(u, x))
+        ref = es.delayed_state(Z, theta, 1.1)
+        assert all(u is not Z.coeffs[4] for u in shifted)
+        outside = len(shifted)
+        with es._shared_coefficients():
+            first = es.delayed_state(Z, theta, 1.1)
+            assert len(shifted) == 2 * outside
+            again = es.delayed_state(Z, theta, 1.1)
+            assert len(shifted) == 2 * outside
+        assert_same_bits(first, ref)
+        assert_same_bits(again, ref)
+
     def test_no_key_outside_the_scope(self):
         s = random_trig_series(np.random.default_rng(6), order=3)
         es.div(s * s, EpsSeries([2.0, 1.0, 0.5, 0.0]))

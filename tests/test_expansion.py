@@ -1,9 +1,12 @@
 import contextlib
+import copy
 import json
 from pathlib import Path
 
+import envelope
 import numpy as np
 import pytest
+from envelope import assert_within_envelope, envelope_ratios, load_envelope
 
 from ddehopf import bifurcation as bf
 from ddehopf import epsseries as es
@@ -223,9 +226,12 @@ class TestAssembleRhs:
         # a count of work, where a timer would be unreliable: the polynomial
         # products, delayed shifts and polynomial sums of one expand.  Each
         # coefficient is formed once per content, and the shifted
-        # derivatives of Z_0..Z_j once per scope; re-forming the whole
-        # Horner loop of exp and the derivative/shift ladder at every probe
-        # took as many products but 920 shifts and 10,388 sums
+        # derivatives of a nonzero Z_k once per entry of the delayed state
+        # (the exact-zero top coefficients of the probes have none);
+        # re-forming the whole Horner loop of exp and the derivative/shift
+        # ladder at every probe took as many products but 920 shifts and
+        # 10,388 sums.  expand forms no closed-form R and S (2 shifts and 3
+        # sums), which stay a test-side reference
         counts = dict.fromkeys(("mul", "shift", "__add__"), 0)
 
         def counting(owner, name):
@@ -240,7 +246,7 @@ class TestAssembleRhs:
         counting(TrigPoly, "shift")
         counting(TrigPoly, "__add__")
         xp.expand(ndde, 12, "msq")
-        assert counts == {"mul": 1284, "shift": 60, "__add__": 5764}
+        assert counts == {"mul": 1284, "shift": 56, "__add__": 5761}
 
 
 class TestSolveOrder:
@@ -257,6 +263,20 @@ class TestSolveOrder:
         # the period coefficient is validated against the measured orbit
         # period (see test_ddeint); its value is 0.2500 in this convention
         assert abs(sir_2pi8.T_hats[2] - 0.2500) < 1e-4
+
+    def test_a_singular_first_order_raises(self, ndde, monkeypatch):
+        # with S = 0 the 2x2 solvability system of order 1 is singular;
+        # solve_order refuses it, and expand names the order
+        assemble = xp.assemble_rhs
+
+        def no_delay_direction(*args):
+            H0, R, S = assemble(*args)
+            return H0, R, TrigPoly.zero(S.dim)
+
+        monkeypatch.setattr(xp, "assemble_rhs", no_delay_direction)
+        with pytest.raises(SolvabilityError,
+                           match=r"^order 1: solvability system is singular"):
+            xp.expand(ndde, 3, z0_scale="msq")
 
 
 class TestSolveParticular:
@@ -374,6 +394,36 @@ class TestExpand:
         # multiplies one
         assert_matches_record(sir_2pi8, Path(__file__).resolve().parent
                               / "data" / "expand-sir-n8-paper.json")
+
+    @pytest.mark.parametrize("case,name", [("ndde_msq20", "ndde-n20-msq"),
+                                           ("sir_2pi14", "sir-n14-paper")])
+    def test_within_the_rounding_envelope(self, case, name, request):
+        # every lh_j, Th_j and Z_j within K times the change that moving one
+        # model parameter by an ulp makes (tests/make_envelope.py records
+        # it); unlike the exact references above, this admits a change of
+        # the arithmetic that moves bits at rounding level, and no other
+        assert_within_envelope(request.getfixturevalue(case),
+                               load_envelope(name))
+
+    def test_the_envelope_refuses_what_rounding_cannot_explain(
+            self, ndde_msq20):
+        # lh_5 (envelope 2.5e-17) moved by K envelopes passes and by 10 K
+        # envelopes is refused, and so is a Z_9 scaled by 1 + 1e-12
+        record = load_envelope("ndde-n20-msq")
+        step = envelope.K * record["envelope"]["lambda_hats"][5]
+        for factor, passes in ((1.0, True), (10.0, False)):
+            moved = copy.copy(ndde_msq20)
+            moved.lambda_hats = ndde_msq20.lambda_hats.copy()
+            moved.lambda_hats[5] += factor * step
+            ratios = {(j, key): r for j, key, r in envelope_ratios(moved,
+                                                                    record)}
+            assert (ratios[5, "lambda_hats"] <= 1.0) == passes
+            assert max(ratios.values()) == ratios[5, "lambda_hats"]
+        moved = copy.copy(ndde_msq20)
+        moved.Z = list(ndde_msq20.Z)
+        moved.Z[9] = (1.0 + 1e-12) * moved.Z[9]
+        with pytest.raises(AssertionError, match=r"\(9, 'Z'"):
+            assert_within_envelope(moved, record)
 
     def test_convention_rescaling_exact(self, ndde):
         a = xp.expand(ndde, 4, z0_scale="paper")

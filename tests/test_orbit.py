@@ -39,6 +39,12 @@ class TestSolveEpsilon:
         with pytest.raises(ModelError, match="finite"):
             ob.solve_epsilon(ndde_msq8, lam)
 
+    @pytest.mark.parametrize("lam", [1e300, 1.7e308])
+    def test_overflowing_scan_is_no_root(self, ndde_msq8, lam):
+        # the scan polynomial, or the seed of its interval, overflows
+        with pytest.raises(NoRealRootError, match="overflows"):
+            ob.solve_epsilon(ndde_msq8, lam)
+
     def test_identity_on_delay_curve(self, ndde_msq8):
         for eps in np.linspace(0.05, 1.0, 12):
             lam = ndde_msq8.lambda_hat_of(eps) / ndde_msq8.omega0
