@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ComparisonError, IntegrationError, SteadyStateError
 from .orbit import _bisect, _golden_max
 
-# Default tolerances of detect_steady_state, which cross_validate uses.
+# Tolerances of detect_steady_state.
 STEADY_TOL_AMP = 1e-6
 STEADY_TOL_PER = 1e-6
 # Times cross_validate integrates again from t = 0 over twice the span.
@@ -361,15 +361,14 @@ def _cycle_peak(traj, ts, d, level, i0, i1):
     return _golden_max(f, a, b, float(np.abs(d[k])), 25)
 
 
-def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
-                        tol_per=STEADY_TOL_PER) -> Alignment:
+def detect_steady_state(traj: Trajectory, level=0.0) -> Alignment:
     """Find the settled oscillation phase reference.
 
     Scans upward crossings of component 1 through ``level`` and bisects the
     last four on the dense output; steady state is declared when the last
-    three period estimates agree to tol_per (relative) and the last three
-    per-cycle peak amplitudes agree to tol_amp (absolute).  Returns the last
-    crossing and the last period estimate.
+    three period estimates agree to STEADY_TOL_PER (relative) and the last
+    three per-cycle peak amplitudes agree to STEADY_TOL_AMP (absolute).
+    Returns the last crossing and the last period estimate.
     """
     d = traj.ys[:, 0] - level
     up = np.nonzero((d[:-1] <= 0.0) & (d[1:] > 0.0))[0]
@@ -394,8 +393,8 @@ def detect_steady_state(traj: Trajectory, level=0.0, tol_amp=STEADY_TOL_AMP,
                        for i in range(len(up) - 4, len(up) - 1)])
     p_spread = float(np.max(np.abs(np.diff(last_p))))
     a_spread = float(np.max(np.abs(np.diff(last_a))))
-    if not (p_spread <= tol_per * float(np.mean(last_p))
-            and a_spread <= tol_amp):
+    if not (p_spread <= STEADY_TOL_PER * float(np.mean(last_p))
+            and a_spread <= STEADY_TOL_AMP):
         raise SteadyStateError(
             f"oscillation not settled: period spread {p_spread:.3e}, "
             f"amplitude spread {a_spread:.3e}; integrate longer")

@@ -70,18 +70,20 @@ inputs' coefficients 0..j only (the same terms summed in the same order,
 the same exact-zero skips and the same trim), so a reused coefficient is
 what the same operations would form again, bit for bit; a rung of a
 ladder depends on Z_j alone.  The delayed state and the analytic functions
-also see the truncation order N, through their number of terms.  With v
-the leading exact zeros of dtheta or of h = s - c0:
+also see the truncation order N, through their number of terms.  Each
+expands about its input's own leading term: the delayed state about the
+leading shift theta0, an analytic function about its leading term c0,
+which must be an exact constant (a float, or a polynomial of degree 0).
+So dtheta = theta - theta0 and h = s - c0 have an exact-zero order-0 term,
+and with v >= 1 their leading exact zeros:
 
-* v >= 1: coefficient j < N depends only on the inputs' coefficients 0..j;
+* coefficient j < N depends only on the inputs' coefficients 0..j;
 * the top coefficient j = N depends also on whether v = 1.  For the delayed
   state that decides whether a trailing exact-zero term is added, the only
   one that turns a -0.0 into 0.0, so an entry keeps the coefficient without
   and with it.  For an analytic function it decides whether Horner's float
   start A_N = w_N is reached, along the diagonal of partial sums A_m[N - m],
-  so those sums are the tagged part of the column;
-* v = 0: every coefficient depends on N; the delayed state's key holds N,
-  and an analytic column keeps all its sums in the tagged part.
+  so those sums are the tagged part of the column.
 
 The keys are exact content, never a digest: a float's 8 bytes (so 0.0 and
 -0.0 differ), a direction array's shape and bytes, a polynomial's dim and
@@ -394,14 +396,14 @@ def _leading_zeros(s: EpsSeries) -> int:
 
 
 def _leading_scalar(s: EpsSeries) -> float:
-    """Order-0 coefficient as a plain number; error if it is not constant."""
+    """Order-0 coefficient as a plain number; error unless it is an exact
+    constant, a float or a scalar-valued polynomial of degree 0 (a harmonic
+    however small is not dropped)."""
     c0 = s.coeffs[0]
     if isinstance(c0, TrigPoly):
-        if c0.dim != 1:
-            raise DimensionMismatchError("leading coefficient must be scalar-valued")
-        if c0.truncate(TRIM_TOL).degree != 0:
-            raise DimensionMismatchError(
-                "leading coefficient must be constant (degree 0)")
+        if c0.dim != 1 or c0.degree != 0:
+            raise DimensionMismatchError("leading coefficient must be a "
+                                         "scalar-valued constant (degree 0)")
         return float(c0.const[0])
     return float(c0)
 
@@ -502,13 +504,14 @@ def _new_column(j, out):
 def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     """Compose an analytic function with a series.
 
-    The order-0 coefficient must be constant; the Taylor recentering
-    f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the truncation order
-    because h has no order-0 part.  It is Horner's rule, A_N = w_N and
-    A_m = A_{m+1} h + w_m, formed coefficient by coefficient: coefficient i
-    carries its column of partial sums A_m[i], m = 0..(N - i)/v with v
-    leading exact zeros in h (m = 0..N when v = 0), because the terms of
-    step m meet h a further m times; no others are formed.
+    The order-0 coefficient c0 must be an exact constant; the Taylor
+    recentering f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the
+    truncation order because h = s - c0 has an exact-zero order-0 term.  It
+    is Horner's rule, A_N = w_N and A_m = A_{m+1} h + w_m, formed
+    coefficient by coefficient: coefficient i carries its column of partial
+    sums A_m[i], m = 0..(N - i)/v with v >= 1 leading exact zeros in h,
+    because the terms of step m meet h a further m times; no others are
+    formed.
     """
     n = s.order
     c0 = _leading_scalar(s)
@@ -522,11 +525,11 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     cols = []
     for i, entry in enumerate(_walk(kind, (y,), _new_column)):
         shared, tag, reaching = entry
-        top = (n - i) // v if v else n
+        top = (n - i) // v
         # the sums A_m[i] with i < (N - m) v never reach the start A_N, so
         # they are the same at every order: all of the column at v >= 2, all
-        # but its top at v = 1, none at v = 0; the others hold for one (N, v)
-        keep = top + (v > 1) if v else 0
+        # but its top at v = 1; the others hold for one (N, v)
+        keep = top + (v > 1)
         col = shared[:keep]
         col += [None] * (keep - len(col)) + (
             reaching if tag == (n, v) else [None] * (top + 1 - keep))
@@ -585,31 +588,30 @@ def powf(x, p):
 # -- delayed state -------------------------------------------------------------
 
 
-def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
+def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
     """Series of Z(tau - theta(eps), eps) for a series-valued shift.
 
-    With dtheta = theta - theta0 (no order-0 part) the result is
+    Expanded about the leading shift theta0 = theta_0, with dtheta =
+    theta - theta0 (an exact-zero order-0 term), the result is
 
         sum_{m=0..N} (-dtheta)^m / m! * shift(d^m Z / dtau^m, theta0),
 
     exact at the truncation order because dtheta is nilpotent there and
     tau-derivatives of trigonometric polynomials are exact.  It is formed
-    coefficient by coefficient: with v leading exact zeros in dtheta,
+    coefficient by coefficient: with v >= 1 leading exact zeros in dtheta,
     (-dtheta)^m starts at order m*v, so coefficient k takes the terms
-    m = 0..k/v (all N + 1 when v = 0), and carries its column of powers
-    [(-dtheta)^m]_k for the coefficients above it.
+    m = 0..k/v, and carries its column of powers [(-dtheta)^m]_k for the
+    coefficients above it.  A non-finite leading shift raises ValueError.
     """
-    if not Z.is_trig:
-        raise DimensionMismatchError("delayed_state expects a trig series")
-    if theta.is_trig:
-        raise DimensionMismatchError("the shift must be a scalar series")
+    if not Z.is_trig or theta.is_trig:
+        raise DimensionMismatchError(
+            "delayed_state expects a trig series and a scalar shift")
     if theta.order != Z.order:
         raise DimensionMismatchError(
             f"order mismatch: {Z.order} vs {theta.order}")
-    if abs(theta.coeffs[0] - theta0) > 1e-12:
-        raise DimensionMismatchError(
-            f"shift base point {theta0} does not match the series "
-            f"leading coefficient {theta.coeffs[0]}")
+    theta0 = theta.coeffs[0]
+    if not math.isfinite(theta0):
+        raise ValueError(f"non-finite leading shift {theta0!r}")
     n = Z.order
     minus_dtheta = -(theta - theta0)
     v = _leading_zeros(minus_dtheta)
@@ -630,7 +632,7 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
         """(coefficient k without and with the exact-zero terms
         m = last+1..N, which add as one; [(-dtheta)^m]_k, m = 0..last; the
         ladder of Z_k)."""
-        last = k // v if v else n
+        last = k // v
         col = [1.0 if k == 0 else 0.0]
         z = Z.coeffs[k]
         ladder = None if _is_zero(z) else [(z, z.shift(theta0))]
@@ -648,8 +650,6 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries, theta0: float) -> EpsSeries:
             acc = term if acc is None else acc + term
         return acc, acc + zero, col, ladder
 
-    # with v = 0 every term reaches every coefficient, so all depend on N
-    out = _walk(("delayed", _DOUBLE.pack(theta0)) + (() if v else (n,)),
-                (Z.coeffs, d), form)
-    return EpsSeries._make([e[0] if not v or k // v == n else e[1]
+    out = _walk(("delayed", _DOUBLE.pack(theta0)), (Z.coeffs, d), form)
+    return EpsSeries._make([e[0] if k // v == n else e[1]
                             for k, e in enumerate(out)])

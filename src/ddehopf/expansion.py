@@ -138,7 +138,7 @@ def order_coefficient(model, hp: HopfPoint, Z_list, lam_hats, T_hats,
     T_hat = EpsSeries(list(T_hats) + [float(T_probe), 0.0])
 
     theta = (TWO_PI * lam_hat) / T_hat
-    Z_del = delayed_state(Z_ser, theta, hp.lambda_hat0)
+    Z_del = delayed_state(Z_ser, theta)
 
     x = Z_ser.times_eps()
     y = Z_del.times_eps()

@@ -21,6 +21,8 @@ anew for each orbit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import models as mdl
@@ -70,6 +72,17 @@ def _golden_max(f, a, b, seed, iterations):
     return float(best)
 
 
+@contextmanager
+def _overflow_is_no_root(what: str):
+    """Run a block with numpy's overflow and invalid operations raised, and
+    report them as NoRealRootError: "<what> overflows"."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NoRealRootError(f"{what} overflows") from exc
+
+
 def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
     """Smallest nonnegative amplitude parameter for a prescribed delay.
 
@@ -111,15 +124,11 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
     # root is the first crossing; later crossings (the polynomial bending
     # back where the truncation breaks down) are ignored.  The signs are
     # tested on Python floats, whose products may overflow to a signed inf.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
-            grid = np.linspace(0.0, hi, 257)
-            vals = (np.polyval(coeffs[::-1], grid) - target).tolist()
-    except FloatingPointError as exc:
-        raise NoRealRootError(
-            f"the delay polynomial overflows on the amplitude scan for "
-            f"delay {lam}") from exc
+    with _overflow_is_no_root(
+            f"the delay polynomial's amplitude scan for delay {lam}"):
+        hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
+        grid = np.linspace(0.0, hi, 257)
+        vals = (np.polyval(coeffs[::-1], grid) - target).tolist()
     eps = None
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
@@ -216,7 +225,9 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
     x' is the exact derivative of the trigonometric profile.  The grid
     values come from ``TrigPoly.sample``, whose cos/sin table is shared by
     the orbits of a sweep that have the same profile degree; the refinement
-    evaluates single points.
+    evaluates single points.  An overflow or invalid operation in the model
+    on the orbit raises NoRealRootError: its amplitude is beyond the
+    validity of the truncated series.
     """
     if samples < 256:
         raise ValueError("residual needs at least 256 samples")
@@ -237,12 +248,15 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
                       orbit._dprofile.eval(tau))
 
     taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    num, den = defect(orbit.profile.sample(samples), shifted.sample(samples),
-                      orbit._dprofile.sample(samples))
-    sup_num = _refined_max(lambda tau: defect_at(tau)[0], taus, num)
-    sup_den = _refined_max(
-        lambda tau: np.max(np.abs(orbit._dprofile.eval(tau) * orbit.omega_eff)),
-        taus, den)
+    # an orbit far beyond the validity of the series may overflow the model
+    with _overflow_is_no_root(f"the model on the orbit at delay {lam} "
+                              f"(amplitude {orbit.eps:.3g})"):
+        num, den = defect(orbit.profile.sample(samples),
+                          shifted.sample(samples),
+                          orbit._dprofile.sample(samples))
+        sup_num = _refined_max(lambda tau: defect_at(tau)[0], taus, num)
+        sup_den = _refined_max(lambda tau: np.max(np.abs(
+            orbit._dprofile.eval(tau) * orbit.omega_eff)), taus, den)
     if sup_den == 0.0:
         # zero-amplitude orbit: the defect is the equilibrium residual
         return 0.0 if sup_num < 1e-9 else float("inf")

@@ -107,6 +107,15 @@ class TestSolve:
         assert out == "" and err.count("\n") == 1 and "overflows" in err
 
 
+    @pytest.mark.parametrize("lam", ["1e20", "1e50"])
+    def test_overflowing_model_exit_code(self, lam, capsys):
+        # the amplitude root exists, but the model overflows on the orbit
+        assert run(["residual", "--model", "ndde", "--order", "4",
+                    "--lambda", lam]) == cli.EXIT_EPSILON
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "overflows" in err
+
+
 class TestResidual:
     def test_row(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -14,6 +14,7 @@ import pytest
 
 import ddehopf
 from ddehopf.epsseries import powf
+from ddehopf.trigpoly import TrigPoly
 
 
 def hutchinson_rhs(lam, x, y):
@@ -25,12 +26,15 @@ def mackey_glass_rhs(lam, x, y):
     return [2 * y[0] / (1 + powf(y[0], 10)) - x[0]]
 
 
+def hutchinson_model():
+    return ddehopf.DdeModel("hutchinson", dim=1, params={},
+                            rhs=hutchinson_rhs, equilibrium_hint=[1.0],
+                            hopf_hint=(1.1, 1.4))
+
+
 @pytest.fixture(scope="module")
 def hutchinson():
-    model = ddehopf.DdeModel("hutchinson", dim=1, params={},
-                             rhs=hutchinson_rhs, equilibrium_hint=[1.0],
-                             hopf_hint=(1.1, 1.4))
-    return ddehopf.expand(model, order=8, z0_scale="msq")
+    return ddehopf.expand(hutchinson_model(), order=8, z0_scale="msq")
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,19 @@ def test_hutchinson_hopf_point_and_wright_coefficient(hutchinson):
     assert abs(hp.omega0 - 1.0) < 1e-14
     assert abs(hp.lambda0 - math.pi / 2) < 1e-14
     assert abs(hutchinson.lambda_hats[2] - (3 * math.pi - 2) / 20) < 1e-14
+
+
+def test_hutchinson_shifts_each_derivative_once(monkeypatch):
+    # the delay series (2 pi lh)/Th has the leading term (2 pi lh_0)/(2 pi),
+    # which differs from lh_0 by one rounding here; the delayed state
+    # expands about that leading term, so dtheta starts at order 1 and each
+    # Z_k is shifted only as far as the orders above it need
+    shifted = []
+    shift = TrigPoly.shift
+    monkeypatch.setattr(TrigPoly, "shift",
+                        lambda u, theta: shifted.append(u) or shift(u, theta))
+    ddehopf.expand(hutchinson_model(), order=12, z0_scale="msq")
+    assert len(shifted) == 56
 
 
 def test_mackey_glass_hopf_point(mackey_glass):

@@ -131,13 +131,12 @@ class TestIntegrate:
         lam = np.pi / 2
         traj = di.integrate(linear_model, lam, [1.0], 10 * 4 * lam)
         # crossing-based period over the last cycles
-        al = di.detect_steady_state(traj, level=0.0, tol_amp=1e-2,
-                                    tol_per=1e-3)
+        al = di.detect_steady_state(traj, level=0.0)
         assert abs(al.period_est - 4 * lam) < 1e-3 * 4 * lam
 
     def test_ndde_converges_from_far_history(self, ndde):
         traj = di.integrate(ndde, 1.4, [20.0, 17.22], 1000.0)
-        al = di.detect_steady_state(traj, level=0.0, tol_amp=1e-6)
+        al = di.detect_steady_state(traj, level=0.0)
         assert al.t0 < 1000.0
 
     def test_step_cap_quarter_delay(self, ndde):
@@ -380,8 +379,7 @@ class TestDetectSteadyState:
         ts = np.linspace(0.0, 16 * np.pi, 4001)
         traj = _hermite_trajectory(ts, np.sin(ts)[:, None], np.cos(ts)[:, None],
                                    1.0, np.zeros(1))
-        al = di.detect_steady_state(traj, level=0.0, tol_amp=1e-6,
-                                    tol_per=1e-6)
+        al = di.detect_steady_state(traj, level=0.0)
         assert abs(al.period_est - 2 * np.pi) < 1e-9 * 2 * np.pi
         assert isinstance(al.period_spread, float)
         assert isinstance(al.amplitude_spread, float)

@@ -17,6 +17,8 @@ from ddehopf.errors import DimensionMismatchError
 from ddehopf.trigpoly import TrigPoly
 
 COS = TrigPoly.harmonic(1, 1, cos_vec=[1.0])
+# a constant plus a harmonic far below TRIM_TOL, not an exact constant
+DUSTY = TrigPoly([1.3], [[5e-17]], [[0.0]])
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                   allow_infinity=False)
@@ -186,6 +188,13 @@ class TestDiv:
         with pytest.raises(DimensionMismatchError):
             EpsSeries([1.0, 0.0]) / t
 
+    def test_dusty_leading_is_not_dropped(self):
+        # a harmonic far below TRIM_TOL still makes the leading term
+        # non-constant
+        t = EpsSeries([DUSTY, TrigPoly.zero(1)])
+        with pytest.raises(DimensionMismatchError, match="constant"):
+            EpsSeries([1.0, 0.0]) / t
+
 
 class TestAnalytic:
     def test_exp_eps_u(self):
@@ -223,6 +232,13 @@ class TestAnalytic:
         with pytest.raises(DimensionMismatchError):
             es.exp(EpsSeries([COS, TrigPoly.zero(1)]))
 
+    @pytest.mark.parametrize("f", [
+        es.exp, es.log, es.sin, es.cos, lambda s: es.powf(s, 0.5)],
+        ids=["exp", "log", "sin", "cos", "pow"])
+    def test_dusty_leading_rejected(self, f):
+        with pytest.raises(DimensionMismatchError, match="constant"):
+            f(EpsSeries([DUSTY, TrigPoly.zero(1)]))
+
     def test_pow_of_negative_leading_term_needs_integer_exponent(self):
         with pytest.raises(ValueError):
             es.powf(EpsSeries([-1.0, 1.0, 0.0]), 0.5)
@@ -258,7 +274,7 @@ class TestDelayedState:
         Z = random_trig_series(rng, order=3, dim=2)
         theta0 = 0.9
         theta = EpsSeries([theta0, 0.0, 0.0, 0.0])
-        d = es.delayed_state(Z, theta, theta0)
+        d = es.delayed_state(Z, theta)
         for c, zc in zip(d.coeffs, Z.coeffs):
             assert (c - zc.shift(theta0)).max_abs() < 1e-13
 
@@ -270,7 +286,7 @@ class TestDelayedState:
         theta0 = 0.7
         Z = EpsSeries([COS, TrigPoly.zero(1), TrigPoly.zero(1)])
         theta = EpsSeries([theta0, 1.0, 0.0])
-        d = es.delayed_state(Z, theta, theta0)
+        d = es.delayed_state(Z, theta)
         taus = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         expected = np.sin(taus - theta0)
         assert np.max(np.abs(d.coeffs[1].eval(taus)[:, 0] - expected)) < 1e-12
@@ -280,18 +296,18 @@ class TestDelayedState:
         Z = EpsSeries([0.3 * c for c in base.coeffs])
         theta0 = 1.1
         theta = EpsSeries([theta0, 0.4, -0.2, 0.1])
-        d = es.delayed_state(Z, theta, theta0)
+        d = es.delayed_state(Z, theta)
         eps = 0.01
         th = eval_series(theta, eps)
         for tau in (0.0, 1.0, 3.9):
             expected = eval_series(Z, eps).eval(tau - th)
             assert np.max(np.abs(eval_at(d, tau, eps) - expected)) < 1e-8
 
-    def test_base_point_mismatch(self, rng):
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leading_shift_raises(self, rng, theta0):
         Z = random_trig_series(rng, order=2)
-        theta = EpsSeries([1.0, 0.5, 0.0])
-        with pytest.raises(DimensionMismatchError):
-            es.delayed_state(Z, theta, 1.0 + 1e-6)
+        with pytest.raises(ValueError, match="non-finite leading shift"):
+            es.delayed_state(Z, EpsSeries([theta0, 0.5, 0.0]))
 
 
 def full_analytic(fid, s, exponent=None):
@@ -307,8 +323,10 @@ def full_analytic(fid, s, exponent=None):
     return acc
 
 
-def full_delayed_state(Z, theta, theta0):
-    """The derivative/shift ladder with every coefficient formed."""
+def full_delayed_state(Z, theta):
+    """The derivative/shift ladder about the leading shift with every
+    coefficient formed."""
+    theta0 = theta.coeffs[0]
     minus_dtheta = -(theta - theta0)
     deriv = Z
     power = EpsSeries.constant(1.0, Z.order)
@@ -342,17 +360,15 @@ class TestTrimming:
 
     def inputs(self):
         """(series, v): seeded scalar and dim-1 trig series with v leading
-        exact zeros after the order-0 term is taken off; v = 0 has an order-0
-        harmonic below TRIM_TOL."""
+        exact zeros after the order-0 term is taken off."""
         n = self.ORDER
         rng = np.random.default_rng(12)
         scalar = [1.3] + list(0.5 * rng.standard_normal(n))
         sparse = [1.3, 0.0] + list(0.5 * rng.standard_normal(n - 1))
         trig = random_trig_series(rng, order=n)
         trig = [TrigPoly.constant([1.3])] + [0.3 * c for c in trig.coeffs[1:]]
-        dusty = [TrigPoly([1.3], [[5e-14]], [[0.0]])] + trig[1:]
         return [(EpsSeries(scalar), 1), (EpsSeries(sparse), 2),
-                (EpsSeries(trig), 1), (EpsSeries(dusty), 0)]
+                (EpsSeries(trig), 1)]
 
     @pytest.mark.parametrize("fid,exponent", [
         ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
@@ -363,7 +379,7 @@ class TestTrimming:
             assert_same_bits(es.analytic(fid, s, exponent),
                              full_analytic(fid, s, exponent))
 
-    @pytest.mark.parametrize("v", [0, 1, 2])
+    @pytest.mark.parametrize("v", [1, 2])
     def test_delayed_state_equals_the_full_ladder(self, v):
         n = self.ORDER
         rng = np.random.default_rng(v)
@@ -371,16 +387,13 @@ class TestTrimming:
             rng, order=n, dim=2).coeffs])
         theta0 = 1.1
         tail = list(0.2 * rng.standard_normal(n))
-        if v == 0:  # an order-0 offset the base-point check still accepts
-            theta = EpsSeries([theta0 + 5e-13] + tail)
-        else:
-            theta = EpsSeries([theta0] + [0.0] * (v - 1) + tail[v - 1:])
+        theta = EpsSeries([theta0] + [0.0] * (v - 1) + tail[v - 1:])
         assert es._leading_zeros(theta - theta0) == v
-        assert_bitwise_equal(es.delayed_state(Z, theta, theta0),
-                             full_delayed_state(Z, theta, theta0))
+        assert_bitwise_equal(es.delayed_state(Z, theta),
+                             full_delayed_state(Z, theta))
         Z1 = Z.component(0)
-        assert_bitwise_equal(es.delayed_state(Z1, theta, theta0),
-                             full_delayed_state(Z1, theta, theta0))
+        assert_bitwise_equal(es.delayed_state(Z1, theta),
+                             full_delayed_state(Z1, theta))
 
     def test_trig_exp_forms_only_the_products_it_needs(self, monkeypatch):
         # step m of the Horner loop forms orders up to 12 - m of acc*h, so
@@ -407,8 +420,8 @@ class TestInsideTheScope:
     # series by one order at a time, keeping the coefficients below the top
     # and probing the top one with several values.  Inside the scope every
     # result must still be its oracle's, bit for bit: a coefficient that
-    # depends on the order (the top one at v = 1, every one at v = 0) must
-    # not be served from an order before
+    # depends on the order (the top one at v = 1) must not be served from an
+    # order before
     ORDERS = range(1, 13)
 
     def grow(self, op, oracle, *coeff_lists):
@@ -437,18 +450,12 @@ class TestInsideTheScope:
         # Horner's float start w_1 scales, and is 0.0 at order 2, where a
         # polynomial partial sum multiplies it
         trig[1] = TrigPoly([0.3], [[-0.0], [0.5]], [[0.7], [0.2]])
-        # an order-0 harmonic up to TRIM_TOL * c0 counts as dust; at c0 =
-        # 1e10 that is 1e-3, and as the weights of sin and cos do not shrink
-        # with c0 the terms of order N move the lower coefficients
-        c0 = 1e10 if fid in ("sin", "cos") else 1.3
         return {
             "scalar v=1": ([1.3] + list(0.5 * rng.standard_normal(n)), 1),
             "scalar v=2": ([1.3, 0.0] + list(0.5 * rng.standard_normal(n - 1)),
                            2),
             "directions": ([1.3] + list(0.5 * rng.standard_normal((n, 4))), 1),
-            "trig v=1": ([TrigPoly.constant([0.4])] + trig[1:], 1),
-            "trig v=0": ([TrigPoly([c0], [[5e-14 * c0]], [[0.0]])] + trig[1:],
-                         0)}
+            "trig v=1": ([TrigPoly.constant([0.4])] + trig[1:], 1)}
 
     @pytest.mark.parametrize("fid,exponent", [
         ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
@@ -460,29 +467,22 @@ class TestInsideTheScope:
             below, top = order_dependence(self.grow(
                 lambda s: es.analytic(fid, s, exponent),
                 lambda s: full_analytic(fid, s, exponent), coeffs))
-            # with v >= 1 the coefficients below the top never depend on N,
-            # nor with v >= 2 the top one
-            if v or fid in ("sin", "cos"):
-                assert below == (v == 0), name
+            # the coefficients below the top never depend on N, nor with
+            # v >= 2 the top one
+            assert not below, name
             if v > 1:
                 assert not top, name
             if fid == "exp" and name == "trig v=1":
                 assert top
 
-    @pytest.mark.parametrize("v", [0, 1, 2])
+    @pytest.mark.parametrize("v", [1, 2])
     def test_delayed_state(self, v):
         n = max(self.ORDERS)
         rng = np.random.default_rng(v)
         Z = [0.3 * c for c in random_trig_series(rng, order=n, dim=2).coeffs]
         theta0 = 1.1
         tail = list(0.2 * rng.standard_normal(n))
-        if v == 0:
-            # the -0.0s of Z_0 stay in coefficient 0 at order 1, and the next
-            # order's term turns them into 0.0
-            Z[0] = TrigPoly([-0.0, -0.0], Z[0].cos, Z[0].sin)
-            theta = [theta0 + 5e-13] + tail
-        else:
-            theta = [theta0] + [0.0] * (v - 1) + tail[v - 1:]
+        theta = [theta0] + [0.0] * (v - 1) + tail[v - 1:]
         if v == 1:
             # the -0.0s of Z_1 stay in the top coefficient of order 1, to
             # which no trailing exact-zero term is added, and are 0.0 at
@@ -492,12 +492,9 @@ class TestInsideTheScope:
         for Zs in (Z, [c.component(0) for c in Z]):
             assert es._leading_zeros(EpsSeries(theta) - theta0) == v
             below, top = order_dependence(self.grow(
-                lambda Z, theta: es.delayed_state(Z, theta, theta0),
-                lambda Z, theta: full_delayed_state(Z, theta, theta0),
-                Zs, theta))
-            assert below == (v == 0)
-            if v:
-                assert top == (v == 1)
+                es.delayed_state, full_delayed_state, Zs, theta))
+            assert not below
+            assert top == (v == 1)
 
 
 def order_dependence(refs):
@@ -653,7 +650,7 @@ class TestSharedCoefficients:
 
     @pytest.mark.parametrize("op", [
         lambda s, t: s * t, lambda s, t: es.div(s, t),
-        lambda s, t: es.delayed_state(s, 1.1 + t.times_eps(), 1.1),
+        lambda s, t: es.delayed_state(s, 1.1 + t.times_eps()),
         lambda s, t: es.exp(t)], ids=["cauchy", "div", "delayed", "analytic"])
     def test_one_walk_per_operation(self, op, monkeypatch):
         # each operation that combines coefficients goes through the memo
@@ -684,13 +681,13 @@ class TestSharedCoefficients:
         shift = TrigPoly.shift
         monkeypatch.setattr(TrigPoly, "shift",
                             lambda u, x: shifted.append(u) or shift(u, x))
-        ref = es.delayed_state(Z, theta, 1.1)
+        ref = es.delayed_state(Z, theta)
         assert all(u is not Z.coeffs[4] for u in shifted)
         outside = len(shifted)
         with es._shared_coefficients():
-            first = es.delayed_state(Z, theta, 1.1)
+            first = es.delayed_state(Z, theta)
             assert len(shifted) == 2 * outside
-            again = es.delayed_state(Z, theta, 1.1)
+            again = es.delayed_state(Z, theta)
             assert len(shifted) == 2 * outside
         assert_same_bits(first, ref)
         assert_same_bits(again, ref)

@@ -1,7 +1,5 @@
 import contextlib
 import copy
-import json
-from pathlib import Path
 
 import envelope
 import numpy as np
@@ -34,10 +32,9 @@ def sir_setup(sir):
     return hp, bases
 
 
-def assert_matches_record(result, path):
+def assert_matches_record(result, ref):
     """Orders 0..result.order equal, bit for bit, those of a recorded
-    ``ddehopf expand --format json`` output."""
-    ref = json.loads(path.read_text(encoding="utf-8"))
+    reference in the ``ddehopf expand --format json`` layout."""
     n = result.order + 1
     assert np.array_equal(result.lambda_hats, ref["lambda_hats"][:n])
     assert np.array_equal(result.T_hats, ref["T_hats"][:n])
@@ -383,17 +380,13 @@ class TestExpand:
         # all 21 orders of the recorded order-20 run must come out bit for
         # bit; any reordering of the jet arithmetic, or a dropped coefficient
         # that did reach the result, shows up here
-        assert_matches_record(ndde_msq20, Path(__file__).resolve().parents[1]
-                              / "perfbench" / "reference"
-                              / "expand-ndde-n20.json")
+        assert_matches_record(ndde_msq20, load_envelope("ndde-n20-msq"))
 
     def test_matches_the_recorded_sir_expansion_exactly(self, sir_2pi8):
-        # recorded with `ddehopf expand --model sir --order 8 --format json`;
-        # scalar series meet polynomials on this path: the equilibrium series
-        # is added to each state component, and the scalar (1 - mu*lam)
-        # multiplies one
-        assert_matches_record(sir_2pi8, Path(__file__).resolve().parent
-                              / "data" / "expand-sir-n8-paper.json")
+        # orders 0..8 of the recorded order-14 run; scalar series meet
+        # polynomials on this path: the equilibrium series is added to each
+        # state component, and the scalar (1 - mu*lam) multiplies one
+        assert_matches_record(sir_2pi8, load_envelope("sir-n14-paper"))
 
     @pytest.mark.parametrize("case,name", [("ndde_msq20", "ndde-n20-msq"),
                                            ("sir_2pi14", "sir-n14-paper")])

@@ -2,8 +2,11 @@ import copy
 import weakref
 from pathlib import Path
 
+import envelope
 import numpy as np
 import pytest
+from envelope import (assert_diagram_within_envelope, diagram_ratios,
+                      load_envelope)
 
 from ddehopf import models as mdl
 from ddehopf import orbit as ob
@@ -138,11 +141,25 @@ class TestResidual:
         with pytest.raises(ValueError):
             ob.residual(orbit, samples=100)
 
+    @pytest.mark.parametrize("lam", [1e20, 1e50])
+    def test_overflowing_model_is_no_root(self, ndde_msq8, lam):
+        # the amplitude root exists, but the orbit's exp(...) overflows in
+        # the ndde rhs; that is a typed error, not a warning and a number
+        orbit = ob.reconstruct(ndde_msq8.truncated(4), lam)
+        with pytest.raises(NoRealRootError, match="overflows"):
+            ob.residual(orbit)
+
     def test_residual_convention_invariant(self, ndde):
         from ddehopf.expansion import expand
         r_msq = ob.residual(ob.reconstruct(expand(ndde, 4, "msq"), 1.5))
         r_2pi = ob.residual(ob.reconstruct(expand(ndde, 4, "paper"), 1.5))
         assert abs(r_msq - r_2pi) < 1e-10 * max(r_msq, 1e-30)
+
+
+@pytest.fixture(scope="module")
+def sir_diagram14(sir_2pi14):
+    """The order-14 sir diagram on 200 delays from 95 to 150 days."""
+    return ob.bifurcation_diagram(sir_2pi14, np.linspace(95.0, 150.0, 200))
 
 
 class TestDiagram:
@@ -250,6 +267,37 @@ class TestDiagram:
         orbits = sum(1 for r in rows if r["eps"] > 0)
         assert orbits > 150
         assert len(alive) == 2 * len(degrees) < orbits / 10
+
+    def test_within_the_rounding_envelope(self, sir_2pi14, sir_diagram14):
+        # every row's eps, residual and extrema within K times the change
+        # that moving one model parameter by an ulp makes
+        # (tests/make_envelope.py records it)
+        assert_diagram_within_envelope(sir_2pi14, sir_diagram14,
+                                       load_envelope("diagram-sir-n14"))
+
+    def test_the_envelope_refuses_what_rounding_cannot_explain(
+            self, sir_2pi14, sir_diagram14):
+        # the eps of row 100 moved by K envelopes passes and by 10 K
+        # envelopes is refused, and so are an I maximum scaled by
+        # 1 + 1e-12 and an equilibrium row given an amplitude
+        record = load_envelope("diagram-sir-n14")
+        step = envelope.K * record["envelope"]["eps"][100]
+        for factor, passes in ((1.0, True), (10.0, False)):
+            moved = copy.deepcopy(sir_diagram14)
+            moved[100]["eps"] += factor * step
+            ratios = {(i, key): r
+                      for i, key, r in diagram_ratios(moved, record)}
+            assert (ratios[100, "eps"] <= 1.0) == passes
+            assert max(ratios.values()) == ratios[100, "eps"]
+        moved = copy.deepcopy(sir_diagram14)
+        lo, hi = moved[150]["components"][1]
+        moved[150]["components"][1] = (lo, (1.0 + 1e-12) * hi)
+        with pytest.raises(AssertionError, match=r"\(150, 'max 1'"):
+            assert_diagram_within_envelope(sir_2pi14, moved, record)
+        moved = copy.deepcopy(sir_diagram14)
+        moved[0]["eps"] = 1e-9
+        with pytest.raises(AssertionError, match=r"\(0, 'eps'"):
+            assert_diagram_within_envelope(sir_2pi14, moved, record)
 
     def test_sir_diagram_200_points_under_30s(self, sir):
         import time
