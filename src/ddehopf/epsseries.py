@@ -36,7 +36,8 @@ the products and derivatives above that order are not formed.  This is
 exact, not an approximation: the dropped coefficients would only ever meet
 those leading exact zeros, and every coefficient still formed is the same
 sum in the same order, so results are bit for bit those of the full
-computation.
+computation (Horner's rule from the zero polynomial, and for each
+coefficient of the delayed state the sum of the terms that reach it).
 
 Across the orders of the expansion a coefficient is also formed only once.
 The order-j rhs is probed three times, and the probes differ only in the
@@ -60,30 +61,20 @@ entry is:
   [(-dtheta)^m]_j and the ladder of shifted derivatives
   shift(d^m Z_j, theta0), grown in place as later coefficients need more
   rungs (an exact-zero Z_j has none, and meets no product);
-* for an analytic function, its column of Horner partial sums, split into
-  the sums that are the same at every order and the others, tagged with
-  the (N, v) they hold for; a later call extends the first part in place
-  and forms the second again unless its (N, v) is the tag.
+* for an analytic function, its column of Horner partial sums, extended in
+  place as later orders need more of them.
 
-What an entry depends on.  Coefficient j of a*b or s/t depends on the
-inputs' coefficients 0..j only (the same terms summed in the same order,
-the same exact-zero skips and the same trim), so a reused coefficient is
-what the same operations would form again, bit for bit; a rung of a
-ladder depends on Z_j alone.  The delayed state and the analytic functions
-also see the truncation order N, through their number of terms.  Each
-expands about its input's own leading term: the delayed state about the
-leading shift theta0, an analytic function about its leading term c0,
-which must be an exact constant (a float, or a polynomial of degree 0).
-So dtheta = theta - theta0 and h = s - c0 have an exact-zero order-0 term,
-and with v >= 1 their leading exact zeros:
-
-* coefficient j < N depends only on the inputs' coefficients 0..j;
-* the top coefficient j = N depends also on whether v = 1.  For the delayed
-  state that decides whether a trailing exact-zero term is added, the only
-  one that turns a -0.0 into 0.0, so an entry keeps the coefficient without
-  and with it.  For an analytic function it decides whether Horner's float
-  start A_N = w_N is reached, along the diagonal of partial sums A_m[N - m],
-  so those sums are the tagged part of the column.
+What an entry depends on.  Entry j depends only on the inputs'
+coefficients 0..j: the same terms summed in the same order, the same
+exact-zero skips and the same trim, whatever the truncation order N.  So a
+reused entry is what the same operations would form again, bit for bit.
+This holds for the delayed state and the analytic functions because each
+expands about its input's own leading term (the leading shift theta0, or
+the leading term c0, which must be an exact constant: a float, or a
+polynomial of degree 0), so dtheta = theta - theta0 and h = s - c0 have
+v >= 1 leading exact zeros; coefficient j then sums only the terms that
+reach it, m = 0..j/v, and Horner's partial sums all start from the zero
+polynomial, A_N = 0 + w_N being formed like every lower sum.
 
 The keys are exact content, never a digest: a float's 8 bytes (so 0.0 and
 -0.0 differ), a direction array's shape and bytes, a polynomial's dim and
@@ -494,24 +485,18 @@ def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
     return w
 
 
-def _new_column(j, out):
-    """An empty column entry, filled in place by ``analytic``: [the partial
-    sums that are the same at every order, the (N, v) of the others, the
-    others]."""
-    return [[], None, []]
-
-
 def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     """Compose an analytic function with a series.
 
     The order-0 coefficient c0 must be an exact constant; the Taylor
     recentering f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the
     truncation order because h = s - c0 has an exact-zero order-0 term.  It
-    is Horner's rule, A_N = w_N and A_m = A_{m+1} h + w_m, formed
+    is Horner's rule, A_{N+1} = 0 and A_m = A_{m+1} h + w_m, formed
     coefficient by coefficient: coefficient i carries its column of partial
     sums A_m[i], m = 0..(N - i)/v with v >= 1 leading exact zeros in h,
     because the terms of step m meet h a further m times; no others are
-    formed.
+    formed.  A_m[i] is the same sum at every order, so a column found in
+    the memo is only extended.
     """
     n = s.order
     c0 = _leading_scalar(s)
@@ -522,26 +507,12 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
     zero = TrigPoly.zero(1) if h.is_trig else 0.0
     kind = ("analytic", fid, _DOUBLE.pack(c0),
             exponent if exponent is None else _DOUBLE.pack(float(exponent)))
-    cols = []
-    for i, entry in enumerate(_walk(kind, (y,), _new_column)):
-        shared, tag, reaching = entry
-        top = (n - i) // v
-        # the sums A_m[i] with i < (N - m) v never reach the start A_N, so
-        # they are the same at every order: all of the column at v >= 2, all
-        # but its top at v = 1; the others hold for one (N, v)
-        keep = top + (v > 1)
-        col = shared[:keep]
-        col += [None] * (keep - len(col)) + (
-            reaching if tag == (n, v) else [None] * (top + 1 - keep))
-        cols.append(col)
-        for m in range(top, -1, -1):
-            if col[m] is None:
-                start = float(w[m]) if i == 0 else 0.0
-                col[m] = start if m == n else _dot(
-                    [(cols[k][m + 1], y[i - k]) for k in range(i - v + 1)],
-                    zero) + start
-        shared[len(shared):keep] = col[len(shared):keep]
-        entry[1:] = (n, v), col[keep:]
+    cols = _walk(kind, (y,), lambda i, out: [])
+    for i, col in enumerate(cols):
+        for m in range(len(col), (n - i) // v + 1):
+            col.append(_dot([(cols[k][m + 1], y[i - k])
+                             for k in range(i - v + 1)], zero)
+                       + (float(w[m]) if i == 0 else 0.0))
     return EpsSeries._make([col[0] for col in cols])
 
 
@@ -599,9 +570,11 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
     exact at the truncation order because dtheta is nilpotent there and
     tau-derivatives of trigonometric polynomials are exact.  It is formed
     coefficient by coefficient: with v >= 1 leading exact zeros in dtheta,
-    (-dtheta)^m starts at order m*v, so coefficient k takes the terms
-    m = 0..k/v, and carries its column of powers [(-dtheta)^m]_k for the
-    coefficients above it.  A non-finite leading shift raises ValueError.
+    (-dtheta)^m starts at order m*v, so coefficient k is the sum of the
+    terms that reach it, m = 0..k/v, and depends only on the coefficients
+    0..k of Z and theta; it carries its column of powers [(-dtheta)^m]_k
+    for the coefficients above it.  A non-finite leading shift raises
+    ValueError.
     """
     if not Z.is_trig or theta.is_trig:
         raise DimensionMismatchError(
@@ -612,7 +585,6 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
     theta0 = theta.coeffs[0]
     if not math.isfinite(theta0):
         raise ValueError(f"non-finite leading shift {theta0!r}")
-    n = Z.order
     minus_dtheta = -(theta - theta0)
     v = _leading_zeros(minus_dtheta)
     d = minus_dtheta.coeffs
@@ -629,17 +601,15 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
         return ladder[m][1]
 
     def form(k, out):
-        """(coefficient k without and with the exact-zero terms
-        m = last+1..N, which add as one; [(-dtheta)^m]_k, m = 0..last; the
-        ladder of Z_k)."""
-        last = k // v
+        """(coefficient k; [(-dtheta)^m]_k, m = 0..k/v; the ladder of
+        Z_k)."""
         col = [1.0 if k == 0 else 0.0]
         z = Z.coeffs[k]
         ladder = None if _is_zero(z) else [(z, z.shift(theta0))]
-        powers = [e[2] for e in out] + [col]
-        ladders = [e[3] for e in out] + [ladder]
+        powers = [e[1] for e in out] + [col]
+        ladders = [e[2] for e in out] + [ladder]
         acc, fact = None, 1.0
-        for m in range(last + 1):
+        for m in range(k // v + 1):
             if m:
                 col.append(_dot([(powers[i][m - 1], d[k - i])
                                  for i in range((m - 1) * v, k - v + 1)], 0.0))
@@ -648,8 +618,7 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
                          for i in range(m * v, k + 1)], zero)
             term = _dot([(term, 1.0 / fact)], zero)
             acc = term if acc is None else acc + term
-        return acc, acc + zero, col, ladder
+        return acc, col, ladder
 
     out = _walk(("delayed", _DOUBLE.pack(theta0)), (Z.coeffs, d), form)
-    return EpsSeries._make([e[0] if k // v == n else e[1]
-                            for k, e in enumerate(out)])
+    return EpsSeries._make([e[0] for e in out])

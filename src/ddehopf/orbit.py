@@ -95,6 +95,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
     """
     if not np.isfinite(lam):
         raise ModelError(f"delay must be finite, got {lam}")
+    lam = float(lam)
     lam0 = exp.hopf.lambda0
     target = exp.omega0 * lam
     coeffs = exp.lambda_hats
@@ -171,8 +172,11 @@ class ReconstructedOrbit:
         self.period = T_hat / expansion.omega0
         self.omega_eff = 2.0 * np.pi / self.period
         self.equilibrium = mdl.equilibrium(expansion.model, self.lam)
-        self.profile = expansion.orbit_profile(self.eps)
-        self._dprofile = self.profile.diff()
+        # an amplitude far beyond the validity of the series may overflow
+        with _overflow_is_no_root(f"the orbit profile at delay {self.lam} "
+                                  f"(amplitude {self.eps:.3g})"):
+            self.profile = expansion.orbit_profile(self.eps)
+            self._dprofile = self.profile.diff()
         residual = abs(self.lam - expansion.lambda_hat_of(self.eps) / expansion.omega0)
         if residual > 1e-12 * max(1.0, self.lam):
             raise NewtonError(

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ddehopf import expansion, models
+from ddehopf import ddeint, expansion, models, orbit
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,14 @@ def sir():
 def ndde_msq8(ndde):
     """Order-8 car-following expansion, mean-square normalization."""
     return expansion.expand(ndde, 8, z0_scale="msq")
+
+
+@pytest.fixture(scope="session")
+def ndde14(ndde_msq8):
+    """The seeded car-following cross-validation at lambda = 1.4, order 8:
+    (orbit, e_r, alignment, trajectory)."""
+    orb = orbit.reconstruct(ndde_msq8, 1.4)
+    return (orb, *ddeint.cross_validate(orb))
 
 
 @pytest.fixture(scope="session")

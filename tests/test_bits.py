@@ -1,0 +1,38 @@
+"""The digest of ``tools/bits.py``, on a small synthetic expansion result."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from ddehopf.trigpoly import TrigPoly
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bits.py"
+_spec = importlib.util.spec_from_file_location("bits", TOOL)
+bits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bits)
+
+
+def result(z1_cos):
+    """An order-1 result of dim 1 whose Z_1 has the cosine ``z1_cos``."""
+    return SimpleNamespace(
+        lambda_hats=np.array([1.5, 0.0]), T_hats=np.array([2 * np.pi, 0.0]),
+        Z=[TrigPoly([0.0], [[1.0]], [[0.0]]),
+           TrigPoly([0.25], [[z1_cos]], [[-0.5]])])
+
+
+def test_the_digest_covers_every_byte_in_order():
+    h = hashlib.sha256()
+    for j, Z in enumerate(result(0.0).Z):
+        h.update(np.float64([1.5, 0.0][j]).tobytes()
+                 + np.float64([2 * np.pi, 0.0][j]).tobytes())
+        for part in (Z.const, Z.cos, Z.sin):
+            h.update(repr(part.shape).encode() + part.tobytes())
+    assert bits.digest(result(0.0)) == h.hexdigest()
+
+
+def test_the_sign_of_a_zero_changes_the_digest():
+    assert bits.digest(result(0.0)) != bits.digest(result(-0.0))
+    assert bits.digest(result(0.0)) == bits.digest(result(0.0))

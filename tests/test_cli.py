@@ -107,6 +107,16 @@ class TestSolve:
         assert out == "" and err.count("\n") == 1 and "overflows" in err
 
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_overflowing_profile_exit_code(self, command, capsys):
+        # the order-2 amplitude root of a delay near the float range is
+        # finite, but the orbit profile overflows; run with numpy's warnings
+        # as errors, so a warning fails the test
+        assert run([command, "--model", "sir", "--order", "2",
+                    "--lambda", "1e300"]) == cli.EXIT_EPSILON
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "overflows" in err
+
     @pytest.mark.parametrize("lam", ["1e20", "1e50"])
     def test_overflowing_model_exit_code(self, lam, capsys):
         # the amplitude root exists, but the model overflows on the orbit

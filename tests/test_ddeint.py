@@ -427,9 +427,8 @@ class TestDetectSteadyState:
 
 
 class TestRelativeError:
-    def test_trajectory_against_itself(self, ndde, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
-        _, align, traj = di.cross_validate(orbit)
+    def test_trajectory_against_itself(self, ndde14):
+        _, _, align, traj = ndde14
 
         class Shim:
             period = align.period_est
@@ -456,16 +455,14 @@ class TestRelativeError:
         with pytest.raises(ComparisonError):
             di.relative_error(orbit, traj, bad)
 
-    def test_whole_period_shift_invariance(self, ndde, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
-        e0, align, traj = di.cross_validate(orbit)
+    def test_whole_period_shift_invariance(self, ndde14):
+        orbit, e0, align, traj = ndde14
         back = di.Alignment(align.t0 - align.period_est, align.period_est)
         e1 = di.relative_error(orbit, traj, back)
         assert abs(e1 - e0) < 1e-6
 
-    def test_period_cross_method_agreement(self, ndde, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
-        _, align, _ = di.cross_validate(orbit)
+    def test_period_cross_method_agreement(self, ndde14):
+        orbit, _, align, _ = ndde14
         assert abs(align.period_est - orbit.period) < 1e-3 * orbit.period
 
     def test_sir_period_cross_method_agreement(self, sir_2pi8):

@@ -311,35 +311,38 @@ class TestDelayedState:
 
 
 def full_analytic(fid, s, exponent=None):
-    """Horner evaluation of the Taylor recentering with every product formed
-    to full order."""
+    """Horner evaluation of the Taylor recentering, started from the zero
+    polynomial, with every product formed to full order."""
     n = s.order
     c0 = es._leading_scalar(s)
     w = es._taylor_weights(fid, c0, n, exponent)
     h = s - c0
-    acc = EpsSeries.constant(float(w[n]), n)
-    for m in range(n - 1, -1, -1):
+    acc = EpsSeries.constant(TrigPoly.zero(1) if h.is_trig else 0.0, n)
+    for m in range(n, -1, -1):
         acc = acc * h + float(w[m])
     return acc
 
 
 def full_delayed_state(Z, theta):
-    """The derivative/shift ladder about the leading shift with every
-    coefficient formed."""
+    """The derivative/shift ladder about the leading shift with every term
+    formed to full order; coefficient k sums, left to right, the terms m
+    that reach it: (-dtheta)^m starts at order m*v, for v leading exact
+    zeros in dtheta."""
     theta0 = theta.coeffs[0]
     minus_dtheta = -(theta - theta0)
+    v = es._leading_zeros(minus_dtheta)
     deriv = Z
     power = EpsSeries.constant(1.0, Z.order)
     fact = 1.0
-    acc = None
+    terms = []
     for m in range(Z.order + 1):
         shifted = EpsSeries([c.shift(theta0) for c in deriv.coeffs])
-        term = power * shifted * (1.0 / fact)
-        acc = term if acc is None else acc + term
+        terms.append(power * shifted * (1.0 / fact))
         deriv = EpsSeries([c.diff() for c in deriv.coeffs])
         power = power * minus_dtheta
         fact *= m + 1
-    return acc
+    return EpsSeries([sum((t.coeffs[k] for t in terms[1:k // v + 1]),
+                          terms[0].coeffs[k]) for k in range(Z.order + 1)])
 
 
 def bits(c):
@@ -397,8 +400,9 @@ class TestTrimming:
 
     def test_trig_exp_forms_only_the_products_it_needs(self, monkeypatch):
         # step m of the Horner loop forms orders up to 12 - m of acc*h, so
-        # sum_{p=2..12} p(p+1)/2 = 363 products of polynomials, where the
-        # full loop forms 11 * 78 = 858
+        # sum_{p=1..12} p(p+1)/2 = 364 products of polynomials, where the
+        # full loop forms 12 at m = 11, the first step whose acc is not
+        # zero, and 78 at each of the 11 steps below: 870
         calls = []
         mul = tp.mul
 
@@ -409,19 +413,19 @@ class TestTrimming:
         monkeypatch.setattr(tp, "mul", counted)
         s = self.inputs()[2][0]
         es.exp(s)
-        assert len(calls) == 363
+        assert len(calls) == 364
         calls.clear()
         full_analytic("exp", s)
-        assert len(calls) == 858
+        assert len(calls) == 870
 
 
 class TestInsideTheScope:
     # expand opens the scope, starts a generation per order and grows its
     # series by one order at a time, keeping the coefficients below the top
-    # and probing the top one with several values.  Inside the scope every
-    # result must still be its oracle's, bit for bit: a coefficient that
-    # depends on the order (the top one at v = 1) must not be served from an
-    # order before
+    # and probing the top one with several values.  No coefficient depends on
+    # the truncation order, so one formed at an order before may be served
+    # again; inside the scope every result must still be its oracle's, bit
+    # for bit, and every coefficient the same at every order
     ORDERS = range(1, 13)
 
     def grow(self, op, oracle, *coeff_lists):
@@ -441,14 +445,16 @@ class TestInsideTheScope:
                     assert_same_bits(op(*args), ref)
         return {n: refs[n][0] for n in self.ORDERS}
 
-    def analytic_inputs(self, fid):
-        """{name: (coefficients of order 12, v)}."""
+    def series(self):
+        """{name: (coefficients of order 12, v)}: scalar, direction-array and
+        dim-1 trig series with v leading exact zeros after the order-0
+        term."""
         n = max(self.ORDERS)
         rng = np.random.default_rng(20)
         trig = [0.3 * c for c in random_trig_series(rng, order=n).coeffs]
-        # the -0.0 of h_1 stays in the top coefficient of order 1, which
-        # Horner's float start w_1 scales, and is 0.0 at order 2, where a
-        # polynomial partial sum multiplies it
+        # h_1 carries a -0.0, which a float factor keeps and a product of
+        # polynomials turns into 0.0: the top coefficient of order 1 must be
+        # formed as it is at every order above
         trig[1] = TrigPoly([0.3], [[-0.0], [0.5]], [[0.7], [0.2]])
         return {
             "scalar v=1": ([1.3] + list(0.5 * rng.standard_normal(n)), 1),
@@ -457,26 +463,9 @@ class TestInsideTheScope:
             "directions": ([1.3] + list(0.5 * rng.standard_normal((n, 4))), 1),
             "trig v=1": ([TrigPoly.constant([0.4])] + trig[1:], 1)}
 
-    @pytest.mark.parametrize("fid,exponent", [
-        ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
-        ("sin", None), ("cos", None)])
-    def test_analytic(self, fid, exponent):
-        for name, (coeffs, v) in self.analytic_inputs(fid).items():
-            s = EpsSeries(coeffs)
-            assert es._leading_zeros(s - es._leading_scalar(s)) == v, name
-            below, top = order_dependence(self.grow(
-                lambda s: es.analytic(fid, s, exponent),
-                lambda s: full_analytic(fid, s, exponent), coeffs))
-            # the coefficients below the top never depend on N, nor with
-            # v >= 2 the top one
-            assert not below, name
-            if v > 1:
-                assert not top, name
-            if fid == "exp" and name == "trig v=1":
-                assert top
-
-    @pytest.mark.parametrize("v", [1, 2])
-    def test_delayed_state(self, v):
+    def shifts(self, v):
+        """(dim-2 trig coefficients Z, the shift's coefficients theta, with
+        v leading exact zeros after its order-0 term), both of order 12."""
         n = max(self.ORDERS)
         rng = np.random.default_rng(v)
         Z = [0.3 * c for c in random_trig_series(rng, order=n, dim=2).coeffs]
@@ -484,29 +473,50 @@ class TestInsideTheScope:
         tail = list(0.2 * rng.standard_normal(n))
         theta = [theta0] + [0.0] * (v - 1) + tail[v - 1:]
         if v == 1:
-            # the -0.0s of Z_1 stay in the top coefficient of order 1, to
-            # which no trailing exact-zero term is added, and are 0.0 at
-            # order 2, where one is
+            # the -0.0s of Z_1 stay -0.0 in the sum of the terms that reach
+            # coefficient 1, and an exact-zero term added after them would
+            # turn them into 0.0
             Z[1] = TrigPoly([-0.0, -0.0], Z[1].cos, Z[1].sin)
             theta[1] = abs(theta[1])
-        for Zs in (Z, [c.component(0) for c in Z]):
-            assert es._leading_zeros(EpsSeries(theta) - theta0) == v
-            below, top = order_dependence(self.grow(
+        assert es._leading_zeros(EpsSeries(theta) - theta0) == v
+        return Z, theta
+
+    @pytest.mark.parametrize("fid,exponent", [
+        ("exp", None), ("log", None), ("pow", 0.5), ("pow", -1.5),
+        ("sin", None), ("cos", None)])
+    def test_analytic(self, fid, exponent):
+        for name, (coeffs, v) in self.series().items():
+            s = EpsSeries(coeffs)
+            assert es._leading_zeros(s - es._leading_scalar(s)) == v, name
+            assert not order_dependence(self.grow(
+                lambda s: es.analytic(fid, s, exponent),
+                lambda s: full_analytic(fid, s, exponent), coeffs)), name
+
+    @pytest.mark.parametrize("v", [1, 2])
+    def test_delayed_state(self, v):
+        Z, theta = self.shifts(v)
+        for Zs in (Z, [c.component(0) for c in Z],
+                   self.series()["trig v=1"][0]):
+            assert not order_dependence(self.grow(
                 es.delayed_state, full_delayed_state, Zs, theta))
-            assert not below
-            assert top == (v == 1)
+
+    @pytest.mark.parametrize("op", [es._cauchy, es.div],
+                             ids=["product", "quotient"])
+    def test_products_and_quotients(self, op):
+        # the oracle is the operation outside the scope
+        for v in (1, 2):
+            Z, theta = self.shifts(v)
+            firsts = [Z, [c.component(0) for c in Z]] + [
+                coeffs for coeffs, _ in self.series().values()]
+            for coeffs in firsts:
+                assert not order_dependence(self.grow(op, op, coeffs, theta))
 
 
 def order_dependence(refs):
-    """Whether some coefficient below the top of an order's result differs
-    from that coefficient at the next order, and whether some top one does."""
-    below = top = False
-    for n in list(refs)[:-1]:
-        moved = [bits(a) != bits(b)
-                 for a, b in zip(refs[n].coeffs, refs[n + 1].coeffs)]
-        below |= any(moved[:-1])
-        top |= moved[-1]
-    return below, top
+    """Whether some coefficient of an order's result differs from that
+    coefficient at the next order."""
+    return any(bits(a) != bits(b) for n in list(refs)[:-1]
+               for a, b in zip(refs[n].coeffs, refs[n + 1].coeffs))
 
 
 class TestDirectionArrays:

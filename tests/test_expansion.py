@@ -222,13 +222,14 @@ class TestAssembleRhs:
     def test_work_of_an_order_12_expand(self, ndde, monkeypatch):
         # a count of work, where a timer would be unreliable: the polynomial
         # products, delayed shifts and polynomial sums of one expand.  Each
-        # coefficient is formed once per content, and the shifted
-        # derivatives of a nonzero Z_k once per entry of the delayed state
-        # (the exact-zero top coefficients of the probes have none);
-        # re-forming the whole Horner loop of exp and the derivative/shift
-        # ladder at every probe took as many products but 920 shifts and
-        # 10,388 sums.  expand forms no closed-form R and S (2 shifts and 3
-        # sums), which stay a test-side reference
+        # coefficient is formed once per content, each column of Horner
+        # partial sums of exp is extended in place as the orders grow, and
+        # the shifted derivatives of a nonzero Z_k are formed once per entry
+        # of the delayed state (the exact-zero top coefficients of the
+        # probes have none); re-forming the whole Horner loop of exp and the
+        # derivative/shift ladder at every probe took 1,284 products, 920
+        # shifts and 10,388 sums.  expand forms no closed-form R and S (2
+        # shifts and 3 sums), which stay a test-side reference
         counts = dict.fromkeys(("mul", "shift", "__add__"), 0)
 
         def counting(owner, name):
@@ -243,7 +244,7 @@ class TestAssembleRhs:
         counting(TrigPoly, "shift")
         counting(TrigPoly, "__add__")
         xp.expand(ndde, 12, "msq")
-        assert counts == {"mul": 1284, "shift": 56, "__add__": 5761}
+        assert counts == {"mul": 1010, "shift": 56, "__add__": 5392}
 
 
 class TestSolveOrder:
@@ -400,20 +401,28 @@ class TestExpand:
 
     def test_the_envelope_refuses_what_rounding_cannot_explain(
             self, ndde_msq20):
-        # lh_5 (envelope 2.5e-17) moved by K envelopes passes and by 10 K
-        # envelopes is refused, and so is a Z_9 scaled by 1 + 1e-12
+        # the record's own reference with lh_5 (envelope 2.5e-17) moved by
+        # K envelopes passes and by 10 K envelopes is refused, and so is one
+        # with Z_9 scaled by 1 + 1e-12; the live expansion gives only the
+        # case (model, order, scale), so this holds wherever in its envelope
+        # that expansion lies
         record = load_envelope("ndde-n20-msq")
+        reference = copy.copy(ndde_msq20)
+        reference.lambda_hats = np.array(record["lambda_hats"])
+        reference.T_hats = np.array(record["T_hats"])
+        reference.Z = [TrigPoly(c["const"], c["cos"], c["sin"])
+                       for c in record["coefficients"]]
         step = envelope.K * record["envelope"]["lambda_hats"][5]
         for factor, passes in ((1.0, True), (10.0, False)):
-            moved = copy.copy(ndde_msq20)
-            moved.lambda_hats = ndde_msq20.lambda_hats.copy()
+            moved = copy.copy(reference)
+            moved.lambda_hats = reference.lambda_hats.copy()
             moved.lambda_hats[5] += factor * step
             ratios = {(j, key): r for j, key, r in envelope_ratios(moved,
                                                                     record)}
             assert (ratios[5, "lambda_hats"] <= 1.0) == passes
             assert max(ratios.values()) == ratios[5, "lambda_hats"]
-        moved = copy.copy(ndde_msq20)
-        moved.Z = list(ndde_msq20.Z)
+        moved = copy.copy(reference)
+        moved.Z = list(reference.Z)
         moved.Z[9] = (1.0 + 1e-12) * moved.Z[9]
         with pytest.raises(AssertionError, match=r"\(9, 'Z'"):
             assert_within_envelope(moved, record)

@@ -48,6 +48,20 @@ class TestSolveEpsilon:
         with pytest.raises(NoRealRootError, match="overflows"):
             ob.solve_epsilon(ndde_msq8, lam)
 
+    def test_a_numpy_delay_bisects_in_python_floats(self, sir_2pi8):
+        # the order-2 root of a delay near the float range is finite, and
+        # the bisection's sign products overflow to a signed inf without a
+        # warning (numpy's warnings are errors here); the orbit's profile
+        # overflows, a typed error, also as a row of a diagram
+        order2 = sir_2pi8.truncated(2)
+        lam = np.float64(1e299)
+        eps = ob.solve_epsilon(order2, lam)
+        assert type(eps) is float and eps == ob.solve_epsilon(order2, 1e299)
+        with pytest.raises(NoRealRootError, match="profile .* overflows"):
+            ob.reconstruct(order2, lam)
+        row, = ob.bifurcation_diagram(order2, np.array([lam]))
+        assert row["error"].startswith("NoRealRootError: the orbit profile")
+
     def test_identity_on_delay_curve(self, ndde_msq8):
         for eps in np.linspace(0.05, 1.0, 12):
             lam = ndde_msq8.lambda_hat_of(eps) / ndde_msq8.omega0
@@ -220,15 +234,13 @@ class TestDiagram:
         with pytest.raises(TypeError, match="broken extrema"):
             ob.bifurcation_diagram(ndde_msq8, [1.4, 1.5])
 
-    def test_extrema_match_integrator_amplitude(self, ndde_msq8):
+    def test_extrema_match_integrator_amplitude(self, ndde14):
         # peak-to-peak spread of the first component against the reference
         # integration at the smallest published delay
-        from ddehopf import ddeint as di
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit, _, align, traj = ndde14
         extrema = ob.orbit_extrema(orbit)
         width = extrema[0][1] - extrema[0][0]
         peak = extrema[0][1] - orbit.equilibrium[0]
-        _, align, traj = di.cross_validate(orbit)
         ts = align.t0 - align.period_est + np.linspace(
             0.0, align.period_est, 2048, endpoint=False)
         vals = traj.value(ts)[:, 0]
@@ -276,25 +288,27 @@ class TestDiagram:
                                        load_envelope("diagram-sir-n14"))
 
     def test_the_envelope_refuses_what_rounding_cannot_explain(
-            self, sir_2pi14, sir_diagram14):
-        # the eps of row 100 moved by K envelopes passes and by 10 K
-        # envelopes is refused, and so are an I maximum scaled by
-        # 1 + 1e-12 and an equilibrium row given an amplitude
+            self, sir_2pi14):
+        # the record's own rows with the eps of row 100 moved by K envelopes
+        # pass and by 10 K envelopes are refused, and so are rows with an I
+        # maximum scaled by 1 + 1e-12 or an equilibrium row given an
+        # amplitude; the live expansion gives only the case, so this holds
+        # wherever in its envelope the live sweep lies
         record = load_envelope("diagram-sir-n14")
         step = envelope.K * record["envelope"]["eps"][100]
         for factor, passes in ((1.0, True), (10.0, False)):
-            moved = copy.deepcopy(sir_diagram14)
+            moved = copy.deepcopy(record["rows"])
             moved[100]["eps"] += factor * step
             ratios = {(i, key): r
                       for i, key, r in diagram_ratios(moved, record)}
             assert (ratios[100, "eps"] <= 1.0) == passes
             assert max(ratios.values()) == ratios[100, "eps"]
-        moved = copy.deepcopy(sir_diagram14)
+        moved = copy.deepcopy(record["rows"])
         lo, hi = moved[150]["components"][1]
         moved[150]["components"][1] = (lo, (1.0 + 1e-12) * hi)
         with pytest.raises(AssertionError, match=r"\(150, 'max 1'"):
             assert_diagram_within_envelope(sir_2pi14, moved, record)
-        moved = copy.deepcopy(sir_diagram14)
+        moved = copy.deepcopy(record["rows"])
         moved[0]["eps"] = 1e-9
         with pytest.raises(AssertionError, match=r"\(0, 'eps'"):
             assert_diagram_within_envelope(sir_2pi14, moved, record)

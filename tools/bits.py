@@ -1,0 +1,144 @@
+"""SHA-256 digests of the series coefficients of a fixed set of expansions.
+
+Each artifact is one ``ddehopf.expand`` run.  Its digest covers, order by
+order, the 8 bytes of lambda_hat_j and of T_hat_j and the shape and bytes of
+the constant, cosine and sine arrays of Z_j, so two runs have the same
+digest only if every coefficient is the same float, bit for bit (0.0 and
+-0.0 differ).
+
+Usage::
+
+    python tools/bits.py [--src DIR] [--against REV] [--json]
+
+``--src`` names the source directory that holds the ``ddehopf`` package
+(default: ``src`` next to this script's directory).  ``--against REV``
+extracts the git revision REV of this repository with ``git archive`` into
+a temporary directory, runs the same set there in a fresh interpreter, and
+prints both digests of each artifact with ``same`` or ``DIFFERENT``; the
+exit status is 1 if any differs.  ``--json`` prints {artifact: digest}.
+Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def digest(result) -> str:
+    """SHA-256 over every lambda_hat_j, T_hat_j and Z_j of an expansion
+    result (anything with ``lambda_hats``, ``T_hats`` and a list ``Z`` of
+    polynomials with ``const``, ``cos`` and ``sin`` arrays)."""
+    h = hashlib.sha256()
+    for lam, T, Z in zip(result.lambda_hats, result.T_hats, result.Z,
+                         strict=True):
+        h.update(np.float64(lam).tobytes() + np.float64(T).tobytes())
+        for part in (Z.const, Z.cos, Z.sin):
+            part = np.asarray(part, dtype=float)
+            h.update(repr(part.shape).encode() + part.tobytes())
+    return h.hexdigest()
+
+
+def _artifacts():
+    """{name: (model, order, z0_scale)}, built from the package on the
+    import path."""
+    import ddehopf
+    from ddehopf.epsseries import cos, log, powf, sin
+
+    def scalar(name, rhs, hint):
+        return ddehopf.DdeModel(name, dim=1, params={}, rhs=rhs,
+                                equilibrium_hint=[0.0], hopf_hint=hint)
+
+    ndde, sir = ddehopf.make_ndde(), ddehopf.make_sir()
+    mackey_glass = ddehopf.DdeModel(
+        "mackey-glass", dim=1, params={},
+        rhs=lambda lam, x, y: [2 * y[0] / (1 + powf(y[0], 10)) - x[0]],
+        equilibrium_hint=[1.0], hopf_hint=(3.9, 0.47))
+    hutchinson = ddehopf.DdeModel(
+        "hutchinson", dim=1, params={},
+        rhs=lambda lam, x, y: [x[0] * (1 - y[0])],
+        equilibrium_hint=[1.0], hopf_hint=(1.1, 1.4))
+    runs = {
+        "ndde-msq-8": (ndde, 8, "msq"),
+        "ndde-msq-20": (ndde, 20, "msq"),
+        "ndde-msq-40": (ndde, 40, "msq"),
+        "ndde-paper-12": (ndde, 12, "paper"),
+        "ndde-orthonormal-12": (ndde, 12, "orthonormal"),
+        "sir-paper-14": (sir, 14, "paper"),
+        "sir-paper-20": (sir, 20, "paper"),
+        "sir-msq-8": (sir, 8, "msq"),
+        "mackey-glass-msq-12": (mackey_glass, 12, "msq"),
+    }
+    for hint in ((1.0, 1.5), (0.9, 1.6), (1.1, 1.4)):
+        runs[f"minus-sin-{hint[0]}-{hint[1]}-msq-12"] = (
+            scalar("minus-sin", lambda lam, x, y: [-sin(y[0])], hint),
+            12, "msq")
+    runs["cos-msq-12"] = (scalar(
+        "cos", lambda lam, x, y: [cos(y[0] + 1.0) - math.cos(1.0)],
+        (0.85, 1.85)), 12, "msq")
+    runs["log-msq-12"] = (scalar(
+        "log", lambda lam, x, y: [-log(1 + y[0]) - 0.1 * x[0]],
+        (1.0, 1.7)), 12, "msq")
+    runs["hutchinson-msq-20"] = (hutchinson, 20, "msq")
+    return runs
+
+
+def digests(src: Path) -> dict:
+    """{artifact: digest} of the package in ``src``."""
+    sys.path.insert(0, str(src))
+    import ddehopf
+    return {name: digest(ddehopf.expand(model, order, z0_scale=scale))
+            for name, (model, order, scale) in _artifacts().items()}
+
+
+def digests_at(rev: str) -> dict:
+    """{artifact: digest} of git revision ``rev``, in a fresh interpreter."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        out = subprocess.run(
+            [sys.executable, __file__, "--src", str(Path(tmp) / "src"),
+             "--json"], check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--against", metavar="REV")
+    parser.add_argument("--json", action="store_true")
+    args = parser.parse_args(argv)
+    ours = digests(args.src.resolve())
+    if args.json:
+        print(json.dumps(ours))
+        return 0
+    if args.against is None:
+        for name, value in ours.items():
+            print(f"{name:<28} {value}")
+        return 0
+    theirs = digests_at(args.against)
+    differ = 0
+    for name, value in ours.items():
+        same = theirs.get(name) == value
+        differ += not same
+        print(f"{name:<28} {value[:16]} {str(theirs.get(name))[:16]} "
+              f"{'same' if same else 'DIFFERENT'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
