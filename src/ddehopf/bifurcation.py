@@ -76,10 +76,14 @@ def characteristic_matrix(model, omega, lam):
 def _scaled_det(mat) -> complex:
     """Determinant of the row-normalized matrix; zero exactly when det is.
     A 1x1 matrix is returned unscaled, since its normalized entry would have
-    modulus 1 everywhere."""
+    modulus 1 everywhere.  A row norm that overflows raises HopfError: the
+    normalized row would be 0 and fake a root."""
     if mat.shape == (1, 1):
         return complex(mat[0, 0])
-    norms = np.linalg.norm(mat, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    if not np.isfinite(norms).all():
+        raise HopfError("the characteristic matrix overflows")
     norms[norms == 0.0] = 1.0
     return complex(np.linalg.det(mat / norms[:, None]))
 

@@ -19,7 +19,7 @@ bisection.  With F3..F6 = 0 it is the cubic Hermite interpolant through
 accepted step, on top of the twelve per attempted step.
 
 ``integrate`` alone builds a trajectory, in one pass: the knots
-(t, y, y') and the extension vectors go into arrays whose capacity doubles
+(t, y) and the extension vectors go into arrays whose capacity doubles
 when they fill up, and the ``Trajectory`` returned holds read-only views of
 the filled rows.  Thanks to the step cap, the fifteen delayed stage times
 of a step all lie behind its start, so one ``searchsorted`` finds their
@@ -133,10 +133,10 @@ _D = np.array(_table("""
 
 class Trajectory:
     """Dense numerical solution, as ``integrate`` returns it: the knots
-    (t, y, y') (``ts``, ``ys``, ``fs``), on each segment between them the
-    continuous extension with its vectors F0..F6 (``coeffs``, shape
-    (len(ts) - 1, 7, dim)), and the history at or before the first knot.
-    The arrays are read-only.
+    (t, y) (``ts``, ``ys``), on each segment between them the continuous
+    extension with its vectors F0..F6 (``coeffs``, shape (len(ts) - 1, 7,
+    dim)), and the history at or before the first knot.  The arrays are
+    read-only.
 
     ``stats`` counts the accepted and rejected steps and the rhs
     evaluations, and holds the smallest accepted step the controller chose
@@ -144,10 +144,10 @@ class Trajectory:
     the first step never is) and the largest accepted step (``h_max``).
     """
 
-    def __init__(self, ts, ys, fs, coeffs, lam, history, stats):
-        for a in (ts, ys, fs, coeffs):
+    def __init__(self, ts, ys, coeffs, lam, history, stats):
+        for a in (ts, ys, coeffs):
             a.setflags(write=False)
-        self.ts, self.ys, self.fs, self.coeffs = ts, ys, fs, coeffs
+        self.ts, self.ys, self.coeffs = ts, ys, coeffs
         self.t_start = float(ts[0])
         self.t_end = float(ts[-1])
         self.lam = lam
@@ -245,6 +245,7 @@ class Alignment:
         return f"Alignment(t0={self.t0:.6g}, period={self.period_est:.6g})"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     """Integrate on [0, t_end] from a history on [-lam, 0].
 
@@ -253,7 +254,10 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     (rtol, atol) and capped at lam/4 so delayed arguments always fall behind
     the current step.  Accepted knots and their segments go into arrays
     whose capacity doubles when full; the trajectory returned holds views
-    of the filled rows.
+    of the filled rows.  numpy's overflow and invalid-value warnings are off
+    inside: a saturated rhs (exp overflowing to inf) may still give a finite
+    slope, and a state that leaves the float range raises IntegrationError
+    ("non-finite state").
     """
     lam = float(lam)
     if not 0.0 < lam < math.inf:
@@ -272,7 +276,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
         f = np.array(rhs(lam, y.tolist(), past), dtype=float)
     except ArithmeticError as exc:
         raise IntegrationError(f"model rhs failed at t=0: {exc}") from exc
-    ts, ys, fs = np.zeros(1), y[None].copy(), f[None].copy()
+    ts, ys = np.zeros(1), y[None].copy()
     coeffs = np.zeros((1, 7, dim))
     n, t = 1, 0.0
     h = min(lam / 4.0, t_end, 1e-2 * lam + 1e-12)
@@ -320,15 +324,15 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
         if err <= 1.0:
             stages(13, 16)
             if n == len(ts):
-                ts, ys, fs, coeffs = (np.concatenate((a, np.empty_like(a)))
-                                      for a in (ts, ys, fs, coeffs))
+                ts, ys, coeffs = (np.concatenate((a, np.empty_like(a)))
+                                  for a in (ts, ys, coeffs))
             coeffs[n - 1, :3] = _hermite_part(h, y_new - y, f, k[12])
             coeffs[n - 1, 3:] = h * (_D @ k)
             t += h
             if not clipped:
                 h_min = min(h_min, float(t - ts[n - 1]))
             y, f = y_new, k[12].copy()
-            ts[n], ys[n], fs[n] = t, y, f
+            ts[n], ys[n] = t, y
             n += 1
             stats["accepted"] += 1
         else:
@@ -337,8 +341,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
         h *= min(6.0, max(1.0 / 3.0, factor))
     stats["h_min"] = h_min
     stats["h_max"] = float(np.diff(ts[:n]).max())
-    return Trajectory(ts[:n], ys[:n], fs[:n], coeffs[:n - 1], lam, history,
-                      stats)
+    return Trajectory(ts[:n], ys[:n], coeffs[:n - 1], lam, history, stats)
 
 
 # -- steady state ---------------------------------------------------------------

@@ -113,7 +113,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .trigpoly import NUMBER_TYPES, TRIM_TOL, TrigPoly
+from .trigpoly import NUMBER_TYPES, TrigPoly
 
 
 class EpsSeries:
@@ -352,8 +352,8 @@ def _walk(kind, inputs, form) -> list:
 
 def _dot(pairs, zero):
     """Sum of the products x*y of ``pairs``, left to right, skipping every
-    pair with an exact-zero factor; trimmed to TRIM_TOL if a polynomial,
-    ``zero`` if every pair is skipped."""
+    pair with an exact-zero factor; trimmed (``TrigPoly.truncate``) if a
+    polynomial, ``zero`` if every pair is skipped."""
     acc = None
     for x, y in pairs:
         if not _is_zero(x) and not _is_zero(y):
@@ -361,7 +361,7 @@ def _dot(pairs, zero):
             acc = term if acc is None else acc + term
     if acc is None:
         return zero
-    return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
+    return acc.truncate() if isinstance(acc, TrigPoly) else acc
 
 
 def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
@@ -417,7 +417,7 @@ def div(s: EpsSeries, t: EpsSeries) -> EpsSeries:
             if not _is_zero(y[k]) and not _is_zero(q[j - k]):
                 acc = acc - y[k] * q[j - k]
         acc = acc * (1.0 / t0)
-        return acc.truncate(TRIM_TOL) if isinstance(acc, TrigPoly) else acc
+        return acc.truncate() if isinstance(acc, TrigPoly) else acc
 
     return EpsSeries(_walk("div", (x, y), form))
 

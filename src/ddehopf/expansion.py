@@ -77,10 +77,10 @@ class ExpansionResult:
         return self.hopf.omega0
 
     def lambda_hat_of(self, eps: float) -> float:
-        return float(np.polyval(self.lambda_hats[::-1], eps))
+        return _horner(self.lambda_hats, eps)
 
     def T_hat_of(self, eps: float) -> float:
-        return float(np.polyval(self.T_hats[::-1], eps))
+        return _horner(self.T_hats, eps)
 
     def orbit_profile(self, eps: float) -> TrigPoly:
         """eps * sum_j Z_j(tau) eps^j as a single polynomial (deviation only)."""
@@ -116,6 +116,15 @@ class ExpansionResult:
     def __repr__(self):
         return (f"ExpansionResult(model={self.model.name!r}, order={self.order}, "
                 f"omega0={self.omega0:.6g})")
+
+
+def _horner(coeffs: np.ndarray, eps: float) -> float:
+    """sum_j coeffs[j] * eps^j by np.polyval's loop on Python floats: the
+    same operations in the same order, without numpy's per-scalar cost."""
+    y = 0.0
+    for c in coeffs[::-1].tolist():
+        y = y * eps + c
+    return float(y)
 
 
 # -- right-hand side assembly -------------------------------------------------

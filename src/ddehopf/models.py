@@ -259,7 +259,10 @@ def _solve_equilibrium(model: DdeModel, lam: float) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(x))))
     converged = False
     for _ in range(EQ_MAX_ITER):
-        g = np.array(model.rhs(lam, list(x), list(x)), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.array(model.rhs(lam, list(x), list(x)), dtype=float)
+        if not np.isfinite(g).all():
+            raise NewtonError(f"equilibrium residual is not finite at lam={lam}")
         if np.max(np.abs(g)) <= EQ_TOL * scale:
             if converged:
                 return x
@@ -298,17 +301,14 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
             f"singular equilibrium Jacobian at base lam={lam0}") from exc
     xs = [EpsSeries.constant(float(v), order) for v in x0]
     scale = max(1.0, float(np.max(np.abs(x0))))
-    for _ in range(order + 1):
+    for sweep in range(order + 2):
         g = model.rhs(lam_series, xs, xs)
         res = max(max(abs(c) for c in gi.coeffs) for gi in g)
-        if res <= 1e-14 * scale:
+        if res <= 1e-14 * scale or sweep == order + 1:
             break  # g is the residual of the xs returned
         steps = [[float(Jinv[i, j]) * g[j] for j in range(model.dim)]
                  for i in range(model.dim)]
         xs = [x - sum(terms[1:], terms[0]) for x, terms in zip(xs, steps)]
-    else:  # out of sweeps: the last step has not been checked yet
-        g = model.rhs(lam_series, xs, xs)
-        res = max(max(abs(c) for c in gi.coeffs) for gi in g)
     if res > 1e-10 * scale:
         raise NewtonError(
             f"equilibrium series residual {res:.2e} exceeds tolerance")

@@ -111,15 +111,9 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
             "cannot seed the amplitude solve: the order-2 delay "
             f"coefficient {lh2:.3e} is not positive")
 
-    horner = coeffs[::-1].tolist()
-
     def p(e):
-        # np.polyval's loop on a number, in Python floats: the same
-        # operations in the same order, without numpy's per-scalar cost
-        y = 0.0
-        for c in horner:
-            y = y * e + c
-        return y - target
+        # lambda_hat_of rounds as np.polyval does, so p agrees with the scan
+        return exp.lambda_hat_of(e) - target
 
     # Sign scan on [0, hi]: the branch grows from eps = 0, so the wanted
     # root is the first crossing; later crossings (the polynomial bending
@@ -213,12 +207,14 @@ def reconstruct(exp: ExpansionResult, lam: float) -> ReconstructedOrbit:
 # -- residual ---------------------------------------------------------------------
 
 
-def _refined_max(f, taus, vals):
+def _refined_max(f, vals):
     """Maximum of f over one period from its samples ``vals`` on the uniform
-    grid ``taus``, sharpened by golden-section steps around the best sample."""
-    dt = 2.0 * np.pi / len(taus)
+    grid tau_k = k*2*pi/n, k = 0..n-1, sharpened by golden-section steps
+    around the best sample.  k*(2*pi/n) is the double that
+    np.linspace(0, 2*pi, n, endpoint=False) holds at k."""
+    dt = 2.0 * np.pi / len(vals)
     k = int(np.argmax(vals))
-    return _golden_max(f, taus[k] - dt, taus[k] + dt, vals[k], 3)
+    return _golden_max(f, k * dt - dt, k * dt + dt, vals[k], 3)
 
 
 def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
@@ -251,16 +247,15 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
         return defect(orbit.profile.eval(tau), shifted.eval(tau),
                       orbit._dprofile.eval(tau))
 
-    taus = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     # an orbit far beyond the validity of the series may overflow the model
     with _overflow_is_no_root(f"the model on the orbit at delay {lam} "
                               f"(amplitude {orbit.eps:.3g})"):
         num, den = defect(orbit.profile.sample(samples),
                           shifted.sample(samples),
                           orbit._dprofile.sample(samples))
-        sup_num = _refined_max(lambda tau: defect_at(tau)[0], taus, num)
+        sup_num = _refined_max(lambda tau: defect_at(tau)[0], num)
         sup_den = _refined_max(lambda tau: np.max(np.abs(
-            orbit._dprofile.eval(tau) * orbit.omega_eff)), taus, den)
+            orbit._dprofile.eval(tau) * orbit.omega_eff)), den)
     if sup_den == 0.0:
         # zero-amplitude orbit: the defect is the equilibrium residual
         return 0.0 if sup_num < 1e-9 else float("inf")
@@ -273,7 +268,6 @@ def residual(orbit: ReconstructedOrbit, samples: int = 2048) -> float:
 def orbit_extrema(orbit: ReconstructedOrbit):
     """(min, max) per component over one period, grid plus refinement; the
     grid is sampled like ``residual``'s, from a shared table."""
-    taus = np.linspace(0.0, 2.0 * np.pi, EXTREMA_SAMPLES, endpoint=False)
     vals = orbit.profile.sample(EXTREMA_SAMPLES) + orbit.equilibrium
     out = []
     for i in range(vals.shape[1]):
@@ -283,8 +277,8 @@ def orbit_extrema(orbit: ReconstructedOrbit):
         def hi(tau, comp=comp, base=base):
             return float(comp.eval(tau)[0]) + base
 
-        vmin = -_refined_max(lambda tau: -hi(tau), taus, -vals[:, i])
-        vmax = _refined_max(hi, taus, vals[:, i])
+        vmin = -_refined_max(lambda tau: -hi(tau), -vals[:, i])
+        vmax = _refined_max(hi, vals[:, i])
         out.append((vmin, vmax))
     return out
 

@@ -140,13 +140,13 @@ class TrigPoly:
             m = max(m, float(np.max(np.abs(self.cos))), float(np.max(np.abs(self.sin))))
         return m
 
-    def truncate(self, tol: float = TRIM_TOL) -> "TrigPoly":
-        """Drop trailing harmonics smaller than ``tol`` relative to the largest
+    def truncate(self) -> "TrigPoly":
+        """Drop trailing harmonics at most TRIM_TOL relative to the largest
         coefficient."""
         scale = self.max_abs()
         if scale == 0.0:
             return TrigPoly.zero(self.dim)
-        cut = tol * scale
+        cut = TRIM_TOL * scale
         keep = self.degree
         while keep > 0 and (np.max(np.abs(self.cos[keep - 1])) <= cut
                             and np.max(np.abs(self.sin[keep - 1])) <= cut):

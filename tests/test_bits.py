@@ -1,4 +1,5 @@
-"""The digest of ``tools/bits.py``, on a small synthetic expansion result."""
+"""The digests of ``tools/bits.py``, on a small synthetic expansion result
+and trajectory."""
 
 import hashlib
 import importlib.util
@@ -36,3 +37,21 @@ def test_the_digest_covers_every_byte_in_order():
 def test_the_sign_of_a_zero_changes_the_digest():
     assert bits.digest(result(0.0)) != bits.digest(result(-0.0))
     assert bits.digest(result(0.0)) == bits.digest(result(0.0))
+
+
+def trajectory(y_last):
+    """Three knots of dim 2 whose last state has first component ``y_last``."""
+    return SimpleNamespace(
+        ts=np.array([0.0, 0.5, 1.0]),
+        ys=np.array([[1.0, 0.0], [0.5, 0.25], [y_last, 0.5]]),
+        coeffs=np.arange(28.0).reshape(2, 7, 2))
+
+
+def test_the_trajectory_digest_covers_every_byte_in_order():
+    traj = trajectory(0.0)
+    h = hashlib.sha256()
+    for part in (traj.ts, traj.ys, traj.coeffs):
+        h.update(repr(part.shape).encode() + part.tobytes())
+    assert bits.trajectory_digest(traj) == h.hexdigest()
+    assert bits.trajectory_digest(traj) != bits.trajectory_digest(
+        trajectory(-0.0))

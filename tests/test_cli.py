@@ -117,6 +117,16 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and "overflows" in err
 
+    @pytest.mark.parametrize("model, lam, t", [("sir", "1e100", "1e+98"),
+                                               ("ndde", "1e200", "1e+198")])
+    def test_overflowing_integration_exit_code(self, model, lam, t, capsys):
+        # the reference integration at a delay near the float range leaves
+        # it: the non-finite-state error, with no numpy warning before it
+        assert run(["validate", "--model", model, "--order", "2",
+                    "--lambda", lam]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: non-finite state at t={t}\n"
+
     @pytest.mark.parametrize("lam", ["1e20", "1e50"])
     def test_overflowing_model_exit_code(self, lam, capsys):
         # the amplitude root exists, but the model overflows on the orbit
@@ -299,6 +309,30 @@ class TestConfig:
             "hopf_hint": {"omega": 250.0, "lambda": 400.0},
         }))
         assert run(["hopf", "--params", str(cfg)]) == cli.EXIT_HOPF
+
+    @pytest.mark.parametrize("config", [
+        {"model": "ndde", "params": {"K": 1e300}},
+        {"model": "ndde", "params": {"d": 1e300}},
+        {"model": "ndde", "hopf_hint": {"omega": 1e300, "lambda": 1.0}},
+    ], ids=["sensitivity", "intensity", "frequency"])
+    def test_overflowing_characteristic_matrix_exit_code(self, tmp_path,
+                                                         config, capsys):
+        # a row norm that overflows would scale its row to 0 and fake a
+        # characteristic root, reported as a resonance
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["hopf", "--params", str(cfg)]) == cli.EXIT_HOPF
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the characteristic matrix overflows\n"
+
+    def test_overflowing_equilibrium_exit_code(self, tmp_path, capsys):
+        # the rhs overflows at the hint: no Newton iterations on NaN
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": "sir", "params": {"P_max": 1e300}}))
+        assert run(["hopf", "--params", str(cfg)]) == cli.EXIT_MODEL
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: equilibrium residual is not finite at lam=100.0\n")
 
     @pytest.mark.parametrize("config", [
         {"model": "ndde", "hopf_hint": {"omega": 0.03}},

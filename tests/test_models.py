@@ -199,6 +199,28 @@ class TestEquilibriumSeries:
         mdl.equilibrium_series(model, EpsSeries([1.5, 1.0, 0.0, 0.0]))
         assert len(calls) == 1
 
+    def test_out_of_sweeps_the_last_series_is_the_one_tested(self):
+        # x' = lam^2 - x^3 - x on the delay series 1 + eps + ... + eps^8:
+        # no sweep meets the 1e-14 early exit, so the rhs runs order + 2
+        # times and its last call is the residual of the series returned
+        model = mdl.DdeModel(
+            "cubic", 1, {}, lambda lam, x, y: [lam * lam - x[0] * y[0] * x[0]
+                                               - x[0]], [0.5], (1.0, 1.0))
+        calls = []
+        rhs = model.rhs
+
+        def counted(lam, x, y):
+            calls.append(x)
+            return rhs(lam, x, y)
+
+        mdl.linearization(model, 1.0)
+        model.rhs = counted
+        lam_ser = EpsSeries([1.0] * 9)
+        xs = mdl.equilibrium_series(model, lam_ser)
+        assert len(calls) == 10 and calls[-1] is xs
+        res = max(abs(c) for c in rhs(lam_ser, xs, xs)[0].coeffs)
+        assert 1e-14 < res <= 1e-10
+
     def test_sir_derivative_oracle(self, sir):
         xs = mdl.equilibrium_series(sir, EpsSeries([120.0, 1.0, 0.0]))
         h = 1e-4

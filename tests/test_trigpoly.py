@@ -248,7 +248,7 @@ def test_product_degree_exact(u, v):
     p = tp.mul(u, v)
     assert p.degree == u.degree + v.degree
     # no spurious content above the bound once trimmed at the tolerance
-    trimmed = p.truncate(1e-14)
+    trimmed = p.truncate()
     assert trimmed.degree <= u.degree + v.degree
 
 

@@ -1,10 +1,17 @@
-"""SHA-256 digests of the series coefficients of a fixed set of expansions.
+"""SHA-256 digests of a fixed set of outputs, to tell whether a change keeps
+them bit for bit.
 
-Each artifact is one ``ddehopf.expand`` run.  Its digest covers, order by
-order, the 8 bytes of lambda_hat_j and of T_hat_j and the shape and bytes of
-the constant, cosine and sine arrays of Z_j, so two runs have the same
-digest only if every coefficient is the same float, bit for bit (0.0 and
--0.0 differ).
+The set has three kinds of artifact:
+
+* expansions (``ddehopf.expand``): the digest covers, order by order, the 8
+  bytes of lambda_hat_j and of T_hat_j and the shape and bytes of the
+  constant, cosine and sine arrays of Z_j, so two runs have the same digest
+  only if every coefficient is the same float, bit for bit (0.0 and -0.0
+  differ);
+* the stdout of CLI commands (``python -m ddehopf.cli ...``, each in its own
+  interpreter), with the exit status;
+* the seeded reference integration of ``cross_validate`` (ndde, order 8,
+  msq, delay 1.4): the shape and bytes of its ``ts``, ``ys`` and ``coeffs``.
 
 Usage::
 
@@ -26,6 +33,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tarfile
@@ -37,6 +45,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _update(h, part):
+    """Feed the shape and bytes of one float array to the hash ``h``."""
+    part = np.asarray(part, dtype=float)
+    h.update(repr(part.shape).encode() + part.tobytes())
+
+
 def digest(result) -> str:
     """SHA-256 over every lambda_hat_j, T_hat_j and Z_j of an expansion
     result (anything with ``lambda_hats``, ``T_hats`` and a list ``Z`` of
@@ -46,9 +60,45 @@ def digest(result) -> str:
                          strict=True):
         h.update(np.float64(lam).tobytes() + np.float64(T).tobytes())
         for part in (Z.const, Z.cos, Z.sin):
-            part = np.asarray(part, dtype=float)
-            h.update(repr(part.shape).encode() + part.tobytes())
+            _update(h, part)
     return h.hexdigest()
+
+
+def trajectory_digest(traj) -> str:
+    """SHA-256 over the shape and bytes of a trajectory's ``ts``, ``ys`` and
+    ``coeffs``, in that order."""
+    h = hashlib.sha256()
+    for part in (traj.ts, traj.ys, traj.coeffs):
+        _update(h, part)
+    return h.hexdigest()
+
+
+# {artifact: argv of ``python -m ddehopf.cli``}
+CLI_RUNS = {
+    "cli-expand-ndde-n20-json":
+        "expand --model ndde --order 20 --z0-scale msq --format json",
+    "cli-diagram-sir-n14":
+        "diagram --model sir --order 14 --lambda-grid 95:150:200",
+    "cli-validate-sir-l120-json":
+        "validate --model sir --order 8 --lambda 120 --format json",
+    "cli-hopf-ndde": "hopf --model ndde",
+    "cli-hopf-sir": "hopf --model sir",
+    "cli-solve-ndde-l1.4": "solve --model ndde --lambda 1.4",
+    "cli-solve-sir-l120": "solve --model sir --lambda 120",
+    "cli-residual-ndde-n20-l1.8":
+        "residual --model ndde --order 20 --lambda 1.8",
+    "cli-validate-ndde-l1.4": "validate --model ndde --lambda 1.4",
+}
+
+
+def cli_digest(src: Path, argv: str) -> str:
+    """SHA-256 over the exit status and stdout of one CLI command, run in a
+    fresh interpreter on the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "ddehopf.cli", *argv.split()],
+                         capture_output=True, env=env)
+    return hashlib.sha256(f"exit {run.returncode}\n".encode()
+                          + run.stdout).hexdigest()
 
 
 def _artifacts():
@@ -99,8 +149,15 @@ def digests(src: Path) -> dict:
     """{artifact: digest} of the package in ``src``."""
     sys.path.insert(0, str(src))
     import ddehopf
-    return {name: digest(ddehopf.expand(model, order, z0_scale=scale))
-            for name, (model, order, scale) in _artifacts().items()}
+    from ddehopf.ddeint import cross_validate
+    out = {name: digest(ddehopf.expand(model, order, z0_scale=scale))
+           for name, (model, order, scale) in _artifacts().items()}
+    out.update((name, cli_digest(src, argv)) for name, argv in CLI_RUNS.items())
+    orbit = ddehopf.reconstruct(ddehopf.expand(ddehopf.make_ndde(), 8, "msq"),
+                                1.4)
+    out["integrator-ndde-msq8-l1.4"] = trajectory_digest(
+        cross_validate(orbit)[2])
+    return out
 
 
 def digests_at(rev: str) -> dict:
