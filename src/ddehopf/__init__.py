@@ -3,7 +3,7 @@ autonomous single-delay differential equations, with explicit reconstruction
 at delays beyond the bifurcation and validation against a reference DDE
 integrator."""
 
-from .bifurcation import HopfPoint, LinearBases, find_hopf, null_bases
+from .bifurcation import HopfPoint, find_hopf
 from .ddeint import (Alignment, Trajectory, cross_validate,
                      detect_steady_state, integrate, relative_error)
 from .epsseries import EpsSeries
@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alignment", "BUILTIN_MODELS", "DdeModel", "EpsSeries", "ExpansionResult",
-    "HopfPoint", "LinearBases", "ReconstructedOrbit", "Trajectory",
-    "bifurcation_diagram", "cross_validate", "detect_steady_state",
-    "equilibrium", "equilibrium_series", "expand", "find_hopf", "integrate",
-    "linearization", "make_ndde", "make_sir", "null_bases", "reconstruct",
-    "relative_error", "residual", "sir_r0", "solve_epsilon",
+    "HopfPoint", "ReconstructedOrbit", "Trajectory", "bifurcation_diagram",
+    "cross_validate", "detect_steady_state", "equilibrium",
+    "equilibrium_series", "expand", "find_hopf", "integrate", "linearization",
+    "make_ndde", "make_sir", "reconstruct", "relative_error", "residual",
+    "sir_r0", "solve_epsilon",
 ]

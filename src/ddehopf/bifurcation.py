@@ -13,7 +13,10 @@ critical operator and its formal adjoint act on 2*pi-periodic functions as
 
 and both have two-dimensional null spaces spanned by first-harmonic
 trigonometric polynomials built from the null vectors of the characteristic
-matrices.
+matrices.  ``find_hopf`` is the one call of this stage: the ``HopfPoint`` it
+returns carries (omega0, lam0), the rescaled Jacobians A and B, and the
+orthonormal bases v1, v2 of N(L) and w1, w2 of N(L*), built and checked
+when the point is made.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ RESONANCE_MAX_HARMONIC = 8
 
 
 class HopfPoint:
-    """Bifurcation point data: frequency, delay, complex null vectors and the
-    rescaled Jacobians A = P/omega0, B = Q/omega0 at the bifurcation delay."""
+    """Bifurcation point data: frequency, delay, complex null vectors, the
+    rescaled Jacobians A = P/omega0, B = Q/omega0 at the bifurcation delay,
+    and the orthonormal bases v1, v2 of N(L) and w1, w2 of N(L*)."""
 
     def __init__(self, omega0, lambda0, right_null, left_null, A, B):
         self.omega0 = float(omega0)
@@ -41,6 +45,8 @@ class HopfPoint:
         self.left_null = np.asarray(left_null, dtype=complex)
         self.A = A
         self.B = B
+        self.v1, self.v2, self.w1, self.w2 = _null_bases(self.right_null,
+                                                         self.left_null)
 
     @property
     def lambda_hat0(self) -> float:
@@ -55,16 +61,6 @@ class HopfPoint:
 
     def __repr__(self):
         return f"HopfPoint(omega0={self.omega0:.6g}, lambda0={self.lambda0:.6g})"
-
-
-class LinearBases:
-    """Orthonormal bases of N(L) (v1, v2) and N(L*) (w1, w2)."""
-
-    def __init__(self, v1, v2, w1, w2):
-        self.v1 = v1
-        self.v2 = v2
-        self.w1 = w1
-        self.w2 = w2
 
 
 def characteristic_matrix(model, omega, lam):
@@ -157,9 +153,12 @@ def find_hopf(model) -> HopfPoint:
     lh0 = w * lam
     W = 1j * np.eye(model.dim) + A.T + B.T * np.exp(1j * lh0)
     beta = _null_vector(W)
-    hp = HopfPoint(w, lam, alpha, beta, A, B)
-    _check_null_residuals(M, W, hp)
-    return hp
+    ra = float(np.linalg.norm(M @ alpha))
+    rb = float(np.linalg.norm(W @ beta))
+    if ra > 1e-9 or rb > 1e-9:
+        raise HopfError(
+            f"null vector residuals too large: |M a|={ra:.2e}, |W b|={rb:.2e}")
+    return HopfPoint(w, lam, alpha, beta, A, B)
 
 
 def _null_vector(mat) -> np.ndarray:
@@ -172,14 +171,6 @@ def _null_vector(mat) -> np.ndarray:
     return v
 
 
-def _check_null_residuals(M, W, hp: HopfPoint):
-    ra = float(np.linalg.norm(M @ hp.right_null))
-    rb = float(np.linalg.norm(W @ hp.left_null))
-    if ra > 1e-9 or rb > 1e-9:
-        raise HopfError(
-            f"null vector residuals too large: |M a|={ra:.2e}, |W b|={rb:.2e}")
-
-
 # -- null-space bases -----------------------------------------------------------
 
 
@@ -189,8 +180,9 @@ def _first_harmonic(zeta, vec) -> TrigPoly:
     return TrigPoly.harmonic(len(vec), 1, cos_vec=zv.real, sin_vec=-zv.imag)
 
 
-def null_bases(model, hp: HopfPoint) -> LinearBases:
-    """Construct orthonormal bases for N(L) and N(L*).
+def _null_bases(alpha, beta):
+    """Orthonormal bases (v1, v2) of N(L) and (w1, w2) of N(L*) from the
+    right null vector alpha and the left null vector beta.
 
     v2 is the unit null element whose first component is a pure sine, with
     the overall sign fixed by a positive cosine coefficient in the second
@@ -199,7 +191,6 @@ def null_bases(model, hp: HopfPoint) -> LinearBases:
     same way from the left null vector (its phase is immaterial downstream,
     since it only enters homogeneous orthogonality conditions).
     """
-    alpha = hp.right_null
     if abs(alpha[0]) < 1e-12 * np.linalg.norm(alpha):
         raise HopfError(
             "degenerate null vector: first component vanishes, the phase "
@@ -208,25 +199,19 @@ def null_bases(model, hp: HopfPoint) -> LinearBases:
     zeta = -1j * np.conj(alpha[0]) / abs(alpha[0])
     norm = np.sqrt(np.pi) * np.linalg.norm(alpha)
     v2 = _first_harmonic(zeta / norm, alpha)
-    if model.dim > 1 and v2.cos[0, 1] < 0:
+    if len(alpha) > 1 and v2.cos[0, 1] < 0:
         v2 = -v2
     v1 = v2.shift(-np.pi / 2)
 
-    beta = hp.left_null
     norm_b = np.sqrt(np.pi) * np.linalg.norm(beta)
     w1 = _first_harmonic(1.0 / norm_b, beta)
     w2 = w1.shift(-np.pi / 2)
 
-    bases = LinearBases(v1, v2, w1, w2)
-    _check_orthonormal(bases)
-    return bases
-
-
-def _check_orthonormal(bases: LinearBases):
-    for pair in ((bases.v1, bases.v2), (bases.w1, bases.w2)):
+    for pair in ((v1, v2), (w1, w2)):
         gram = np.array([[tp.inner(a, b) for b in pair] for a in pair])
         if np.max(np.abs(gram - np.eye(2))) > 1e-10:
             raise HopfError(f"basis not orthonormal: gram={gram}")
+    return v1, v2, w1, w2
 
 
 # -- critical operator and adjoint ------------------------------------------------

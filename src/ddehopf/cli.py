@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ddeint as di
 from . import models as mdl
-from .bifurcation import find_hopf, null_bases
+from .bifurcation import find_hopf
 from .orbit import (bifurcation_diagram, orbit_extrema, reconstruct,
                     residual)
 from .errors import (BelowBifurcationError, ComparisonError, DdeHopfError,
@@ -186,11 +186,10 @@ def _orbit_at_delay(args):
 def cmd_hopf(args) -> dict:
     model = build_model(args)
     hp = find_hopf(model)
-    bases = null_bases(model, hp)
     return {"json": lambda: _json({
         **hp.to_dict(),
-        "v_basis": [bases.v1.to_dict(), bases.v2.to_dict()],
-        "w_basis": [bases.w1.to_dict(), bases.w2.to_dict()],
+        "v_basis": [hp.v1.to_dict(), hp.v2.to_dict()],
+        "w_basis": [hp.w1.to_dict(), hp.w2.to_dict()],
     })}
 
 

@@ -15,7 +15,8 @@ sensitivities S (delay direction) and R (period direction).  R and S also
 have closed forms in terms of Z_0 and the delay-derivatives of the rescaled
 linearization; those are implemented separately as a cross-check.
 
-Each order then goes through four steps:
+Each order then goes through four steps, all of which read the Hopf point
+alone (its rescaled Jacobians and its null bases v1, v2, w1, w2):
 
 1. solve the 2x2 orthogonality system <h_j, w_i> = 0 for (lh_j, Th_j);
 2. solve the per-harmonic linear blocks for a particular solution (the
@@ -33,7 +34,7 @@ import numpy as np
 from . import bifurcation as bf
 from . import models as mdl
 from . import trigpoly as tp
-from .bifurcation import HopfPoint, LinearBases
+from .bifurcation import HopfPoint
 from .epsseries import EpsSeries, _shared_coefficients, delayed_state
 from .errors import ResonanceError, SolvabilityError
 from .trigpoly import TrigPoly
@@ -60,14 +61,13 @@ class ExpansionResult:
         phase ("first-component sine").
     """
 
-    def __init__(self, order, lambda_hats, T_hats, Z, hopf, bases, model,
+    def __init__(self, order, lambda_hats, T_hats, Z, hopf, model,
                  conventions, h_list):
         self.order = order
         self.lambda_hats = np.asarray(lambda_hats, dtype=float)
         self.T_hats = np.asarray(T_hats, dtype=float)
         self.Z = list(Z)
         self.hopf = hopf
-        self.bases = bases
         self.model = model
         self.conventions = dict(conventions)
         self.h_list = list(h_list)
@@ -99,8 +99,8 @@ class ExpansionResult:
             raise ValueError(f"order must be in [1, {self.order}]")
         return ExpansionResult(order, self.lambda_hats[:order + 1],
                                self.T_hats[:order + 1], self.Z[:order + 1],
-                               self.hopf, self.bases, self.model,
-                               self.conventions, self.h_list[:order])
+                               self.hopf, self.model, self.conventions,
+                               self.h_list[:order])
 
     def coefficient_table(self):
         """Rows (order, harmonic, component, cos, sin) for every coefficient."""
@@ -219,10 +219,10 @@ def closed_form_RS(model, hp: HopfPoint, Z0: TrigPoly):
 # -- per-order solves ----------------------------------------------------------
 
 
-def solvability_matrix(R: TrigPoly, S: TrigPoly, bases: LinearBases):
+def solvability_matrix(R: TrigPoly, S: TrigPoly, hp: HopfPoint):
     return np.array([
-        [tp.inner(R, bases.w1), tp.inner(S, bases.w1)],
-        [tp.inner(R, bases.w2), tp.inner(S, bases.w2)],
+        [tp.inner(R, hp.w1), tp.inner(S, hp.w1)],
+        [tp.inner(R, hp.w2), tp.inner(S, hp.w2)],
     ])
 
 
@@ -234,15 +234,15 @@ def _check_nonsingular_2x2(M, what: str):
         raise SolvabilityError(f"{what} is singular (scaled det {det:.2e})")
 
 
-def solve_order(H0: TrigPoly, R: TrigPoly, S: TrigPoly, bases: LinearBases):
+def solve_order(H0: TrigPoly, R: TrigPoly, S: TrigPoly, hp: HopfPoint):
     """Solve <Th_j R + lh_j S + H0, w_i> = 0 and return (lh_j, Th_j, h_j)."""
-    M = solvability_matrix(R, S, bases)
+    M = solvability_matrix(R, S, hp)
     _check_nonsingular_2x2(M, "solvability system")
-    rhs = -np.array([tp.inner(H0, bases.w1), tp.inner(H0, bases.w2)])
+    rhs = -np.array([tp.inner(H0, hp.w1), tp.inner(H0, hp.w2)])
     T_j, lam_j = np.linalg.solve(M, rhs)
     h = (H0 + T_j * R + lam_j * S).truncate()
     scale = max(1.0, h.max_abs())
-    for w in (bases.w1, bases.w2):
+    for w in (hp.w1, hp.w2):
         if abs(tp.inner(h, w)) > 1e-10 * scale:
             raise SolvabilityError(
                 "post-solve orthogonality violated: "
@@ -302,9 +302,9 @@ def solve_particular(h: TrigPoly, hp: HopfPoint) -> TrigPoly:
     return TrigPoly(a0, cos_out, sin_out)
 
 
-def fix_homogeneous(Z_hat: TrigPoly, Z0: TrigPoly, bases: LinearBases) -> TrigPoly:
+def fix_homogeneous(Z_hat: TrigPoly, Z0: TrigPoly, hp: HopfPoint) -> TrigPoly:
     """Add c1*v1 + c2*v2 so that Z^1(0) = 0 and <Z, Z0> = 0."""
-    v1, v2 = bases.v1, bases.v2
+    v1, v2 = hp.v1, hp.v2
     M = np.array([
         [float(v1.eval(0.0)[0]), float(v2.eval(0.0)[0])],
         [tp.inner(v1, Z0), tp.inner(v2, Z0)],
@@ -363,10 +363,8 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
     if z0_scale not in Z0_SCALES:
         raise ValueError(f"z0_scale must be one of {sorted(Z0_SCALES)}")
     hp = bf.find_hopf(model)
-    bases = bf.null_bases(model, hp)
-
     scale = Z0_SCALES[z0_scale]
-    Z0 = scale * bases.v2
+    Z0 = scale * hp.v2
 
     Z_list = [Z0]
     lam_hats = [hp.lambda_hat0]
@@ -380,10 +378,10 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
             memo.advance()
             try:
                 H0, R, S = assemble_rhs(model, hp, Z_list, lam_hats, T_hats)
-                lam_j, T_j, h = solve_order(H0, R, S, bases)
+                lam_j, T_j, h = solve_order(H0, R, S, hp)
                 h = enforce_degree(h, j + 1, f"h_{j}")
                 Z_hat = solve_particular(h, hp)
-                Z_j = fix_homogeneous(Z_hat, Z0, bases)
+                Z_j = fix_homogeneous(Z_hat, Z0, hp)
                 Z_j = enforce_degree(Z_j.truncate(), j + 1, f"Z_{j}")
             except (SolvabilityError, ResonanceError) as exc:
                 raise type(exc)(f"order {j}: {exc}") from exc
@@ -401,5 +399,5 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
 
     conventions = {"z0_scale": scale, "z0_mode": z0_scale, "qj": 0.0,
                    "phase": "first-component sine"}
-    return ExpansionResult(order, lam_hats, T_hats, Z_list, hp, bases, model,
+    return ExpansionResult(order, lam_hats, T_hats, Z_list, hp, model,
                            conventions, h_list)

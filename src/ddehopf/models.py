@@ -287,6 +287,10 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
 
     Solved order-by-order: a Newton sweep with the (constant) Jacobian at the
     base point gains one correct order per pass, so order+1 sweeps suffice.
+    The series is refused (NewtonError) when its residual exceeds 1e-10
+    times its own largest coefficient (at least max(1, |x*|)): a residual
+    coefficient is a sum of products of those coefficients, so its rounding
+    grows with them.
     """
     if lam_series.is_trig:
         raise DimensionMismatchError("lam must be a scalar series")
@@ -309,7 +313,8 @@ def equilibrium_series(model: DdeModel, lam_series: EpsSeries) -> list:
         steps = [[float(Jinv[i, j]) * g[j] for j in range(model.dim)]
                  for i in range(model.dim)]
         xs = [x - sum(terms[1:], terms[0]) for x, terms in zip(xs, steps)]
-    if res > 1e-10 * scale:
+    size = max(scale, max(max(abs(c) for c in x.coeffs) for x in xs))
+    if res > 1e-10 * size:
         raise NewtonError(
             f"equilibrium series residual {res:.2e} exceeds tolerance")
     return xs

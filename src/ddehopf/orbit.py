@@ -11,8 +11,11 @@ The orbit is then
     x(t) = equilibrium(lam) + eps * sum_j Z_j(omega_eff * t) * eps^j,
 
 with omega_eff = 2*pi*omega0/Th(eps), so the period is Th(eps)/omega0.
-This module also measures the defect of that orbit inside the model equation
-(the relative residual) and sweeps delay grids into bifurcation diagrams.
+``ReconstructedOrbit(expansion, lam)`` builds that orbit in one call: it
+solves its own eps with ``solve_epsilon``, the one owner of the delay
+equation, and ``reconstruct`` is the same call by name.  This module also
+measures the defect of that orbit inside the model equation (the relative
+residual) and sweeps delay grids into bifurcation diagrams.
 Neighbouring orbits of a sweep share their profile degree, so their uniform
 grids are sampled from one cos/sin table per grid and degree
 (``TrigPoly.sample``) rather than from trigonometric functions evaluated
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import models as mdl
 from .errors import (BelowBifurcationError, DdeHopfError, ModelError,
-                     NewtonError, NoRealRootError)
+                     NoRealRootError)
 from .expansion import ExpansionResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -144,7 +147,8 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
 
 
 class ReconstructedOrbit:
-    """Explicit periodic solution at one delay.
+    """Explicit periodic solution at one delay, its amplitude parameter
+    solved by ``solve_epsilon`` (whose errors it raises).
 
     Attributes
     ----------
@@ -158,10 +162,10 @@ class ReconstructedOrbit:
         Model equilibrium at lam (the orbit oscillates around it).
     """
 
-    def __init__(self, expansion: ExpansionResult, lam: float, eps: float):
+    def __init__(self, expansion: ExpansionResult, lam: float):
         self.expansion = expansion
+        self.eps = solve_epsilon(expansion, lam)
         self.lam = float(lam)
-        self.eps = float(eps)
         T_hat = expansion.T_hat_of(self.eps)
         self.period = T_hat / expansion.omega0
         self.omega_eff = 2.0 * np.pi / self.period
@@ -171,10 +175,6 @@ class ReconstructedOrbit:
                                   f"(amplitude {self.eps:.3g})"):
             self.profile = expansion.orbit_profile(self.eps)
             self._dprofile = self.profile.diff()
-        residual = abs(self.lam - expansion.lambda_hat_of(self.eps) / expansion.omega0)
-        if residual > 1e-12 * max(1.0, self.lam):
-            raise NewtonError(
-                f"delay equation residual {residual:.2e} too large at eps={eps}")
 
     @property
     def order(self) -> int:
@@ -201,7 +201,7 @@ class ReconstructedOrbit:
 
 def reconstruct(exp: ExpansionResult, lam: float) -> ReconstructedOrbit:
     """Orbit at delay lam, its amplitude from solve_epsilon."""
-    return ReconstructedOrbit(exp, lam, solve_epsilon(exp, lam))
+    return ReconstructedOrbit(exp, lam)
 
 
 # -- residual ---------------------------------------------------------------------
@@ -289,15 +289,14 @@ def _diagram_row(exp: ExpansionResult, lam: float) -> dict:
            "extrapolated": False, "components": None, "error": ""}
     try:
         try:
-            eps = solve_epsilon(exp, lam)
+            orbit = ReconstructedOrbit(exp, lam)
         except BelowBifurcationError:
-            eps = 0.0
-        if eps == 0.0:
+            orbit = None
+        if orbit is None or orbit.eps == 0.0:
             eq = mdl.equilibrium(exp.model, lam)
             row["components"] = [(float(v), float(v)) for v in eq]
         else:
-            orbit = ReconstructedOrbit(exp, lam, eps)
-            row["eps"] = eps
+            row["eps"] = orbit.eps
             row["residual"] = residual(orbit, 512)
             row["extrapolated"] = row["residual"] > EXTRAPOLATION_RESIDUAL
             row["components"] = orbit_extrema(orbit)
@@ -310,9 +309,10 @@ def bifurcation_diagram(exp: ExpansionResult, lam_grid):
     """Per-delay oscillation extrema, with the equilibrium branch below the
     bifurcation and a residual-based extrapolation flag beyond it.
 
-    Each point is solved on its own: solve_epsilon gives its amplitude, and
-    its BelowBifurcationError marks the equilibrium branch.  Returns a list
-    of row dicts; a package error at an individual grid point is recorded in
-    its row and the sweep continues.
+    Each point is solved on its own: its ReconstructedOrbit solves the
+    amplitude with solve_epsilon, whose BelowBifurcationError (or a zero
+    amplitude, at the bifurcation delay itself) marks the equilibrium branch.
+    Returns a list of row dicts; a package error at an individual grid point
+    is recorded in its row and the sweep continues.
     """
     return [_diagram_row(exp, lam) for lam in lam_grid]

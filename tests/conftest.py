@@ -22,12 +22,26 @@ def ndde_msq8(ndde):
     return expansion.expand(ndde, 8, z0_scale="msq")
 
 
+class CrossValidation(tuple):
+    """(orbit, e_r, alignment, trajectory) of one seeded ``cross_validate``
+    run, with the wall time of that call in ``wall_time``."""
+
+
+def _cross_validation(exp, lam):
+    orb = orbit.reconstruct(exp, lam)
+    t0 = time.perf_counter()
+    out = ddeint.cross_validate(orb)
+    wall_time = time.perf_counter() - t0
+    run = CrossValidation((orb, *out))
+    run.wall_time = wall_time
+    return run
+
+
 @pytest.fixture(scope="session")
 def ndde14(ndde_msq8):
-    """The seeded car-following cross-validation at lambda = 1.4, order 8:
-    (orbit, e_r, alignment, trajectory)."""
-    orb = orbit.reconstruct(ndde_msq8, 1.4)
-    return (orb, *ddeint.cross_validate(orb))
+    """The seeded car-following cross-validation at lambda = 1.4, order 8
+    (msq): a ``CrossValidation``."""
+    return _cross_validation(ndde_msq8, 1.4)
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +70,13 @@ def sir_2pi8(sir):
 def sir_2pi14(sir):
     """Order-14 epidemic expansion, 2*pi normalization."""
     return expansion.expand(sir, 14, z0_scale="paper")
+
+
+@pytest.fixture(scope="session")
+def sir120(sir_2pi8):
+    """The seeded epidemic cross-validation at lambda = 120, order 8
+    (paper): a ``CrossValidation``."""
+    return _cross_validation(sir_2pi8, 120.0)
 
 
 @pytest.fixture(scope="session")

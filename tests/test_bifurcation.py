@@ -64,29 +64,26 @@ class TestFindHopf:
 class TestNullBases:
     def test_ndde_printed_basis(self, ndde):
         hp = bf.find_hopf(ndde)
-        bases = bf.null_bases(ndde, hp)
         # v2 = (0.3716 sin, 0.4245 cos) with a pure-sine first component
-        assert abs(bases.v2.cos[0, 0]) < 1e-12
-        assert abs(bases.v2.sin[0, 0] - 0.3716) < 5e-5
-        assert abs(bases.v2.cos[0, 1] - 0.4245) < 5e-5
+        assert abs(hp.v2.cos[0, 0]) < 1e-12
+        assert abs(hp.v2.sin[0, 0] - 0.3716) < 5e-5
+        assert abs(hp.v2.cos[0, 1] - 0.4245) < 5e-5
         amp = 1.0 / np.sqrt(np.pi * (1 + hp.omega0 ** 2))
-        assert abs(bases.v2.sin[0, 0] - amp) < 1e-12
-        assert abs(bases.v2.cos[0, 1] - hp.omega0 * amp) < 1e-12
+        assert abs(hp.v2.sin[0, 0] - amp) < 1e-12
+        assert abs(hp.v2.cos[0, 1] - hp.omega0 * amp) < 1e-12
         # v1 is the quarter-period shift of v2
-        diff = bases.v1 - bases.v2.shift(-np.pi / 2)
+        diff = hp.v1 - hp.v2.shift(-np.pi / 2)
         assert diff.max_abs() < 1e-12
 
     def test_ndde_adjoint_amplitude(self, ndde):
         hp = bf.find_hopf(ndde)
-        bases = bf.null_bases(ndde, hp)
-        amp = np.hypot(bases.w1.cos[0, 0], bases.w1.sin[0, 0])
+        amp = np.hypot(hp.w1.cos[0, 0], hp.w1.sin[0, 0])
         assert abs(amp - 0.0492) < 5e-5
 
     def test_orthonormality(self, ndde, sir):
         for model in (ndde, sir):
             hp = bf.find_hopf(model)
-            bases = bf.null_bases(model, hp)
-            for pair in ((bases.v1, bases.v2), (bases.w1, bases.w2)):
+            for pair in ((hp.v1, hp.v2), (hp.w1, hp.w2)):
                 gram = np.array([[tp.inner(a, b) for b in pair] for a in pair])
                 assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
@@ -94,11 +91,10 @@ class TestNullBases:
         taus = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
         for model in (ndde, sir):
             hp = bf.find_hopf(model)
-            bases = bf.null_bases(model, hp)
-            for v in (bases.v1, bases.v2):
+            for v in (hp.v1, hp.v2):
                 out = bf.critical_operator(v, hp.A, hp.B, hp.lambda_hat0)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
-            for w in (bases.w1, bases.w2):
+            for w in (hp.w1, hp.w2):
                 out = bf.adjoint_operator(w, hp.A, hp.B, hp.lambda_hat0)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
 
@@ -107,10 +103,9 @@ def test_solvability_matrix_nonsingular(ndde, sir):
     from ddehopf.expansion import closed_form_RS, solvability_matrix
     for model in (ndde, sir):
         hp = bf.find_hopf(model)
-        bases = bf.null_bases(model, hp)
-        Z0 = 2 * np.pi * bases.v2
+        Z0 = 2 * np.pi * hp.v2
         R, S = closed_form_RS(model, hp, Z0)
-        M = solvability_matrix(R, S, bases)
+        M = solvability_matrix(R, S, hp)
         scales = np.max(np.abs(M), axis=1)
         det = np.linalg.det(M / scales[:, None])
         assert abs(det) > 1e-8

@@ -1,12 +1,15 @@
 """The digests of ``tools/bits.py``, on a small synthetic expansion result
-and trajectory."""
+and trajectory, and its envelope summary, on the recorded references."""
 
+import copy
 import hashlib
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import envelope
 import numpy as np
+import pytest
 
 from ddehopf.trigpoly import TrigPoly
 
@@ -55,3 +58,40 @@ def test_the_trajectory_digest_covers_every_byte_in_order():
     assert bits.trajectory_digest(traj) == h.hexdigest()
     assert bits.trajectory_digest(traj) != bits.trajectory_digest(
         trajectory(-0.0))
+
+
+def recorded(record):
+    """The reference held by an envelope record: its diagram rows, or its
+    expansion as a result."""
+    if "rows" in record:
+        return copy.deepcopy(record["rows"])
+    return SimpleNamespace(
+        lambda_hats=np.array(record["lambda_hats"]),
+        T_hats=np.array(record["T_hats"]),
+        Z=[TrigPoly(c["const"], c["cos"], c["sin"])
+           for c in record["coefficients"]])
+
+
+@pytest.mark.parametrize("name", bits.ENVELOPE_RECORDS)
+def test_the_envelope_summary_reads_0_on_a_record_and_2_on_a_moved_entry(
+        name):
+    record = envelope.load_envelope(name)
+    assert bits.largest_ratio(record, recorded(record)) == 0.0
+    # move an exact zero of the reference (lh_1 of an expansion, eps of the
+    # first diagram row, on the equilibrium branch) by 2 * (K*envelope +
+    # floor), so the moved value is exactly that amount
+    got = recorded(record)
+    if "rows" in record:
+        floor = envelope.FLOOR_ULPS * np.spacing(
+            max(abs(row["eps"]) for row in record["rows"]))
+        bound = envelope.K * record["envelope"]["eps"][0] + floor
+        assert got[0]["eps"] == 0.0
+        got[0]["eps"] += 2.0 * bound
+    else:
+        floor = envelope.FLOOR_ULPS * np.spacing(max(
+            abs(record["lambda_hats"][1]), abs(record["T_hats"][1]),
+            got.Z[1].max_abs()))
+        bound = envelope.K * record["envelope"]["lambda_hats"][1] + floor
+        assert got.lambda_hats[1] == 0.0
+        got.lambda_hats[1] += 2.0 * bound
+    assert bits.largest_ratio(record, got) == 2.0

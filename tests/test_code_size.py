@@ -1,4 +1,5 @@
-"""The counting rule of ``tools/code_size.py``, on small synthetic modules."""
+"""The counting rule of ``tools/code_size.py``, on small synthetic modules,
+and its side-by-side table of two package directories."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,23 @@ def test_per_module_figures_add_up_to_the_total(tmp_path, capsys):
     table = {name: (int(lines), int(functions))
              for name, lines, functions in rows[1:]}
     assert table == {"a.py": (9, 2), "b.py": (4, 2), "total": (13, 4)}
+
+
+def test_two_trees_side_by_side(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (old / "gone.py").write_text("def f():\n    return 1\n", encoding="utf-8")
+    (new / "a.py").write_text(SAMPLE + "\n\ndef extra():\n    pass\n",
+                              encoding="utf-8")
+    (new / "added.py").write_text("X = 1\n", encoding="utf-8")
+    rows = [line.split() for line in
+            code_size.table(code_size.sizes(old), code_size.sizes(new))]
+    assert rows == [
+        ["module", "lines", "functions", "lines", "functions"],
+        ["a.py", "9", "2", "11", "3"],
+        ["added.py", "-", "-", "1", "0"],
+        ["gone.py", "2", "1", "-", "-"],
+        ["total", "11", "3", "12", "3"],
+    ]

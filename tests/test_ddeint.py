@@ -18,14 +18,6 @@ def linear_model():
                         [0.0], (1.0, 1.5))
 
 
-@pytest.fixture(scope="module")
-def sir120(sir_2pi8):
-    """The seeded sir cross-validation at lambda = 120: (orbit, e_r, alignment,
-    trajectory)."""
-    orbit = ob.reconstruct(sir_2pi8, 120.0)
-    return (orbit, *di.cross_validate(orbit))
-
-
 def _hermite_trajectory(ts, ys, fs, lam, history):
     """A trajectory through the knots (ts, ys, fs) whose segments hold the
     cubic Hermite interpolant (F3..F6 = 0)."""

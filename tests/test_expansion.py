@@ -19,17 +19,13 @@ TWO_PI = 2 * np.pi
 
 
 @pytest.fixture(scope="module")
-def ndde_setup(ndde):
-    hp = bf.find_hopf(ndde)
-    bases = bf.null_bases(ndde, hp)
-    return hp, bases
+def ndde_hp(ndde):
+    return bf.find_hopf(ndde)
 
 
 @pytest.fixture(scope="module")
-def sir_setup(sir):
-    hp = bf.find_hopf(sir)
-    bases = bf.null_bases(sir, hp)
-    return hp, bases
+def sir_hp(sir):
+    return bf.find_hopf(sir)
 
 
 def assert_matches_record(result, ref):
@@ -46,9 +42,9 @@ def assert_matches_record(result, ref):
 
 
 class TestAssembleRhs:
-    def test_probe_matches_closed_form(self, ndde, ndde_setup, sir, sir_setup):
-        for model, (hp, bases) in ((ndde, ndde_setup), (sir, sir_setup)):
-            Z0 = TWO_PI * bases.v2
+    def test_probe_matches_closed_form(self, ndde, ndde_hp, sir, sir_hp):
+        for model, hp in ((ndde, ndde_hp), (sir, sir_hp)):
+            Z0 = TWO_PI * hp.v2
             H0, R, S = xp.assemble_rhs(model, hp, [Z0],
                                        [hp.lambda_hat0], [TWO_PI])
             R_cf, S_cf = xp.closed_form_RS(model, hp, Z0)
@@ -56,11 +52,11 @@ class TestAssembleRhs:
             assert (R - R_cf).max_abs() < 1e-9 * scale
             assert (S - S_cf).max_abs() < 1e-9 * scale
 
-    def test_quadratic_oracle_first_order(self, ndde, ndde_setup):
+    def test_quadratic_oracle_first_order(self, ndde, ndde_hp):
         # h_1 is the pure quadratic part of the rescaled rhs applied to the
         # order-0 profile; measure it by symmetric finite differences.
-        hp, bases = ndde_setup
-        Z0 = TWO_PI * bases.v2
+        hp = ndde_hp
+        Z0 = TWO_PI * hp.v2
         H0, _, _ = xp.assemble_rhs(ndde, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
         lam0, w0 = hp.lambda0, hp.omega0
         h = 1e-4
@@ -72,9 +68,9 @@ class TestAssembleRhs:
             quad = (plus + minus) / (2 * h * h * w0)
             assert np.max(np.abs(H0.eval(tau) - quad)) < 1e-6
 
-    def test_affine_probing(self, ndde, ndde_setup):
-        hp, bases = ndde_setup
-        Z0 = TWO_PI * bases.v2
+    def test_affine_probing(self, ndde, ndde_hp):
+        hp = ndde_hp
+        Z0 = TWO_PI * hp.v2
         args = (ndde, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
         H0 = xp.order_coefficient(*args, 0.0, 0.0)
         S = xp.order_coefficient(*args, 1.0, 0.0) - H0
@@ -82,12 +78,12 @@ class TestAssembleRhs:
         scale = max(1.0, S.max_abs())
         assert (double - 2.0 * S).max_abs() < 1e-10 * scale
 
-    def test_first_order_solvable(self, ndde, ndde_setup):
-        hp, bases = ndde_setup
-        Z0 = TWO_PI * bases.v2
+    def test_first_order_solvable(self, ndde, ndde_hp):
+        hp = ndde_hp
+        Z0 = TWO_PI * hp.v2
         H0, R, S = xp.assemble_rhs(ndde, hp, [Z0], [hp.lambda_hat0], [TWO_PI])
-        lam1, T1, h1 = xp.solve_order(H0, R, S, bases)
-        for w in (bases.w1, bases.w2):
+        lam1, T1, h1 = xp.solve_order(H0, R, S, hp)
+        for w in (hp.w1, hp.w2):
             assert abs(tp.inner(h1, w)) < 1e-10
 
     @pytest.mark.parametrize("case", ["ndde_msq20", "sir_2pi14"])
@@ -278,19 +274,18 @@ class TestSolveOrder:
 
 
 class TestSolveParticular:
-    def test_zero_rhs(self, ndde_setup):
-        hp, _ = ndde_setup
+    def test_zero_rhs(self, ndde_hp):
+        hp = ndde_hp
         out = xp.solve_particular(TrigPoly.zero(2, 0), hp)
         assert out.max_abs() < 1e-12
 
-    def test_operator_application_oracle(self, ndde, ndde_setup, rng):
-        hp, _ = ndde_setup
+    def test_operator_application_oracle(self, ndde_hp, rng):
+        hp = ndde_hp
         # random inhomogeneity orthogonal to the adjoint null space: project out
-        bases = bf.null_bases(ndde, hp)
         raw = TrigPoly(rng.standard_normal(2), rng.standard_normal((3, 2)),
                        rng.standard_normal((3, 2)))
         h = raw
-        for w in (bases.w1, bases.w2):
+        for w in (hp.w1, hp.w2):
             h = h + (-tp.inner(raw, w) / tp.inner(w, w)) * w
         z = xp.solve_particular(h, hp)
         taus = np.linspace(0, 2 * np.pi, 256, endpoint=False)
@@ -301,18 +296,18 @@ class TestSolveParticular:
 
 class TestFixHomogeneous:
     def test_already_satisfying(self, ndde_msq8):
-        bases = ndde_msq8.bases
+        hp = ndde_msq8.hopf
         Z0 = ndde_msq8.Z[0]
         Z1 = ndde_msq8.Z[1]  # already satisfies both conditions
-        fixed = xp.fix_homogeneous(Z1, Z0, bases)
+        fixed = xp.fix_homogeneous(Z1, Z0, hp)
         assert (fixed - Z1).max_abs() < 1e-10 * max(1.0, Z1.max_abs())
 
     def test_postconditions(self, ndde_msq8, rng):
-        bases = ndde_msq8.bases
+        hp = ndde_msq8.hopf
         Z0 = ndde_msq8.Z[0]
         raw = TrigPoly(rng.standard_normal(2), rng.standard_normal((2, 2)),
                        rng.standard_normal((2, 2)))
-        fixed = xp.fix_homogeneous(raw, Z0, bases)
+        fixed = xp.fix_homogeneous(raw, Z0, hp)
         assert abs(fixed.eval(0.0)[0]) < 1e-12 * max(1.0, fixed.max_abs())
         assert abs(tp.inner(fixed, Z0)) < 1e-9
 
@@ -360,7 +355,7 @@ class TestExpand:
             zscale = max(1.0, Zj.max_abs())
             assert abs(Zj.eval(0.0)[0]) < 1e-10 * zscale
             assert abs(tp.inner(Zj, res.Z[0])) < 1e-9
-            for w in (res.bases.w1, res.bases.w2):
+            for w in (hp.w1, hp.w2):
                 assert abs(tp.inner(hj, w)) < 1e-10
             lhs = bf.critical_operator(Zj, hp.A, hp.B,
                                        hp.lambda_hat0).eval(taus)

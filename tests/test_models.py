@@ -221,6 +221,39 @@ class TestEquilibriumSeries:
         res = max(abs(c) for c in rhs(lam_ser, xs, xs)[0].coeffs)
         assert 1e-14 < res <= 1e-10
 
+    def test_large_converged_coefficients_are_not_refused(self):
+        # x' = lam^2 - x^3 - x on the delay series 1 + 3*eps + ... + 3*eps^12:
+        # the series' coefficients grow to about 2.8e4, and the rounding of
+        # their products leaves a last residual of about 1.1e-7, which a
+        # bound that does not grow with them refused
+        model = mdl.DdeModel(
+            "cubic", 1, {}, lambda lam, x, y: [lam * lam - x[0] * y[0] * x[0]
+                                               - x[0]], [0.5], (1.0, 1.0))
+        lam_ser = EpsSeries([1.0] + [3.0] * 12)
+        xs = mdl.equilibrium_series(model, lam_ser)
+        for eps in (1e-3, 1e-2):
+            lam = np.polyval(lam_ser.coeffs[::-1], eps)
+            x = 0.5
+            for _ in range(50):
+                x -= (x ** 3 + x - lam * lam) / (3 * x * x + 1)
+            got = np.polyval(np.array(xs[0].coeffs[::-1], dtype=float), eps)
+            assert abs(got - x) <= 1e-12 * abs(x)
+
+    @pytest.mark.parametrize("factor", [3.0, 0.2])
+    def test_a_wrong_jacobian_is_still_refused(self, sir, monkeypatch, factor):
+        # Newton sweeps with a Jacobian off by this factor leave residuals of
+        # about 3.4e-7 (3) and 1.8e5 (0.2) on the delay series
+        # 120 + eps + 0.5*eps^2
+        linearization = mdl.linearization
+
+        def scaled(model, lam):
+            return tuple(factor * J for J in linearization(model, lam))
+
+        monkeypatch.setattr(mdl, "linearization", scaled)
+        with pytest.raises(NewtonError):
+            mdl.equilibrium_series(
+                sir, EpsSeries([120.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0]))
+
     def test_sir_derivative_oracle(self, sir):
         xs = mdl.equilibrium_series(sir, EpsSeries([120.0, 1.0, 0.0]))
         h = 1e-4

@@ -112,7 +112,7 @@ class TestKernels:
 
 class TestOrbit:
     def test_zero_amplitude_is_equilibrium(self, sir_2pi8, sir):
-        orbit = ob.ReconstructedOrbit(sir_2pi8, sir_2pi8.hopf.lambda0, 0.0)
+        orbit = ob.reconstruct(sir_2pi8, sir_2pi8.hopf.lambda0)
         eq = mdl.equilibrium(sir, sir_2pi8.hopf.lambda0)
         for t in (0.0, 13.7, 200.0):
             assert np.allclose(orbit.evaluate(t), eq, atol=1e-9)

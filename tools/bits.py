@@ -10,8 +10,14 @@ The set has three kinds of artifact:
   differ);
 * the stdout of CLI commands (``python -m ddehopf.cli ...``, each in its own
   interpreter), with the exit status;
-* the seeded reference integration of ``cross_validate`` (ndde, order 8,
-  msq, delay 1.4): the shape and bytes of its ``ts``, ``ys`` and ``coeffs``.
+* the seeded reference integrations of ``cross_validate`` (ndde, order 8,
+  msq, delay 1.4; sir, order 8, paper, delay 120): the shape and bytes of
+  their ``ts``, ``ys`` and ``coeffs``.
+
+Beside the digests it prints, for each rounding-envelope record of
+``tests/data``, the largest ratio of a change to K * envelope + floor, by
+the rule of ``tests/envelope.py`` (at most 1 is within the envelope; 0 is
+the recorded reference itself).
 
 Usage::
 
@@ -21,9 +27,12 @@ Usage::
 (default: ``src`` next to this script's directory).  ``--against REV``
 extracts the git revision REV of this repository with ``git archive`` into
 a temporary directory, runs the same set there in a fresh interpreter, and
-prints both digests of each artifact with ``same`` or ``DIFFERENT``; the
-exit status is 1 if any differs.  ``--json`` prints {artifact: digest}.
-Only the standard library and numpy are used.
+prints both digests of each artifact with ``same`` or ``DIFFERENT``, and
+both envelope ratios of each record (judged by the records and rule of this
+tree); the exit status is 1 if any digest differs.  ``--json`` prints
+{"digests": {artifact: digest}, "envelope": {record: ratio}}.  Only the
+standard library and numpy are used; the whole set takes about 15 s per
+tree.
 """
 
 from __future__ import annotations
@@ -101,6 +110,50 @@ def cli_digest(src: Path, argv: str) -> str:
                           + run.stdout).hexdigest()
 
 
+# {artifact: (model, order, z0_scale, delay)} of the seeded integrations
+INTEGRATIONS = {
+    "integrator-ndde-msq8-l1.4": ("ndde", 8, "msq", 1.4),
+    "integrator-sir-paper8-l120": ("sir", 8, "paper", 120.0),
+}
+
+# the rounding-envelope records ``tests/data/envelope-<name>.json``
+ENVELOPE_RECORDS = ("ndde-n20-msq", "sir-n14-paper", "diagram-sir-n14")
+
+
+def _envelope():
+    """The module ``tests/envelope.py`` of this repository."""
+    if str(ROOT / "tests") not in sys.path:
+        sys.path.insert(0, str(ROOT / "tests"))
+    import envelope
+    return envelope
+
+
+def largest_ratio(record, got) -> float:
+    """Largest |change| / (K * envelope + floor) of ``got`` against an
+    envelope record, by the rule of ``tests/envelope.py``: ``got`` is the
+    diagram rows for a diagram record and an expansion result otherwise."""
+    envelope = _envelope()
+    ratios = (envelope.diagram_ratios(got, record) if "rows" in record
+              else envelope.envelope_ratios(got, record))
+    return max(ratio for _, _, ratio in ratios)
+
+
+def envelope_summary() -> dict:
+    """{record: largest ratio} of the package on the import path, each
+    record's case run afresh."""
+    import ddehopf
+    envelope = _envelope()
+    out = {}
+    for name in ENVELOPE_RECORDS:
+        record = envelope.load_envelope(name)
+        model = ddehopf.BUILTIN_MODELS[record["model"]](record["params"])
+        got = ddehopf.expand(model, record["order"], record["z0_scale"])
+        if "rows" in record:
+            got = ddehopf.bifurcation_diagram(got, np.linspace(*record["grid"]))
+        out[name] = largest_ratio(record, got)
+    return out
+
+
 def _artifacts():
     """{name: (model, order, z0_scale)}, built from the package on the
     import path."""
@@ -153,15 +206,16 @@ def digests(src: Path) -> dict:
     out = {name: digest(ddehopf.expand(model, order, z0_scale=scale))
            for name, (model, order, scale) in _artifacts().items()}
     out.update((name, cli_digest(src, argv)) for name, argv in CLI_RUNS.items())
-    orbit = ddehopf.reconstruct(ddehopf.expand(ddehopf.make_ndde(), 8, "msq"),
-                                1.4)
-    out["integrator-ndde-msq8-l1.4"] = trajectory_digest(
-        cross_validate(orbit)[2])
+    for name, (model, order, scale, lam) in INTEGRATIONS.items():
+        orbit = ddehopf.reconstruct(
+            ddehopf.expand(ddehopf.BUILTIN_MODELS[model](), order, scale), lam)
+        out[name] = trajectory_digest(cross_validate(orbit)[2])
     return out
 
 
 def digests_at(rev: str) -> dict:
-    """{artifact: digest} of git revision ``rev``, in a fresh interpreter."""
+    """{"digests": {artifact: digest}, "envelope": {record: ratio}} of git
+    revision ``rev``, in a fresh interpreter."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,21 +233,28 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="REV")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    ours = digests(args.src.resolve())
+    ours = {"digests": digests(args.src.resolve()),
+            "envelope": envelope_summary()}
     if args.json:
         print(json.dumps(ours))
         return 0
     if args.against is None:
-        for name, value in ours.items():
+        for name, value in ours["digests"].items():
             print(f"{name:<28} {value}")
+        for name, ratio in ours["envelope"].items():
+            print(f"{'envelope-' + name:<28} {ratio:.3g}")
         return 0
     theirs = digests_at(args.against)
     differ = 0
-    for name, value in ours.items():
-        same = theirs.get(name) == value
+    for name, value in ours["digests"].items():
+        other = theirs["digests"].get(name)
+        same = other == value
         differ += not same
-        print(f"{name:<28} {value[:16]} {str(theirs.get(name))[:16]} "
+        print(f"{name:<28} {value[:16]} {str(other)[:16]} "
               f"{'same' if same else 'DIFFERENT'}")
+    for name, ratio in ours["envelope"].items():
+        print(f"{'envelope-' + name:<28} {ratio:<16.3g} "
+              f"{theirs['envelope'][name]:.3g}")
     return 1 if differ else 0
 
 

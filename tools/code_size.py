@@ -7,19 +7,29 @@ nested ones included; lambdas are not counted.
 
 Usage::
 
-    python tools/code_size.py [PACKAGE_DIR]
+    python tools/code_size.py [PACKAGE_DIR] [--against REV]
 
 PACKAGE_DIR defaults to ``src/ddehopf`` next to this script's directory.
-Only the standard library is used.
+``--against REV`` extracts the git revision REV of this repository with
+``git archive`` into a temporary directory and prints the figures of the
+same package directory at REV beside this tree's, module by module (a
+module missing on one side reads ``-``) and in total.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tarfile
+import tempfile
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -50,17 +60,52 @@ def measure(source: str) -> tuple[int, int]:
     return len(code - _docstring_lines(tree)), functions
 
 
+def sizes(root: Path) -> dict:
+    """{module file name: (code lines, functions)} of the ``*.py`` files in
+    the directory ``root``."""
+    return {path.name: measure(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("*.py"))}
+
+
+def sizes_at(rev: str, package: Path) -> dict:
+    """``sizes`` of the directory ``package`` (relative to the repository
+    root) at git revision ``rev``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, package.as_posix()],
+        check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        return sizes(Path(tmp) / package)
+
+
+def table(*trees: dict) -> list[str]:
+    """Lines of a table with one row per module and a total row, and for
+    each of ``trees`` (``sizes`` results) a lines and a functions column."""
+    names = sorted(set().union(*trees))
+    rows = [("module", *["lines", "functions"] * len(trees))]
+    for name in names:
+        rows.append((name, *[v for tree in trees
+                             for v in tree.get(name, ("-", "-"))]))
+    rows.append(("total", *[sum(fig[k] for fig in tree.values())
+                            for tree in trees for k in (0, 1)]))
+    return [f"{row[0]:<20}" + "".join(
+        f" {lines:>6} {functions:>9}"
+        for lines, functions in zip(row[1::2], row[2::2])) for row in rows]
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else \
-        Path(__file__).resolve().parents[1] / "src" / "ddehopf"
-    total_lines = total_functions = 0
-    print(f"{'module':<20} {'lines':>6} {'functions':>9}")
-    for path in sorted(root.glob("*.py")):
-        lines, functions = measure(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_functions += functions
-        print(f"{path.name:<20} {lines:>6} {functions:>9}")
-    print(f"{'total':<20} {total_lines:>6} {total_functions:>9}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=ROOT / "src" / "ddehopf")
+    parser.add_argument("--against", metavar="REV")
+    args = parser.parse_args(argv)
+    trees = [sizes(args.package)]
+    if args.against is not None:
+        package = args.package.resolve().relative_to(ROOT)
+        trees.insert(0, sizes_at(args.against, package))
+        print(f"{'':<20} {args.against[:16]:>16} {'this tree':>16}")
+    print("\n".join(table(*trees)))
     return 0
 
 
