@@ -11,8 +11,8 @@ from .expansion import ExpansionResult, expand
 from .models import (BUILTIN_MODELS, DdeModel, equilibrium,
                      equilibrium_series, linearization, make_ndde, make_sir,
                      sir_r0)
-from .orbit import (ReconstructedOrbit, bifurcation_diagram, reconstruct,
-                    residual, solve_epsilon)
+from .orbit import (ReconstructedOrbit, bifurcation_diagram, residual,
+                    solve_epsilon)
 from .trigpoly import TrigPoly
 
 __version__ = "0.1.0"
@@ -22,6 +22,6 @@ __all__ = [
     "HopfPoint", "ReconstructedOrbit", "Trajectory", "bifurcation_diagram",
     "cross_validate", "detect_steady_state", "equilibrium",
     "equilibrium_series", "expand", "find_hopf", "integrate", "linearization",
-    "make_ndde", "make_sir", "reconstruct", "relative_error", "residual",
-    "sir_r0", "solve_epsilon",
+    "make_ndde", "make_sir", "relative_error", "residual", "sir_r0",
+    "solve_epsilon",
 ]

@@ -33,7 +33,7 @@ import numpy as np
 from . import ddeint as di
 from . import models as mdl
 from .bifurcation import find_hopf
-from .orbit import (bifurcation_diagram, orbit_extrema, reconstruct,
+from .orbit import (ReconstructedOrbit, bifurcation_diagram, orbit_extrema,
                     residual)
 from .errors import (BelowBifurcationError, ComparisonError, DdeHopfError,
                      HopfError, IntegrationError, ModelError, NewtonError,
@@ -180,7 +180,7 @@ def _orbit_at_delay(args):
         raise ModelError(f"--lambda must be finite, got {args.lam!r}")
     model = build_model(args)
     result = expand(model, args.order, z0_scale=args.z0_scale)
-    return model, reconstruct(result, args.lam)
+    return model, ReconstructedOrbit(result, args.lam)
 
 
 def cmd_hopf(args) -> dict:

@@ -17,8 +17,9 @@ EpsSeries must provide exactly these (a test keeps this list equal to the
 module's public names):
 
 * EpsSeries members: ``coeffs``, ``order``, ``is_trig``, ``dim``,
-  ``constant``, ``component``, ``times_eps``, unary ``-``, and the binary
-  ``+``, ``-``, ``*`` and ``/``, each with a number on either side;
+  ``constant`` (a number as a scalar series), ``component``, unary ``-``,
+  and the binary ``+``, ``-``, ``*`` and ``/``, each with a number on
+  either side;
 * functions: ``div``, ``analytic``, ``exp``, ``log``, ``sin``, ``cos``,
   ``powf``, ``delayed_state``.
 
@@ -37,7 +38,11 @@ exact, not an approximation: the dropped coefficients would only ever meet
 those leading exact zeros, and every coefficient still formed is the same
 sum in the same order, so results are bit for bit those of the full
 computation (Horner's rule from the zero polynomial, and for each
-coefficient of the delayed state the sum of the terms that reach it).
+coefficient of the delayed state the sum of the terms that reach it).  The
+same holds across a caller's series: a series that reaches the result only
+multiplied by eps is needed one order below it, and the expansion forms the
+delay shift and the delayed state at that order (see
+``expansion.order_coefficient``).
 
 Across the orders of the expansion a coefficient is also formed only once.
 The order-j rhs is probed three times, and the probes differ only in the
@@ -174,8 +179,7 @@ class EpsSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> "EpsSeries":
-        if isinstance(value, TrigPoly):
-            return cls._make([value] + [TrigPoly.zero(value.dim)] * order)
+        """The number ``value`` as a scalar series of order ``order``."""
         return cls._make([float(value)] + [0.0] * order)
 
     def component(self, i: int) -> "EpsSeries":
@@ -183,11 +187,6 @@ class EpsSeries:
         if not self.is_trig:
             raise DimensionMismatchError("component() requires a trig series")
         return EpsSeries([c.component(i) for c in self.coeffs])
-
-    def times_eps(self) -> "EpsSeries":
-        """Multiply by eps: shift coefficients up, dropping the top one."""
-        zero = TrigPoly.zero(self.dim) if self.is_trig else 0.0
-        return EpsSeries([zero] + self.coeffs[:-1])
 
     # -- ring operations ---------------------------------------------------------
 
@@ -286,9 +285,6 @@ class _Generations:
         self.current = {}
         self.previous = {}
         self.numbered = 0
-
-    def __len__(self):
-        return len(self.current) + len(self.previous)
 
     def advance(self):
         """Start a new generation; the one before the current is dropped."""

@@ -137,27 +137,35 @@ def order_coefficient(model, hp: HopfPoint, Z_list, lam_hats, T_hats,
     ``Z_list`` holds Z_0..Z_{j-1}; the unknown Z_j enters that coefficient
     only through the critical linear operator and is set to zero here, so
     the returned polynomial is exactly h_j for the probed pair.
+
+    The rhs is divided by eps, so h_j is its coefficient j+1, and the
+    states eps*Z and eps*Z(tau - theta) reach it through the coefficients
+    0..j of Z and of the delayed state.  Z, the shift theta = 2*pi*lh/Th and
+    the delayed state are therefore formed at order j (the probed pair is
+    their top coefficient), and the states at order j+1 by prepending the
+    exact zero; the delay and period series that meet the rhs directly
+    run to order j+1 with a zero top coefficient.
     """
     j = len(Z_list)
-    n_ord = j + 1  # internal truncation: the rhs is divided by eps
+    n_ord = j + 1
     dim = model.dim
     zero = TrigPoly.zero(dim)
-    Z_ser = EpsSeries(list(Z_list) + [zero] * (n_ord + 1 - len(Z_list)))
-    lam_hat = EpsSeries(list(lam_hats) + [float(lam_probe), 0.0])
-    T_hat = EpsSeries(list(T_hats) + [float(T_probe), 0.0])
+    lam_hat = list(lam_hats) + [float(lam_probe)]
+    T_hat = list(T_hats) + [float(T_probe)]
+    Z_ser = EpsSeries(list(Z_list) + [zero])
 
-    theta = (TWO_PI * lam_hat) / T_hat
+    theta = (TWO_PI * EpsSeries(lam_hat)) / EpsSeries(T_hat)
     Z_del = delayed_state(Z_ser, theta)
 
-    x = Z_ser.times_eps()
-    y = Z_del.times_eps()
-    lam_phys = lam_hat * (1.0 / hp.omega0)
+    x = EpsSeries([zero] + Z_ser.coeffs)
+    y = EpsSeries([zero] + Z_del.coeffs)
+    lam_phys = EpsSeries(lam_hat + [0.0]) * (1.0 / hp.omega0)
     eq = mdl.equilibrium_series(model, lam_phys)
     xs = [x.component(i) + eq[i] for i in range(dim)]
     ys = [y.component(i) + eq[i] for i in range(dim)]
 
     g = model.rhs(lam_phys, xs, ys)
-    prefactor = T_hat * (1.0 / (TWO_PI * hp.omega0))
+    prefactor = EpsSeries(T_hat + [0.0]) * (1.0 / (TWO_PI * hp.omega0))
     comps = []
     for gi in g:
         if not isinstance(gi, EpsSeries):

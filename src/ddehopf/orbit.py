@@ -11,11 +11,11 @@ The orbit is then
     x(t) = equilibrium(lam) + eps * sum_j Z_j(omega_eff * t) * eps^j,
 
 with omega_eff = 2*pi*omega0/Th(eps), so the period is Th(eps)/omega0.
-``ReconstructedOrbit(expansion, lam)`` builds that orbit in one call: it
+``ReconstructedOrbit(expansion, lam)``, the one way to build that orbit,
 solves its own eps with ``solve_epsilon``, the one owner of the delay
-equation, and ``reconstruct`` is the same call by name.  This module also
-measures the defect of that orbit inside the model equation (the relative
-residual) and sweeps delay grids into bifurcation diagrams.
+equation.  This module also measures the defect of that orbit inside the
+model equation (the relative residual) and sweeps delay grids into
+bifurcation diagrams.
 Neighbouring orbits of a sweep share their profile degree, so their uniform
 grids are sampled from one cos/sin table per grid and degree
 (``TrigPoly.sample``) rather than from trigonometric functions evaluated
@@ -197,11 +197,6 @@ class ReconstructedOrbit:
     def __repr__(self):
         return (f"ReconstructedOrbit(lam={self.lam:.6g}, eps={self.eps:.6g}, "
                 f"period={self.period:.6g}, order={self.order})")
-
-
-def reconstruct(exp: ExpansionResult, lam: float) -> ReconstructedOrbit:
-    """Orbit at delay lam, its amplitude from solve_epsilon."""
-    return ReconstructedOrbit(exp, lam)
 
 
 # -- residual ---------------------------------------------------------------------

@@ -98,8 +98,8 @@ class TrigPoly:
         return self.cos.shape[0]
 
     @classmethod
-    def zero(cls, dim: int, degree: int = 0) -> "TrigPoly":
-        return cls(np.zeros(dim), np.zeros((degree, dim)), np.zeros((degree, dim)))
+    def zero(cls, dim: int) -> "TrigPoly":
+        return cls(np.zeros(dim))
 
     @classmethod
     def constant(cls, values) -> "TrigPoly":

@@ -28,7 +28,7 @@ class CrossValidation(tuple):
 
 
 def _cross_validation(exp, lam):
-    orb = orbit.reconstruct(exp, lam)
+    orb = orbit.ReconstructedOrbit(exp, lam)
     t0 = time.perf_counter()
     out = ddeint.cross_validate(orb)
     wall_time = time.perf_counter() - t0

@@ -26,7 +26,7 @@ from ddehopf import ddeint as di
 from ddehopf import expansion as xp
 from ddehopf import models as mdl
 from ddehopf import trigpoly as tp
-from ddehopf.orbit import reconstruct, residual, solve_epsilon
+from ddehopf.orbit import ReconstructedOrbit, residual, solve_epsilon
 
 TWO_PI = 2 * np.pi
 
@@ -143,14 +143,14 @@ def test_c5_residual_reproduction(ndde_msq8, sir_2pi8):
     details = []
     ok = True
     for N, expected in stated.items():
-        orbit = reconstruct(ndde_msq8.truncated(N), 1.4)
+        orbit = ReconstructedOrbit(ndde_msq8.truncated(N), 1.4)
         r = 100.0 * residual(orbit)
         details.append(f"N={N}: {r:.3f}% (stated {expected}%)")
         if not (expected / 2.0 <= r <= 2.0 * expected):
             ok = False
         if N == 8 and r > 0.1:
             ok = False
-    sorbit = reconstruct(sir_2pi8, 120.0)
+    sorbit = ReconstructedOrbit(sir_2pi8, 120.0)
     sr = 100.0 * residual(sorbit)
     details.append(f"sir: {sr:.3f}%")
     if sr > 0.4:
@@ -161,7 +161,7 @@ def test_c5_residual_reproduction(ndde_msq8, sir_2pi8):
 def test_c6_integrator_cross_validation(ndde_msq8, ndde14, sir120):
     # the seeded runs at 1.4 and 120 are the session fixtures', timed around
     # their cross_validate call; the run at 1.6 is this test's own
-    orbit16 = reconstruct(ndde_msq8, 1.6)
+    orbit16 = ReconstructedOrbit(ndde_msq8, 1.6)
     t0 = time.perf_counter()
     e_r16, _, _ = di.cross_validate(orbit16)
     elapsed16 = time.perf_counter() - t0
@@ -287,7 +287,7 @@ def test_c9_order20_residual(ndde_msq20):
     # residual norm may differ: at lam = 1.4 this build's C5 residuals run
     # about 1.4x the published ones (0.99/0.71, 0.216/0.15, 0.044/0.03% at
     # N = 4, 6, 8); that is an observation, not a settlement.
-    orbit = reconstruct(ndde_msq20, 1.8)
+    orbit = ReconstructedOrbit(ndde_msq20, 1.8)
     r = 100.0 * residual(orbit)
     ok = r <= 1.0
     assert report("C9 order-20 residual at the largest delay", ok,

@@ -294,7 +294,7 @@ class TestHistoryAndExtension:
     def test_cross_validate_doubles_its_span(self, ndde, ndde_msq8):
         # a constant history and a short first span force one doubling, a
         # whole integration from t = 0 over twice the span
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         first = 12 * orbit.period  # settles between 15 and 20 periods
         start = orbit.evaluate(0.0)
         _, _, traj = di.cross_validate(orbit, history=start, t_end=first)
@@ -309,7 +309,7 @@ class TestHistoryAndExtension:
         # near the onset a seeded run might stop while still close to its
         # seed; integrated over 480 periods it gives the same e_r (a constant
         # history reaches it only after about 960 periods)
-        orbit = ob.reconstruct(sir_2pi8, 108.0)
+        orbit = ob.ReconstructedOrbit(sir_2pi8, 108.0)
         e_r, _, _ = di.cross_validate(orbit)
         e_long, _, traj = di.cross_validate(orbit, t_end=480 * orbit.period)
         assert traj.t_end == 480 * orbit.period
@@ -347,7 +347,7 @@ class TestBatchedLookup:
         assert np.array_equal(traj.value(times), expected)
 
     def test_ndde_seeded(self, ndde, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         traj = di.integrate(ndde, 1.4, orbit.evaluate, 20 * orbit.period)
         self._check(traj, 1)
 
@@ -356,7 +356,7 @@ class TestBatchedLookup:
 
     def test_stage_lookups_match_the_per_point_path(self, ndde, ndde_msq8,
                                                     monkeypatch):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         batched = di.integrate(ndde, 1.4, orbit.evaluate, 10 * orbit.period)
 
         def per_point(t, ts, ys, coeffs):
@@ -446,7 +446,7 @@ class TestRelativeError:
         assert err < 1e-12
 
     def test_period_guard(self, ndde_msq8, ndde):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         traj = di.integrate(ndde, 1.4, list(orbit.evaluate(0.0)),
                             60 * orbit.period)
         bad = di.Alignment(orbit.period * 30, orbit.period * 1.2)
@@ -466,7 +466,7 @@ class TestRelativeError:
     def test_sir_period_cross_method_agreement(self, sir_2pi8):
         # the measured period settles T_hat_2: this build's 0.24997 matches it
         # (8.2e-7 relative), the published 0.2400 puts it 1.8e-3 off
-        orbit = ob.reconstruct(sir_2pi8, 108.0)
+        orbit = ob.ReconstructedOrbit(sir_2pi8, 108.0)
         _, align, _ = di.cross_validate(orbit)
         measured = align.period_est
         assert abs(measured - orbit.period) <= 1e-5 * orbit.period
@@ -481,7 +481,7 @@ class TestRelativeError:
             (sir_2pi8, 140.0, 2.93),
         ]
         for exp, lam, stated in cases:
-            orbit = ob.reconstruct(exp, lam)
+            orbit = ob.ReconstructedOrbit(exp, lam)
             e_r, _, _ = di.cross_validate(orbit)
             assert stated / 2 < 100.0 * e_r < stated * 2, (lam, e_r)
 
@@ -519,7 +519,7 @@ class TestToleranceConvergence:
     def test_amplitude_stable_under_tolerance_halving(self, ndde, ndde_msq8):
         # the steady-state amplitude is the mean refined peak over the last
         # cycles; single-cycle peaks wobble at the local-error floor
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
 
         def amplitude(tol, cycles=20):
             traj = di.integrate(ndde, 1.4, list(orbit.evaluate(0.0)),

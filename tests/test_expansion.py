@@ -28,6 +28,11 @@ def sir_hp(sir):
     return bf.find_hopf(sir)
 
 
+def memo_size(memo):
+    """Entries of both generations of a memo."""
+    return len(memo.current) + len(memo.previous)
+
+
 def assert_matches_record(result, ref):
     """Orders 0..result.order equal, bit for bit, those of a recorded
     reference in the ``ddehopf expand --format json`` layout."""
@@ -157,7 +162,7 @@ class TestAssembleRhs:
             g = ndde.rhs(lam, x, y)
             if isinstance(lam, EpsSeries):  # the equilibrium series
                 memo = es._memo.get()
-                seen.append((memo, len(memo)))
+                seen.append((memo, memo_size(memo)))
                 raise RuntimeError("rhs failed")
             return g
 
@@ -166,7 +171,7 @@ class TestAssembleRhs:
         with pytest.raises(RuntimeError):
             xp.expand(model, 2, z0_scale="msq")
         memo, size = seen[0]
-        assert size > 0 and not memo and es._memo.get() is None
+        assert size > 0 and not memo_size(memo) and es._memo.get() is None
 
     def test_memo_spans_the_orders_and_keeps_two(self, ndde, monkeypatch):
         # expand keeps one memo across its orders and starts a generation
@@ -195,7 +200,7 @@ class TestAssembleRhs:
         assert len(memos) == 8 and all(m is memo for m in memos)
         assert any(min(left[i].values()) < first[i - 1]
                    for i in range(1, len(left)))
-        assert not memo and es._memo.get() is None
+        assert not memo_size(memo) and es._memo.get() is None
 
         monkeypatch.undo()
         seen = []
@@ -203,7 +208,7 @@ class TestAssembleRhs:
         def rhs(lam, x, y):
             if isinstance(x[0], EpsSeries) and x[0].order == 4:  # order 3
                 memo = es._memo.get()
-                seen.append((memo, len(memo)))
+                seen.append((memo, memo_size(memo)))
                 raise RuntimeError("rhs failed")
             return ndde.rhs(lam, x, y)
 
@@ -212,7 +217,7 @@ class TestAssembleRhs:
         with pytest.raises(RuntimeError):
             xp.expand(model, 5, z0_scale="msq")
         memo, size = seen[0]
-        assert size > 0 and not memo and es._memo.get() is None
+        assert size > 0 and not memo_size(memo) and es._memo.get() is None
 
 
     def test_work_of_an_order_12_expand(self, ndde, monkeypatch):
@@ -221,11 +226,13 @@ class TestAssembleRhs:
         # coefficient is formed once per content, each column of Horner
         # partial sums of exp is extended in place as the orders grow, and
         # the shifted derivatives of a nonzero Z_k are formed once per entry
-        # of the delayed state (the exact-zero top coefficients of the
-        # probes have none); re-forming the whole Horner loop of exp and the
+        # of the delayed state (the exact-zero top coefficient Z_j of the
+        # probes has none); re-forming the whole Horner loop of exp and the
         # derivative/shift ladder at every probe took 1,284 products, 920
-        # shifts and 10,388 sums.  expand forms no closed-form R and S (2
-        # shifts and 3 sums), which stay a test-side reference
+        # shifts and 10,388 sums, and forming the delay shift and the
+        # delayed state to order j+1, one coefficient above what the rhs
+        # reads, took 56 shifts and 5,392 sums.  expand forms no closed-form
+        # R and S (2 shifts and 3 sums), which stay a test-side reference
         counts = dict.fromkeys(("mul", "shift", "__add__"), 0)
 
         def counting(owner, name):
@@ -240,7 +247,22 @@ class TestAssembleRhs:
         counting(TrigPoly, "shift")
         counting(TrigPoly, "__add__")
         xp.expand(ndde, 12, "msq")
-        assert counts == {"mul": 1010, "shift": 56, "__add__": 5392}
+        assert counts == {"mul": 1010, "shift": 50, "__add__": 4787}
+
+    def test_the_delayed_state_stops_at_order_j(self, ndde, monkeypatch):
+        # h_j is the rhs coefficient j+1, which reads eps*Z(tau - theta)
+        # only through the delayed state's coefficients 0..j: each probe of
+        # order j gives delayed_state a profile and a shift of order j
+        orders = []
+        delayed_state = xp.delayed_state
+
+        def recorded(Z, theta):
+            orders.append((Z.order, theta.order))
+            return delayed_state(Z, theta)
+
+        monkeypatch.setattr(xp, "delayed_state", recorded)
+        xp.expand(ndde, 8)
+        assert orders == [(j, j) for j in range(1, 9) for _ in range(3)]
 
 
 class TestSolveOrder:
@@ -276,7 +298,7 @@ class TestSolveOrder:
 class TestSolveParticular:
     def test_zero_rhs(self, ndde_hp):
         hp = ndde_hp
-        out = xp.solve_particular(TrigPoly.zero(2, 0), hp)
+        out = xp.solve_particular(TrigPoly.zero(2), hp)
         assert out.max_abs() < 1e-12
 
     def test_operator_application_oracle(self, ndde_hp, rng):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from ddehopf import expansion
+from ddehopf import expansion, orbit
 from ddehopf import models as mdl
 from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import ModelError, NewtonError
@@ -87,6 +87,36 @@ class TestSolvedOncePerDelay:
         for x in (first, third, again):
             with pytest.raises(ValueError):
                 x[0] = 1.0
+
+    def test_solves_of_the_benchmarked_runs(self, monkeypatch):
+        # a count of Newton solves, each run on a fresh model: the order-20
+        # ndde and order-14 sir expansions (whose equilibrium series read
+        # the solve at their base delay and add none), and the 200-delay
+        # sir diagram, one solve per delay
+        solved, per_series = [], []
+        solve = mdl._solve_equilibrium
+        series = mdl.equilibrium_series
+
+        def recorded(model, lam):
+            solved.append(lam)
+            return solve(model, lam)
+
+        def counted(model, lam_series):
+            before = len(solved)
+            xs = series(model, lam_series)
+            per_series.append(len(solved) - before)
+            return xs
+
+        monkeypatch.setattr(mdl, "_solve_equilibrium", recorded)
+        monkeypatch.setattr(mdl, "equilibrium_series", counted)
+        expansion.expand(mdl.make_ndde(), 20, z0_scale="msq")
+        assert len(solved) == 17
+        solved.clear()
+        sir = expansion.expand(mdl.make_sir(), 14)
+        assert len(solved) == 10 and per_series == [0] * 102
+        solved.clear()
+        orbit.bifurcation_diagram(sir, np.linspace(95.0, 150.0, 200))
+        assert len(solved) == 200
 
     def test_results_are_read_only_and_unchanged(self, sir):
         x = mdl.equilibrium(sir, 110.0)

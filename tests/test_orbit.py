@@ -58,7 +58,7 @@ class TestSolveEpsilon:
         eps = ob.solve_epsilon(order2, lam)
         assert type(eps) is float and eps == ob.solve_epsilon(order2, 1e299)
         with pytest.raises(NoRealRootError, match="profile .* overflows"):
-            ob.reconstruct(order2, lam)
+            ob.ReconstructedOrbit(order2, lam)
         row, = ob.bifurcation_diagram(order2, np.array([lam]))
         assert row["error"].startswith("NoRealRootError: the orbit profile")
 
@@ -112,24 +112,24 @@ class TestKernels:
 
 class TestOrbit:
     def test_zero_amplitude_is_equilibrium(self, sir_2pi8, sir):
-        orbit = ob.reconstruct(sir_2pi8, sir_2pi8.hopf.lambda0)
+        orbit = ob.ReconstructedOrbit(sir_2pi8, sir_2pi8.hopf.lambda0)
         eq = mdl.equilibrium(sir, sir_2pi8.hopf.lambda0)
         for t in (0.0, 13.7, 200.0):
             assert np.allclose(orbit.evaluate(t), eq, atol=1e-9)
 
     def test_periodicity(self, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.5)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.5)
         ts = np.array([0.0, 0.9, 2.2, 4.8])
         drift = orbit.evaluate(ts + orbit.period) - orbit.evaluate(ts)
         assert np.max(np.abs(drift)) < 1e-12
 
     def test_delay_equation_residual(self, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.6)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.6)
         lam_back = ndde_msq8.lambda_hat_of(orbit.eps) / ndde_msq8.omega0
         assert abs(lam_back - 1.6) < 1e-12 * 1.6
 
     def test_eps_positive_beyond_bifurcation(self, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.45)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.45)
         assert orbit.eps > 0.0
 
 
@@ -138,7 +138,7 @@ class TestResidual:
         published = {2: 5.35, 4: 0.71, 6: 0.15, 8: 0.03}
         values = {}
         for N, expected in published.items():
-            orbit = ob.reconstruct(ndde_msq8.truncated(N), 1.4)
+            orbit = ob.ReconstructedOrbit(ndde_msq8.truncated(N), 1.4)
             r = 100.0 * ob.residual(orbit)
             values[N] = r
             assert r < 2.0 * expected and r > expected / 2.0, (N, r)
@@ -146,12 +146,12 @@ class TestResidual:
         assert values[8] < values[6] < values[4] < values[2]
 
     def test_sir_residual(self, sir_2pi8):
-        orbit = ob.reconstruct(sir_2pi8, 120.0)
+        orbit = ob.ReconstructedOrbit(sir_2pi8, 120.0)
         r = 100.0 * ob.residual(orbit)
         assert r < 0.4
 
     def test_sample_floor(self, ndde_msq8):
-        orbit = ob.reconstruct(ndde_msq8, 1.4)
+        orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         with pytest.raises(ValueError):
             ob.residual(orbit, samples=100)
 
@@ -159,14 +159,15 @@ class TestResidual:
     def test_overflowing_model_is_no_root(self, ndde_msq8, lam):
         # the amplitude root exists, but the orbit's exp(...) overflows in
         # the ndde rhs; that is a typed error, not a warning and a number
-        orbit = ob.reconstruct(ndde_msq8.truncated(4), lam)
+        orbit = ob.ReconstructedOrbit(ndde_msq8.truncated(4), lam)
         with pytest.raises(NoRealRootError, match="overflows"):
             ob.residual(orbit)
 
     def test_residual_convention_invariant(self, ndde):
         from ddehopf.expansion import expand
-        r_msq = ob.residual(ob.reconstruct(expand(ndde, 4, "msq"), 1.5))
-        r_2pi = ob.residual(ob.reconstruct(expand(ndde, 4, "paper"), 1.5))
+        orbits = [ob.ReconstructedOrbit(expand(ndde, 4, z0), 1.5)
+                  for z0 in ("msq", "paper")]
+        r_msq, r_2pi = map(ob.residual, orbits)
         assert abs(r_msq - r_2pi) < 1e-10 * max(r_msq, 1e-30)
 
 

@@ -100,7 +100,7 @@ class TestMul:
         assert np.max(np.abs(p.eval(taus)[:, 0] - direct)) < 1e-12
 
     def test_vector_vector_rejected(self):
-        u = TrigPoly.zero(2, 1)
+        u = TrigPoly.harmonic(2, 1)
         with pytest.raises(DimensionMismatchError):
             tp.mul(u, u)
 
@@ -174,7 +174,7 @@ class TestEval:
         assert COS.eval(0.0)[0] == 1.0
 
     def test_zero_poly(self):
-        assert np.all(TrigPoly.zero(3, 2).eval(1.7) == 0.0)
+        assert np.all(TrigPoly.harmonic(3, 2).eval(1.7) == 0.0)
 
     def test_linearity(self, rng):
         u = random_poly(rng, dim=2, degree=3)
@@ -302,7 +302,7 @@ def test_cached_spectrum_matches_a_fresh_build(rng):
     polys = [
         TrigPoly.harmonic(2, 3, cos_vec=[1.0, -2.0], sin_vec=[0.5, 3.0]),
         TrigPoly.harmonic(1, 2, sin_vec=[4.0]),
-        TrigPoly.zero(2, 3),
+        TrigPoly.harmonic(2, 3),
         TrigPoly.constant([1.5, -2.0]),
         v.padded(5).truncate(),
         v.shift(0.7),

@@ -207,7 +207,7 @@ def digests(src: Path) -> dict:
            for name, (model, order, scale) in _artifacts().items()}
     out.update((name, cli_digest(src, argv)) for name, argv in CLI_RUNS.items())
     for name, (model, order, scale, lam) in INTEGRATIONS.items():
-        orbit = ddehopf.reconstruct(
+        orbit = ddehopf.ReconstructedOrbit(
             ddehopf.expand(ddehopf.BUILTIN_MODELS[model](), order, scale), lam)
         out[name] = trajectory_digest(cross_validate(orbit)[2])
     return out

@@ -1,9 +1,14 @@
-"""Count code lines and functions per module of a Python package.
+"""Count code lines, functions and parameters per module of a Python
+package.
 
 A code line is a physical line that holds a token of code: comments,
 docstrings (the leading string of a module, class or function) and blank
 lines do not count.  Functions are ``def`` and ``async def`` statements,
-nested ones included; lambdas are not counted.
+nested ones included; lambdas are not counted.  Parameters are those of
+the functions, ``*args`` and ``**kwargs`` included, except a method's
+receiver (the first parameter of a ``def`` in a class body that is not a
+``staticmethod``); each one is a value a caller can set.  The parameters
+with defaults are those a caller may leave out.
 
 Usage::
 
@@ -11,8 +16,8 @@ Usage::
 
 PACKAGE_DIR defaults to ``src/ddehopf`` next to this script's directory.
 ``--against REV`` extracts the git revision REV of this repository with
-``git archive`` into a temporary directory and prints the figures of the
-same package directory at REV beside this tree's, module by module (a
+``git archive`` into a temporary directory and prints the four figures of
+the same package directory at REV beside this tree's, module by module (a
 module missing on one side reads ``-``) and in total.  Only the standard
 library is used.
 """
@@ -49,20 +54,39 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def measure(source: str) -> tuple[int, int]:
-    """(code lines, functions) of one module's source text."""
+def _receivers(tree: ast.AST) -> set:
+    """The defs of ``tree`` whose first parameter is a method's receiver."""
+    return {fn for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for fn in node.body if isinstance(fn, _FUNCTIONS)
+            and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list)}
+
+
+def measure(source: str) -> tuple[int, int, int, int]:
+    """(code lines, functions, parameters, parameters with defaults) of one
+    module's source text."""
     tree = ast.parse(source)
     code = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    functions = sum(isinstance(n, _FUNCTIONS) for n in ast.walk(tree))
-    return len(code - _docstring_lines(tree)), functions
+    functions = [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]
+    receivers = _receivers(tree)
+    parameters = defaults = 0
+    for fn in functions:
+        a = fn.args
+        positional = len(a.posonlyargs) + len(a.args)
+        parameters += (positional + len(a.kwonlyargs)
+                       + (a.vararg is not None) + (a.kwarg is not None)
+                       - (fn in receivers and positional > 0))
+        defaults += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    return (len(code - _docstring_lines(tree)), len(functions), parameters,
+            defaults)
 
 
 def sizes(root: Path) -> dict:
-    """{module file name: (code lines, functions)} of the ``*.py`` files in
-    the directory ``root``."""
+    """{module file name: ``measure`` figures} of the ``*.py`` files in the
+    directory ``root``."""
     return {path.name: measure(path.read_text(encoding="utf-8"))
             for path in sorted(root.glob("*.py"))}
 
@@ -79,19 +103,23 @@ def sizes_at(rev: str, package: Path) -> dict:
         return sizes(Path(tmp) / package)
 
 
+COLUMNS = ("lines", "functions", "params", "defaults")
+
+
 def table(*trees: dict) -> list[str]:
     """Lines of a table with one row per module and a total row, and for
-    each of ``trees`` (``sizes`` results) a lines and a functions column."""
+    each of ``trees`` (``sizes`` results) one column per figure."""
     names = sorted(set().union(*trees))
-    rows = [("module", *["lines", "functions"] * len(trees))]
+    width = len(COLUMNS)
+    rows = [("module", *COLUMNS * len(trees))]
     for name in names:
         rows.append((name, *[v for tree in trees
-                             for v in tree.get(name, ("-", "-"))]))
+                             for v in tree.get(name, ("-",) * width)]))
     rows.append(("total", *[sum(fig[k] for fig in tree.values())
-                            for tree in trees for k in (0, 1)]))
+                            for tree in trees for k in range(width)]))
     return [f"{row[0]:<20}" + "".join(
-        f" {lines:>6} {functions:>9}"
-        for lines, functions in zip(row[1::2], row[2::2])) for row in rows]
+        f" {v:>{len(COLUMNS[i % width])}}" for i, v in enumerate(row[1:]))
+        for row in rows]
 
 
 def main(argv: list[str]) -> int:
@@ -104,7 +132,9 @@ def main(argv: list[str]) -> int:
     if args.against is not None:
         package = args.package.resolve().relative_to(ROOT)
         trees.insert(0, sizes_at(args.against, package))
-        print(f"{'':<20} {args.against[:16]:>16} {'this tree':>16}")
+        group = len(" ".join(COLUMNS))
+        print(f"{'':<20} {args.against[:group]:>{group}} "
+              f"{'this tree':>{group}}")
     print("\n".join(table(*trees)))
     return 0
 
