@@ -217,24 +217,25 @@ def _null_bases(alpha, beta):
 # -- critical operator and adjoint ------------------------------------------------
 
 
-def critical_operator(u: TrigPoly, A, B, lam_hat0: float) -> TrigPoly:
-    """L u = u' - A u - B u(. - lam_hat0).
+def critical_operator(u: TrigPoly, hp: HopfPoint) -> TrigPoly:
+    """L u = u' - A u - B u(. - lam_hat0), with A, B and lam_hat0 those of
+    the Hopf point ``hp``.
 
     The expansion never applies L (it solves with L's per-harmonic blocks);
     this is the reference definition that tests check the per-order solves
     and the null space against.
     """
-    return u.diff() - tp.matvec(A, u) - tp.matvec(B, u.shift(lam_hat0))
+    return (u.diff() - tp.matvec(hp.A, u)
+            - tp.matvec(hp.B, u.shift(hp.lambda_hat0)))
 
 
-def adjoint_operator(u: TrigPoly, A, B, lam_hat0: float) -> TrigPoly:
-    """L* u = u' + A^T u + B^T u(. + lam_hat0).
+def adjoint_operator(u: TrigPoly, hp: HopfPoint) -> TrigPoly:
+    """L* u = u' + A^T u + B^T u(. + lam_hat0), with A, B and lam_hat0
+    those of the Hopf point ``hp``.
 
     The reference definition of the adjoint, which tests check the adjoint
     null space against; a normal-form (first Lyapunov coefficient) check
     projects with it.
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    return u.diff() + tp.matvec(A.T, u) + tp.matvec(B.T, u.shift(-lam_hat0))
-
+    return (u.diff() + tp.matvec(hp.A.T, u)
+            + tp.matvec(hp.B.T, u.shift(-hp.lambda_hat0)))

@@ -210,7 +210,7 @@ def cmd_expand(args) -> dict:
         "json": lambda: _json({
             "model": model.name,
             "order": result.order,
-            "omega0": result.omega0,
+            "omega0": result.hopf.omega0,
             "conventions": result.conventions,
             "lambda_hats": result.lambda_hats.tolist(),
             "T_hats": result.T_hats.tolist(),
@@ -248,7 +248,7 @@ def cmd_residual(args) -> dict:
     model, orbit = _orbit_at_delay(args)
     return _record(model, {"lambda": orbit.lam, "order": args.order,
                            "eps": orbit.eps,
-                           "r_r": residual(orbit, args.samples)})
+                           "r_r": residual(orbit)})
 
 
 def cmd_diagram(args) -> dict:
@@ -283,7 +283,7 @@ def cmd_validate(args) -> dict:
     # then built after it is freed, below the integration's peak memory
     e_r, align = di.cross_validate(orbit, rtol=args.rtol, atol=args.atol)[:2]
     return _record(model, {"lambda": orbit.lam, "order": args.order,
-                           "r_r": residual(orbit, args.samples), "e_r": e_r,
+                           "r_r": residual(orbit), "e_r": e_r,
                            "period_expansion": orbit.period,
                            "period_numeric": align.period_est})
 
@@ -330,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="orbit defect in the model equation")
     common(p, ("csv", "json"), lam=True)
-    p.add_argument("--samples", type=int, default=2048)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("diagram", help="extrema over a delay grid")
@@ -341,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="expansion vs reference integration")
     common(p, ("csv", "json"), lam=True)
-    p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--atol", type=float, default=1e-9)
     p.set_defaults(func=cmd_validate)

@@ -347,7 +347,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
 # -- steady state ---------------------------------------------------------------
 
 
-def _cycle_peak(traj, ts, d, level, i0, i1):
+def _cycle_peak(traj, d, level, i0, i1):
     """Peak |deviation| within one cycle, refined on the dense output.
 
     The knot values alone jitter with the step pattern; a short golden-
@@ -355,6 +355,7 @@ def _cycle_peak(traj, ts, d, level, i0, i1):
     the estimate down to the interpolant accuracy."""
     seg = np.abs(d[i0:i1 + 1])
     k = i0 + int(np.argmax(seg))
+    ts = traj.ts
     a = ts[max(k - 1, 0)]
     b = ts[min(k + 1, len(ts) - 1)]
 
@@ -392,7 +393,7 @@ def detect_steady_state(traj: Trajectory, level=0.0) -> Alignment:
     # only the last four crossings (three periods) are read
     crossings = [crossing(i) for i in up[-4:]]
     last_p = np.diff(crossings)
-    last_a = np.array([_cycle_peak(traj, ts, d, level, up[i], up[i + 1])
+    last_a = np.array([_cycle_peak(traj, d, level, up[i], up[i + 1])
                        for i in range(len(up) - 4, len(up) - 1)])
     p_spread = float(np.max(np.abs(np.diff(last_p))))
     a_spread = float(np.max(np.abs(np.diff(last_a))))

@@ -79,7 +79,13 @@ the leading term c0, which must be an exact constant: a float, or a
 polynomial of degree 0), so dtheta = theta - theta0 and h = s - c0 have
 v >= 1 leading exact zeros; coefficient j then sums only the terms that
 reach it, m = 0..j/v, and Horner's partial sums all start from the zero
-polynomial, A_N = 0 + w_N being formed like every lower sum.
+polynomial, A_N = 0 + w_N being formed like every lower sum.  Neither
+dtheta nor h is formed as a series: above order 0 their coefficients are
+-theta_j and s_j, which the walks read from their inputs, and the walk's
+key of coefficient 0 holds theta0 or c0.  So every key is the content of
+the operation's own inputs, and the kind at j = 0 names only the operation
+(with the exponent of ``powf``, the one parameter that is not an input
+series).
 
 The keys are exact content, never a digest: a float's 8 bytes (so 0.0 and
 -0.0 differ), a direction array's shape and bytes, a polynomial's dim and
@@ -372,10 +378,10 @@ def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
         lambda j, out: _dot(zip(x[:j + 1], y[j::-1]), zero)))
 
 
-def _leading_zeros(s: EpsSeries) -> int:
-    """Number of leading exact-zero coefficients."""
+def _leading_zeros(coeffs) -> int:
+    """Number of leading exact-zero coefficients in the list ``coeffs``."""
     v = 0
-    for c in s.coeffs:
+    for c in coeffs:
         if not _is_zero(c):
             break
         v += 1
@@ -486,22 +492,24 @@ def analytic(fid: str, s: EpsSeries, exponent=None) -> EpsSeries:
 
     The order-0 coefficient c0 must be an exact constant; the Taylor
     recentering f(c0 + h) = sum f^(m)(c0)/m! h^m is then exact at the
-    truncation order because h = s - c0 has an exact-zero order-0 term.  It
-    is Horner's rule, A_{N+1} = 0 and A_m = A_{m+1} h + w_m, formed
-    coefficient by coefficient: coefficient i carries its column of partial
-    sums A_m[i], m = 0..(N - i)/v with v >= 1 leading exact zeros in h,
+    truncation order because h = s - c0 has an exact-zero order-0 term and
+    the coefficients s_1, s_2, ... above it.  It is Horner's rule,
+    A_{N+1} = 0 and A_m = A_{m+1} h + w_m, formed coefficient by
+    coefficient: coefficient i carries its column of partial sums A_m[i],
+    m = 0..(N - i)/v with v = 1 + the leading exact zeros of s_1, s_2, ...,
     because the terms of step m meet h a further m times; no others are
     formed.  A_m[i] is the same sum at every order, so a column found in
-    the memo is only extended.
+    the memo is only extended.  The walk is over the coefficients of s
+    itself: coefficient 0 fixes c0 and with it the weights, and only the
+    exponent of ``powf`` joins the function's name in the walk's kind.
     """
     n = s.order
     c0 = _leading_scalar(s)
     w = _taylor_weights(fid, c0, n, exponent)
-    h = s - c0
-    v = _leading_zeros(h)
-    y = h.coeffs
-    zero = TrigPoly.zero(1) if h.is_trig else 0.0
-    kind = ("analytic", fid, _DOUBLE.pack(c0),
+    y = s.coeffs
+    v = 1 + _leading_zeros(y[1:])
+    zero = TrigPoly.zero(1) if s.is_trig else 0.0
+    kind = ("analytic", fid,
             exponent if exponent is None else _DOUBLE.pack(float(exponent)))
     cols = _walk(kind, (y,), lambda i, out: [])
     for i, col in enumerate(cols):
@@ -559,18 +567,20 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
     """Series of Z(tau - theta(eps), eps) for a series-valued shift.
 
     Expanded about the leading shift theta0 = theta_0, with dtheta =
-    theta - theta0 (an exact-zero order-0 term), the result is
+    theta - theta0 (an exact-zero order-0 term, and theta_1, theta_2, ...
+    above it), the result is
 
         sum_{m=0..N} (-dtheta)^m / m! * shift(d^m Z / dtau^m, theta0),
 
     exact at the truncation order because dtheta is nilpotent there and
     tau-derivatives of trigonometric polynomials are exact.  It is formed
-    coefficient by coefficient: with v >= 1 leading exact zeros in dtheta,
-    (-dtheta)^m starts at order m*v, so coefficient k is the sum of the
-    terms that reach it, m = 0..k/v, and depends only on the coefficients
-    0..k of Z and theta; it carries its column of powers [(-dtheta)^m]_k
-    for the coefficients above it.  A non-finite leading shift raises
-    ValueError.
+    coefficient by coefficient: with v = 1 + the leading exact zeros of
+    theta_1, theta_2, ..., (-dtheta)^m starts at order m*v, so coefficient
+    k is the sum of the terms that reach it, m = 0..k/v, and depends only
+    on the coefficients 0..k of Z and theta; it carries its column of
+    powers [(-dtheta)^m]_k for the coefficients above it, each a sum of
+    products with -theta_i, i >= 1.  The walk is over the coefficients of
+    Z and theta themselves.  A non-finite leading shift raises ValueError.
     """
     if not Z.is_trig or theta.is_trig:
         raise DimensionMismatchError(
@@ -578,12 +588,11 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
     if theta.order != Z.order:
         raise DimensionMismatchError(
             f"order mismatch: {Z.order} vs {theta.order}")
-    theta0 = theta.coeffs[0]
+    t = theta.coeffs
+    theta0 = t[0]
     if not math.isfinite(theta0):
         raise ValueError(f"non-finite leading shift {theta0!r}")
-    minus_dtheta = -(theta - theta0)
-    v = _leading_zeros(minus_dtheta)
-    d = minus_dtheta.coeffs
+    v = 1 + _leading_zeros(t[1:])
     zero = TrigPoly.zero(Z.dim)
 
     def shifted(ladder, m):
@@ -607,7 +616,7 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
         acc, fact = None, 1.0
         for m in range(k // v + 1):
             if m:
-                col.append(_dot([(powers[i][m - 1], d[k - i])
+                col.append(_dot([(powers[i][m - 1], -t[k - i])
                                  for i in range((m - 1) * v, k - v + 1)], 0.0))
                 fact *= m
             term = _dot([(powers[i][m], shifted(ladders[k - i], m))
@@ -616,5 +625,5 @@ def delayed_state(Z: EpsSeries, theta: EpsSeries) -> EpsSeries:
             acc = term if acc is None else acc + term
         return acc, col, ladder
 
-    out = _walk(("delayed", _DOUBLE.pack(theta0)), (Z.coeffs, d), form)
+    out = _walk("delayed", (Z.coeffs, t), form)
     return EpsSeries._make([e[0] for e in out])

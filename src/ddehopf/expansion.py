@@ -50,31 +50,29 @@ class ExpansionResult:
 
     Attributes
     ----------
-    order : int
     lambda_hats, T_hats : ndarray, shape (order+1,)
         Dimensionless delay and period coefficients (T_hats[0] = 2*pi).
     Z : list of TrigPoly
         Orbit profiles, deg(Z[j]) <= j+1.
-    omega0 : float
+    order : int
+        len(Z) - 1.
+    hopf : HopfPoint
+        The point expanded about; it owns omega0.
     conventions : dict
         z0_scale (the numeric order-0 scale), z0_mode (its name), qj (0),
         phase ("first-component sine").
     """
 
-    def __init__(self, order, lambda_hats, T_hats, Z, hopf, model,
-                 conventions, h_list):
-        self.order = order
+    def __init__(self, lambda_hats, T_hats, Z, hopf, model, conventions,
+                 h_list):
         self.lambda_hats = np.asarray(lambda_hats, dtype=float)
         self.T_hats = np.asarray(T_hats, dtype=float)
         self.Z = list(Z)
+        self.order = len(self.Z) - 1
         self.hopf = hopf
         self.model = model
         self.conventions = dict(conventions)
         self.h_list = list(h_list)
-
-    @property
-    def omega0(self) -> float:
-        return self.hopf.omega0
 
     def lambda_hat_of(self, eps: float) -> float:
         return _horner(self.lambda_hats, eps)
@@ -97,7 +95,7 @@ class ExpansionResult:
         """
         if not 1 <= order <= self.order:
             raise ValueError(f"order must be in [1, {self.order}]")
-        return ExpansionResult(order, self.lambda_hats[:order + 1],
+        return ExpansionResult(self.lambda_hats[:order + 1],
                                self.T_hats[:order + 1], self.Z[:order + 1],
                                self.hopf, self.model, self.conventions,
                                self.h_list[:order])
@@ -115,7 +113,7 @@ class ExpansionResult:
 
     def __repr__(self):
         return (f"ExpansionResult(model={self.model.name!r}, order={self.order}, "
-                f"omega0={self.omega0:.6g})")
+                f"omega0={self.hopf.omega0:.6g})")
 
 
 def _horner(coeffs: np.ndarray, eps: float) -> float:
@@ -144,10 +142,11 @@ def order_coefficient(model, hp: HopfPoint, Z_list, lam_hats, T_hats,
     the delayed state are therefore formed at order j (the probed pair is
     their top coefficient), and the states at order j+1 by prepending the
     exact zero; the delay and period series that meet the rhs directly
-    run to order j+1 with a zero top coefficient.
+    run to order j+1 with a zero top coefficient, so h_j is the top
+    coefficient of the rhs.  Each rhs component is a trig series: one that
+    does not depend on the state gives the equilibrium Jacobian a zero row,
+    and the equilibrium solve refuses the model before any probe.
     """
-    j = len(Z_list)
-    n_ord = j + 1
     dim = model.dim
     zero = TrigPoly.zero(dim)
     lam_hat = list(lam_hats) + [float(lam_probe)]
@@ -166,16 +165,7 @@ def order_coefficient(model, hp: HopfPoint, Z_list, lam_hats, T_hats,
 
     g = model.rhs(lam_phys, xs, ys)
     prefactor = EpsSeries(T_hat + [0.0]) * (1.0 / (TWO_PI * hp.omega0))
-    comps = []
-    for gi in g:
-        if not isinstance(gi, EpsSeries):
-            gi = EpsSeries.constant(float(gi), n_ord)
-        Fi = prefactor * gi
-        ci = Fi.coeffs[n_ord]
-        if not isinstance(ci, TrigPoly):
-            ci = TrigPoly.constant([float(ci)])
-        comps.append(ci)
-    return tp.stack(comps).truncate()
+    return tp.stack([(prefactor * gi).coeffs[-1] for gi in g]).truncate()
 
 
 def assemble_rhs(model, hp: HopfPoint, Z_list, lam_hats, T_hats):
@@ -407,5 +397,5 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
 
     conventions = {"z0_scale": scale, "z0_mode": z0_scale, "qj": 0.0,
                    "phase": "first-component sine"}
-    return ExpansionResult(order, lam_hats, T_hats, Z_list, hp, model,
-                           conventions, h_list)
+    return ExpansionResult(lam_hats, T_hats, Z_list, hp, model, conventions,
+                           h_list)

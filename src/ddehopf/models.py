@@ -56,7 +56,8 @@ class DdeModel:
     rhs : callable
         g(lam, x, y) -> list of dim entries, generic arithmetic only.
     equilibrium_hint : array_like
-        Newton starting point for the equilibrium solve.
+        Newton starting point for the equilibrium solve, ``dim`` entries
+        (anything else is a ModelError).
     hopf_hint : (float, float)
         (omega, lam) starting point for the Hopf point solve.
     time_unit : str
@@ -72,6 +73,10 @@ class DdeModel:
         self.params = dict(params)
         self.rhs = rhs
         self.equilibrium_hint = np.asarray(equilibrium_hint, dtype=float)
+        if self.equilibrium_hint.shape != (dim,):
+            raise ModelError(
+                f"equilibrium_hint must have dim = {dim} entries, got "
+                f"shape {self.equilibrium_hint.shape}")
         self.hopf_hint = (float(hopf_hint[0]), float(hopf_hint[1]))
         self.time_unit = time_unit
         self.state_labels = list(state_labels) if state_labels else [

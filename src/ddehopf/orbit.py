@@ -100,7 +100,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
         raise ModelError(f"delay must be finite, got {lam}")
     lam = float(lam)
     lam0 = exp.hopf.lambda0
-    target = exp.omega0 * lam
+    target = exp.hopf.omega0 * lam
     coeffs = exp.lambda_hats
     if lam < lam0 * (1.0 - 1e-12):
         raise BelowBifurcationError(
@@ -167,7 +167,7 @@ class ReconstructedOrbit:
         self.eps = solve_epsilon(expansion, lam)
         self.lam = float(lam)
         T_hat = expansion.T_hat_of(self.eps)
-        self.period = T_hat / expansion.omega0
+        self.period = T_hat / expansion.hopf.omega0
         self.omega_eff = 2.0 * np.pi / self.period
         self.equilibrium = mdl.equilibrium(expansion.model, self.lam)
         # an amplitude far beyond the validity of the series may overflow

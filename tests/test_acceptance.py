@@ -234,7 +234,7 @@ def test_c8_property_suite(ndde, ndde_msq8, sir, sir_2pi8):
             Zj, hj = res.Z[j], res.h_list[j - 1]
             worst_orth = max(worst_orth, abs(tp.inner(hj, hp.w1)),
                              abs(tp.inner(hj, hp.w2)))
-            op = bf.critical_operator(Zj, hp.A, hp.B, hp.lambda_hat0)
+            op = bf.critical_operator(Zj, hp)
             dev = np.max(np.abs(op.eval(taus) - hj.eval(taus)))
             worst_op = max(worst_op, dev / max(1.0, hj.max_abs()))
             deg_ok = deg_ok and Zj.degree <= j + 1 and hj.degree <= j + 1

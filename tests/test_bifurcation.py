@@ -92,10 +92,10 @@ class TestNullBases:
         for model in (ndde, sir):
             hp = bf.find_hopf(model)
             for v in (hp.v1, hp.v2):
-                out = bf.critical_operator(v, hp.A, hp.B, hp.lambda_hat0)
+                out = bf.critical_operator(v, hp)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
             for w in (hp.w1, hp.w2):
-                out = bf.adjoint_operator(w, hp.A, hp.B, hp.lambda_hat0)
+                out = bf.adjoint_operator(w, hp)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
 
 

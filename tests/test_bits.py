@@ -1,6 +1,8 @@
 """The digests of ``tools/bits.py``, on a small synthetic expansion result
-and trajectory, and its envelope summary, on the recorded references."""
+and trajectory, its envelope summary, on the recorded references, and its
+set of CLI runs."""
 
+import argparse
 import copy
 import hashlib
 import importlib.util
@@ -11,6 +13,7 @@ import envelope
 import numpy as np
 import pytest
 
+from ddehopf import cli
 from ddehopf.trigpoly import TrigPoly
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bits.py"
@@ -95,3 +98,12 @@ def test_the_envelope_summary_reads_0_on_a_record_and_2_on_a_moved_entry(
         assert got.lambda_hats[1] == 0.0
         got.lambda_hats[1] += 2.0 * bound
     assert bits.largest_ratio(record, got) == 2.0
+
+
+def test_one_help_run_per_subcommand():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    helps = [argv.split() for argv in bits.CLI_RUNS.values()
+             if argv.endswith("--help")]
+    assert sorted(helps) == sorted([name, "--help"]
+                                   for name in subparsers.choices)

@@ -271,19 +271,14 @@ class TestValidate:
             trajectories.append(weakref.ref(out[2]))
             return out
 
-        def check_freed(orbit, samples):
+        def check_freed(orbit):
             assert trajectories and trajectories[0]() is None
-            return residual(orbit, samples)
+            return residual(orbit)
 
         monkeypatch.setattr(cli.di, "cross_validate", keep_weakref)
         monkeypatch.setattr(cli, "residual", check_freed)
         assert run(["validate", "--model", "ndde", "--order", "3",
                     "--lambda", "1.4"]) == 0
-
-    def test_too_few_samples_exit_code(self, capsys):
-        assert run(["validate", "--model", "ndde", "--order", "3",
-                    "--lambda", "1.4", "--samples", "100"]) == 2
-        assert capsys.readouterr().out == ""
 
 
 class TestConfig:

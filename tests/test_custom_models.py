@@ -14,6 +14,7 @@ import pytest
 
 import ddehopf
 from ddehopf.epsseries import powf
+from ddehopf.errors import ModelError, NewtonError
 from ddehopf.trigpoly import TrigPoly
 
 
@@ -79,3 +80,25 @@ def test_integrator_agrees(request, name, lam, bound):
     orbit = ddehopf.ReconstructedOrbit(request.getfixturevalue(name), lam)
     e_r, _, _ = ddehopf.cross_validate(orbit)
     assert e_r < bound
+
+
+@pytest.mark.parametrize("dim,hint", [(1, [1.0, 0.5]), (2, [1.0]), (1, 1.0)])
+def test_an_equilibrium_hint_has_dim_entries(dim, hint):
+    with pytest.raises(ModelError, match="equilibrium_hint"):
+        ddehopf.DdeModel("hutchinson", dim=dim, params={}, rhs=hutchinson_rhs,
+                         equilibrium_hint=hint, hopf_hint=(1.1, 1.4))
+
+
+@pytest.mark.parametrize("extra", [lambda lam, x: 0.0,
+                                   lambda lam, x: lam - lam],
+                         ids=["number", "delay-only"])
+def test_a_component_free_of_the_state_is_refused(extra):
+    # it gives the equilibrium Jacobian a zero row, so the equilibrium
+    # solve refuses the model before the expansion evaluates the rhs in
+    # jet arithmetic
+    model = ddehopf.DdeModel(
+        "hutchinson-plus", dim=2, params={},
+        rhs=lambda lam, x, y: hutchinson_rhs(lam, x, y) + [extra(lam, x)],
+        equilibrium_hint=[1.0, 0.0], hopf_hint=(1.1, 1.4))
+    with pytest.raises(NewtonError, match="singular equilibrium Jacobian"):
+        ddehopf.expand(model, order=4, z0_scale="msq")

@@ -398,7 +398,7 @@ class TestDetectSteadyState:
                                          x[i], F[i]) - level,
             ts[i], ts[i + 1], d[i]) for i in up])
         periods = np.diff(crossings)
-        last_a = [di._cycle_peak(traj, ts, d, level, up[i], up[i + 1])
+        last_a = [di._cycle_peak(traj, d, level, up[i], up[i + 1])
                   for i in range(len(up) - 4, len(up) - 1)]
         assert len(up) > 100
         expected = (crossings[-1], periods[-1],
@@ -471,7 +471,7 @@ class TestRelativeError:
         measured = align.period_est
         assert abs(measured - orbit.period) <= 1e-5 * orbit.period
         dT = (0.2400 - sir_2pi8.T_hats[2]) * orbit.eps ** 2
-        T_stated = (sir_2pi8.T_hat_of(orbit.eps) + dT) / sir_2pi8.omega0
+        T_stated = (sir_2pi8.T_hat_of(orbit.eps) + dT) / sir_2pi8.hopf.omega0
         assert abs(measured - T_stated) > 1e-3 * T_stated
 
     def test_error_table_rows(self, ndde, ndde_msq8, sir, sir_2pi8):

@@ -331,7 +331,7 @@ def full_delayed_state(Z, theta):
     zeros in dtheta."""
     theta0 = theta.coeffs[0]
     minus_dtheta = -(theta - theta0)
-    v = es._leading_zeros(minus_dtheta)
+    v = es._leading_zeros(minus_dtheta.coeffs)
     deriv = Z
     power = EpsSeries.constant(1.0, Z.order)
     fact = 1.0
@@ -379,7 +379,8 @@ class TestTrimming:
         ("sin", None), ("cos", None)])
     def test_analytic_equals_the_full_horner(self, fid, exponent):
         for s, v in self.inputs():
-            assert es._leading_zeros(s - es._leading_scalar(s)) == v
+            h = s - es._leading_scalar(s)
+            assert es._leading_zeros(h.coeffs) == v
             assert_same_bits(es.analytic(fid, s, exponent),
                              full_analytic(fid, s, exponent))
 
@@ -392,7 +393,7 @@ class TestTrimming:
         theta0 = 1.1
         tail = list(0.2 * rng.standard_normal(n))
         theta = EpsSeries([theta0] + [0.0] * (v - 1) + tail[v - 1:])
-        assert es._leading_zeros(theta - theta0) == v
+        assert es._leading_zeros((theta - theta0).coeffs) == v
         assert_bitwise_equal(es.delayed_state(Z, theta),
                              full_delayed_state(Z, theta))
         Z1 = Z.component(0)
@@ -479,7 +480,7 @@ class TestInsideTheScope:
             # turn them into 0.0
             Z[1] = TrigPoly([-0.0, -0.0], Z[1].cos, Z[1].sin)
             theta[1] = abs(theta[1])
-        assert es._leading_zeros(EpsSeries(theta) - theta0) == v
+        assert es._leading_zeros((EpsSeries(theta) - theta0).coeffs) == v
         return Z, theta
 
     @pytest.mark.parametrize("fid,exponent", [
@@ -488,7 +489,8 @@ class TestInsideTheScope:
     def test_analytic(self, fid, exponent):
         for name, (coeffs, v) in self.series().items():
             s = EpsSeries(coeffs)
-            assert es._leading_zeros(s - es._leading_scalar(s)) == v, name
+            h = s - es._leading_scalar(s)
+            assert es._leading_zeros(h.coeffs) == v, name
             assert not order_dependence(self.grow(
                 lambda s: es.analytic(fid, s, exponent),
                 lambda s: full_analytic(fid, s, exponent), coeffs)), name
@@ -571,7 +573,7 @@ class TestDirectionArrays:
         assert not es._is_zero(np.array([0.0, 0.0, 1e-300]))
         s = EpsSeries([1.0, np.zeros(3)])
         assert isinstance(s.coeffs[1], np.ndarray)
-        assert es._leading_zeros(s - 1.0) == 2
+        assert es._leading_zeros((s - 1.0).coeffs) == 2
 
     def test_only_a_scalar_series_above_order_0_takes_one(self):
         d = np.array([1.0, 2.0])
@@ -676,6 +678,33 @@ class TestSharedCoefficients:
         with es._shared_coefficients():
             op(s, t)
         assert len(walks) == 2 and walks[0] == walks[1]
+
+    @pytest.mark.parametrize("op,kind,own", [
+        (es.delayed_state, "delayed", lambda s, t: (s.coeffs, t.coeffs)),
+        (lambda s, t: es.exp(t), ("analytic", "exp", None),
+         lambda s, t: (t.coeffs,)),
+        (lambda s, t: es.powf(t, 0.5),
+         ("analytic", "pow", es._DOUBLE.pack(0.5)), lambda s, t: (t.coeffs,))],
+        ids=["delayed", "exp", "powf"])
+    def test_a_walk_keys_on_its_own_inputs(self, op, kind, own, monkeypatch):
+        # the delayed state and the analytic functions walk their inputs'
+        # coefficients themselves, under a kind that names the operation
+        # (and powf's exponent) alone; they form no series of their own,
+        # such as theta - theta0 or s - c0, on the way
+        s = random_trig_series(np.random.default_rng(8), order=5, dim=2)
+        t = EpsSeries([1.1, 0.5, 0.0, -1.0, 0.25, 0.125])
+        walks, ring = [], []
+        walk = es._walk
+        monkeypatch.setattr(es, "_walk",
+                            lambda *a: walks.append(a) or walk(*a))
+        for name in ("__add__", "__sub__", "__neg__"):
+            method = getattr(EpsSeries, name)
+            monkeypatch.setattr(EpsSeries, name, lambda *a, n=name, m=method:
+                                ring.append(n) or m(*a))
+        op(s, t)
+        assert ring == []
+        assert len(walks) == 1 and walks[0][0] == kind
+        assert all(a is b for a, b in zip(walks[0][1], own(s, t), strict=True))
 
     def test_the_memo_holds_only_its_generations(self):
         assert es._Generations.__slots__ == ("current", "previous", "numbered")

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import re
 
 import envelope
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from envelope import assert_within_envelope, envelope_ratios, load_envelope
 
 from ddehopf import bifurcation as bf
+from ddehopf import cli
 from ddehopf import epsseries as es
 from ddehopf import expansion as xp
 from ddehopf import models
@@ -231,8 +233,10 @@ class TestAssembleRhs:
         # derivative/shift ladder at every probe took 1,284 products, 920
         # shifts and 10,388 sums, and forming the delay shift and the
         # delayed state to order j+1, one coefficient above what the rhs
-        # reads, took 56 shifts and 5,392 sums.  expand forms no closed-form
-        # R and S (2 shifts and 3 sums), which stay a test-side reference
+        # reads, took 56 shifts and 5,392 sums, and forming the argument of
+        # exp less its constant term as a series of its own, 306 more sums.
+        # expand forms no closed-form R and S (2 shifts and 3 sums), which
+        # stay a test-side reference
         counts = dict.fromkeys(("mul", "shift", "__add__"), 0)
 
         def counting(owner, name):
@@ -247,7 +251,7 @@ class TestAssembleRhs:
         counting(TrigPoly, "shift")
         counting(TrigPoly, "__add__")
         xp.expand(ndde, 12, "msq")
-        assert counts == {"mul": 1010, "shift": 50, "__add__": 4787}
+        assert counts == {"mul": 1010, "shift": 50, "__add__": 4481}
 
     def test_the_delayed_state_stops_at_order_j(self, ndde, monkeypatch):
         # h_j is the rhs coefficient j+1, which reads eps*Z(tau - theta)
@@ -311,7 +315,7 @@ class TestSolveParticular:
             h = h + (-tp.inner(raw, w) / tp.inner(w, w)) * w
         z = xp.solve_particular(h, hp)
         taus = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        lhs = bf.critical_operator(z, hp.A, hp.B, hp.lambda_hat0).eval(taus)
+        lhs = bf.critical_operator(z, hp).eval(taus)
         rhs = h.eval(taus)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, h.max_abs())
 
@@ -332,6 +336,61 @@ class TestFixHomogeneous:
         fixed = xp.fix_homogeneous(raw, Z0, hp)
         assert abs(fixed.eval(0.0)[0]) < 1e-12 * max(1.0, fixed.max_abs())
         assert abs(tp.inner(fixed, Z0)) < 1e-9
+
+
+def perturbed_solvability_matrix(monkeypatch):
+    matrix = xp.solvability_matrix
+    monkeypatch.setattr(xp, "solvability_matrix",
+                        lambda R, S, hp: 1.01 * matrix(R, S, hp))
+
+
+def h_with_a_w1_component(monkeypatch):
+    solve_order = xp.solve_order
+
+    def solved(H0, R, S, hp):
+        lam_j, T_j, h = solve_order(H0, R, S, hp)
+        return lam_j, T_j, h + hp.w1
+
+    monkeypatch.setattr(xp, "solve_order", solved)
+
+
+def homogeneous_part_left_out(monkeypatch):
+    monkeypatch.setattr(xp, "fix_homogeneous", lambda Z_hat, Z0, hp: Z_hat)
+
+
+def phase_fixed_only(monkeypatch):
+    # Z_hat is already orthogonal to N(L) (a minimum-norm solution), so the
+    # fix adds a multiple of v1 + v2, chosen for Z^1(0) = 0 alone (v2 is a
+    # pure sine there): its v2 part moves <Z, Z0> off zero
+    def fixed(Z_hat, Z0, hp):
+        u = hp.v1 + hp.v2
+        return Z_hat + (-float(Z_hat.eval(0.0)[0]) / float(u.eval(0.0)[0])) * u
+
+    monkeypatch.setattr(xp, "fix_homogeneous", fixed)
+
+
+class TestInvariantChecks:
+    # every hard check of an order fires when one step gives a wrong
+    # result, and expand names the order
+
+    @pytest.mark.parametrize("fault,message", [
+        (perturbed_solvability_matrix, "post-solve orthogonality violated"),
+        (h_with_a_w1_component, "first-harmonic least-squares residual"),
+        (homogeneous_part_left_out, r"phase condition Z\^1\(0\) = 0 violated"),
+        (phase_fixed_only, "orthogonality <Z_j, Z0> = 0 violated")],
+        ids=["solvability", "first-harmonic", "phase", "orthogonality"])
+    def test_a_wrong_step_is_refused(self, ndde, monkeypatch, fault, message):
+        fault(monkeypatch)
+        with pytest.raises(SolvabilityError, match=rf"^order \d+: {message}"):
+            xp.expand(ndde, 4, z0_scale="msq")
+
+    def test_the_cli_exits_with_the_solvability_code(self, monkeypatch,
+                                                      capsys):
+        homogeneous_part_left_out(monkeypatch)
+        assert cli.main(["expand", "--model", "ndde", "--order", "2"]) == 5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert re.match(r"error: order \d+: phase condition", out.err)
 
 
 class TestExpand:
@@ -379,8 +438,7 @@ class TestExpand:
             assert abs(tp.inner(Zj, res.Z[0])) < 1e-9
             for w in (hp.w1, hp.w2):
                 assert abs(tp.inner(hj, w)) < 1e-10
-            lhs = bf.critical_operator(Zj, hp.A, hp.B,
-                                       hp.lambda_hat0).eval(taus)
+            lhs = bf.critical_operator(Zj, hp).eval(taus)
             rhs = hj.eval(taus)
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, hj.max_abs())
 

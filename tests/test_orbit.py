@@ -33,7 +33,7 @@ class TestSolveEpsilon:
         from types import SimpleNamespace
         stub = SimpleNamespace(
             lambda_hats=np.array([1.5, 0.0, 0.2, 0.0, -0.05]),
-            hopf=SimpleNamespace(lambda0=1.5), omega0=1.0, order=4)
+            hopf=SimpleNamespace(lambda0=1.5, omega0=1.0), order=4)
         with pytest.raises(NoRealRootError):
             ob.solve_epsilon(stub, 4.0)
 
@@ -64,7 +64,7 @@ class TestSolveEpsilon:
 
     def test_identity_on_delay_curve(self, ndde_msq8):
         for eps in np.linspace(0.05, 1.0, 12):
-            lam = ndde_msq8.lambda_hat_of(eps) / ndde_msq8.omega0
+            lam = ndde_msq8.lambda_hat_of(eps) / ndde_msq8.hopf.omega0
             back = ob.solve_epsilon(ndde_msq8, lam)
             assert abs(back - eps) < 1e-10
 
@@ -84,7 +84,7 @@ class TestSolveEpsilon:
         for lam in np.linspace(1.35, 1.8, 6):
             ob.solve_epsilon(ndde_msq8, lam)
             f, a, b = brackets.pop()
-            target = ndde_msq8.omega0 * lam
+            target = ndde_msq8.hopf.omega0 * lam
             for e in [0.0, 0.5, 2.0, *np.linspace(a, b, 9).tolist()]:
                 expected = float(np.polyval(coeffs, e)) - target
                 assert np.float64(f(e)).tobytes() == \
@@ -125,7 +125,7 @@ class TestOrbit:
 
     def test_delay_equation_residual(self, ndde_msq8):
         orbit = ob.ReconstructedOrbit(ndde_msq8, 1.6)
-        lam_back = ndde_msq8.lambda_hat_of(orbit.eps) / ndde_msq8.omega0
+        lam_back = ndde_msq8.lambda_hat_of(orbit.eps) / ndde_msq8.hopf.omega0
         assert abs(lam_back - 1.6) < 1e-12 * 1.6
 
     def test_eps_positive_beyond_bifurcation(self, ndde_msq8):

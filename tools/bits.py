@@ -9,7 +9,9 @@ The set has three kinds of artifact:
   only if every coefficient is the same float, bit for bit (0.0 and -0.0
   differ);
 * the stdout of CLI commands (``python -m ddehopf.cli ...``, each in its own
-  interpreter), with the exit status;
+  interpreter, with ``COLUMNS=80``), with the exit status: the outputs of
+  the benchmarked and other runs, and the ``--help`` of every subcommand,
+  so that a change of the interface shows beside the outputs;
 * the seeded reference integrations of ``cross_validate`` (ndde, order 8,
   msq, delay 1.4; sir, order 8, paper, delay 120): the shape and bytes of
   their ``ts``, ``ys`` and ``coeffs``.
@@ -98,12 +100,16 @@ CLI_RUNS = {
         "residual --model ndde --order 20 --lambda 1.8",
     "cli-validate-ndde-l1.4": "validate --model ndde --lambda 1.4",
 }
+# the subcommands of ``ddehopf.cli`` (a test keeps this equal to its parser's)
+SUBCOMMANDS = ("hopf", "expand", "solve", "residual", "diagram", "validate")
+CLI_RUNS.update((f"cli-help-{name}", f"{name} --help") for name in SUBCOMMANDS)
 
 
 def cli_digest(src: Path, argv: str) -> str:
     """SHA-256 over the exit status and stdout of one CLI command, run in a
-    fresh interpreter on the package in ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    fresh interpreter on the package in ``src``, with the help text laid out
+    for 80 columns."""
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     run = subprocess.run([sys.executable, "-m", "ddehopf.cli", *argv.split()],
                          capture_output=True, env=env)
     return hashlib.sha256(f"exit {run.returncode}\n".encode()
