@@ -192,17 +192,18 @@ class EpsSeries:
         """Component series of a vector-valued trig series."""
         if not self.is_trig:
             raise DimensionMismatchError("component() requires a trig series")
-        return EpsSeries([c.component(i) for c in self.coeffs])
+        return EpsSeries._make([c.component(i) for c in self.coeffs])
 
     # -- ring operations ---------------------------------------------------------
 
     def _promote_pair(self, other):
         """Promote a number to a constant series; check equal orders."""
-        if isinstance(other, NUMBER_TYPES):
-            other = EpsSeries.constant(float(other), self.order)
-        if not isinstance(other, EpsSeries):
-            return None, None
-        if other.order != self.order:
+        if type(other) is not EpsSeries:
+            if isinstance(other, NUMBER_TYPES):
+                other = EpsSeries.constant(float(other), self.order)
+            elif not isinstance(other, EpsSeries):
+                return None, None
+        if len(other.coeffs) != len(self.coeffs):
             raise DimensionMismatchError(
                 f"order mismatch: {self.order} vs {other.order}")
         return self, other
@@ -259,8 +260,10 @@ def _is_zero(c) -> bool:
     degree-0 polynomial whose constant is all zeros.  Products with it are
     skipped: adding an exact zero leaves a finite sum as it is (up to the
     sign of a zero result)."""
+    if type(c) is float:
+        return c == 0.0
     if isinstance(c, TrigPoly):
-        return c.degree == 0 and not c.const.any()
+        return not c.cos.shape[0] and not c.const.any()
     if isinstance(c, np.ndarray):
         return not c.any()
     return c == 0.0
@@ -318,6 +321,8 @@ def _shared_coefficients():
 def _coef_key(c):
     """Exact content of a coefficient (a polynomial, a direction array or a
     float) as a key."""
+    if type(c) is float:
+        return _DOUBLE.pack(c)
     if isinstance(c, TrigPoly):
         return c._content_key()
     if isinstance(c, np.ndarray):
@@ -334,11 +339,12 @@ def _walk(kind, inputs, form) -> list:
     stored."""
     memo = _memo.get()
     out = []
+    if memo is None:
+        for j in range(len(inputs[0])):
+            out.append(form(j, out))
+        return out
     link = kind
     for j, coefs in enumerate(zip(*inputs)):
-        if memo is None:
-            out.append(form(j, out))
-            continue
         key = (link, *map(_coef_key, coefs))
         hit = memo.current.get(key)
         if hit is None:
@@ -368,11 +374,14 @@ def _dot(pairs, zero):
 
 def _cauchy(a: EpsSeries, b: EpsSeries) -> EpsSeries:
     """Truncated product a*b."""
-    if a.dim != 1 and b.dim != 1:
+    x, y = a.coeffs, b.coeffs
+    if type(x[0]) is float and type(y[0]) is float:
+        zero = 0.0
+    elif a.dim != 1 and b.dim != 1:
         raise DimensionMismatchError(
             "series products need a scalar-valued factor")
-    zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
-    x, y = a.coeffs, b.coeffs
+    else:
+        zero = TrigPoly.zero(max(a.dim, b.dim)) if a.is_trig or b.is_trig else 0.0
     return EpsSeries._make(_walk(
         "cauchy", (x, y),
         lambda j, out: _dot(zip(x[:j + 1], y[j::-1]), zero)))

@@ -59,7 +59,8 @@ class DdeModel:
         Newton starting point for the equilibrium solve, ``dim`` entries
         (anything else is a ModelError).
     hopf_hint : (float, float)
-        (omega, lam) starting point for the Hopf point solve.
+        (omega, lam) starting point for the Hopf point solve, two finite
+        numbers (anything else is a ModelError).
     time_unit : str
         Unit label for delays and periods ("s", "day").
     state_labels : list of str
@@ -77,7 +78,13 @@ class DdeModel:
             raise ModelError(
                 f"equilibrium_hint must have dim = {dim} entries, got "
                 f"shape {self.equilibrium_hint.shape}")
-        self.hopf_hint = (float(hopf_hint[0]), float(hopf_hint[1]))
+        try:
+            omega, lam = hopf_hint
+        except (TypeError, ValueError):
+            raise ModelError("hopf_hint must be two numbers (omega, lam), got "
+                             f"{hopf_hint!r}") from None
+        self.hopf_hint = (_number(omega, "hopf_hint omega"),
+                          _number(lam, "hopf_hint lambda"))
         self.time_unit = time_unit
         self.state_labels = list(state_labels) if state_labels else [
             f"x{i + 1}" for i in range(dim)]
@@ -220,11 +227,14 @@ def _jet_jacobians(model, lam, point):
     n = model.dim
     base = [float(v) for v in point]
     eye = np.eye(2 * n)
-    g = model.rhs(lam, [EpsSeries([base[i], eye[i]]) for i in range(n)],
-                  [EpsSeries([base[i], eye[n + i]]) for i in range(n)])
-    # a component independent of the probes may come back as a plain number
-    J = np.array([np.broadcast_to(gi.coeffs[1] if isinstance(gi, EpsSeries)
-                                  else 0.0, 2 * n) for gi in g], dtype=float)
+    g = model.rhs(lam, [EpsSeries._make([base[i], eye[i]]) for i in range(n)],
+                  [EpsSeries._make([base[i], eye[n + i]]) for i in range(n)])
+    J = np.zeros((len(g), 2 * n))
+    for i, gi in enumerate(g):
+        # a component independent of the probes may come back as a plain
+        # number, its row zero
+        if isinstance(gi, EpsSeries):
+            J[i] = gi.coeffs[1]
     return J[:, :n], J[:, n:]
 
 
@@ -266,6 +276,9 @@ def _solve_equilibrium(model: DdeModel, lam: float) -> np.ndarray:
     for _ in range(EQ_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.array(model.rhs(lam, list(x), list(x)), dtype=float)
+        if g.shape != (model.dim,):
+            raise ModelError(f"the rhs returned {g.size} values for a "
+                             f"dim-{model.dim} model")
         if not np.isfinite(g).all():
             raise NewtonError(f"equilibrium residual is not finite at lam={lam}")
         if np.max(np.abs(g)) <= EQ_TOL * scale:

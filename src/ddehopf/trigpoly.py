@@ -99,7 +99,7 @@ class TrigPoly:
 
     @classmethod
     def zero(cls, dim: int) -> "TrigPoly":
-        return cls(np.zeros(dim))
+        return cls._make(np.zeros(dim), np.zeros((0, dim)), np.zeros((0, dim)))
 
     @classmethod
     def constant(cls, values) -> "TrigPoly":
@@ -120,24 +120,25 @@ class TrigPoly:
 
     def component(self, i: int) -> "TrigPoly":
         """Scalar (dim 1) polynomial holding component ``i``."""
-        return TrigPoly(self.const[i:i + 1], self.cos[:, i:i + 1], self.sin[:, i:i + 1])
+        return TrigPoly._make(self.const[i:i + 1], self.cos[:, i:i + 1],
+                              self.sin[:, i:i + 1])
 
     def padded(self, degree: int) -> "TrigPoly":
         """Same polynomial stored with at least ``degree`` harmonics."""
-        K = self.degree
+        K, dim = self.cos.shape
         if degree <= K:
             return self
-        cos = np.zeros((degree, self.dim))
-        sin = np.zeros((degree, self.dim))
+        cos = np.zeros((degree, dim))
+        sin = np.zeros((degree, dim))
         cos[:K] = self.cos
         sin[:K] = self.sin
         return TrigPoly._make(self.const, cos, sin)
 
     def max_abs(self) -> float:
         """Largest absolute coefficient over all harmonics and components."""
-        m = float(np.max(np.abs(self.const))) if self.dim else 0.0
-        if self.degree:
-            m = max(m, float(np.max(np.abs(self.cos))), float(np.max(np.abs(self.sin))))
+        m = float(np.abs(self.const).max()) if self.const.shape[0] else 0.0
+        if self.cos.shape[0]:
+            m = max(m, float(np.abs(self.cos).max()), float(np.abs(self.sin).max()))
         return m
 
     def truncate(self) -> "TrigPoly":
@@ -147,11 +148,11 @@ class TrigPoly:
         if scale == 0.0:
             return TrigPoly.zero(self.dim)
         cut = TRIM_TOL * scale
-        keep = self.degree
-        while keep > 0 and (np.max(np.abs(self.cos[keep - 1])) <= cut
-                            and np.max(np.abs(self.sin[keep - 1])) <= cut):
+        keep = self.cos.shape[0]
+        while keep > 0 and (np.abs(self.cos[keep - 1]).max() <= cut
+                            and np.abs(self.sin[keep - 1]).max() <= cut):
             keep -= 1
-        if keep == self.degree:
+        if keep == self.cos.shape[0]:
             return self
         return TrigPoly._make(self.const, self.cos[:keep], self.sin[:keep])
 
@@ -210,23 +211,24 @@ class TrigPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_dim(self, other: "TrigPoly"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}")
-
     def __add__(self, other):
-        if isinstance(other, NUMBER_TYPES):
-            if self.dim != 1:
+        """Sum; of unequal degrees, the shorter is padded with +0.0, so the
+        longer one's tail x comes out x + 0.0 (a -0.0 there turns +0.0)."""
+        if isinstance(other, TrigPoly):
+            if self.const.shape != other.const.shape:
                 raise DimensionMismatchError(
-                    f"cannot add a number to a dim-{self.dim} polynomial")
-            return TrigPoly._make(self.const + other, self.cos, self.sin)
-        if not isinstance(other, TrigPoly):
+                    f"dimension mismatch: {self.dim} vs {other.dim}")
+            a, b = self, other
+            if a.cos.shape[0] != b.cos.shape[0]:
+                deg = max(a.cos.shape[0], b.cos.shape[0])
+                a, b = a.padded(deg), b.padded(deg)
+            return TrigPoly._make(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
+        if not isinstance(other, NUMBER_TYPES):
             return NotImplemented
-        self._check_dim(other)
-        deg = max(self.degree, other.degree)
-        a, b = self.padded(deg), other.padded(deg)
-        return TrigPoly._make(a.const + b.const, a.cos + b.cos, a.sin + b.sin)
+        if self.const.shape[0] != 1:
+            raise DimensionMismatchError(
+                f"cannot add a number to a dim-{self.dim} polynomial")
+        return TrigPoly._make(self.const + other, self.cos, self.sin)
 
     def __radd__(self, other):
         """number + polynomial: the package writes the number on the right,
@@ -245,7 +247,7 @@ class TrigPoly:
         return TrigPoly._make(-self.const, -self.cos, -self.sin)
 
     def __mul__(self, other):
-        if isinstance(other, TrigPoly):
+        if type(other) is not float and isinstance(other, TrigPoly):
             return mul(self, other)
         return TrigPoly._make(self.const * other, self.cos * other,
                               self.sin * other)
@@ -282,7 +284,7 @@ class TrigPoly:
         """Complex coefficients c_k, k = -K..K, shape (2K+1, dim); built once
         and cached."""
         if self._spec is None:
-            K, n = self.degree, self.dim
+            K, n = self.cos.shape
             c = np.zeros((2 * K + 1, n), dtype=complex)
             c[K] = self.const
             c[K + 1:] = 0.5 * (self.cos - 1j * self.sin)
@@ -334,15 +336,16 @@ def mul(u: TrigPoly, v: TrigPoly) -> TrigPoly:
     One factor must be scalar (dim 1); a scalar*vector product scales the
     vector component-wise.  The result degree is deg(u) + deg(v).
     """
-    if u.dim != 1 and v.dim != 1:
-        raise DimensionMismatchError(
-            "products are defined for scalar*scalar or scalar*vector only")
-    if u.dim != 1:
+    if u.const.shape[0] != 1:
+        if v.const.shape[0] != 1:
+            raise DimensionMismatchError(
+                "products are defined for scalar*scalar or scalar*vector only")
         u, v = v, u
     su = u._spectrum()[:, 0]
     sv = v._spectrum()
-    out = np.empty((su.shape[0] + sv.shape[0] - 1, v.dim), dtype=complex)
-    for i in range(v.dim):
+    n = sv.shape[1]
+    out = np.empty((su.shape[0] + sv.shape[0] - 1, n), dtype=complex)
+    for i in range(n):
         out[:, i] = np.convolve(su, sv[:, i])
     return TrigPoly._from_spectrum(out)
 

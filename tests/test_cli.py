@@ -297,6 +297,23 @@ class TestConfig:
     def test_unknown_model_exit_code(self):
         assert run(["expand", "--order", "3"]) == cli.EXIT_MODEL
 
+    def test_rhs_of_the_wrong_length_exit_code(self, monkeypatch, capsys):
+        # a dim-2 model whose rhs gives three components
+        make_ndde = cli.mdl.BUILTIN_MODELS["ndde"]
+
+        def make(params):
+            model = make_ndde(params)
+            rhs = model.rhs
+            model.rhs = lambda lam, x, y: rhs(lam, x, y) + [x[0]]
+            return model
+
+        monkeypatch.setitem(cli.mdl.BUILTIN_MODELS, "ndde", make)
+        assert run(["expand", "--model", "ndde", "--order", "3"]) \
+            == cli.EXIT_MODEL
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: the rhs returned 3 values for a dim-2 model\n")
+
     def test_hopf_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({

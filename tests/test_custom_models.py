@@ -89,6 +89,27 @@ def test_an_equilibrium_hint_has_dim_entries(dim, hint):
                          equilibrium_hint=hint, hopf_hint=(1.1, 1.4))
 
 
+@pytest.mark.parametrize("hint", [(1.1,), 1.1, (1.1, 1.4, 9.0),
+                                  (1.1, math.nan)],
+                         ids=["one", "number", "three", "nan"])
+def test_a_hopf_hint_is_two_finite_numbers(hint):
+    with pytest.raises(ModelError, match="hopf_hint"):
+        ddehopf.DdeModel("hutchinson", dim=1, params={}, rhs=hutchinson_rhs,
+                         equilibrium_hint=[1.0], hopf_hint=hint)
+
+
+@pytest.mark.parametrize("dim,rhs,count", [
+    (1, lambda lam, x, y: hutchinson_rhs(lam, x, y) + [x[0]], 2),
+    (2, hutchinson_rhs, 1)], ids=["two-for-one", "one-for-two"])
+def test_a_rhs_of_the_wrong_length_is_refused(dim, rhs, count):
+    model = ddehopf.DdeModel("hutchinson", dim=dim, params={}, rhs=rhs,
+                             equilibrium_hint=[1.0] * dim,
+                             hopf_hint=(1.1, 1.4))
+    with pytest.raises(ModelError, match=f"returned {count} values for a "
+                                         f"dim-{dim} model"):
+        ddehopf.expand(model, order=4, z0_scale="msq")
+
+
 @pytest.mark.parametrize("extra", [lambda lam, x: 0.0,
                                    lambda lam, x: lam - lam],
                          ids=["number", "delay-only"])

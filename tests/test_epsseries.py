@@ -1,5 +1,7 @@
+import contextlib
 import inspect
 import math
+import operator
 import re
 import threading
 
@@ -159,6 +161,25 @@ class TestNumbers:
         assert_bitwise_equal(1.0 / s, embedded(1.0) / s)
         assert_bitwise_equal(s - 2.5, s - embedded(2.5))
         assert_bitwise_equal(2.5 - s, embedded(2.5) - s)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_float64_coefficients_give_the_bits_of_floats(self, shared):
+        a = [1.5, -0.0, 0.0, 2.25, -3.0]
+        b = [0.5, 1.0, -0.0, 0.0, 4.0]
+
+        def float64s(coeffs):
+            return EpsSeries._make([np.float64(c) for c in coeffs])
+
+        def content(s):
+            return [np.float64(c).tobytes() for c in s.coeffs]
+
+        with es._shared_coefficients() if shared else contextlib.nullcontext():
+            for op in (operator.mul, operator.add, operator.truediv):
+                want = content(op(EpsSeries(a), EpsSeries(b)))
+                for x, y in ((float64s(a), float64s(b)),
+                             (float64s(a), EpsSeries(b)),
+                             (EpsSeries(a), float64s(b))):
+                    assert content(op(x, y)) == want
 
 
 class TestDiv:

@@ -56,6 +56,21 @@ class TestLinearCombination:
         with pytest.raises(DimensionMismatchError):
             COS + TrigPoly.zero(2)
 
+    def test_unequal_degrees_add_as_padded(self):
+        # the shorter is padded with +0.0, so -0.0 in the longer one's tail
+        # comes out +0.0, while -0.0 + -0.0 in the head stays -0.0
+        long = TrigPoly([-0.0], [[-0.0], [-0.0], [1.5]], [[2.0], [-0.0], [-0.0]])
+        short = TrigPoly([-0.0], [[-0.0]], [[0.5]])
+        for u, v in ((long, short), (short, long)):
+            got = u + v
+            a, b = u.padded(3), v.padded(3)
+            for x, y in ((got.const, a.const + b.const),
+                         (got.cos, a.cos + b.cos), (got.sin, a.sin + b.sin)):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert np.signbit(got.const[0]) and np.signbit(got.cos[0, 0])
+            assert not np.signbit(got.cos[1:]).any()
+            assert not np.signbit(got.sin[1:]).any()
+
 
 class TestNumbers:
     def test_number_acts_on_the_constant_term(self, rng):
