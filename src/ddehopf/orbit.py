@@ -44,9 +44,15 @@ EXTREMA_SAMPLES = 1024  # grid of orbit_extrema before its refinement
 def _bisect(f, a, b, fa):
     """Root of f in a bracket [a, b] where f changes sign; fa = f(a).
 
-    Eighty halvings take any bracket below the spacing of doubles."""
+    At most eighty halvings, which take any bracket below the spacing of
+    doubles.  Once the midpoint rounds to an end, the ends are adjacent
+    doubles: further halvings would leave the bracket or its midpoint as it
+    is, whatever f gives there (0 and NaN included), so that midpoint is
+    returned at once."""
     for _ in range(80):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
         fm = f(mid)
         if fa * fm <= 0.0:
             b = mid

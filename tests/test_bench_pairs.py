@@ -49,3 +49,38 @@ def test_the_gain_rule(change, shown):
     s = bench_pairs.summarize(pairs(parent, change), METRICS)
     assert s["wall_ref_s"]["gain_shown"] is shown
     assert s["rate"]["gain_shown"] is shown
+
+
+def test_per_layer_metrics_a_run_lacks_or_at_zero():
+    runs = pairs([1.0, 1.1, 0.9], [0.8, 0.8, 0.9])
+    for i, pair in enumerate(runs):
+        pair["parent"]["count"] = pair["change"]["count"] = 0.0
+        pair["parent"]["rarely"] = pair["change"]["rarely"] = float(i)
+    del runs[1]["change"]["rarely"]
+    s = bench_pairs.summarize(runs, METRICS + [
+        {"name": "count", "unit": "count", "better": "lower"},
+        {"name": "rarely", "unit": "s", "better": "lower"},
+        {"name": "absent", "unit": "s", "better": "lower"}])
+    assert set(s) == {"wall_ref_s", "rate", "count", "failed_operations"}
+    assert s["count"]["change_over_parent"] is None
+    assert s["count"]["change_better_pairs"] == 0
+    assert s["wall_ref_s"]["change_better_pairs"] == 2
+
+
+def test_traced_pairs_alternate_like_the_untraced(monkeypatch):
+    calls = []
+
+    def run_once(tree, command, workload, seed, seconds, trace):
+        calls.append((tree, seed, trace))
+        return {"trace.wall_s": 1.0, "failed": 0}, ({}, tree)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    meta = {}
+    traced = bench_pairs.run_pairs({"parent": "P", "change": "C"}, ["run"],
+                                   "w", [0, 5], 25, bench_pairs.TRACED_PAIRS,
+                                   1, meta)
+    assert bench_pairs.TRACED_PAIRS == 3 and len(traced) == 3
+    assert [pair["first"] for pair in traced] == ["parent", "change", "parent"]
+    assert calls == [("P", 0, 1), ("C", 0, 1), ("C", 0, 1), ("P", 0, 1),
+                     ("P", 5, 1), ("C", 5, 1)]
+    assert meta == {"parent": ({}, "P"), "change": ({}, "C")}

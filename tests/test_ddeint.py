@@ -106,6 +106,49 @@ class TestExtension:
             one_by_one = [di._extension(xv, y0, Fs) for xv in xs]
             assert np.array_equal(whole, one_by_one)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 15])
+    def test_segments_match_the_per_point_path(self, dim, m):
+        # the flat evaluation over m * dim values gives the bits of the
+        # extension at each point on its own, a time on the last knot
+        # included (its segment is the last one, at x = 1)
+        rng = np.random.default_rng(100 * dim + m)
+        ts = np.cumsum(rng.uniform(0.1, 2.0, 12))
+        ys = rng.normal(size=(12, dim))
+        coeffs = rng.normal(size=(11, 7, dim)) * 10.0 ** rng.uniform(
+            -5, 5, (11, 7, dim))
+        t = rng.uniform(ts[0], ts[-1], m)
+        t[-1] = ts[-1]
+        expected = [_segment(ts.tolist(), ys, coeffs, tv) for tv in t.tolist()]
+        got = di._segments(t, ts, ys, coeffs)
+        assert got.shape == (m, dim) and np.array_equal(got, expected)
+
+
+class TestStageArithmetic:
+    """The step's stage combinations and error rows (``ndarray.dot`` on the
+    rows and views made once) give the bytes of ``@`` on fresh slices, which
+    both reach BLAS.  A numpy or BLAS upgrade that breaks this would move
+    the integrator's bits."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dot_on_made_rows_is_matmul_on_slices(self, dim):
+        rng = np.random.default_rng(dim)
+        k = np.zeros((16, dim))
+        ks = [k[:s] for s in range(16)]
+        for _ in range(300):
+            k[:] = rng.choice([-1.0, 1.0], (16, dim)) * 10.0 ** rng.uniform(
+                -5, 5, (16, dim))
+            y = rng.normal(size=dim) * 10.0 ** rng.uniform(-5, 5)
+            h = float(rng.uniform(1e-3, 30.0))
+            for s in range(1, 16):
+                assert (y + h * di._ROWS[s].dot(ks[s])).tobytes() == \
+                    (y + h * (di._A[s, :s] @ k[:s])).tobytes()
+            for row in (di._E5, di._E3):
+                e = row.dot(ks[12]) / y
+                assert e.tobytes() == ((row @ k[:12]) / y).tobytes()
+                assert e.dot(e) == e @ e
+            assert (h * di._D.dot(k)).tobytes() == (h * (di._D @ k)).tobytes()
+
 
 def test_linear_characteristic_root():
     lam = np.pi / 2

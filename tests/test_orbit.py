@@ -100,6 +100,47 @@ class TestKernels:
     def test_bisect_monotone_bracket(self, f, a, b, root):
         assert abs(ob._bisect(f, a, b, f(a)) - root) <= 1e-15
 
+    def test_bisect_returns_the_bytes_of_eighty_halvings(self):
+        def halvings(f, a, b, fa):
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            return 0.5 * (a + b)
+
+        rng = np.random.default_rng(11)
+        cases = [(lambda x: 0.0, 0.2, 0.9),             # f = 0 everywhere
+                 (lambda x: float("nan"), 0.2, 0.9),    # f NaN everywhere
+                 (lambda x: x, -1.0, 1.0),              # a root at 0
+                 (lambda x: -x, -3.0, 5e-324)]
+        for _ in range(300):
+            a = rng.uniform(-10.0, 10.0) * 10.0 ** rng.uniform(-8, 8)
+            b = a + abs(a) * 10.0 ** rng.uniform(-17, 1)
+            root = rng.uniform(a, b)
+            slope = rng.choice([-1.0, 1.0])
+            nan_from = rng.uniform(a, b)
+            cases += [(lambda x, r=root, c=slope: c * (x - r), a, b),
+                      (lambda x, r=root, z=nan_from: float("nan") if x > z
+                       else x - r, a, b)]
+        for f, a, b in cases:
+            a, b = np.float64(a), np.float64(b)
+            got, expected = ob._bisect(f, a, b, f(a)), halvings(f, a, b, f(a))
+            assert type(got) is type(expected)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_bisect_stops_at_adjacent_doubles(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.3 - x
+
+        assert ob._bisect(f, 0.0, 1.0, f(0.0)) == pytest.approx(0.3, abs=1e-16)
+        assert len(calls) - 1 <= 56
+
     def test_golden_max_is_a_float_not_below_its_seed(self):
         def f(x):
             return 1.0 - (x - 0.3) ** 2

@@ -6,13 +6,15 @@ and once on this tree, one after the other; which side runs first switches
 from pair to pair, so that a drift of the machine's speed falls on both.
 Pair i runs seed ``seeds[(i // 2) % len(seeds)]`` on both sides, so each
 seed runs two pairs in turn, one with each side first.  After the pairs,
-one ``--trace 1`` run per side gives the per-layer metrics.
+``TRACED_PAIRS`` more pairs, alternated the same way, run with ``--trace 1``
+and give the per-layer metrics.
 
 The results go to a JSON file (``BENCH_<n>.json``): per workload, the
 summary of each end-to-end metric (each side's median and quartiles, the
 ratio of the medians, and in how many pairs the change was better; ties
-count for neither side), the number of failed operations, every pair's
-runs and the two traced runs.  An existing file of the same two trees is
+count for neither side), the number of failed operations and every pair's
+runs; and the same summary of each per-layer metric over the traced
+pairs, with their runs.  An existing file of the same two trees is
 extended: its other workloads are kept, and this workload's entry is
 replaced.  The summary is
 printed too, with whether the pairs show a gain by the rule of the
@@ -46,6 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 # the share of pairs the change must win to show a gain
 WIN_SHARE = 0.9
+# alternated --trace 1 pairs per workload; one traced run a side is too few
+# to read per-layer changes of a few ms
+TRACED_PAIRS = 3
 
 # this tree's benchmark, for its rules of summary and source digest
 _spec = importlib.util.spec_from_file_location(
@@ -56,12 +61,17 @@ _spec.loader.exec_module(perfbench_run)
 
 def summarize(pairs, metrics) -> dict:
     """Summary of ``pairs`` (each {"parent": run, "change": run}, a run
-    holding every metric's value and its ``failed`` count) for the
-    end-to-end ``metrics`` of BENCHMARK.json."""
+    holding metric values and its ``failed`` count) for the end-to-end or
+    per-layer ``metrics`` of BENCHMARK.json; a metric that some run lacks
+    is left out, and the ratio of the medians is None over a parent median
+    of 0."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
+        values = {side: [pair[side].get(name) for pair in pairs]
+                  for side in SIDES}
+        if None in values["parent"] + values["change"]:
+            continue
         parent, change = (perfbench_run.summary(values[side])
                           for side in SIDES)
         wins = sum(sign * (c - p) < 0
@@ -69,7 +79,8 @@ def summarize(pairs, metrics) -> dict:
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": parent, "change": change,
-            "change_over_parent": change["median"] / parent["median"],
+            "change_over_parent": (change["median"] / parent["median"]
+                                   if parent["median"] else None),
             "change_better_pairs": wins, "pairs": len(pairs),
             "gain_shown": (wins >= WIN_SHARE * len(pairs)
                            and sign * (parent["median"] - change["median"])
@@ -121,6 +132,25 @@ def run_once(tree: Path, command, workload, seed, seconds, trace):
     return run, (machine, record["source_sha256"])
 
 
+def run_pairs(trees, command, workload, seeds, seconds, count, trace, meta):
+    """``count`` alternated pairs of runs, with ``--trace trace``: pair i
+    runs seed ``seeds[(i // 2) % len(seeds)]``, the parent first when i is
+    even.  ``meta`` gets each side's machine and source digest."""
+    shown = "trace.wall_s" if trace else "wall_ref_s"
+    pairs = []
+    for i in range(count):
+        seed = seeds[(i // 2) % len(seeds)]
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side], meta[side] = run_once(
+                trees[side], command, workload, seed, seconds, trace)
+            print(f"{'traced ' if trace else ''}pair {i + 1} {side}: "
+                  f"{shown} {pair[side][shown]:.4f}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -156,20 +186,10 @@ def main(argv) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.seeds[(i // 2) % len(args.seeds)]
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side], meta[side] = run_once(
-                    trees[side], command, args.workload, seed, seconds, 0)
-                print(f"pair {i + 1} {side}: wall_ref_s "
-                      f"{pair[side]['wall_ref_s']:.4f}", file=sys.stderr)
-            pairs.append(pair)
-        traced = {side: run_once(trees[side], command, args.workload,
-                                 args.seeds[0], seconds, 1)[0]
-                  for side in SIDES}
+        pairs = run_pairs(trees, command, args.workload, args.seeds,
+                          seconds, args.pairs, 0, meta)
+        traced = run_pairs(trees, command, args.workload, args.seeds,
+                           seconds, TRACED_PAIRS, 1, meta)
 
     summary = summarize(pairs, bench["end_to_end"])
     doc.update({
@@ -178,8 +198,9 @@ def main(argv) -> int:
                 "pair alternates, and pair i runs seed "
                 "seeds[(i // 2) % len(seeds)] "
                 "on both sides. 'workloads' holds each workload's pairs and "
-                "their summary; 'traced' one --trace 1 run per side and "
-                "workload, with every per-layer metric.",
+                "their summary; 'traced' each workload's "
+                f"{TRACED_PAIRS} pairs of --trace 1 runs, alternated the "
+                "same way, and the summary of every per-layer metric.",
         "command": " ".join(command) + " --workload W --seed S --seconds "
                    f"{seconds} --trace 0",
         "environment": meta["change"][0],
@@ -193,7 +214,9 @@ def main(argv) -> int:
                                  "under src/ not yet committed")
     doc.setdefault("workloads", {})[args.workload] = {
         "seeds": args.seeds, "summary": summary, "pairs": pairs}
-    doc.setdefault("traced", {})[args.workload] = traced
+    doc.setdefault("traced", {})[args.workload] = {
+        "seeds": args.seeds,
+        "summary": summarize(traced, bench["per_layer"]), "pairs": traced}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(report(args.workload, summary))
     return 0
