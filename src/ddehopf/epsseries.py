@@ -23,8 +23,9 @@ module's public names):
 * functions: ``div``, ``analytic``, ``exp``, ``log``, ``sin``, ``cos``,
   ``powf``, ``delayed_state``.
 
-Numbers promote to constant series, and the series operations combine
-coefficients with plain ``+``, ``-`` and ``*``, so :class:`TrigPoly` holds
+Numbers promote to constant series (a number times a scalar series takes a
+shortcut with the same result, see below), and the series operations
+combine coefficients with plain ``+``, ``-`` and ``*``, so :class:`TrigPoly` holds
 the one rule for a number meeting a polynomial: added or subtracted, it acts
 on the constant term of a scalar-valued (dim 1) polynomial, and anything
 else raises.  All operations require equal truncation orders.
@@ -98,6 +99,16 @@ numbers and stores only a miss.  Entry numbers come from a running count
 and never repeat (see ``_Generations``).  The exact-zero tests that skip
 products belong to forming a coefficient, so a found coefficient costs
 none.  The memo is emptied when the scope exits, also on error.
+
+A number times a scalar series is no walk.  When a float meets a series
+whose order-0 coefficient is a float (``*``, on either side, and ``/`` by a
+number), coefficient j is x_j * c, or 0.0 where x_j or c is an exact zero,
+formed in one pass with no promotion and no key: that is what the product
+with the promoted constant [c, 0.0, ...] forms, since every other pair of
+its sums meets an exact zero, so the bits are the same (signed zeros, NaN
+and direction arrays included).  A trig series times a number keeps the
+walk: inside the scope most of those products are found in the memo, and
+finding one costs less than forming the polynomial product again.
 
 A scalar series may also carry a 1-D float array as a coefficient above
 order 0, one entry per direction: a first-order series [x, e] with e a row
@@ -230,6 +241,14 @@ class EpsSeries:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        x = self.coeffs
+        if type(other) is float and type(x[0]) is float:
+            # what _cauchy of the promoted constant [other, 0.0, ...] gives:
+            # every other pair meets its exact-zero coefficients
+            if _is_zero(other):
+                return EpsSeries._make([0.0] * len(x))
+            return EpsSeries._make([0.0 if _is_zero(c) else c * other
+                                    for c in x])
         a, b = self._promote_pair(other)
         if a is None:
             return NotImplemented
@@ -263,9 +282,9 @@ def _is_zero(c) -> bool:
     if type(c) is float:
         return c == 0.0
     if isinstance(c, TrigPoly):
-        return not c.cos.shape[0] and not c.const.any()
+        return not c.cos.shape[0] and not np.count_nonzero(c.const)
     if isinstance(c, np.ndarray):
-        return not c.any()
+        return not np.count_nonzero(c)
     return c == 0.0
 
 

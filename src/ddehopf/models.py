@@ -92,6 +92,8 @@ class DdeModel:
     def rhs_vector(self, lam, x, y):
         """rhs on plain numbers/arrays; shape (dim,) or (dim, m) for array input."""
         out = self.rhs(lam, list(x), list(y))
+        if all(isinstance(v, float) for v in out):  # one point
+            return np.array(out, dtype=float)
         arrs = [np.asarray(v, dtype=float) for v in out]
         shape = np.broadcast_shapes(*[a.shape for a in arrs])
         return np.stack([np.broadcast_to(a, shape) for a in arrs], axis=0)

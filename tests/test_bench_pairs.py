@@ -2,6 +2,12 @@
 benchmark runs."""
 
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -84,3 +90,74 @@ def test_traced_pairs_alternate_like_the_untraced(monkeypatch):
     assert calls == [("P", 0, 1), ("C", 0, 1), ("C", 0, 1), ("P", 0, 1),
                      ("P", 5, 1), ("C", 5, 1)]
     assert meta == {"parent": ({}, "P"), "change": ({}, "C")}
+
+
+# a benchmark command that starts one sleeping child, writes both pids and
+# waits for the child
+STUB_RUN = '''
+import os, subprocess, sys
+if __name__ == "__main__":
+    child = subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(120)"])
+    with open({pids!r} + ".part", "w") as f:
+        f.write(f"{{os.getpid()}} {{child.pid}}")
+    os.replace({pids!r} + ".part", {pids!r})
+    child.wait()
+'''
+
+
+def _running(pid) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "Ctrl-C"])
+def test_a_stopped_run_leaves_nothing_behind(tmp_path, stop):
+    # the tool is stopped while the parent's benchmark run (in the
+    # extracted revision) sleeps: the run, its child and the extracted
+    # tree must all be gone once the tool has exited
+    repo, tmp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "tools").mkdir()
+    tmp.mkdir()
+    (repo / "tools" / "bench_pairs.py").write_text(TOOL.read_text())
+    (repo / "perfbench" / "run.py").write_text(
+        STUB_RUN.format(pids=str(pids)))
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 1}))
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "stub"], check=True)
+    tool = subprocess.Popen(
+        [sys.executable, str(repo / "tools" / "bench_pairs.py"), "--against",
+         "HEAD", "--workload", "w", "--pairs", "1", "--out",
+         str(tmp_path / "out.json")],
+        env={**os.environ, "TMPDIR": str(tmp)}, stderr=subprocess.DEVNULL)
+    started = []
+    try:
+        deadline = time.monotonic() + 30
+        while not pids.exists():
+            assert time.monotonic() < deadline and tool.poll() is None
+            time.sleep(0.05)
+        started += [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 2 and all(map(_running, started))
+        assert any(tmp.iterdir())  # the extracted revision
+        tool.send_signal(stop)
+        assert tool.wait(timeout=30) != 0
+        deadline = time.monotonic() + 10
+        while any(map(_running, started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, started))
+    finally:  # what a failed stop left running
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        for pid in filter(_running, started):
+            os.kill(pid, signal.SIGKILL)
+    assert not any(tmp.iterdir())
+    assert not (tmp_path / "out.json").exists()

@@ -131,6 +131,72 @@ class TestExactZeros:
         assert (3.0 / t).coeffs == q
 
 
+def was_zero(c):
+    """The exact-zero test as ``ndarray.any`` made it, for comparison."""
+    if isinstance(c, TrigPoly):
+        return not c.cos.shape[0] and not c.const.any()
+    if isinstance(c, np.ndarray):
+        return not c.any()
+    return c == 0.0
+
+
+class TestNumberTimesScalarSeries:
+    # a float times a series with a float order-0 coefficient is scaled in
+    # one pass, with no walk; it must give the bytes of the product with the
+    # promoted constant [c, 0.0, ...], whatever zeros, NaNs and infinities
+    # the coefficients and the number hold
+    NAN, INF = float("nan"), float("inf")
+    NUMBERS = [2.5, -2.5, 0.0, -0.0, NAN, INF, -INF, 1e-300]
+    SERIES = [
+        [1.5, -0.0, 0.0, NAN, INF, -2.0],
+        [0.0, -0.0, 3.0, 0.0, -INF, NAN],
+        [0.7, np.array([1.0, 0.0, -0.0, NAN, -2.0])],
+        [-0.0, np.array([0.0, -0.0, 0.0])],
+        [NAN, np.zeros(3)],
+    ]
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walks = []
+        walk = es._walk
+        monkeypatch.setattr(es, "_walk",
+                            lambda *a: walks.append(a[0]) or walk(*a))
+        return walks
+
+    @pytest.mark.parametrize("coeffs", SERIES)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_the_bytes_of_the_promoted_product(self, coeffs, walks):
+        s = EpsSeries(coeffs)
+        for c in self.NUMBERS:
+            walks.clear()
+            ref = es._cauchy(s, EpsSeries.constant(c, s.order))
+            assert walks == ["cauchy"]
+            for product in (s * c, c * s):
+                assert_same_bits(product, ref)
+            if c != 0.0:
+                ref = es._cauchy(s, EpsSeries.constant(1.0 / c, s.order))
+                assert_same_bits(s / c, ref)
+            assert walks == ["cauchy"] * (1 + (c != 0.0))
+
+    def test_a_trig_series_keeps_the_walk(self, rng, walks):
+        t = random_trig_series(rng, order=3, dim=2)
+        for product, c in ((t * 2.5, 2.5), (2.5 * t, 2.5), (t / 4.0, 0.25)):
+            assert_same_bits(product,
+                             es._cauchy(t, EpsSeries.constant(c, t.order)))
+        assert walks == ["cauchy"] * 6
+
+    def test_zero_tests_as_before(self):
+        arrays = [np.array(v) for v in (
+            [0.0, -0.0, 0.0], [0.0, 1e-300], [-0.0], [self.NAN, 0.0],
+            [0.0, self.INF], np.zeros(6), np.eye(6)[5])]
+        cases = arrays + [TrigPoly.constant(a) for a in arrays] + [
+            TrigPoly([0.0], [[0.0]], [[0.0]]), COS, DUSTY, TrigPoly.zero(3)]
+        for c in cases:
+            assert es._is_zero(c) == was_zero(c)
+        assert [es._is_zero(a) for a in arrays] == [
+            True, False, True, False, False, True, False]
+
+
 def assert_bitwise_equal(p, q):
     assert len(p.coeffs) == len(q.coeffs)
     for a, b in zip(p.coeffs, q.coeffs):

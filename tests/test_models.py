@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from ddehopf import epsseries as es
 from ddehopf import expansion, orbit
 from ddehopf import models as mdl
 from ddehopf.epsseries import EpsSeries
@@ -197,6 +198,56 @@ class TestJetJacobians:
             mdl.linearization(model, model.hopf_hint[1])
             assert len(jacobians) >= 2
             assert len(series_calls) == len(jacobians)
+
+
+class TestRhsVector:
+    # one point is the array of the rhs's numbers; a grid broadcasts and
+    # stacks its components; a point must give its column of the grid
+    def test_one_point_is_its_column_of_the_grid(self, ndde, sir):
+        custom = mdl.DdeModel("half-constant", 2, {},
+                              lambda lam, x, y: [y[1] - x[0], 0.25],
+                              [0.0, 0.0], (1.0, 1.0))
+        rng = np.random.default_rng(11)
+        for model, lam in ((ndde, 1.4), (sir, 120.0), (custom, 1.0)):
+            base = model.equilibrium_hint[:, None] + 0.5
+            x, y = (base * (1.0 + 0.1 * rng.standard_normal((model.dim, 7)))
+                    for _ in range(2))
+            grid = model.rhs_vector(lam, x, y)
+            assert grid.shape == (model.dim, 7)
+            for k in range(7):
+                for one in (model.rhs_vector(lam, x[:, k], y[:, k]),
+                            model.rhs_vector(lam, list(x[:, k]),
+                                             list(y[:, k]))):
+                    assert one.shape == (model.dim,) and one.dtype == float
+                    assert one.tobytes() == grid[:, k].tobytes()
+
+
+def test_walks_and_keys_of_the_sir_expansion(monkeypatch):
+    # a number times a scalar series is scaled outside the walk, so the
+    # scalar sir jets walk far less than the 5,212 walks and 99,656 keys of
+    # the promoted products (measured before the shortcut)
+    counts = {"walks": 0, "keys": 0}
+    walk, coef_key = es._walk, es._coef_key
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_key(c):
+        counts["keys"] += 1
+        return coef_key(c)
+
+    monkeypatch.setattr(es, "_walk", counted_walk)
+    monkeypatch.setattr(es, "_coef_key", counted_key)
+    expansion.expand(mdl.make_sir(), 14, "paper")
+    assert counts["walks"] <= 1578 and counts["keys"] <= 29024
+    # one Jacobian: the products S*I of dI and dS and the quotient of the
+    # births (11 walks before the shortcut)
+    sir = mdl.make_sir()
+    point = mdl.equilibrium(sir, 120.0)
+    counts["walks"] = 0
+    mdl._jet_jacobians(sir, 120.0, point)
+    assert counts["walks"] == 3
 
 
 class TestEquilibriumSeries:

@@ -28,16 +28,21 @@ Usage::
 
 REV is extracted with ``git archive`` into a temporary directory, where its
 own ``perfbench/run.py`` runs; this tree's runs in this tree (its records
-land in ``.bench_build/``).  Only the standard library is used.
+land in ``.bench_build/``).  Stopped by Ctrl-C or SIGTERM, the tool kills
+the running benchmark together with its child and removes the extracted
+revision.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import tarfile
@@ -110,15 +115,32 @@ def report(workload, summary) -> str:
     return "\n".join(lines)
 
 
+def _run(args, cwd):
+    """(stdout, stderr) of ``args`` run in ``cwd``, which must succeed.  The
+    command runs in a process group of its own, and the whole group is
+    killed if this process is stopped meanwhile (Ctrl-C, or SIGTERM, which
+    ``main`` turns into an exit), so the benchmark's own child goes too."""
+    with subprocess.Popen(args, cwd=cwd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, args, out, err)
+    return out, err
+
+
 def run_once(tree: Path, command, workload, seed, seconds, trace):
     """One benchmark run in ``tree``: (its metric values, counts and the
     figures of its run record; the record's machine and source digest)."""
-    proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    path = re.search(r"record (\S+\.json)", proc.stderr).group(1)
+    out, err = _run([*command, "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", str(trace)], tree)
+    result = json.loads(out.strip().splitlines()[-1])
+    path = re.search(r"record (\S+\.json)", err).group(1)
     record = json.loads((tree / path).read_text(encoding="utf-8"))
     run = {"seed": seed, "started_utc": record["started_utc"],
            "record": Path(path).name,
@@ -156,7 +178,14 @@ def _git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv) -> int:
+    # a SIGTERM unwinds like Ctrl-C: the running benchmark's process group
+    # is killed and the extracted revision removed
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", required=True)
     parser.add_argument("--workload", required=True)
