@@ -87,8 +87,9 @@ def _scaled_det(mat) -> complex:
 def find_hopf(model) -> HopfPoint:
     """Locate (omega0, lambda0) by a 2D Newton iteration on the real and
     imaginary parts of the row-scaled characteristic determinant, started
-    from ``model.hopf_hint``."""
-    w, lam = model.hopf_hint
+    from ``model.hopf_hint``, which must be two finite numbers (ModelError
+    otherwise, also for a hint assigned after the model was made)."""
+    w, lam = mdl._hopf_hint(model.hopf_hint)
 
     w_floor = 1e-6 * max(abs(w), 1e-6)
     lam_floor = 1e-6 * max(abs(lam), 1e-6)

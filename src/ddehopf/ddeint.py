@@ -16,7 +16,9 @@ its step, and one nested evaluator
 serves the delayed lookups, ``Trajectory.value`` and the crossing
 bisection.  With F3..F6 = 0 it is the cubic Hermite interpolant through
 (t, y, y') at the two knots.  The extension costs three rhs calls per
-accepted step, on top of the twelve per attempted step.
+accepted step, on top of the twelve per attempted step; with O(h^4) cubic
+Hermite lookups instead, the error of the delayed values, not that of the
+step, would limit the accuracy.
 
 ``integrate`` alone builds a trajectory, in one pass: the knots
 (t, y) and the extension vectors go into arrays whose capacity doubles
@@ -24,8 +26,9 @@ when they fill up, and the ``Trajectory`` returned holds read-only views of
 the filled rows.  Thanks to the step cap, the fifteen delayed stage times
 of a step all lie behind its start, so one ``searchsorted`` finds their
 segments and one evaluation of the extension over the flattened 15 * dim
-values gives their states; lookups that reach the history take it point by
-point.  The model rhs is called on Python floats.
+values gives their states, the same bits as one lookup at a time; lookups
+that reach the history take it point by point.  The model rhs is called on
+Python floats.
 
 A step costs mostly the fixed overhead of numpy calls on short vectors, so
 the rows A[s, :s] and the nodes are made at import, the views k[:s] once
@@ -248,10 +251,9 @@ def _dense(t, ts, ys, coeffs, lam, history):
 class Alignment:
     """Phase anchor of a steady oscillation: crossing time and period, and
     the spreads of the last three periods and peak amplitudes that
-    ``detect_steady_state`` accepted (None when not measured)."""
+    ``detect_steady_state`` accepted."""
 
-    def __init__(self, t0, period_est, period_spread=None,
-                 amplitude_spread=None):
+    def __init__(self, t0, period_est, period_spread, amplitude_spread):
         self.t0 = float(t0)
         self.period_est = float(period_est)
         self.period_spread = period_spread
@@ -347,11 +349,8 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
             if n == len(ts):
                 ts, ys, coeffs = (np.concatenate((a, np.empty_like(a)))
                                   for a in (ts, ys, coeffs))
-            # F0..F2 by _hermite_part's formulas, F3..F6 = h * (_D @ k)
-            row, dy = coeffs[n - 1], y_new - y
-            row[0] = dy
-            row[1] = h * f - dy
-            row[2] = 2 * dy - h * (k[12] + f)
+            row = coeffs[n - 1]
+            row[0], row[1], row[2] = _hermite_part(h, y_new - y, f, k[12])
             row[3:] = h * _D.dot(k)
             t += h
             if not clipped:

@@ -60,7 +60,9 @@ class DdeModel:
         (anything else is a ModelError).
     hopf_hint : (float, float)
         (omega, lam) starting point for the Hopf point solve, two finite
-        numbers (anything else is a ModelError).
+        numbers, as a pair or a {"omega": ..., "lambda": ...} mapping
+        (anything else is a ModelError; ``find_hopf`` checks a hint
+        assigned later by the same rule).
     time_unit : str
         Unit label for delays and periods ("s", "day").
     state_labels : list of str
@@ -78,13 +80,7 @@ class DdeModel:
             raise ModelError(
                 f"equilibrium_hint must have dim = {dim} entries, got "
                 f"shape {self.equilibrium_hint.shape}")
-        try:
-            omega, lam = hopf_hint
-        except (TypeError, ValueError):
-            raise ModelError("hopf_hint must be two numbers (omega, lam), got "
-                             f"{hopf_hint!r}") from None
-        self.hopf_hint = (_number(omega, "hopf_hint omega"),
-                          _number(lam, "hopf_hint lambda"))
+        self.hopf_hint = _hopf_hint(hopf_hint)
         self.time_unit = time_unit
         self.state_labels = list(state_labels) if state_labels else [
             f"x{i + 1}" for i in range(dim)]
@@ -146,12 +142,21 @@ def _merge_params(defaults, params):
 
 
 def _hopf_hint(hint):
-    """(omega, lam) from a {"omega": ..., "lambda": ...} mapping."""
-    if not isinstance(hint, Mapping) or set(hint) != {"omega", "lambda"}:
-        raise ModelError('hopf_hint must be {"omega": number, "lambda": number}'
-                         f", got {hint!r}")
-    return (_number(hint["omega"], "hopf_hint omega"),
-            _number(hint["lambda"], "hopf_hint lambda"))
+    """(omega, lam) as two floats, from a pair or from a {"omega": ...,
+    "lambda": ...} mapping; anything but two finite numbers is a
+    ModelError."""
+    if isinstance(hint, Mapping):
+        if set(hint) != {"omega", "lambda"}:
+            raise ModelError('hopf_hint must be {"omega": number, "lambda": '
+                             f'number}}, got {hint!r}')
+        hint = hint["omega"], hint["lambda"]
+    try:
+        omega, lam = hint
+    except (TypeError, ValueError):
+        raise ModelError("hopf_hint must be two numbers (omega, lam), got "
+                         f"{hint!r}") from None
+    return (_number(omega, "hopf_hint omega"),
+            _number(lam, "hopf_hint lambda"))
 
 
 def _validate_positive(params, keys):

@@ -161,3 +161,53 @@ def test_a_stopped_run_leaves_nothing_behind(tmp_path, stop):
             os.kill(pid, signal.SIGKILL)
     assert not any(tmp.iterdir())
     assert not (tmp_path / "out.json").exists()
+
+
+# holds a checkout of HEAD open until it is stopped, with its path in a file
+HOLD_CHECKOUT = '''
+import os, sys, time
+sys.path.insert(0, {tools!r})
+from bench_pairs import checkout
+with checkout("HEAD", "data.txt") as tree:
+    with open({where!r} + ".part", "w") as f:
+        f.write(str(tree))
+    os.replace({where!r} + ".part", {where!r})
+    time.sleep(120)
+'''
+
+
+@pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "Ctrl-C"])
+def test_a_stopped_checkout_leaves_nothing_behind(tmp_path, stop):
+    # the one way the tools extract a revision for --against: stopped while
+    # it is open, it must remove the extracted tree
+    repo, tmp, where = tmp_path / "repo", tmp_path / "tmp", tmp_path / "where"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "tools").mkdir()
+    tmp.mkdir()
+    (repo / "tools" / "bench_pairs.py").write_text(TOOL.read_text())
+    (repo / "perfbench" / "run.py").write_text("")
+    (repo / "data.txt").write_text("revision data\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "stub"], check=True)
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_CHECKOUT.format(
+            tools=str(repo / "tools"), where=str(where))],
+        env={**os.environ, "TMPDIR": str(tmp)}, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not where.exists():
+            assert time.monotonic() < deadline and holder.poll() is None
+            time.sleep(0.05)
+        tree = Path(where.read_text())
+        assert tree.parent == tmp
+        assert (tree / "data.txt").read_text() == "revision data\n"
+        holder.send_signal(stop)
+        assert holder.wait(timeout=30) != 0
+    finally:  # what a failed stop left running
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait()
+    assert not any(tmp.iterdir())

@@ -8,6 +8,7 @@ equation x' = 2y/(1 + y^10) - x linearizes at x = 1 to u' = -u - 4 u(t - lam),
 so omega0 = sqrt(15) and cos(omega0 lam0) = -1/4.
 """
 
+import copy
 import math
 
 import pytest
@@ -89,13 +90,27 @@ def test_an_equilibrium_hint_has_dim_entries(dim, hint):
                          equilibrium_hint=hint, hopf_hint=(1.1, 1.4))
 
 
-@pytest.mark.parametrize("hint", [(1.1,), 1.1, (1.1, 1.4, 9.0),
-                                  (1.1, math.nan)],
-                         ids=["one", "number", "three", "nan"])
-def test_a_hopf_hint_is_two_finite_numbers(hint):
+BAD_HOPF_HINTS = {"one": (1.1,), "number": 1.1, "three": (1.1, 1.4, 9.0),
+                  "nan": (1.1, math.nan), "string": "ab",
+                  "text-entry": (1.1, "x"), "none": None,
+                  "inf": (math.inf, 1.3)}
+
+
+@pytest.mark.parametrize("hint,assigned", [
+    pytest.param(hint, assigned, id=f"assigned-{name}" if assigned else name)
+    for assigned in (False, True) for name, hint in BAD_HOPF_HINTS.items()])
+def test_a_hopf_hint_is_two_finite_numbers(hint, assigned):
+    # a hint assigned to a copy after construction is checked when
+    # find_hopf reads it
     with pytest.raises(ModelError, match="hopf_hint"):
-        ddehopf.DdeModel("hutchinson", dim=1, params={}, rhs=hutchinson_rhs,
-                         equilibrium_hint=[1.0], hopf_hint=hint)
+        model = ddehopf.DdeModel(
+            "hutchinson", dim=1, params={}, rhs=hutchinson_rhs,
+            equilibrium_hint=[1.0],
+            hopf_hint=(1.1, 1.4) if assigned else hint)
+        if assigned:
+            model = copy.copy(model)
+            model.hopf_hint = hint
+            ddehopf.find_hopf(model)
 
 
 @pytest.mark.parametrize("dim,rhs,count", [

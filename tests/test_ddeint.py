@@ -426,8 +426,6 @@ class TestDetectSteadyState:
         assert isinstance(al.amplitude_spread, float)
         assert 0.0 <= al.period_spread <= 1e-6 * al.period_est
         assert 0.0 <= al.amplitude_spread <= 1e-6
-        plain = di.Alignment(al.t0, al.period_est)
-        assert plain.period_spread is None and plain.amplitude_spread is None
 
     def test_only_the_crossings_read_are_bisected(self, sir120, monkeypatch):
         orbit, _, align, traj = sir120
@@ -484,7 +482,8 @@ class TestRelativeError:
                 d = 1e-6 * Shim.period
                 return (Shim.deviation(t + d) - Shim.deviation(t - d)) / (2 * d)
 
-        shifted = di.Alignment(align.t0 - align.period_est, align.period_est)
+        shifted = di.Alignment(align.t0 - align.period_est, align.period_est,
+                               align.period_spread, align.amplitude_spread)
         err = di.relative_error(Shim, traj, shifted)
         assert err < 1e-12
 
@@ -492,13 +491,14 @@ class TestRelativeError:
         orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         traj = di.integrate(ndde, 1.4, list(orbit.evaluate(0.0)),
                             60 * orbit.period)
-        bad = di.Alignment(orbit.period * 30, orbit.period * 1.2)
+        bad = di.Alignment(orbit.period * 30, orbit.period * 1.2, 0.0, 0.0)
         with pytest.raises(ComparisonError):
             di.relative_error(orbit, traj, bad)
 
     def test_whole_period_shift_invariance(self, ndde14):
         orbit, e0, align, traj = ndde14
-        back = di.Alignment(align.t0 - align.period_est, align.period_est)
+        back = di.Alignment(align.t0 - align.period_est, align.period_est,
+                            align.period_spread, align.amplitude_spread)
         e1 = di.relative_error(orbit, traj, back)
         assert abs(e1 - e0) < 1e-6
 

@@ -26,11 +26,15 @@ Usage::
     python tools/bench_pairs.py --against REV --workload W --pairs N
         --out BENCH_<n>.json [--seeds S ...]
 
-REV is extracted with ``git archive`` into a temporary directory, where its
+REV is extracted by ``checkout`` into a temporary directory, where its
 own ``perfbench/run.py`` runs; this tree's runs in this tree (its records
 land in ``.bench_build/``).  Stopped by Ctrl-C or SIGTERM, the tool kills
 the running benchmark together with its child and removes the extracted
 revision.  Only the standard library is used.
+
+``checkout`` also extracts the revision of ``--against`` for
+``tools/bits.py`` and ``tools/code_size.py``; it lives here because this
+tool must run with no other file of ``tools/`` beside it.
 """
 
 from __future__ import annotations
@@ -115,11 +119,34 @@ def report(workload, summary) -> str:
     return "\n".join(lines)
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def checkout(rev, *paths):
+    """A temporary directory holding ``paths`` (the whole tree when none is
+    named) of git revision ``rev`` of this repository, extracted with ``git
+    archive``.  It is removed on any exit: while it is open a SIGTERM
+    unwinds like Ctrl-C, as a SystemExit."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths],
+                             check=True, capture_output=True).stdout
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(tmp, filter="data")
+            yield Path(tmp)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _run(args, cwd):
     """(stdout, stderr) of ``args`` run in ``cwd``, which must succeed.  The
     command runs in a process group of its own, and the whole group is
     killed if this process is stopped meanwhile (Ctrl-C, or SIGTERM, which
-    ``main`` turns into an exit), so the benchmark's own child goes too."""
+    ``checkout`` turns into an exit), so the benchmark's own child goes
+    too."""
     with subprocess.Popen(args, cwd=cwd, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True,
                           start_new_session=True) as proc:
@@ -178,14 +205,7 @@ def _git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def _exit_on_sigterm(signum, frame):
-    raise SystemExit(128 + signum)
-
-
 def main(argv) -> int:
-    # a SIGTERM unwinds like Ctrl-C: the running benchmark's process group
-    # is killed and the extracted revision removed
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="REV", required=True)
     parser.add_argument("--workload", required=True)
@@ -208,13 +228,9 @@ def main(argv) -> int:
             return 2
     clean = not _git("status", "--porcelain", "--", "src")
 
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                             check=True, capture_output=True).stdout
     meta = {}  # side -> (machine, source digest)
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with checkout(rev) as parent:
+        trees = {"parent": parent, "change": ROOT}
         pairs = run_pairs(trees, command, args.workload, args.seeds,
                           seconds, args.pairs, 0, meta)
         traced = run_pairs(trees, command, args.workload, args.seeds,

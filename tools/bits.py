@@ -27,11 +27,11 @@ Usage::
 
 ``--src`` names the source directory that holds the ``ddehopf`` package
 (default: ``src`` next to this script's directory).  ``--against REV``
-extracts the git revision REV of this repository with ``git archive`` into
-a temporary directory, runs the same set there in a fresh interpreter, and
-prints both digests of each artifact with ``same`` or ``DIFFERENT``, and
-both envelope ratios of each record (judged by the records and rule of this
-tree); the exit status is 1 if any digest differs.  ``--json`` prints
+extracts the git revision REV of this repository into a temporary
+directory (``bench_pairs.checkout``), runs the same set there in a fresh
+interpreter, and prints both digests of each artifact with ``same`` or
+``DIFFERENT``, and both envelope ratios of each record (judged by the
+records and rule of this tree); the exit status is 1 if any digest differs.  ``--json`` prints
 {"digests": {artifact: digest}, "envelope": {record: ratio}}.  Only the
 standard library and numpy are used; the whole set takes about 15 s per
 tree.
@@ -41,14 +41,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -222,14 +219,11 @@ def digests(src: Path) -> dict:
 def digests_at(rev: str) -> dict:
     """{"digests": {artifact: digest}, "envelope": {record: ratio}} of git
     revision ``rev``, in a fresh interpreter."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             check=True, capture_output=True).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+    from bench_pairs import checkout  # tools/ is on the path of a script
+    with checkout(rev, "src") as tree:
         out = subprocess.run(
-            [sys.executable, __file__, "--src", str(Path(tmp) / "src"),
-             "--json"], check=True, capture_output=True, text=True).stdout
+            [sys.executable, __file__, "--src", str(tree / "src"), "--json"],
+            check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 

@@ -15,8 +15,8 @@ Usage::
     python tools/code_size.py [PACKAGE_DIR] [--against REV]
 
 PACKAGE_DIR defaults to ``src/ddehopf`` next to this script's directory.
-``--against REV`` extracts the git revision REV of this repository with
-``git archive`` into a temporary directory and prints the four figures of
+``--against REV`` extracts the git revision REV of this repository into a
+temporary directory (``bench_pairs.checkout``) and prints the four figures of
 the same package directory at REV beside this tree's, module by module (a
 module missing on one side reads ``-``) and in total.  Only the standard
 library is used.
@@ -27,10 +27,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import subprocess
 import sys
-import tarfile
-import tempfile
 import tokenize
 from pathlib import Path
 
@@ -94,13 +91,9 @@ def sizes(root: Path) -> dict:
 def sizes_at(rev: str, package: Path) -> dict:
     """``sizes`` of the directory ``package`` (relative to the repository
     root) at git revision ``rev``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, package.as_posix()],
-        check=True, capture_output=True).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        return sizes(Path(tmp) / package)
+    from bench_pairs import checkout  # tools/ is on the path of a script
+    with checkout(rev, package.as_posix()) as tree:
+        return sizes(tree / package)
 
 
 COLUMNS = ("lines", "functions", "params", "defaults")
