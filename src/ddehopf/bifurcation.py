@@ -126,8 +126,6 @@ def find_hopf(model) -> HopfPoint:
         else:
             raise HopfError("Hopf point Newton stalled (no descent step)")
         w, lam, r = w_new, lam_new, r_new
-        if not (np.isfinite(w) and np.isfinite(lam)):
-            raise HopfError("Hopf point Newton diverged")
     # r = f(w, lam) here, and a converged r lies below the bound
     residual = float(np.max(np.abs(r)))
     if residual > 1e-11:

@@ -291,7 +291,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
         raise IntegrationError(f"history must give states of dim {dim}")
     past = np.asarray(history(-lam), dtype=float).tolist()
     try:
-        f = np.array(rhs(lam, y.tolist(), past), dtype=float)
+        f = model.rhs_vector(lam, y.tolist(), past)
     except ArithmeticError as exc:
         raise IntegrationError(f"model rhs failed at t=0: {exc}") from exc
     ts, ys = np.zeros(1), y[None].copy()
@@ -389,7 +389,7 @@ def _cycle_peak(traj, d, level, i0, i1):
     return _golden_max(f, a, b, float(np.abs(d[k])), 25)
 
 
-def detect_steady_state(traj: Trajectory, level=0.0) -> Alignment:
+def detect_steady_state(traj: Trajectory, level: float) -> Alignment:
     """Find the settled oscillation phase reference.
 
     Scans upward crossings of component 1 through ``level`` and bisects the

@@ -116,13 +116,15 @@ class ExpansionResult:
                 f"omega0={self.hopf.omega0:.6g})")
 
 
-def _horner(coeffs: np.ndarray, eps: float) -> float:
-    """sum_j coeffs[j] * eps^j by np.polyval's loop on Python floats: the
-    same operations in the same order, without numpy's per-scalar cost."""
+def _horner(coeffs: np.ndarray, eps):
+    """sum_j coeffs[j] * eps^j by the loop of numpy's ``polyval``,
+    y = y * eps + c from y = 0.0: the same operations in the same order, on
+    a Python float without numpy's per-scalar cost, or elementwise on an
+    array of eps."""
     y = 0.0
     for c in coeffs[::-1].tolist():
         y = y * eps + c
-    return float(y)
+    return y
 
 
 # -- right-hand side assembly -------------------------------------------------
@@ -317,16 +319,20 @@ def fix_homogeneous(Z_hat: TrigPoly, Z0: TrigPoly, hp: HopfPoint) -> TrigPoly:
 
 
 def enforce_degree(u: TrigPoly, bound: int, what: str) -> TrigPoly:
-    """Assert no real harmonic content above ``bound``, then trim to it."""
+    """Assert no real harmonic content above ``bound``, then trim to it.
+
+    A zero polynomial needs no test: its tail 0 never exceeds the bound
+    DEGREE_DUST_TOL * 0."""
+    if u.degree <= bound:
+        return u
     scale = u.max_abs()
-    if scale > 0.0 and u.degree > bound:
-        tail = max(float(np.max(np.abs(u.cos[bound:]))),
-                   float(np.max(np.abs(u.sin[bound:]))))
-        if tail > DEGREE_DUST_TOL * scale:
-            raise SolvabilityError(
-                f"{what} has harmonic content {tail:.2e} above degree "
-                f"{bound} (relative to {scale:.2e})")
-    return u.capped(bound)
+    tail = max(float(np.max(np.abs(u.cos[bound:]))),
+               float(np.max(np.abs(u.sin[bound:]))))
+    if tail > DEGREE_DUST_TOL * scale:
+        raise SolvabilityError(
+            f"{what} has harmonic content {tail:.2e} above degree "
+            f"{bound} (relative to {scale:.2e})")
+    return TrigPoly._make(u.const, u.cos[:bound], u.sin[:bound])
 
 
 # -- driver ---------------------------------------------------------------------

@@ -282,7 +282,7 @@ def _solve_equilibrium(model: DdeModel, lam: float) -> np.ndarray:
     converged = False
     for _ in range(EQ_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.array(model.rhs(lam, list(x), list(x)), dtype=float)
+            g = model.rhs_vector(lam, x, x)
         if g.shape != (model.dim,):
             raise ModelError(f"the rhs returned {g.size} values for a "
                              f"dim-{model.dim} model")

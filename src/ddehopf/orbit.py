@@ -31,7 +31,7 @@ import numpy as np
 from . import models as mdl
 from .errors import (BelowBifurcationError, DdeHopfError, ModelError,
                      NoRealRootError)
-from .expansion import ExpansionResult
+from .expansion import ExpansionResult, _horner
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 EXTRAPOLATION_RESIDUAL = 0.05  # diagram points with larger residual are flagged
@@ -121,8 +121,8 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
             f"coefficient {lh2:.3e} is not positive")
 
     def p(e):
-        # lambda_hat_of rounds as np.polyval does, so p agrees with the scan
-        return exp.lambda_hat_of(e) - target
+        # the scan's Horner loop on one Python float, so p agrees with it
+        return _horner(coeffs, e) - target
 
     # Sign scan on [0, hi]: the branch grows from eps = 0, so the wanted
     # root is the first crossing; later crossings (the polynomial bending
@@ -132,7 +132,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
             f"the delay polynomial's amplitude scan for delay {lam}"):
         hi = 2.0 * float(np.sqrt((target - coeffs[0]) / lh2))
         grid = np.linspace(0.0, hi, 257)
-        vals = (np.polyval(coeffs[::-1], grid) - target).tolist()
+        vals = (_horner(coeffs, grid) - target).tolist()
     eps = None
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
@@ -275,7 +275,7 @@ def orbit_extrema(orbit: ReconstructedOrbit):
         comp = orbit.profile.component(i)
         base = float(orbit.equilibrium[i])
 
-        def hi(tau, comp=comp, base=base):
+        def hi(tau):  # called only in this pass, before comp and base move on
             return float(comp.eval(tau)[0]) + base
 
         vmin = -_refined_max(lambda tau: -hi(tau), -vals[:, i])

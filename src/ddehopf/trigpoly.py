@@ -156,12 +156,6 @@ class TrigPoly:
             return self
         return TrigPoly._make(self.const, self.cos[:keep], self.sin[:keep])
 
-    def capped(self, degree: int) -> "TrigPoly":
-        """Hard-truncate to ``degree`` harmonics (caller asserts the tail is dust)."""
-        if self.degree <= degree:
-            return self
-        return TrigPoly(self.const, self.cos[:degree], self.sin[:degree])
-
     # -- evaluation and calculus -------------------------------------------
 
     def eval(self, tau):

@@ -114,25 +114,35 @@ def _running(pid) -> bool:
         return False
 
 
+def _stub_repo(tmp_path, files):
+    """A git repository under tmp_path committing this tool and ``files``
+    (relative path -> text), and an empty directory to serve as TMPDIR."""
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "tools").mkdir()
+    tmp.mkdir()
+    (repo / "tools" / "bench_pairs.py").write_text(TOOL.read_text())
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "stub"], check=True)
+    return repo, tmp
+
+
 @pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGINT],
                          ids=["SIGTERM", "Ctrl-C"])
 def test_a_stopped_run_leaves_nothing_behind(tmp_path, stop):
     # the tool is stopped while the parent's benchmark run (in the
     # extracted revision) sleeps: the run, its child and the extracted
     # tree must all be gone once the tool has exited
-    repo, tmp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
-    (repo / "perfbench").mkdir(parents=True)
-    (repo / "tools").mkdir()
-    tmp.mkdir()
-    (repo / "tools" / "bench_pairs.py").write_text(TOOL.read_text())
-    (repo / "perfbench" / "run.py").write_text(
-        STUB_RUN.format(pids=str(pids)))
-    (repo / "BENCHMARK.json").write_text(json.dumps(
-        {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 1}))
-    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    subprocess.run([*git, "add", "-A"], check=True)
-    subprocess.run([*git, "commit", "-qm", "stub"], check=True)
+    pids = tmp_path / "pids"
+    repo, tmp = _stub_repo(tmp_path, {
+        "perfbench/run.py": STUB_RUN.format(pids=str(pids)),
+        "BENCHMARK.json": json.dumps({
+            "command": [sys.executable, "perfbench/run.py"],
+            "run_seconds": 1})})
     tool = subprocess.Popen(
         [sys.executable, str(repo / "tools" / "bench_pairs.py"), "--against",
          "HEAD", "--workload", "w", "--pairs", "1", "--out",
@@ -181,17 +191,9 @@ with checkout("HEAD", "data.txt") as tree:
 def test_a_stopped_checkout_leaves_nothing_behind(tmp_path, stop):
     # the one way the tools extract a revision for --against: stopped while
     # it is open, it must remove the extracted tree
-    repo, tmp, where = tmp_path / "repo", tmp_path / "tmp", tmp_path / "where"
-    (repo / "perfbench").mkdir(parents=True)
-    (repo / "tools").mkdir()
-    tmp.mkdir()
-    (repo / "tools" / "bench_pairs.py").write_text(TOOL.read_text())
-    (repo / "perfbench" / "run.py").write_text("")
-    (repo / "data.txt").write_text("revision data\n")
-    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    subprocess.run([*git, "add", "-A"], check=True)
-    subprocess.run([*git, "commit", "-qm", "stub"], check=True)
+    where = tmp_path / "where"
+    repo, tmp = _stub_repo(tmp_path, {"perfbench/run.py": "",
+                                      "data.txt": "revision data\n"})
     holder = subprocess.Popen(
         [sys.executable, "-c", HOLD_CHECKOUT.format(
             tools=str(repo / "tools"), where=str(where))],

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ddehopf import bifurcation as bf
+from ddehopf import epsseries as es
+from ddehopf import expansion as xp
 from ddehopf import models as mdl
 from ddehopf import trigpoly as tp
 from ddehopf.errors import HopfError, ResonanceError
@@ -97,6 +99,42 @@ class TestNullBases:
             for w in (hp.w1, hp.w2):
                 out = bf.adjoint_operator(w, hp)
                 assert np.max(np.abs(out.eval(taus))) < 1e-9
+
+    def test_sign_flip_is_a_change_of_coordinates(self, ndde_msq20,
+                                                  monkeypatch):
+        # ndde in (x1, -x2): its null vector's raw v2 has a negative cosine
+        # in the second component, so _null_bases flips it.  The flipped
+        # model's expansion is then ndde's at -eps: lh_j and Th_j gain
+        # (-1)^j, and Z_j becomes (-1)^(j+1) diag(1, -1) Z_j.
+        p = mdl.NDDE_DEFAULTS
+        a, b, d, K = p["a"], p["b"], p["d"], p["K"]
+
+        def rhs(lam, x, y):
+            return [-x[1], a - (a + b) / (
+                1.0 + (b / a) * es.exp(d * (y[0] - K * y[1])))]
+
+        raw = []
+        first_harmonic = bf._first_harmonic
+
+        def recorded(zeta, vec):
+            raw.append(first_harmonic(zeta, vec))
+            return raw[-1]
+
+        monkeypatch.setattr(bf, "_first_harmonic", recorded)
+        model = mdl.DdeModel("ndde-x2-flipped", dim=2, params={}, rhs=rhs,
+                             equilibrium_hint=[0.0, 0.0], hopf_hint=(1.1, 1.3))
+        got = xp.expand(model, 20, z0_scale="msq")
+        assert raw[0].cos[0, 1] < 0.0 < got.hopf.v2.cos[0, 1]
+        ref = ndde_msq20
+        flip = np.diag([1.0, -1.0])
+        for j in range(21):
+            sign = (-1.0) ** j
+            for mine, theirs in ((got.lambda_hats[j], ref.lambda_hats[j]),
+                                 (got.T_hats[j], ref.T_hats[j])):
+                assert abs(mine - sign * theirs) <= 1e-12 * max(1.0, abs(theirs))
+            expected = -sign * tp.matvec(flip, ref.Z[j])
+            assert (got.Z[j] - expected).max_abs() \
+                <= 1e-12 * max(1.0, ref.Z[j].max_abs())
 
 
 def test_solvability_matrix_nonsingular(ndde, sir):

@@ -285,6 +285,19 @@ class TestDiv:
 
 
 class TestAnalytic:
+    @pytest.mark.parametrize("generic, numpy_fn", [
+        (es.exp, np.exp), (es.log, np.log), (es.sin, np.sin), (es.cos, np.cos),
+        (lambda x: es.powf(x, 10), lambda x: np.power(x, 10))],
+        ids=["exp", "log", "sin", "cos", "powf"])
+    def test_numbers_take_numpys_value(self, generic, numpy_fn):
+        # the path of a user rhs inside integrate and residual: plain floats
+        # and arrays, never a series
+        xs = np.array([0.3, 1.0, 1.7, 25.0])
+        assert generic(xs).tobytes() == numpy_fn(xs).tobytes()
+        for x in xs.tolist():
+            assert np.float64(generic(x)).tobytes() \
+                == np.float64(numpy_fn(x)).tobytes()
+
     def test_exp_eps_u(self):
         s = EpsSeries([TrigPoly.zero(1), COS, TrigPoly.zero(1)])
         e = es.exp(s)

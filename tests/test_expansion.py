@@ -519,6 +519,12 @@ class TestExpand:
         assert np.array_equal(sub.lambda_hats, ndde_msq8.lambda_hats[:5])
         assert len(sub.Z) == 5
 
+    @pytest.mark.parametrize("order", [0, 9])
+    def test_truncated_refuses_orders_outside_1_to_order(self, ndde_msq8,
+                                                         order):
+        with pytest.raises(ValueError, match=r"order must be in \[1, 8\]"):
+            ndde_msq8.truncated(order)
+
     def test_rejects_bad_args(self, ndde):
         with pytest.raises(ValueError):
             xp.expand(ndde, 0)
@@ -532,3 +538,19 @@ def test_enforce_degree_raises_on_real_content():
         xp.enforce_degree(u, 1, "test")
     trimmed = xp.enforce_degree(u, 2, "test")
     assert trimmed.degree == 2
+
+
+def test_enforce_degree_trims_dust_to_the_bound():
+    # a tail of at most DEGREE_DUST_TOL relative to the largest coefficient
+    # is cut off; a larger one is refused
+    dust = xp.DEGREE_DUST_TOL * 2.0
+    u = TrigPoly([2.0, 0.0], np.array([[1.0, 0.5], [0.0, -dust]]),
+                 np.array([[0.0, 0.25], [dust, 0.0]]))
+    trimmed = xp.enforce_degree(u, 1, "test")
+    assert trimmed.degree == 1
+    assert trimmed.const.tobytes() == u.const.tobytes()
+    assert trimmed.cos.tobytes() == u.cos[:1].tobytes()
+    assert trimmed.sin.tobytes() == u.sin[:1].tobytes()
+    over = TrigPoly(u.const, u.cos, u.sin * 1.5)
+    with pytest.raises(SolvabilityError, match="above degree 1"):
+        xp.enforce_degree(over, 1, "test")

@@ -8,6 +8,7 @@ import pytest
 from envelope import (assert_diagram_within_envelope, diagram_ratios,
                       load_envelope)
 
+from ddehopf import expansion as xp
 from ddehopf import models as mdl
 from ddehopf import orbit as ob
 from ddehopf import trigpoly as tp
@@ -36,6 +37,17 @@ class TestSolveEpsilon:
             hopf=SimpleNamespace(lambda0=1.5, omega0=1.0), order=4)
         with pytest.raises(NoRealRootError):
             ob.solve_epsilon(stub, 4.0)
+
+    def test_subcritical_branch_cannot_seed(self):
+        # x' = -y - y^3 bifurcates backwards: lh_2 < 0 leaves no orbit on the
+        # far side of the bifurcation delay for the order-2 seed to find
+        model = mdl.DdeModel("cubic", dim=1, params={},
+                             rhs=lambda lam, x, y: [-y[0] - y[0] * y[0] * y[0]],
+                             equilibrium_hint=[0.0], hopf_hint=(1.0, 1.5))
+        exp = xp.expand(model, 4, z0_scale="msq")
+        assert exp.lambda_hats[2] < 0.0
+        with pytest.raises(NoRealRootError, match="cannot seed"):
+            ob.solve_epsilon(exp, exp.hopf.lambda0 + 0.1)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_delay_rejected(self, ndde_msq8, lam):
@@ -190,6 +202,13 @@ class TestResidual:
         orbit = ob.ReconstructedOrbit(sir_2pi8, 120.0)
         r = 100.0 * ob.residual(orbit)
         assert r < 0.4
+
+    def test_zero_amplitude_has_zero_residual(self, sir_2pi8):
+        # at the bifurcation delay eps = 0 and the profile is zero, so both
+        # suprema vanish and the defect is the equilibrium's, below 1e-9
+        orbit = ob.ReconstructedOrbit(sir_2pi8, sir_2pi8.hopf.lambda0)
+        assert orbit.eps == 0.0
+        assert ob.residual(orbit) == 0.0
 
     def test_sample_floor(self, ndde_msq8):
         orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
