@@ -152,9 +152,13 @@ def find_hopf(model) -> HopfPoint:
     lh0 = w * lam
     W = 1j * np.eye(model.dim) + A.T + B.T * np.exp(1j * lh0)
     beta = _null_vector(W)
+    # |M a| grows with the size of M's terms, which a time unit scales (W is
+    # free of it); floored at 1, the bound refuses nothing the absolute
+    # bound 1e-9 accepts
+    scale = max(1.0, w + np.linalg.norm(P) + np.linalg.norm(Q))
     ra = float(np.linalg.norm(M @ alpha))
     rb = float(np.linalg.norm(W @ beta))
-    if ra > 1e-9 or rb > 1e-9:
+    if ra > 1e-9 * scale or rb > 1e-9:
         raise HopfError(
             f"null vector residuals too large: |M a|={ra:.2e}, |W b|={rb:.2e}")
     return HopfPoint(w, lam, alpha, beta, A, B)

@@ -12,6 +12,12 @@ from ddehopf import trigpoly as tp
 from ddehopf.errors import HopfError, ResonanceError
 
 
+def _model(dim, rhs, hopf_hint, equilibrium_hint=None):
+    return mdl.DdeModel("test", dim=dim, params={}, rhs=rhs,
+                        equilibrium_hint=equilibrium_hint or [0.0] * dim,
+                        hopf_hint=hopf_hint)
+
+
 class TestFindHopf:
     def test_ndde_point(self, ndde):
         t0 = time.perf_counter()
@@ -62,8 +68,73 @@ class TestFindHopf:
         with pytest.raises(HopfError):
             bf.find_hopf(far)
 
+    def test_no_descent_step_stalls(self):
+        # Hutchinson's equation beside a decaying x2: from this hint no
+        # halving of the Newton step lowers the determinant residual
+        model = _model(2, lambda lam, x, y: [x[0] * (1 - y[0]), -x[1]],
+                       (1.1, 1.4), [1.0, 0.0])
+        with pytest.raises(HopfError, match="stalled"):
+            bf.find_hopf(model)
+
+    def test_iteration_cap(self, ndde, monkeypatch):
+        monkeypatch.setattr(bf, "HOPF_MAX_ITER", 1)
+        with pytest.raises(HopfError,
+                           match="did not converge in 1 iterations"):
+            bf.find_hopf(ndde)
+
+    def test_nonpositive_frequency(self):
+        # the determinant is read at omega floored to 1e-9, where it is
+        # -1e-14 and passes at once, so the hint's omega is never moved
+        model = _model(1, lambda lam, x, y: [(1 + 1e-14) * x[0] - y[0]],
+                       (-1e-3, 1.0))
+        with pytest.raises(HopfError, match="nonpositive frequency -0.001"):
+            bf.find_hopf(model)
+
+    def test_wrong_null_vector(self, ndde, monkeypatch):
+        # a null vector that M does not annihilate is refused
+        monkeypatch.setattr(bf, "_null_vector",
+                            lambda mat: np.eye(len(mat), dtype=complex)[0])
+        with pytest.raises(HopfError, match="null vector residuals too large"):
+            bf.find_hopf(ndde)
+
+    @pytest.mark.parametrize("c", [1e8, 1e-4])
+    def test_time_unit(self, c, ndde, ndde_msq20):
+        # ndde with time measured in units of c, g_c(lam, x, y) =
+        # c g(c lam, x, y): omega0 and 1/lambda0 scale by c, M by c, and the
+        # rescaled expansion is the same
+        model = mdl.DdeModel(
+            "ndde-time-unit", dim=2, params={},
+            rhs=lambda lam, x, y: [c * g for g in ndde.rhs(c * lam, x, y)],
+            equilibrium_hint=[0.0, 0.0], hopf_hint=(1.14 * c, 1.3 / c))
+        got, ref = xp.expand(model, 20, z0_scale="msq"), ndde_msq20
+        assert abs(got.hopf.omega0 / c - ref.hopf.omega0) <= 1e-12
+        assert abs(got.hopf.lambda0 * c - ref.hopf.lambda0) <= 1e-12
+        for mine, theirs in ((got.lambda_hats, ref.lambda_hats),
+                             (got.T_hats, ref.T_hats)):
+            scale = max(1.0, max(map(abs, theirs)))
+            assert max(abs(a - b) for a, b in zip(mine, theirs)) \
+                <= 1e-12 * scale
+        scale = max(1.0, max(z.max_abs() for z in ref.Z))
+        assert max((a - b).max_abs() for a, b in zip(got.Z, ref.Z)) \
+            <= 1e-12 * scale
+
 
 class TestNullBases:
+    def test_degenerate_null_vector(self):
+        # x1 decays on its own, so the critical null vector is (0, 1)
+        model = _model(2, lambda lam, x, y: [
+            -x[0], x[0] - y[1] - y[1] * y[1] * y[1]], (1.0, 1.5))
+        with pytest.raises(HopfError, match="degenerate null vector"):
+            bf.find_hopf(model)
+
+    def test_gram_check(self, ndde, monkeypatch):
+        # a v2 of norm 2 is not orthonormal
+        first_harmonic = bf._first_harmonic
+        monkeypatch.setattr(bf, "_first_harmonic",
+                            lambda zeta, vec: first_harmonic(2 * zeta, vec))
+        with pytest.raises(HopfError, match="basis not orthonormal"):
+            bf.find_hopf(ndde)
+
     def test_ndde_printed_basis(self, ndde):
         hp = bf.find_hopf(ndde)
         # v2 = (0.3716 sin, 0.4245 cos) with a pure-sine first component

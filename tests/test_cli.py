@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ddehopf import cli
+from ddehopf.errors import DimensionMismatchError
 
 
 def run(argv):
@@ -197,6 +198,12 @@ class TestDiagram:
             assert out.startswith("<svg") and out.endswith("</svg>\n")
             assert "<polyline" not in out
 
+    def test_one_point_grid_exit_code(self, capsys):
+        assert run(["diagram", "--model", "sir", "--order", "4",
+                    "--lambda-grid", "95:150:1"]) == cli.EXIT_MODEL
+        assert capsys.readouterr().err \
+            == "error: --lambda-grid needs at least 2 points\n"
+
     @pytest.mark.parametrize("grid", ["nan:1.5:3", "1.4:inf:3", "-inf:1.5:3"])
     def test_non_finite_grid_exit_code(self, grid, capsys):
         assert run(["diagram", "--model", "ndde", "--order", "4",
@@ -279,6 +286,23 @@ class TestValidate:
         monkeypatch.setattr(cli, "residual", check_freed)
         assert run(["validate", "--model", "ndde", "--order", "3",
                     "--lambda", "1.4"]) == 0
+
+
+class TestOtherErrors:
+    # errors with no exit code of their own end in 1
+
+    def test_untyped_package_error_exit_code(self, monkeypatch, capsys):
+        def cmd_hopf(args):
+            raise DimensionMismatchError("raised by the subcommand")
+
+        monkeypatch.setattr(cli, "cmd_hopf", cmd_hopf)
+        assert run(["hopf", "--model", "ndde"]) == 1
+        assert capsys.readouterr().err == "error: raised by the subcommand\n"
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "hopf.json"
+        assert run(["hopf", "--model", "ndde", "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -190,6 +190,18 @@ class TestIntegrate:
             with pytest.raises(IntegrationError, match="t_end="):
                 di.integrate(ndde, 1.4, [1.0, 0.0], t_end)
 
+    def test_history_of_the_wrong_dim(self, ndde):
+        with pytest.raises(IntegrationError,
+                           match="history must give states of dim 2"):
+            di.integrate(ndde, 1.4, [0.0], 10.0)
+
+    def test_step_size_underflow(self):
+        # x' = x^2 from x = 1 blows up at t = 1, before t_end = 2
+        model = mdl.DdeModel("blow-up", 1, {}, lambda lam, x, y: [x[0] * x[0]],
+                             [0.0], (1.0, 1.5))
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            di.integrate(model, 1.0, [1.0], 2.0)
+
     def test_dense_output_continuity(self, ndde):
         traj = di.integrate(ndde, 1.4, [5.0, 0.0], 40.0)
         for k in (len(traj.ts) // 3, len(traj.ts) // 2):
@@ -348,6 +360,13 @@ class TestHistoryAndExtension:
             assert np.array_equal(x, y)
         assert traj.stats == whole.stats
 
+    def test_no_steady_state_after_the_doublings(self, ndde14):
+        # two periods, doubled twice, are too few to settle
+        orbit = ndde14[0]
+        with pytest.raises(SteadyStateError,
+                           match="no steady state reached after doubling"):
+            di.cross_validate(orbit, t_end=2 * orbit.period)
+
     def test_seeded_error_is_settled(self, sir_2pi8):
         # near the onset a seeded run might stop while still close to its
         # seed; integrated over 480 periods it gives the same e_r (a constant
@@ -494,6 +513,15 @@ class TestRelativeError:
         bad = di.Alignment(orbit.period * 30, orbit.period * 1.2, 0.0, 0.0)
         with pytest.raises(ComparisonError):
             di.relative_error(orbit, traj, bad)
+
+    def test_trajectory_shorter_than_a_period(self, ndde14):
+        orbit = ndde14[0]
+        traj = di.integrate(orbit.expansion.model, 1.4, orbit.evaluate,
+                            0.5 * orbit.period)
+        align = di.Alignment(0.2 * orbit.period, orbit.period, 0.0, 0.0)
+        with pytest.raises(ComparisonError,
+                           match="trajectory too short after the anchor"):
+            di.relative_error(orbit, traj, align)
 
     def test_whole_period_shift_invariance(self, ndde14):
         orbit, e0, align, traj = ndde14

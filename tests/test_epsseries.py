@@ -21,6 +21,8 @@ from ddehopf.trigpoly import TrigPoly
 COS = TrigPoly.harmonic(1, 1, cos_vec=[1.0])
 # a constant plus a harmonic far below TRIM_TOL, not an exact constant
 DUSTY = TrigPoly([1.3], [[5e-17]], [[0.0]])
+SCALAR = EpsSeries([1.0, 2.0])
+VECTOR = EpsSeries([TrigPoly.zero(2)] * 2)
 
 coeff = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                   allow_infinity=False)
@@ -246,6 +248,44 @@ class TestNumbers:
                              (float64s(a), EpsSeries(b)),
                              (EpsSeries(a), float64s(b))):
                     assert content(op(x, y)) == want
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: EpsSeries([]), DimensionMismatchError, "order-0 term"),
+        (lambda: EpsSeries([TrigPoly.zero(1), TrigPoly.zero(2)]),
+         DimensionMismatchError, "share dim"),
+        (lambda: EpsSeries([TrigPoly.zero(2), 1.0]),
+         DimensionMismatchError, "cannot mix scalars"),
+        (lambda: SCALAR.component(0),
+         DimensionMismatchError, "requires a trig series"),
+        (lambda: VECTOR * VECTOR,
+         DimensionMismatchError, "scalar-valued factor"),
+        (lambda: SCALAR / EpsSeries([1.0]),
+         DimensionMismatchError, "order mismatch: 1 vs 0"),
+        (lambda: es.analytic("pow", SCALAR),
+         ValueError, "requires an exponent"),
+        (lambda: es.powf(EpsSeries([0.0, 1.0]), 0.5),
+         ValueError, "zero leading term"),
+        (lambda: es.analytic("tan", SCALAR),
+         ValueError, "unsupported analytic function 'tan'"),
+        (lambda: es.delayed_state(SCALAR, SCALAR),
+         DimensionMismatchError, "expects a trig series"),
+        (lambda: es.delayed_state(VECTOR, EpsSeries([1.0])),
+         DimensionMismatchError, "order mismatch: 1 vs 0"),
+    ], ids=["empty", "mixed_dims", "scalar_in_vector", "component",
+            "vector_product", "div_orders", "pow_exponent", "pow_zero",
+            "unsupported", "scalar_delayed", "delayed_orders"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv,
+        lambda s, x: x / s], ids=["add", "sub", "mul", "div", "rdiv"])
+    def test_unsupported_operand(self, op):
+        with pytest.raises(TypeError):
+            op(SCALAR, object())
 
 
 class TestDiv:

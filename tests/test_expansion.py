@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import re
+from types import SimpleNamespace
 
 import envelope
 import numpy as np
@@ -14,7 +15,7 @@ from ddehopf import expansion as xp
 from ddehopf import models
 from ddehopf import trigpoly as tp
 from ddehopf.epsseries import EpsSeries
-from ddehopf.errors import SolvabilityError
+from ddehopf.errors import ResonanceError, SolvabilityError
 from ddehopf.trigpoly import TrigPoly
 
 TWO_PI = 2 * np.pi
@@ -318,6 +319,22 @@ class TestSolveParticular:
         lhs = bf.critical_operator(z, hp).eval(taus)
         rhs = h.eval(taus)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, h.max_abs())
+
+    def test_zero_characteristic_root(self):
+        # A + B singular: 0 is a characteristic root
+        hp = SimpleNamespace(A=np.array([[1.0]]), B=np.array([[-1.0]]),
+                             lambda_hat0=1.0)
+        with pytest.raises(ResonanceError, match="zero characteristic root"):
+            xp.solve_particular(TrigPoly([1.0]), hp)
+
+    def test_resonant_second_harmonic(self):
+        # x' = A x rotates at frequency 2, so 2i is a characteristic root
+        hp = SimpleNamespace(A=np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                             B=np.zeros((2, 2)), lambda_hat0=1.0)
+        h = TrigPoly([0.0, 0.0], [[0.0, 0.0], [1.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ResonanceError, match="harmonic 2 block"):
+            xp.solve_particular(h, hp)
 
 
 class TestFixHomogeneous:

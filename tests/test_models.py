@@ -7,7 +7,8 @@ from ddehopf import epsseries as es
 from ddehopf import expansion, orbit
 from ddehopf import models as mdl
 from ddehopf.epsseries import EpsSeries
-from ddehopf.errors import ModelError, NewtonError
+from ddehopf.errors import DimensionMismatchError, ModelError, NewtonError
+from ddehopf.trigpoly import TrigPoly
 
 
 class TestEquilibrium:
@@ -41,6 +42,14 @@ class TestEquilibrium:
         for model in (ndde, sir):
             with pytest.raises(NewtonError):
                 mdl.equilibrium(model, float("nan"))
+
+    def test_iteration_cap(self, monkeypatch):
+        # one iteration: the ndde Newton starts at its equilibrium and has
+        # converged; the sir one has not
+        monkeypatch.setattr(mdl, "EQ_MAX_ITER", 1)
+        assert np.array_equal(mdl.equilibrium(mdl.make_ndde(), 1.4), [0, 0])
+        with pytest.raises(NewtonError, match="did not converge in 1 "):
+            mdl.equilibrium(mdl.make_sir(), 120.0)
 
 
 class TestSolvedOncePerDelay:
@@ -259,6 +268,17 @@ class TestEquilibriumSeries:
             assert abs(x.coeffs[0] - v) < 1e-10
             assert max(abs(c) for c in x.coeffs[1:]) < 1e-10
 
+    def test_delay_must_be_a_scalar_series(self, ndde):
+        with pytest.raises(DimensionMismatchError, match="scalar series"):
+            mdl.equilibrium_series(ndde, EpsSeries([TrigPoly.constant([1.5])]))
+
+    def test_singular_base_jacobian(self, ndde, monkeypatch):
+        zero = np.zeros((2, 2))
+        monkeypatch.setattr(mdl, "linearization",
+                            lambda model, lam: (zero, zero))
+        with pytest.raises(NewtonError, match="at base lam=1.5"):
+            mdl.equilibrium_series(ndde, EpsSeries([1.5, 1.0]))
+
     def test_ndde_zero_every_order(self, ndde):
         xs = mdl.equilibrium_series(ndde, EpsSeries([1.5, 1.0, 0.0, 0.0]))
         for x in xs:
@@ -427,5 +447,7 @@ class TestSeriesConsistency:
 def test_parameter_validation():
     with pytest.raises(ModelError):
         mdl.make_ndde({"a": -1.0})
+    with pytest.raises(ModelError, match="parameter a must be a finite"):
+        mdl.make_ndde({"a": 10 ** 400})  # an integer beyond the float range
     with pytest.raises(ModelError):
         mdl.make_sir({"f": 1.5})

@@ -1,6 +1,6 @@
 import copy
+import json
 import weakref
-from pathlib import Path
 
 import envelope
 import numpy as np
@@ -13,9 +13,6 @@ from ddehopf import models as mdl
 from ddehopf import orbit as ob
 from ddehopf import trigpoly as tp
 from ddehopf.errors import BelowBifurcationError, ModelError, NoRealRootError
-
-DIAGRAM_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
-                     / "reference" / "diagram-sir-n14.seed0.csv")
 
 
 class TestSolveEpsilon:
@@ -37,6 +34,13 @@ class TestSolveEpsilon:
             hopf=SimpleNamespace(lambda0=1.5, omega0=1.0), order=4)
         with pytest.raises(NoRealRootError):
             ob.solve_epsilon(stub, 4.0)
+
+    def test_root_that_misses_the_delay_equation(self, ndde_msq8,
+                                                 monkeypatch):
+        # a bisection that returns the bracket's low end is caught
+        monkeypatch.setattr(ob, "_bisect", lambda f, a, b, fa: a)
+        with pytest.raises(NoRealRootError, match="misses the delay equation"):
+            ob.solve_epsilon(ndde_msq8, 1.4)
 
     def test_subcritical_branch_cannot_seed(self):
         # x' = -y - y^3 bifurcates backwards: lh_2 < 0 leaves no orbit on the
@@ -385,14 +389,7 @@ class TestDiagram:
         assert elapsed < 30.0
         assert not any(r["error"] for r in rows)
         assert sum(1 for r in rows if r["eps"] > 0) > 150
-        # every row equals, bit for bit, the recorded
-        # `ddehopf diagram --model sir --order 14 --lambda-grid 95:150:200`
-        lines = DIAGRAM_REFERENCE.read_text(encoding="utf-8").splitlines()[1:]
-        assert len(lines) == 3 * len(rows)
-        for k, line in enumerate(lines):
-            lam, _, lo, hi, eps, flag = line.split(",")
-            r = rows[k // 3]
-            assert float(lam) == r["lambda"]
-            assert (float(lo), float(hi)) == r["components"][k % 3]
-            assert float(eps) == r["eps"]
-            assert flag == ("extrapolated" if r["extrapolated"] else "ok")
+        # every row equals, bit for bit, the recorded reference row of the
+        # same diagram, residual included (JSON keeps a float's every bit)
+        assert json.loads(json.dumps(rows)) \
+            == load_envelope("diagram-sir-n14")["rows"]

@@ -348,3 +348,27 @@ def test_matvec_and_stack(rng):
                        atol=1e-14)
     rebuilt = tp.stack([u.component(i) for i in range(3)])
     assert (rebuilt - u).max_abs() == 0.0
+
+
+def test_harmonic_zero_is_a_constant():
+    assert TrigPoly.harmonic(2, 0, cos_vec=[1.0, -2.0]).to_dict() \
+        == TrigPoly.constant([1.0, -2.0]).to_dict()
+    assert TrigPoly.harmonic(2, 0).to_dict() == TrigPoly.zero(2).to_dict()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: TrigPoly([[1.0]]), "const coefficient must be a vector"),
+    (lambda: TrigPoly([0.0], [[1.0]], [[1.0], [2.0]]), "blocks differ"),
+    (lambda: tp.matvec(np.eye(3), TrigPoly.zero(2)), "matrix columns 3"),
+    (lambda: tp.stack([TrigPoly.zero(2)]), "stack expects scalar"),
+], ids=["const", "cos_sin", "matvec", "stack"])
+def test_shape_refusals(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("op", [lambda u, x: u + x, lambda u, x: u - x],
+                         ids=["add", "sub"])
+def test_unsupported_operand(op):
+    with pytest.raises(TypeError):
+        op(TrigPoly.zero(1), object())

@@ -39,7 +39,7 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (ast.Module, ast.ClassDef) + _FUNCTIONS
 
 
-def _docstring_lines(tree: ast.AST) -> set[int]:
+def docstring_lines(tree: ast.AST) -> set[int]:
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, _SCOPES) and node.body:
@@ -77,7 +77,7 @@ def measure(source: str) -> tuple[int, int, int, int]:
                        + (a.vararg is not None) + (a.kwarg is not None)
                        - (fn in receivers and positional > 0))
         defaults += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
-    return (len(code - _docstring_lines(tree)), len(functions), parameters,
+    return (len(code - docstring_lines(tree)), len(functions), parameters,
             defaults)
 
 
