@@ -103,8 +103,8 @@ def find_hopf(model) -> HopfPoint:
     for _ in range(HOPF_MAX_ITER):
         if np.max(np.abs(r)) <= 1e-13:
             break
-        hw = 1e-7 * max(abs(w), 1e-3)
-        hl = 1e-7 * max(abs(lam), 1e-3)
+        hw = 1e-7 * max(abs(w), w_floor)
+        hl = 1e-7 * max(abs(lam), lam_floor)
         J = np.column_stack([
             (f(w + hw, lam) - f(w - hw, lam)) / (2 * hw),
             (f(w, lam + hl) - f(w, lam - hl)) / (2 * hl),

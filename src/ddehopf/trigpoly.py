@@ -241,8 +241,11 @@ class TrigPoly:
         return TrigPoly._make(-self.const, -self.cos, -self.sin)
 
     def __mul__(self, other):
-        if type(other) is not float and isinstance(other, TrigPoly):
-            return mul(self, other)
+        if type(other) is not float:
+            if isinstance(other, TrigPoly):
+                return mul(self, other)
+            if not isinstance(other, NUMBER_TYPES):
+                return NotImplemented
         return TrigPoly._make(self.const * other, self.cos * other,
                               self.sin * other)
 

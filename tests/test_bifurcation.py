@@ -62,6 +62,23 @@ class TestFindHopf:
         with pytest.raises(ResonanceError):
             bf.find_hopf(ndde)
 
+    def test_a_root_near_zero_is_resonant(self):
+        # x' = (1 - 1e-7) x - y: the characteristic function is 1e-7 at
+        # zero (a 1x1 matrix is not row-scaled), ten times inside
+        # RESONANCE_TOL, beside the Hopf point (4.47e-4, 1.0)
+        model = _model(1, lambda lam, x, y: [(1 - 1e-7) * x[0] - y[0]],
+                       (4.5e-4, 1.0))
+        with pytest.raises(ResonanceError,
+                           match=r"harmonic 0 .*determinant 1\.00e-07"):
+            bf.find_hopf(model)
+
+    def test_a_delay_free_model_has_a_singular_newton_jacobian(self):
+        # the characteristic matrix of x1' = -x2, x2' = x1 does not move
+        # with the delay, so the Jacobian's delay column is exactly zero
+        model = _model(2, lambda lam, x, y: [-x[1], x[0]], (1.1, 1.0))
+        with pytest.raises(HopfError, match="singular Jacobian"):
+            bf.find_hopf(model)
+
     def test_bad_start_fails(self, ndde):
         far = copy.copy(ndde)
         far.hopf_hint = (250.0, 400.0)
@@ -82,6 +99,15 @@ class TestFindHopf:
                            match="did not converge in 1 iterations"):
             bf.find_hopf(ndde)
 
+    @pytest.mark.parametrize("name,iterations", [("ndde", 4), ("sir", 2)])
+    def test_a_residual_short_of_the_bound_is_refused(
+            self, request, monkeypatch, name, iterations):
+        # the residual after these iterations is 2.1e-9 (ndde) and 7.4e-9
+        # (sir): a thousand times the bound 1e-11 would accept it
+        monkeypatch.setattr(bf, "HOPF_MAX_ITER", iterations)
+        with pytest.raises(HopfError, match=r"\(residual [27]\.\d+e-09\)"):
+            bf.find_hopf(request.getfixturevalue(name))
+
     def test_nonpositive_frequency(self):
         # the determinant is read at omega floored to 1e-9, where it is
         # -1e-14 and passes at once, so the hint's omega is never moved
@@ -97,7 +123,26 @@ class TestFindHopf:
         with pytest.raises(HopfError, match="null vector residuals too large"):
             bf.find_hopf(ndde)
 
-    @pytest.mark.parametrize("c", [1e8, 1e-4])
+    @pytest.mark.parametrize("call", [0, 1], ids=["right", "left"])
+    def test_a_null_vector_slightly_off_is_refused(self, ndde, monkeypatch,
+                                                   call):
+        # 3e-8 added to the first entry of the right (left) null vector
+        # leaves |M a| = 3.4e-8, ten times its bound 1e-9 * 3.29 (|W b| =
+        # 4.0e-8, forty times its bound 1e-9)
+        null_vector, calls = bf._null_vector, []
+
+        def perturbed(mat):
+            v = null_vector(mat)
+            if len(calls) == call:
+                v[0] += 3e-8
+            calls.append(mat)
+            return v
+
+        monkeypatch.setattr(bf, "_null_vector", perturbed)
+        with pytest.raises(HopfError, match="null vector residuals too large"):
+            bf.find_hopf(ndde)
+
+    @pytest.mark.parametrize("c", [1e8, 1e10, 1e-4])
     def test_time_unit(self, c, ndde, ndde_msq20):
         # ndde with time measured in units of c, g_c(lam, x, y) =
         # c g(c lam, x, y): omega0 and 1/lambda0 scale by c, M by c, and the
@@ -127,11 +172,29 @@ class TestNullBases:
         with pytest.raises(HopfError, match="degenerate null vector"):
             bf.find_hopf(model)
 
+    def test_a_nearly_degenerate_null_vector(self):
+        # coupling x1 to x2 by 1.5e-13 gives the null vector a first entry
+        # of 1.06e-13 of its norm, ten times inside the bound 1e-12
+        model = _model(2, lambda lam, x, y: [
+            -x[0] + 1.5e-13 * x[1], x[0] - y[1] - y[1] * y[1] * y[1]],
+            (1.0, 1.5))
+        with pytest.raises(HopfError, match="degenerate null vector"):
+            bf.find_hopf(model)
+
     def test_gram_check(self, ndde, monkeypatch):
         # a v2 of norm 2 is not orthonormal
         first_harmonic = bf._first_harmonic
         monkeypatch.setattr(bf, "_first_harmonic",
                             lambda zeta, vec: first_harmonic(2 * zeta, vec))
+        with pytest.raises(HopfError, match="basis not orthonormal"):
+            bf.find_hopf(ndde)
+
+    def test_a_basis_slightly_off_orthonormal(self, ndde, monkeypatch):
+        # a v2 (and w1) of norm 1 + 1e-9 moves the Gram matrix by 2e-9,
+        # twenty times its bound 1e-10
+        first_harmonic = bf._first_harmonic
+        monkeypatch.setattr(bf, "_first_harmonic", lambda zeta, vec: (
+            first_harmonic((1 + 1e-9) * zeta, vec)))
         with pytest.raises(HopfError, match="basis not orthonormal"):
             bf.find_hopf(ndde)
 

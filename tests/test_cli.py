@@ -99,6 +99,14 @@ class TestSolve:
                     f"--lambda={lam}"]) == cli.EXIT_MODEL
         assert capsys.readouterr().out == ""
 
+    def test_non_finite_delay_is_refused_before_the_expansion(
+            self, monkeypatch, capsys):
+        # the orbit's own check would refuse it too, after an expansion
+        monkeypatch.setattr(cli, "expand", None)
+        assert run(["solve", "--model", "ndde", "--order", "4",
+                    "--lambda=nan"]) == cli.EXIT_MODEL
+        assert "--lambda must be finite" in capsys.readouterr().err
+
     def test_overflowing_delay_exit_code(self, capsys):
         # the amplitude scan of a delay near the float range overflows;
         # that is a typed error with one line on stderr, not a warning

@@ -181,6 +181,17 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             di.integrate(ndde, 1.4, [0.0, 0.0], 10.0, rtol=1e-2)
 
+    @pytest.mark.parametrize("rtol,atol", [
+        (1e-13, 1e-9), (1e-2, 1e-9), (1e-9, 1e-13), (1e-9, 1e-2)])
+    def test_tolerances_ten_times_outside_are_rejected(self, ndde, rtol, atol):
+        with pytest.raises(IntegrationError, match="tolerances must lie"):
+            di.integrate(ndde, 1.4, [0.0, 0.0], 10.0, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    def test_tolerances_at_the_ends_are_accepted(self, ndde, tol):
+        traj = di.integrate(ndde, 1.4, [0.1, 0.0], 1.0, rtol=tol, atol=tol)
+        assert traj.t_end == 1.0
+
     def test_delay_and_end_must_be_finite_and_positive(self, ndde):
         inf, nan = float("inf"), float("nan")
         for lam in (inf, 0.0, -1.0, nan):
@@ -201,6 +212,23 @@ class TestIntegrate:
                              [0.0], (1.0, 1.5))
         with pytest.raises(IntegrationError, match="step size underflow"):
             di.integrate(model, 1.0, [1.0], 2.0)
+
+    def test_the_step_floor_near_t_0(self):
+        # an rhs of alternating sign fails every error test, so each step is
+        # cut to a third, from 0.01 + 1e-12 until below 1e-14 * max(1, |t|):
+        # 26 rejected steps of 12 rhs calls after the first call
+        calls = []
+
+        def rhs(lam, x, y):
+            calls.append(None)
+            return [1e30 * (-1) ** len(calls)]
+
+        model = mdl.DdeModel("jumps", 1, {}, rhs, [0.0], (1.0, 1.5))
+        calls.clear()
+        with pytest.raises(IntegrationError,
+                           match="step size underflow at t=0.0"):
+            di.integrate(model, 1.0, [0.0], 1.0)
+        assert len(calls) == 1 + 12 * 26
 
     def test_dense_output_continuity(self, ndde):
         traj = di.integrate(ndde, 1.4, [5.0, 0.0], 40.0)
@@ -238,6 +266,13 @@ class TestIntegrate:
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
         with pytest.raises(IntegrationError):
             traj.value(-10.0)
+
+    def test_history_guard_at_its_bound(self, ndde):
+        # the history reaches back to -lam less 1e-9 * max(1, lam)
+        traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
+        assert np.array_equal(traj.value(-1.4 - 1e-10), [1.0, 0.0])
+        with pytest.raises(IntegrationError, match="precedes the history"):
+            traj.value(-1.4 - 1.4e-8)
 
     def test_value_guard_past_the_end(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)
@@ -386,6 +421,21 @@ class TestHistoryAndExtension:
         assert 0.0 <= align.period_spread <= 1e-6 * align.period_est
         assert 0.0 <= align.amplitude_spread <= 1e-6
 
+    @pytest.mark.parametrize("run,stats,e_r,period_est", [
+        ("sir120", (2762, 481, 47203), 0.0028185807726126173,
+         211.8994915923613),
+        ("ndde14", (2031, 0, 30466), 0.0006368652436470197,
+         5.915873955669213)], ids=["sir120", "ndde14"])
+    def test_seeded_runs_are_pinned(self, request, run, stats, e_r,
+                                    period_est):
+        # the step counts and results of the seeded runs as recorded: a
+        # change of the step control (the 0.9 safety factor, say) moves them
+        _, got, align, traj = request.getfixturevalue(run)
+        assert tuple(traj.stats[key] for key in
+                     ("accepted", "rejected", "rhs_evals")) == stats
+        assert abs(got - e_r) <= 1e-12 * e_r
+        assert abs(align.period_est - period_est) <= 1e-12 * period_est
+
 
 class TestBatchedLookup:
     """The batched dense output (one searchsorted, one vectorised evaluation
@@ -477,6 +527,20 @@ class TestDetectSteadyState:
         monkeypatch.setattr(di, "_bisect", counted)
         di.detect_steady_state(traj, level=level)
         assert len(bisected) == 4
+
+    def test_a_drifting_period_is_refused(self):
+        # the phase t + c t^2 / 2 with c = 1.6e-6 moves each period by 1.0e-5
+        # of itself, ten times STEADY_TOL_PER, at a steady amplitude
+        ts = np.linspace(0.0, 16 * np.pi, 4001)
+        c = 1.6e-6
+        phase = ts + 0.5 * c * ts ** 2
+        traj = _hermite_trajectory(ts, np.sin(phase)[:, None],
+                                   ((1.0 + c * ts) * np.cos(phase))[:, None],
+                                   1.0, np.zeros(1))
+        with pytest.raises(SteadyStateError,
+                           match=r"period spread 6\.3\d*e-05, amplitude "
+                                 r"spread \d\.\d*e-12"):
+            di.detect_steady_state(traj, level=0.0)
 
     def test_constant_trajectory_fails(self, ndde):
         traj = di.integrate(ndde, 1.4, [0.0, 0.0], 60.0)

@@ -273,9 +273,17 @@ class TestRefusals:
          DimensionMismatchError, "expects a trig series"),
         (lambda: es.delayed_state(VECTOR, EpsSeries([1.0])),
          DimensionMismatchError, "order mismatch: 1 vs 0"),
+        # Python's own float errors would come without the reason
+        (lambda: EpsSeries([1.0, 0.0]) / EpsSeries([0.0, 1.0]),
+         ZeroDivisionError, "series with zero leading term"),
+        (lambda: es.log(EpsSeries([-1.0, 0.0])),
+         ValueError, "non-positive leading term"),
+        (lambda: es.exp(EpsSeries([math.nan, 1.0])),
+         ValueError, "non-finite leading term"),
     ], ids=["empty", "mixed_dims", "scalar_in_vector", "component",
             "vector_product", "div_orders", "pow_exponent", "pow_zero",
-            "unsupported", "scalar_delayed", "delayed_orders"])
+            "unsupported", "scalar_delayed", "delayed_orders", "div_zero",
+            "log_domain", "exp_nan"])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call()

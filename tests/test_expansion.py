@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import re
 from types import SimpleNamespace
 
@@ -355,18 +356,18 @@ class TestFixHomogeneous:
         assert abs(tp.inner(fixed, Z0)) < 1e-9
 
 
-def perturbed_solvability_matrix(monkeypatch):
+def perturbed_solvability_matrix(monkeypatch, factor=1.01):
     matrix = xp.solvability_matrix
     monkeypatch.setattr(xp, "solvability_matrix",
-                        lambda R, S, hp: 1.01 * matrix(R, S, hp))
+                        lambda R, S, hp: factor * matrix(R, S, hp))
 
 
-def h_with_a_w1_component(monkeypatch):
+def h_with_a_w1_component(monkeypatch, size=1.0):
     solve_order = xp.solve_order
 
     def solved(H0, R, S, hp):
         lam_j, T_j, h = solve_order(H0, R, S, hp)
-        return lam_j, T_j, h + hp.w1
+        return lam_j, T_j, h + size * hp.w1
 
     monkeypatch.setattr(xp, "solve_order", solved)
 
@@ -386,16 +387,43 @@ def phase_fixed_only(monkeypatch):
     monkeypatch.setattr(xp, "fix_homogeneous", fixed)
 
 
+def homogeneous_part_plus(basis, size):
+    """A fault: the fixed Z_j plus ``size`` times the null basis element
+    ``basis``; v1 moves Z^1(0) alone (v1 is orthogonal to Z0), v2 moves
+    <Z, Z0> alone (v2 is a pure sine in its first component)."""
+    def fault(monkeypatch):
+        fix = xp.fix_homogeneous
+        monkeypatch.setattr(xp, "fix_homogeneous", lambda Z_hat, Z0, hp: (
+            fix(Z_hat, Z0, hp) + size * getattr(hp, basis)))
+    return fault
+
+
 class TestInvariantChecks:
     # every hard check of an order fires when one step gives a wrong
-    # result, and expand names the order
+    # result, and expand names the order.  The "-small" faults put the
+    # checked quantity about ten times past its bound, so each check holds
+    # its tolerance: on ndde (msq, order 2) <H0, w2> is 0.22 and <h, w2>
+    # becomes 1.1e-9 against 1e-10; a unit of w1 leaves a first-harmonic
+    # residual of 0.56, so 2e-8 of it leaves 1.1e-8 against 1e-9; v1(0)
+    # is 0.37, so Z^1(0) becomes 1.1e-9 against 1e-10; <v2, Z0> is 2.5, so
+    # <Z, Z0> becomes 1.0e-8 against 1.06e-9
 
     @pytest.mark.parametrize("fault,message", [
         (perturbed_solvability_matrix, "post-solve orthogonality violated"),
         (h_with_a_w1_component, "first-harmonic least-squares residual"),
         (homogeneous_part_left_out, r"phase condition Z\^1\(0\) = 0 violated"),
-        (phase_fixed_only, "orthogonality <Z_j, Z0> = 0 violated")],
-        ids=["solvability", "first-harmonic", "phase", "orthogonality"])
+        (phase_fixed_only, "orthogonality <Z_j, Z0> = 0 violated"),
+        (functools.partial(perturbed_solvability_matrix, factor=1 + 5e-9),
+         "post-solve orthogonality violated"),
+        (functools.partial(h_with_a_w1_component, size=2e-8),
+         "first-harmonic least-squares residual"),
+        (homogeneous_part_plus("v1", 3e-9),
+         r"phase condition Z\^1\(0\) = 0 violated"),
+        (homogeneous_part_plus("v2", 4e-9),
+         "orthogonality <Z_j, Z0> = 0 violated")],
+        ids=["solvability", "first-harmonic", "phase", "orthogonality",
+             "solvability-small", "first-harmonic-small", "phase-small",
+             "orthogonality-small"])
     def test_a_wrong_step_is_refused(self, ndde, monkeypatch, fault, message):
         fault(monkeypatch)
         with pytest.raises(SolvabilityError, match=rf"^order \d+: {message}"):
@@ -571,3 +599,18 @@ def test_enforce_degree_trims_dust_to_the_bound():
     over = TrigPoly(u.const, u.cos, u.sin * 1.5)
     with pytest.raises(SolvabilityError, match="above degree 1"):
         xp.enforce_degree(over, 1, "test")
+
+
+def test_enforce_degree_refuses_ten_times_the_dust_bound():
+    # a tail of 1e-9 of the largest coefficient is content, not dust
+    u = TrigPoly([1.0], np.array([[1.0], [1e-9]]), np.zeros((2, 1)))
+    with pytest.raises(SolvabilityError, match="above degree 1"):
+        xp.enforce_degree(u, 1, "test")
+
+
+def test_a_nearly_singular_2x2_is_refused():
+    # rows scaled to a largest entry of 1 leave det 1e-9, ten times inside
+    # the bound 1e-8
+    with pytest.raises(SolvabilityError, match="test is singular"):
+        xp._check_nonsingular_2x2(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]),
+                                  "test")

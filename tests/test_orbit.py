@@ -26,6 +26,12 @@ class TestSolveEpsilon:
         with pytest.raises(BelowBifurcationError):
             ob.solve_epsilon(ndde_msq8, 1.0)
 
+    def test_just_below_the_bifurcation(self, ndde_msq8):
+        # 1e-11 below lambda0 relative, ten times the margin 1e-12
+        lam0 = ndde_msq8.hopf.lambda0
+        with pytest.raises(BelowBifurcationError):
+            ob.solve_epsilon(ndde_msq8, lam0 * (1.0 - 1e-11))
+
     def test_beyond_validity(self):
         # a folding delay polynomial that never reaches the target
         from types import SimpleNamespace
@@ -39,6 +45,16 @@ class TestSolveEpsilon:
                                                  monkeypatch):
         # a bisection that returns the bracket's low end is caught
         monkeypatch.setattr(ob, "_bisect", lambda f, a, b, fa: a)
+        with pytest.raises(NoRealRootError, match="misses the delay equation"):
+            ob.solve_epsilon(ndde_msq8, 1.4)
+
+    def test_root_ten_times_the_bound_off(self, ndde_msq8, monkeypatch):
+        # a bisection for the delay polynomial shifted by ten times the
+        # bound 1e-12 * max(1, |target|) returns a root that misses it
+        miss = 1e-11 * max(1.0, ndde_msq8.hopf.omega0 * 1.4)
+        bisect = ob._bisect
+        monkeypatch.setattr(ob, "_bisect", lambda f, a, b, fa: bisect(
+            lambda e: f(e) - miss, a, b, fa - miss))
         with pytest.raises(NoRealRootError, match="misses the delay equation"):
             ob.solve_epsilon(ndde_msq8, 1.4)
 
@@ -214,6 +230,13 @@ class TestResidual:
         assert orbit.eps == 0.0
         assert ob.residual(orbit) == 0.0
 
+    def test_zero_amplitude_off_the_equilibrium(self, sir_2pi8):
+        # 1e-6 off the equilibrium the rhs is 9.4e-9, ten times the 1e-9 a
+        # zero-amplitude orbit may leave: no relative defect exists
+        orbit = ob.ReconstructedOrbit(sir_2pi8, sir_2pi8.hopf.lambda0)
+        orbit.equilibrium = orbit.equilibrium + 1e-6
+        assert ob.residual(orbit) == float("inf")
+
     def test_sample_floor(self, ndde_msq8):
         orbit = ob.ReconstructedOrbit(ndde_msq8, 1.4)
         with pytest.raises(ValueError):
@@ -242,6 +265,13 @@ def sir_diagram14(sir_2pi14):
 
 
 class TestDiagram:
+    @pytest.mark.parametrize("lam,flagged", [(1.65, False), (1.7, True)])
+    def test_extrapolation_flag(self, ndde_msq8, lam, flagged):
+        # the residuals here are 0.039 and 0.0545, either side of 0.05
+        row = ob.bifurcation_diagram(ndde_msq8, [lam])[0]
+        assert row["extrapolated"] is flagged
+        assert (row["residual"] > 0.05) is flagged
+
     def test_equilibrium_branch_and_onset(self, ndde_msq8):
         lam0 = ndde_msq8.hopf.lambda0
         rows = ob.bifurcation_diagram(ndde_msq8, [1.1, lam0, 1.4, 1.6])

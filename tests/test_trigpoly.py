@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddehopf import trigpoly as tp
+from ddehopf.epsseries import EpsSeries
 from ddehopf.errors import DimensionMismatchError
 from ddehopf.trigpoly import TrigPoly
 from series_oracles import eval_batch
@@ -367,8 +368,12 @@ def test_shape_refusals(call, match):
         call()
 
 
-@pytest.mark.parametrize("op", [lambda u, x: u + x, lambda u, x: u - x],
-                         ids=["add", "sub"])
-def test_unsupported_operand(op):
+@pytest.mark.parametrize("op,other", [
+    (lambda u, x: u + x, object()), (lambda u, x: u - x, object()),
+    (lambda u, x: u * x, EpsSeries.constant(1.0, 2)),
+    (lambda u, x: x * u, EpsSeries.constant(1.0, 2))],
+    ids=["add", "sub", "mul-series", "series-mul"])
+def test_unsupported_operand(op, other):
+    # a polynomial enters a series only as one of its coefficients
     with pytest.raises(TypeError):
-        op(TrigPoly.zero(1), object())
+        op(TrigPoly.zero(1), other)
