@@ -69,15 +69,26 @@ def characteristic_matrix(model, omega, lam):
     return (1j * omega * np.eye(n) - P - Q * np.exp(-1j * omega * lam))
 
 
-def _scaled_det(mat) -> complex:
-    """Determinant of the row-normalized matrix; zero exactly when det is.
-    A 1x1 matrix is returned unscaled, since its normalized entry would have
-    modulus 1 everywhere.  A row norm that overflows raises HopfError: the
-    normalized row would be 0 and fake a root."""
+def _scaled_det(model, omega, lam) -> complex:
+    """Determinant of the characteristic matrix with each row divided by a
+    size of it; zero exactly when det is.  A row with two or more nonzero
+    entries is divided by its norm.  A row with one nonzero entry, whose
+    normalized entry would have modulus 1 everywhere and hide the roots of
+    its factor, is divided by sqrt(omega^2 + |P_i|^2 + |Q_i|^2), which
+    moves smoothly with (omega, lam) and, like the norm, keeps the time
+    unit out.  A 1x1 matrix is returned as its entry, which
+    ``np.linalg.det`` does not give bit for bit.  A size that overflows
+    raises HopfError: the scaled row would be 0 and fake a root."""
+    mat = characteristic_matrix(model, omega, lam)
     if mat.shape == (1, 1):
         return complex(mat[0, 0])
+    single = np.count_nonzero(mat, axis=1) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1)
+        if single.any():
+            P, Q = mdl.linearization(model, lam)
+            norms[single] = np.sqrt(omega ** 2 + np.linalg.norm(P, axis=1) ** 2
+                                    + np.linalg.norm(Q, axis=1) ** 2)[single]
     if not np.isfinite(norms).all():
         raise HopfError("the characteristic matrix overflows")
     norms[norms == 0.0] = 1.0
@@ -95,8 +106,7 @@ def find_hopf(model) -> HopfPoint:
     lam_floor = 1e-6 * max(abs(lam), 1e-6)
 
     def f(w_, lam_):
-        d = _scaled_det(characteristic_matrix(model, max(w_, w_floor),
-                                              max(lam_, lam_floor)))
+        d = _scaled_det(model, max(w_, w_floor), max(lam_, lam_floor))
         return np.array([d.real, d.imag])
 
     r = f(w, lam)
@@ -139,7 +149,7 @@ def find_hopf(model) -> HopfPoint:
     for mharm in range(0, RESONANCE_MAX_HARMONIC + 1):
         if mharm == 1:
             continue
-        d = _scaled_det(characteristic_matrix(model, mharm * w, lam))
+        d = _scaled_det(model, mharm * w, lam)
         if abs(d) < RESONANCE_TOL:
             raise ResonanceError(
                 f"characteristic root near harmonic {mharm} of omega0 "

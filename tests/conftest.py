@@ -1,9 +1,21 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddehopf import ddeint, expansion, models, orbit
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(path: Path):
+    """``bench_pairs.load`` of the tool ``path``, with ``tools/`` on the
+    import path while it runs, as a tool's script has it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(TOOLS))
+        import bench_pairs
+        return bench_pairs.load(path)
 
 
 @pytest.fixture(scope="session")

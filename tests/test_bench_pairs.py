@@ -1,7 +1,6 @@
 """The summary of ``tools/bench_pairs.py`` on fabricated run results; no
 benchmark runs."""
 
-import importlib.util
 import json
 import os
 import signal
@@ -11,11 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import TOOLS, load
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+TOOL = TOOLS / "bench_pairs.py"
+bench_pairs = load(TOOL)
 
 METRICS = [{"name": "wall_ref_s", "unit": "s", "better": "lower"},
            {"name": "rate", "unit": "1/s", "better": "higher"}]
@@ -171,6 +169,27 @@ def test_a_stopped_run_leaves_nothing_behind(tmp_path, stop):
             os.kill(pid, signal.SIGKILL)
     assert not any(tmp.iterdir())
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_child_past_its_timeout_is_killed_with_its_own_child(tmp_path):
+    # the shared runner raises TimeoutExpired, and by then the child and
+    # the child it started are both killed
+    pids = tmp_path / "pids"
+    started = []
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
+            bench_pairs.run_child(
+                [sys.executable, "-c", STUB_RUN.format(pids=str(pids))],
+                tmp_path, timeout=5)
+        started += [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, started))
+    finally:  # what a failed kill left running
+        for pid in filter(_running, started):
+            os.kill(pid, signal.SIGKILL)
 
 
 # holds a checkout of HEAD open until it is stopped, with its path in a file

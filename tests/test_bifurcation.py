@@ -86,12 +86,57 @@ class TestFindHopf:
             bf.find_hopf(far)
 
     def test_no_descent_step_stalls(self):
-        # Hutchinson's equation beside a decaying x2: from this hint no
-        # halving of the Newton step lowers the determinant residual
-        model = _model(2, lambda lam, x, y: [x[0] * (1 - y[0]), -x[1]],
-                       (1.1, 1.4), [1.0, 0.0])
+        # x' = -x(t - lam) in a time unit of 1e-4: from this hint no halving
+        # of the Newton step lowers the determinant residual, whose terms
+        # are of size 1e4 (a 1x1 matrix is not scaled).  The root is at
+        # (pi/2 * 1e4, 1e-4); that the search stalls there is a known
+        # defect of the unscaled determinant
+        model = _model(1, lambda lam, x, y: [-1e4 * y[0]], (1.1e4, 1.4e-4))
         with pytest.raises(HopfError, match="stalled"):
             bf.find_hopf(model)
+
+    def test_a_component_that_reads_no_other(self):
+        # a row of the characteristic matrix with one nonzero entry is not
+        # normalized to modulus 1, so the roots of its own factor stay
+        # roots: Hutchinson's equation, and x1' = -(pi/2) x1(t - lam), each
+        # beside a decaying x2
+        def beside_decay(f):
+            return lambda lam, x, y: [f(x[0], y[0]), -x[1]]
+
+        hutchinson = _model(2, beside_decay(lambda x, y: x * (1 - y)),
+                            (1.1, 1.4), [1.0, 0.0])
+        hp = bf.find_hopf(hutchinson)
+        assert abs(hp.omega0 - 1.0) < 1e-14
+        assert abs(hp.lambda0 - np.pi / 2) < 1e-14
+        hp = bf.find_hopf(_model(2, beside_decay(lambda x, y: -np.pi / 2 * y),
+                                 (1.5, 1.1)))
+        assert abs(hp.omega0 - np.pi / 2) < 1e-14
+        assert abs(hp.lambda0 - 1.0) < 1e-14
+        # the decoupled, decaying x2 leaves the scalar expansion as it is
+        got = xp.expand(hutchinson, 12, z0_scale="msq")
+        ref = xp.expand(_model(1, lambda lam, x, y: [x[0] * (1 - y[0])],
+                               (1.1, 1.4), [1.0]), 12, z0_scale="msq")
+        for j in range(13):
+            for mine, theirs in ((got.lambda_hats[j], ref.lambda_hats[j]),
+                                 (got.T_hats[j], ref.T_hats[j])):
+                assert abs(mine - theirs) <= 1e-12 * max(1.0, abs(theirs))
+            assert (got.Z[j].component(0) - ref.Z[j]).max_abs() \
+                <= 1e-12 * max(1.0, ref.Z[j].max_abs())
+            assert got.Z[j].component(1).max_abs() == 0.0
+
+    def test_a_decoupled_decaying_component_leaves_the_point(self, ndde):
+        # ndde beside x3' = -rate x3, fast and slow: the x3 row has one
+        # nonzero entry, and its scale keeps that factor of unit size, so
+        # neither the determinant's rounding floor (fast) nor its value at
+        # harmonic 0 (slow) moves with the rate
+        ref = bf.find_hopf(ndde)
+        for rate in (1e6, 1e-8):
+            def rhs(lam, x, y, rate=rate):
+                return [*ndde.rhs(lam, x[:2], y[:2]), -rate * x[2]]
+
+            hp = bf.find_hopf(_model(3, rhs, ndde.hopf_hint))
+            assert abs(hp.omega0 - ref.omega0) < 1e-14
+            assert abs(hp.lambda0 - ref.lambda0) < 1e-14
 
     def test_iteration_cap(self, ndde, monkeypatch):
         monkeypatch.setattr(bf, "HOPF_MAX_ITER", 1)

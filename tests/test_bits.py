@@ -1,25 +1,18 @@
 """The digests of ``tools/bits.py``, on a small synthetic expansion result
-and trajectory, its envelope summary, on the recorded references, and its
-set of CLI runs."""
+and trajectory, and its envelope summary, on the recorded references."""
 
-import argparse
 import copy
 import hashlib
-import importlib.util
-from pathlib import Path
 from types import SimpleNamespace
 
 import envelope
 import numpy as np
 import pytest
+from conftest import TOOLS, load
 
-from ddehopf import cli
 from ddehopf.trigpoly import TrigPoly
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bits.py"
-_spec = importlib.util.spec_from_file_location("bits", TOOL)
-bits = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bits)
+bits = load(TOOLS / "bits.py")
 
 
 def result(z1_cos):
@@ -100,10 +93,10 @@ def test_the_envelope_summary_reads_0_on_a_record_and_2_on_a_moved_entry(
     assert bits.largest_ratio(record, got) == 2.0
 
 
-def test_one_help_run_per_subcommand():
-    subparsers = next(a for a in cli._build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    helps = [argv.split() for argv in bits.CLI_RUNS.values()
-             if argv.endswith("--help")]
-    assert sorted(helps) == sorted([name, "--help"]
-                                   for name in subparsers.choices)
+def test_an_artifact_on_one_side_only_differs():
+    # a subcommand or workload that one tree lacks shows as DIFFERENT
+    lines = bits.compare({"a": "0" * 64, "b": "1" * 64},
+                         {"a": "0" * 64, "c": "2" * 64})
+    assert [(line.split()[0], line.split()[-1]) for line in lines] == [
+        ("a", "same"), ("b", "DIFFERENT"), ("c", "DIFFERENT")]
+    assert lines[1].split()[2] == lines[2].split()[1] == "None"

@@ -1,13 +1,9 @@
 """The counting rules of ``tools/code_size.py``, on small synthetic modules,
 and its side-by-side table of two package directories."""
 
-import importlib.util
-from pathlib import Path
+from conftest import TOOLS, load
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_size.py"
-_spec = importlib.util.spec_from_file_location("code_size", TOOL)
-code_size = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_size)
+code_size = load(TOOLS / "code_size.py")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""

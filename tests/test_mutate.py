@@ -1,12 +1,8 @@
 """The mutant rule and the audit loop of ``tools/mutate.py``, on a tiny
 package written for each test, with the traffic passed in as a callable."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from conftest import TOOLS, load
 
 SOURCE = '''"""Two guards."""
 
@@ -26,16 +22,10 @@ def positive(x):
 '''
 
 
-@pytest.fixture
-def mutate(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))  # mutate.py imports its siblings
-    spec = importlib.util.spec_from_file_location("mutate", TOOLS / "mutate.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+mutate = load(TOOLS / "mutate.py")
 
 
-def kinds(mutate, test):
+def kinds(test):
     """{kind: mutated test line} of the loose mutants of ``if <test>:
     raise E``."""
     source = f"if {test}:\n    raise E\n"
@@ -43,17 +33,14 @@ def kinds(mutate, test):
             for m in mutate.mutants(source) if m.kind != "off"}
 
 
-def test_a_guard_tested_at_its_bound_is_caught(mutate, tmp_path):
+def test_a_guard_tested_at_its_bound_is_caught(tmp_path):
     # small() is tested ten times past its bound, positive() far past it
     package = tmp_path / "tiny"
     package.mkdir()
     (package / "mod.py").write_text(SOURCE, encoding="utf-8")
 
     def traffic():
-        spec = importlib.util.spec_from_file_location("tiny_mod",
-                                                      package / "mod.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load(package / "mod.py")
         for name, x in (("small", 1e-5), ("positive", -1.0)):
             try:
                 getattr(module, name)(x)
@@ -72,7 +59,7 @@ def test_a_guard_tested_at_its_bound_is_caught(mutate, tmp_path):
     assert list(mutate.audit(package, traffic, only=["other"])) == []
 
 
-def test_off_keeps_the_lines(mutate):
+def test_off_keeps_the_lines():
     source = 'if x:\n    raise ValueError(\n        "a")\ny = 1\n'
     (off,) = [m for m in mutate.mutants(source) if m.kind == "off"]
     assert off.source == "if x:\n    pass\n\ny = 1\n"
@@ -91,5 +78,5 @@ def test_off_keeps_the_lines(mutate):
     ("x > 0.0 or y > 2", {}),
 ], ids=["right-of-gt", "right-of-lt", "not", "left", "subtraction",
         "unary-minus", "chained", "no-float"])
-def test_the_direction_rule(mutate, test, expected):
-    assert kinds(mutate, test) == expected
+def test_the_direction_rule(test, expected):
+    assert kinds(test) == expected

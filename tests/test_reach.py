@@ -1,14 +1,10 @@
 """The statement rule and the line trace of ``tools/reach.py``, on a tiny
 package written for each test, with the traffic passed in as a callable."""
 
-import importlib.util
 import sys
 import threading
-from pathlib import Path
 
-import pytest
-
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from conftest import TOOLS, load
 
 SOURCE = '''"""A module docstring."""
 
@@ -27,33 +23,24 @@ def total(
 '''
 
 
-@pytest.fixture
-def reach(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))  # reach.py imports code_size.py
-    spec = importlib.util.spec_from_file_location("reach", TOOLS / "reach.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+reach = load(TOOLS / "reach.py")
 
 
-def test_statements_leave_out_docstrings(reach):
+def test_statements_leave_out_docstrings():
     assert reach.statements(SOURCE) == [
         (4, "FunctionDef", {4}), (6, "If", {6}), (7, "Return", {7}),
         (8, "Return", {8}), (12, "FunctionDef", {11, 12, 13}),
         (14, "Return", {14})]
 
 
-def test_reached_and_unreached(reach, tmp_path):
+def test_reached_and_unreached(tmp_path):
     package = tmp_path / "tiny"
     package.mkdir()
     (package / "mod.py").write_text(SOURCE, encoding="utf-8")
     tracers = sys.gettrace(), threading.gettrace()
 
     def traffic():
-        spec = importlib.util.spec_from_file_location("tiny_mod",
-                                                      package / "mod.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load(package / "mod.py")
         assert module.sign(2) == 1
 
     missed, total = reach.unreached(package, traffic)

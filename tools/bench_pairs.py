@@ -32,9 +32,11 @@ land in ``.bench_build/``).  Stopped by Ctrl-C or SIGTERM, the tool kills
 the running benchmark together with its child and removes the extracted
 revision.  Only the standard library is used.
 
-``checkout`` also extracts the revision of ``--against`` for
-``tools/bits.py`` and ``tools/code_size.py``; it lives here because this
-tool must run with no other file of ``tools/`` beside it.
+The other tools of ``tools/`` take from here what they share, since this
+tool must run with no other file of ``tools/`` beside it: the child runner
+``run_child``, the self-removing directory ``scratch``, the extraction of a
+revision ``checkout``, the audit of one ``audit_at``, the module loader
+``load`` and the Tier-1 paths ``TIER1``.
 """
 
 from __future__ import annotations
@@ -60,12 +62,20 @@ WIN_SHARE = 0.9
 # alternated --trace 1 pairs per workload; one traced run a side is too few
 # to read per-layer changes of a few ms
 TRACED_PAIRS = 3
+# the test directories of Tier-1, relative to a tree's root
+TIER1 = ("tests", "perfbench/tests")
+
+
+def load(path: Path):
+    """The Python file ``path`` run as a fresh module named after it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # this tree's benchmark, for its rules of summary and source digest
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_run", ROOT / "perfbench" / "run.py")
-perfbench_run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perfbench_run)
+perfbench_run = load(ROOT / "perfbench" / "run.py")
 
 
 def summarize(pairs, metrics) -> dict:
@@ -124,50 +134,70 @@ def _exit_on_sigterm(signum, frame):
 
 
 @contextlib.contextmanager
-def checkout(rev, *paths):
-    """A temporary directory holding ``paths`` (the whole tree when none is
-    named) of git revision ``rev`` of this repository, extracted with ``git
-    archive``.  It is removed on any exit: while it is open a SIGTERM
-    unwinds like Ctrl-C, as a SystemExit."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths],
-                             check=True, capture_output=True).stdout
+def scratch():
+    """A temporary directory, removed on any exit: while it is open a
+    SIGTERM unwinds like Ctrl-C, as a SystemExit."""
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
             yield Path(tmp)
     finally:
         signal.signal(signal.SIGTERM, previous)
 
 
-def _run(args, cwd):
-    """(stdout, stderr) of ``args`` run in ``cwd``, which must succeed.  The
-    command runs in a process group of its own, and the whole group is
-    killed if this process is stopped meanwhile (Ctrl-C, or SIGTERM, which
-    ``checkout`` turns into an exit), so the benchmark's own child goes
-    too."""
-    with subprocess.Popen(args, cwd=cwd, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True,
+@contextlib.contextmanager
+def checkout(rev, *paths):
+    """A ``scratch`` directory holding ``paths`` (the whole tree when none
+    is named) of git revision ``rev`` of this repository, extracted with
+    ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths],
+                             check=True, capture_output=True).stdout
+    with scratch() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield tmp
+
+
+def run_child(args, cwd, env=None, timeout=None, stderr=subprocess.PIPE):
+    """The ``subprocess.CompletedProcess`` of ``args`` run in ``cwd`` with
+    the environment ``env``, its stdout and (unless ``stderr`` is None,
+    which passes it on) its stderr read as text.  The child runs in a
+    process group of its own, and the whole group is killed if it outlives
+    ``timeout`` seconds (``subprocess.TimeoutExpired`` is raised) or if
+    this process is stopped meanwhile (Ctrl-C, or SIGTERM, which
+    ``scratch`` turns into an exit), so the child's own children go too."""
+    with subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=stderr, text=True,
                           start_new_session=True) as proc:
         try:
-            out, err = proc.communicate()
+            out, err = proc.communicate(timeout=timeout)
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             raise
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, args, out, err)
-    return out, err
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+
+def audit_at(rev, tool, *args) -> str:
+    """The stdout of the script ``tool`` of this tree run in a fresh
+    interpreter on the tree of git revision ``rev`` (extracted by
+    ``checkout``), given as its first argument, with ``args``; the run
+    must succeed, and its stderr goes straight to this process's."""
+    with checkout(rev) as tree:
+        done = run_child([sys.executable, str(tool), str(tree), *args], tree,
+                         stderr=None)
+    done.check_returncode()
+    return done.stdout
 
 
 def run_once(tree: Path, command, workload, seed, seconds, trace):
     """One benchmark run in ``tree``: (its metric values, counts and the
     figures of its run record; the record's machine and source digest)."""
-    out, err = _run([*command, "--workload", workload, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", str(trace)], tree)
-    result = json.loads(out.strip().splitlines()[-1])
-    path = re.search(r"record (\S+\.json)", err).group(1)
+    done = run_child([*command, "--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds), "--trace", str(trace)], tree)
+    done.check_returncode()
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    path = re.search(r"record (\S+\.json)", done.stderr).group(1)
     record = json.loads((tree / path).read_text(encoding="utf-8"))
     run = {"seed": seed, "started_utc": record["started_utc"],
            "record": Path(path).name,

@@ -10,8 +10,9 @@ The set has three kinds of artifact:
   differ);
 * the stdout of CLI commands (``python -m ddehopf.cli ...``, each in its own
   interpreter, with ``COLUMNS=80``), with the exit status: the outputs of
-  the benchmarked and other runs, and the ``--help`` of every subcommand,
-  so that a change of the interface shows beside the outputs;
+  the benchmark workloads at seed 0 and of other runs, and the ``--help``
+  of every subcommand, so that a change of the interface shows beside the
+  outputs;
 * the seeded reference integrations of ``cross_validate`` (ndde, order 8,
   msq, delay 1.4; sir, order 8, paper, delay 120): the shape and bytes of
   their ``ts``, ``ys`` and ``coeffs``.
@@ -23,15 +24,16 @@ the recorded reference itself).
 
 Usage::
 
-    python tools/bits.py [--src DIR] [--against REV] [--json]
+    python tools/bits.py [ROOT] [--against REV] [--json]
 
-``--src`` names the source directory that holds the ``ddehopf`` package
-(default: ``src`` next to this script's directory).  ``--against REV``
-extracts the git revision REV of this repository into a temporary
-directory (``bench_pairs.checkout``), runs the same set there in a fresh
-interpreter, and prints both digests of each artifact with ``same`` or
-``DIFFERENT``, and both envelope ratios of each record (judged by the
-records and rule of this tree); the exit status is 1 if any digest differs.  ``--json`` prints
+ROOT is the repository whose package ``src/ddehopf`` is digested (default:
+the one holding this script); the benchmark workloads and the subcommands
+are ROOT's too.  ``--against REV`` audits the git revision REV of this
+repository with this script in a fresh interpreter
+(``bench_pairs.audit_at``), and prints both digests of each artifact of
+either side with ``same`` or ``DIFFERENT`` (``compare``), and both
+envelope ratios of each record (judged by the records and rule of this
+tree); the exit status is 1 if any digest differs.  ``--json`` prints
 {"digests": {artifact: digest}, "envelope": {record: ratio}}.  Only the
 standard library and numpy are used; the whole set takes about 15 s per
 tree.
@@ -49,6 +51,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import audit_at, load  # tools/ is on the path of a script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,14 +85,8 @@ def trajectory_digest(traj) -> str:
     return h.hexdigest()
 
 
-# {artifact: argv of ``python -m ddehopf.cli``}
+# {artifact: argv of ``python -m ddehopf.cli``}, beside those of ``cli_runs``
 CLI_RUNS = {
-    "cli-expand-ndde-n20-json":
-        "expand --model ndde --order 20 --z0-scale msq --format json",
-    "cli-diagram-sir-n14":
-        "diagram --model sir --order 14 --lambda-grid 95:150:200",
-    "cli-validate-sir-l120-json":
-        "validate --model sir --order 8 --lambda 120 --format json",
     "cli-hopf-ndde": "hopf --model ndde",
     "cli-hopf-sir": "hopf --model sir",
     "cli-solve-ndde-l1.4": "solve --model ndde --lambda 1.4",
@@ -97,17 +95,30 @@ CLI_RUNS = {
         "residual --model ndde --order 20 --lambda 1.8",
     "cli-validate-ndde-l1.4": "validate --model ndde --lambda 1.4",
 }
-# the subcommands of ``ddehopf.cli`` (a test keeps this equal to its parser's)
-SUBCOMMANDS = ("hopf", "expand", "solve", "residual", "diagram", "validate")
-CLI_RUNS.update((f"cli-help-{name}", f"{name} --help") for name in SUBCOMMANDS)
 
 
-def cli_digest(src: Path, argv: str) -> str:
+def cli_runs(root: Path) -> dict:
+    """{artifact: argv} of the CLI runs on the repository ``root``, whose
+    package is on the import path: each workload of its
+    ``perfbench/run.py`` at seed 0, ``CLI_RUNS``, and the ``--help`` of each
+    subcommand of its parser."""
+    from ddehopf import cli
+    workloads = load(root / "perfbench" / "run.py").WORKLOADS
+    runs = {f"cli-{name}": args(0) for name, (args, *_) in workloads.items()}
+    runs.update((name, argv.split()) for name, argv in CLI_RUNS.items())
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    runs.update((f"cli-help-{name}", [name, "--help"])
+                for name in subparsers.choices)
+    return runs
+
+
+def cli_digest(src: Path, argv: list[str]) -> str:
     """SHA-256 over the exit status and stdout of one CLI command, run in a
     fresh interpreter on the package in ``src``, with the help text laid out
     for 80 columns."""
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
-    run = subprocess.run([sys.executable, "-m", "ddehopf.cli", *argv.split()],
+    run = subprocess.run([sys.executable, "-m", "ddehopf.cli", *argv],
                          capture_output=True, env=env)
     return hashlib.sha256(f"exit {run.returncode}\n".encode()
                           + run.stdout).hexdigest()
@@ -120,7 +131,9 @@ INTEGRATIONS = {
 }
 
 # the rounding-envelope records ``tests/data/envelope-<name>.json``
-ENVELOPE_RECORDS = ("ndde-n20-msq", "sir-n14-paper", "diagram-sir-n14")
+ENVELOPE_RECORDS = sorted(
+    path.stem.removeprefix("envelope-")
+    for path in (ROOT / "tests" / "data").glob("envelope-*.json"))
 
 
 def _envelope():
@@ -201,14 +214,16 @@ def _artifacts():
     return runs
 
 
-def digests(src: Path) -> dict:
-    """{artifact: digest} of the package in ``src``."""
+def digests(root: Path) -> dict:
+    """{artifact: digest} of the package of the repository ``root``."""
+    src = root / "src"
     sys.path.insert(0, str(src))
     import ddehopf
     from ddehopf.ddeint import cross_validate
     out = {name: digest(ddehopf.expand(model, order, z0_scale=scale))
            for name, (model, order, scale) in _artifacts().items()}
-    out.update((name, cli_digest(src, argv)) for name, argv in CLI_RUNS.items())
+    out.update((name, cli_digest(src, argv))
+               for name, argv in cli_runs(root).items())
     for name, (model, order, scale, lam) in INTEGRATIONS.items():
         orbit = ddehopf.ReconstructedOrbit(
             ddehopf.expand(ddehopf.BUILTIN_MODELS[model](), order, scale), lam)
@@ -216,24 +231,23 @@ def digests(src: Path) -> dict:
     return out
 
 
-def digests_at(rev: str) -> dict:
-    """{"digests": {artifact: digest}, "envelope": {record: ratio}} of git
-    revision ``rev``, in a fresh interpreter."""
-    from bench_pairs import checkout  # tools/ is on the path of a script
-    with checkout(rev, "src") as tree:
-        out = subprocess.run(
-            [sys.executable, __file__, "--src", str(tree / "src"), "--json"],
-            check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def compare(ours: dict, theirs: dict) -> list[str]:
+    """One line for each artifact of either digest map: its name, both
+    digests (``None`` on a side that lacks it) and ``same`` or
+    ``DIFFERENT``."""
+    return [f"{name:<28} {str(ours.get(name))[:16]} "
+            f"{str(theirs.get(name))[:16]} "
+            f"{'same' if ours.get(name) == theirs.get(name) else 'DIFFERENT'}"
+            for name in {**ours, **theirs}]
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("root", nargs="?", type=Path, default=ROOT)
     parser.add_argument("--against", metavar="REV")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    ours = {"digests": digests(args.src.resolve()),
+    ours = {"digests": digests(args.root.resolve()),
             "envelope": envelope_summary()}
     if args.json:
         print(json.dumps(ours))
@@ -244,18 +258,13 @@ def main(argv: list[str]) -> int:
         for name, ratio in ours["envelope"].items():
             print(f"{'envelope-' + name:<28} {ratio:.3g}")
         return 0
-    theirs = digests_at(args.against)
-    differ = 0
-    for name, value in ours["digests"].items():
-        other = theirs["digests"].get(name)
-        same = other == value
-        differ += not same
-        print(f"{name:<28} {value[:16]} {str(other)[:16]} "
-              f"{'same' if same else 'DIFFERENT'}")
+    theirs = json.loads(audit_at(args.against, __file__, "--json"))
+    lines = compare(ours["digests"], theirs["digests"])
+    print("\n".join(lines))
     for name, ratio in ours["envelope"].items():
         print(f"{'envelope-' + name:<28} {ratio:<16.3g} "
               f"{theirs['envelope'][name]:.3g}")
-    return 1 if differ else 0
+    return 1 if any(line.endswith("DIFFERENT") for line in lines) else 0
 
 
 if __name__ == "__main__":

@@ -22,12 +22,11 @@ are left out: on floats they differ only at exact equality.
 The statements are those of ``tools/reach.py``.  The mutants are made in a
 copy of the tree ROOT (pytest's ``pythonpath = ["src"]`` puts a tree's own
 ``src`` first, so a mutated package must sit in the tree the tests run
-from), and the copy is removed on any exit, SIGTERM included, as
-``bench_pairs.checkout`` removes its own.  The traffic is Tier-1
-(``tests/`` and ``perfbench/tests``) with ``-x`` in a fresh interpreter,
-less the tests of ``DESELECTED``.  The unmutated copy runs first and must
-pass; a mutant run that takes ten times as long is stopped and counts as
-caught.
+from), in a ``bench_pairs.scratch`` directory, removed on any exit,
+SIGTERM included.  The traffic is Tier-1 (``bench_pairs.TIER1``) with
+``-x`` in a fresh interpreter (``bench_pairs.run_child``), less the tests
+of ``DESELECTED``.  The unmutated copy runs first and must pass; a mutant
+run that takes ten times as long is stopped and counts as caught.
 
 Usage::
 
@@ -46,18 +45,15 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import os
 import shutil
-import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-from bench_pairs import _exit_on_sigterm  # tools/ is on the path of a script
+from bench_pairs import TIER1, run_child, scratch  # tools/ is on the path
 from reach import statements
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,31 +196,22 @@ def tier1(tree: Path, timeout=None):
     the node id of the first failing test.  A run still going after
     ``timeout`` seconds is killed with its children."""
     args = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
-            "-p", "no:cacheprovider", "tests", "perfbench/tests"]
+            "-p", "no:cacheprovider", *TIER1]
     for node_id in DESELECTED:
         args += ["--deselect", node_id]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
     def run():
-        with subprocess.Popen(args, cwd=tree, env=env, text=True,
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT,
-                              start_new_session=True) as proc:
-            try:
-                out, _ = proc.communicate(timeout=timeout)
-            except BaseException as exc:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                if isinstance(exc, subprocess.TimeoutExpired):
-                    return f"(timeout after {timeout:.0f} s)"
-                raise
-        if proc.returncode == 0:
+        try:
+            done = run_child(args, tree, env, timeout)
+        except subprocess.TimeoutExpired:
+            return f"(timeout after {timeout:.0f} s)"
+        if done.returncode == 0:
             return None
-        for line in out.splitlines():
+        for line in done.stdout.splitlines():
             if line.startswith(("FAILED ", "ERROR ")):
                 return line.split()[1]
-        return f"(pytest exit {proc.returncode})"
+        return f"(pytest exit {done.returncode})"
     return run
 
 
@@ -235,32 +222,28 @@ def main(argv: list[str]) -> int:
                         default=[])
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "tree"
-            shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".pytest_cache", ".hypothesis",
-                ".bench_build", ".benchmarks"))
-            start = time.perf_counter()
-            failed = tier1(tree)()
-            if failed is not None:
-                print(f"the unmutated tree fails Tier-1: {failed}")
-                return 1
-            traffic = tier1(tree, 10 * (time.perf_counter() - start))
-            survived = total = 0
-            for path, mutant, failed in audit(tree / "src" / "ddehopf",
-                                              traffic, args.only):
-                total += 1
-                survived += failed is None
-                print(f"{path.relative_to(tree).as_posix()}:{mutant.line}:"
-                      f"{mutant.column} "
-                      f"{mutant.kind} "
-                      f"{'survived' if failed is None else 'caught ' + failed}",
-                      flush=True)
-            print(f"{survived} of {total} survived")
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    with scratch() as tmp:
+        tree = tmp / "tree"
+        shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis",
+            ".bench_build", ".benchmarks"))
+        start = time.perf_counter()
+        failed = tier1(tree)()
+        if failed is not None:
+            print(f"the unmutated tree fails Tier-1: {failed}")
+            return 1
+        traffic = tier1(tree, 10 * (time.perf_counter() - start))
+        survived = total = 0
+        for path, mutant, failed in audit(tree / "src" / "ddehopf",
+                                          traffic, args.only):
+            total += 1
+            survived += failed is None
+            print(f"{path.relative_to(tree).as_posix()}:{mutant.line}:"
+                  f"{mutant.column} "
+                  f"{mutant.kind} "
+                  f"{'survived' if failed is None else 'caught ' + failed}",
+                  flush=True)
+        print(f"{survived} of {total} survived")
     return 0
 
 

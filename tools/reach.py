@@ -19,11 +19,10 @@ Usage::
 ROOT is the repository to audit (default: the one holding this script).
 The unreached statements are printed as ``file:line kind``, then ``N of M
 statements unreached``; pytest's own report goes to stderr.
-``--against REV`` extracts the git revision REV of this repository into a
-temporary directory (``bench_pairs.checkout``), audits it first in a fresh
-interpreter and prints its list before this tree's.  Only the standard
-library is used; the audit takes about two and a half times as long as
-the tests alone.
+``--against REV`` audits the git revision REV of this repository first,
+with this script in a fresh interpreter (``bench_pairs.audit_at``), and
+prints its list before this tree's.  Only the standard library is used;
+the audit takes about two and a half times as long as the tests alone.
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import importlib.util
 import os
-import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
 
-from code_size import docstring_lines  # tools/ is on the path of a script
+from bench_pairs import TIER1, audit_at, load  # tools/ is on the path
+from code_size import docstring_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,15 +116,12 @@ def suite_and_workloads(root: Path):
         import pytest
         os.chdir(root)
         with contextlib.redirect_stdout(sys.stderr):
-            pytest.main(["-q", "-p", "no:cacheprovider", str(root / "tests"),
-                         str(root / "perfbench" / "tests")])
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_run", root / "perfbench" / "run.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
+            pytest.main(["-q", "-p", "no:cacheprovider",
+                         *(str(root / path) for path in TIER1)])
+        workloads = load(root / "perfbench" / "run.py").WORKLOADS
         from ddehopf import cli
         with tempfile.TemporaryDirectory() as tmp:
-            for name, (args, _, suffix, _) in bench.WORKLOADS.items():
+            for name, (args, _, suffix, _) in workloads.items():
                 cli.main(args(0) + ["--out", str(Path(tmp) / (name + suffix))])
     return run
 
@@ -147,12 +142,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="REV")
     args = parser.parse_args(argv)
     if args.against is not None:
-        from bench_pairs import checkout
-        with checkout(args.against) as tree:
-            theirs = subprocess.run([sys.executable, __file__, str(tree)],
-                                    check=True, stdout=subprocess.PIPE,
-                                    text=True).stdout
-        print(f"{args.against}:\n{theirs}this tree:")
+        print(f"{args.against}:\n{audit_at(args.against, __file__)}"
+              "this tree:")
     print("\n".join(report(args.root.resolve())))
     return 0
 
