@@ -72,16 +72,14 @@ def characteristic_matrix(model, omega, lam):
 def _scaled_det(model, omega, lam) -> complex:
     """Determinant of the characteristic matrix with each row divided by a
     size of it; zero exactly when det is.  A row with two or more nonzero
-    entries is divided by its norm.  A row with one nonzero entry, whose
-    normalized entry would have modulus 1 everywhere and hide the roots of
-    its factor, is divided by sqrt(omega^2 + |P_i|^2 + |Q_i|^2), which
-    moves smoothly with (omega, lam) and, like the norm, keeps the time
-    unit out.  A 1x1 matrix is returned as its entry, which
-    ``np.linalg.det`` does not give bit for bit.  A size that overflows
-    raises HopfError: the scaled row would be 0 and fake a root."""
+    entries is divided by its norm.  A row with one nonzero entry (the one
+    row of a 1x1 matrix among them), whose normalized entry would have
+    modulus 1 everywhere and hide the roots of its factor, is divided by
+    sqrt(omega^2 + |P_i|^2 + |Q_i|^2), which moves smoothly with (omega,
+    lam) and, like the norm, keeps the time unit out.  A size that
+    overflows raises HopfError: the scaled row would be 0 and fake a
+    root."""
     mat = characteristic_matrix(model, omega, lam)
-    if mat.shape == (1, 1):
-        return complex(mat[0, 0])
     single = np.count_nonzero(mat, axis=1) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1)
@@ -98,12 +96,12 @@ def _scaled_det(model, omega, lam) -> complex:
 def find_hopf(model) -> HopfPoint:
     """Locate (omega0, lambda0) by a 2D Newton iteration on the real and
     imaginary parts of the row-scaled characteristic determinant, started
-    from ``model.hopf_hint``, which must be two finite numbers (ModelError
-    otherwise, also for a hint assigned after the model was made)."""
+    from ``model.hopf_hint``, which must be two positive finite numbers
+    (ModelError otherwise, also for a hint assigned after the model was
+    made).  Each accepted step keeps both positive."""
     w, lam = mdl._hopf_hint(model.hopf_hint)
 
-    w_floor = 1e-6 * max(abs(w), 1e-6)
-    lam_floor = 1e-6 * max(abs(lam), 1e-6)
+    w_floor, lam_floor = 1e-6 * w, 1e-6 * lam
 
     def f(w_, lam_):
         d = _scaled_det(model, max(w_, w_floor), max(lam_, lam_floor))
@@ -113,8 +111,8 @@ def find_hopf(model) -> HopfPoint:
     for _ in range(HOPF_MAX_ITER):
         if np.max(np.abs(r)) <= 1e-13:
             break
-        hw = 1e-7 * max(abs(w), w_floor)
-        hl = 1e-7 * max(abs(lam), lam_floor)
+        hw = 1e-7 * max(w, w_floor)
+        hl = 1e-7 * max(lam, lam_floor)
         J = np.column_stack([
             (f(w + hw, lam) - f(w - hw, lam)) / (2 * hw),
             (f(w, lam + hl) - f(w, lam - hl)) / (2 * hl),
@@ -142,8 +140,6 @@ def find_hopf(model) -> HopfPoint:
         raise HopfError(
             f"Hopf point Newton did not converge in {HOPF_MAX_ITER} iterations "
             f"(residual {residual:.2e})")
-    if w <= 0:
-        raise HopfError(f"nonpositive frequency {w} at the Hopf point")
 
     # A1 guard: no harmonic multiple of i*omega0 may also be a root.
     for mharm in range(0, RESONANCE_MAX_HARMONIC + 1):
@@ -163,9 +159,8 @@ def find_hopf(model) -> HopfPoint:
     W = 1j * np.eye(model.dim) + A.T + B.T * np.exp(1j * lh0)
     beta = _null_vector(W)
     # |M a| grows with the size of M's terms, which a time unit scales (W is
-    # free of it); floored at 1, the bound refuses nothing the absolute
-    # bound 1e-9 accepts
-    scale = max(1.0, w + np.linalg.norm(P) + np.linalg.norm(Q))
+    # free of it)
+    scale = w + np.linalg.norm(P) + np.linalg.norm(Q)
     ra = float(np.linalg.norm(M @ alpha))
     rb = float(np.linalg.norm(W @ beta))
     if ra > 1e-9 * scale or rb > 1e-9:

@@ -179,7 +179,7 @@ class Trajectory:
         relative 1e-9), before the history, or NaN."""
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.reshape(-1)
-        bad = flat[~(flat <= self.t_end + 1e-9 * max(1.0, abs(self.t_end)))]
+        bad = flat[~(flat <= self.t_end + 1e-9 * self.t_end)]
         if bad.size:
             raise IntegrationError(
                 f"lookup at t={bad[0]} beyond the trajectory end {self.t_end}")
@@ -241,7 +241,7 @@ def _dense(t, ts, ys, coeffs, lam, history):
     out[inner] = _segments(t[inner], ts, ys, coeffs)
     for j in np.flatnonzero(~inner):
         tj = float(t[j])
-        if tj < ts[0] - lam - 1e-9 * max(1.0, lam):
+        if tj < ts[0] - lam - 1e-9 * lam:
             raise IntegrationError(
                 f"delayed lookup at t={tj} precedes the history interval")
         out[j] = history(tj)
@@ -303,7 +303,6 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
     k = np.zeros((16, dim))
     ks = [k[:s] for s in range(16)]  # ks[12]: the stages the error rows read
     abs_y = np.abs(y)
-    min_h_floor = 1e-14
 
     def stages(first, last):
         """Stages first..last-1 into k; returns the last stage's state, as
@@ -324,7 +323,7 @@ def integrate(model, lam, history, t_end, rtol=1e-9, atol=1e-9) -> Trajectory:
         clipped = t_end - t < h  # shortened to land on t_end
         if clipped:
             h = t_end - t
-        if h < min_h_floor * max(1.0, abs(t)):
+        if h < 1e-14 * max(lam, t):
             raise IntegrationError(f"step size underflow at t={t}")
         k[0] = f
         # stage s looks up t + c_s * h - lam, behind t as h <= lam / 4;

@@ -463,7 +463,7 @@ _CYCLES = {
 }
 
 
-def _taylor_weights(fid: str, c0: float, n: int, exponent=None):
+def _taylor_weights(fid: str, c0: float, n: int, exponent):
     """f^(m)(c0)/m! for m = 0..n for the supported analytic functions.
 
     A leading term outside the real domain of f, or weights beyond the

@@ -385,8 +385,7 @@ def expand(model, order: int, z0_scale: str = "paper") -> ExpansionResult:
                 lam_j, T_j, h = solve_order(H0, R, S, hp)
                 h = enforce_degree(h, j + 1, f"h_{j}")
                 Z_hat = solve_particular(h, hp)
-                Z_j = fix_homogeneous(Z_hat, Z0, hp)
-                Z_j = enforce_degree(Z_j.truncate(), j + 1, f"Z_{j}")
+                Z_j = fix_homogeneous(Z_hat, Z0, hp).truncate()
             except (SolvabilityError, ResonanceError) as exc:
                 raise type(exc)(f"order {j}: {exc}") from exc
             zscale = max(1.0, Z_j.max_abs())

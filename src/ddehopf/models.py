@@ -59,8 +59,8 @@ class DdeModel:
         Newton starting point for the equilibrium solve, ``dim`` entries
         (anything else is a ModelError).
     hopf_hint : (float, float)
-        (omega, lam) starting point for the Hopf point solve, two finite
-        numbers, as a pair or a {"omega": ..., "lambda": ...} mapping
+        (omega, lam) starting point for the Hopf point solve, two positive
+        finite numbers, as a pair or a {"omega": ..., "lambda": ...} mapping
         (anything else is a ModelError; ``find_hopf`` checks a hint
         assigned later by the same rule).
     time_unit : str
@@ -143,7 +143,7 @@ def _merge_params(defaults, params):
 
 def _hopf_hint(hint):
     """(omega, lam) as two floats, from a pair or from a {"omega": ...,
-    "lambda": ...} mapping; anything but two finite numbers is a
+    "lambda": ...} mapping; anything but two positive finite numbers is a
     ModelError."""
     if isinstance(hint, Mapping):
         if set(hint) != {"omega", "lambda"}:
@@ -155,8 +155,11 @@ def _hopf_hint(hint):
     except (TypeError, ValueError):
         raise ModelError("hopf_hint must be two numbers (omega, lam), got "
                          f"{hint!r}") from None
-    return (_number(omega, "hopf_hint omega"),
-            _number(lam, "hopf_hint lambda"))
+    omega, lam = (_number(omega, "hopf_hint omega"),
+                  _number(lam, "hopf_hint lambda"))
+    if omega <= 0.0 or lam <= 0.0:
+        raise ModelError(f"hopf_hint must be positive, got {(omega, lam)!r}")
+    return omega, lam
 
 
 def _validate_positive(params, keys):

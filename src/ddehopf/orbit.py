@@ -112,7 +112,7 @@ def solve_epsilon(exp: ExpansionResult, lam: float) -> float:
         raise BelowBifurcationError(
             f"delay {lam} is below the bifurcation delay {lam0:.6f}: "
             "no periodic orbit on this side")
-    if abs(lam - lam0) <= 1e-12 * max(1.0, lam0):
+    if abs(lam - lam0) <= 1e-12 * lam0:
         return 0.0
     lh2 = coeffs[2] if exp.order >= 2 else 0.0
     if lh2 <= 0.0:

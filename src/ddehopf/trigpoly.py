@@ -188,15 +188,11 @@ class TrigPoly:
 
     def diff(self) -> "TrigPoly":
         """Term-wise derivative d/dtau."""
-        if self.degree == 0:
-            return TrigPoly.zero(self.dim)
         k = _harmonics(self.degree)[:, None]
         return TrigPoly._make(np.zeros(self.dim), k * self.sin, -k * self.cos)
 
     def shift(self, theta: float) -> "TrigPoly":
         """Exact delayed argument: returns u(tau - theta)."""
-        if self.degree == 0:
-            return self
         k = _harmonics(self.degree)
         c = np.cos(k * theta)[:, None]
         s = np.sin(k * theta)[:, None]

@@ -18,6 +18,16 @@ def load(path: Path):
         return bench_pairs.load(path)
 
 
+def in_time_unit(model, c):
+    """``model`` with time measured in units of c: g_c(lam, x, y) =
+    c g(c lam, x, y), started from the hint (c omega, lam / c)."""
+    omega, lam = model.hopf_hint
+    return models.DdeModel(
+        f"{model.name}-time-unit", dim=model.dim, params={},
+        rhs=lambda lam, x, y: [c * g for g in model.rhs(c * lam, x, y)],
+        equilibrium_hint=model.equilibrium_hint, hopf_hint=(omega * c, lam / c))
+
+
 @pytest.fixture(scope="session")
 def ndde():
     return models.make_ndde()

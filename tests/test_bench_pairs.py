@@ -173,14 +173,19 @@ def test_a_stopped_run_leaves_nothing_behind(tmp_path, stop):
 
 def test_a_child_past_its_timeout_is_killed_with_its_own_child(tmp_path):
     # the shared runner raises TimeoutExpired, and by then the child and
-    # the child it started are both killed
+    # the child it started are both killed.  The stub records both pids in
+    # about 0.05 s; a machine too slow to do so within the timeout gets a
+    # longer one
     pids = tmp_path / "pids"
     started = []
     try:
-        with pytest.raises(subprocess.TimeoutExpired):
-            bench_pairs.run_child(
-                [sys.executable, "-c", STUB_RUN.format(pids=str(pids))],
-                tmp_path, timeout=5)
+        for timeout in (0.5, 2.0, 8.0):
+            with pytest.raises(subprocess.TimeoutExpired):
+                bench_pairs.run_child(
+                    [sys.executable, "-c", STUB_RUN.format(pids=str(pids))],
+                    tmp_path, timeout=timeout)
+            if pids.exists():
+                break
         started += [int(pid) for pid in pids.read_text().split()]
         assert len(started) == 2
         deadline = time.monotonic() + 10

@@ -1,13 +1,17 @@
 import copy
+import functools
 import time
 
 import numpy as np
 import pytest
+from conftest import in_time_unit
 
 from ddehopf import bifurcation as bf
+from ddehopf import ddeint as di
 from ddehopf import epsseries as es
 from ddehopf import expansion as xp
 from ddehopf import models as mdl
+from ddehopf import orbit as ob
 from ddehopf import trigpoly as tp
 from ddehopf.errors import HopfError, ResonanceError
 
@@ -64,12 +68,13 @@ class TestFindHopf:
 
     def test_a_root_near_zero_is_resonant(self):
         # x' = (1 - 1e-7) x - y: the characteristic function is 1e-7 at
-        # zero (a 1x1 matrix is not row-scaled), ten times inside
-        # RESONANCE_TOL, beside the Hopf point (4.47e-4, 1.0)
+        # zero, and its one row is divided by sqrt(0 + 1 + 1), which leaves
+        # 7.07e-8, fourteen times inside RESONANCE_TOL, beside the Hopf
+        # point (4.47e-4, 1.0)
         model = _model(1, lambda lam, x, y: [(1 - 1e-7) * x[0] - y[0]],
                        (4.5e-4, 1.0))
         with pytest.raises(ResonanceError,
-                           match=r"harmonic 0 .*determinant 1\.00e-07"):
+                           match=r"harmonic 0 .*determinant 7\.07e-08"):
             bf.find_hopf(model)
 
     def test_a_delay_free_model_has_a_singular_newton_jacobian(self):
@@ -86,12 +91,15 @@ class TestFindHopf:
             bf.find_hopf(far)
 
     def test_no_descent_step_stalls(self):
-        # x' = -x(t - lam) in a time unit of 1e-4: from this hint no halving
-        # of the Newton step lowers the determinant residual, whose terms
-        # are of size 1e4 (a 1x1 matrix is not scaled).  The root is at
-        # (pi/2 * 1e4, 1e-4); that the search stalls there is a known
-        # defect of the unscaled determinant
-        model = _model(1, lambda lam, x, y: [-1e4 * y[0]], (1.1e4, 1.4e-4))
+        # Hutchinson's equation read by 1e-12 of a decaying x2: the x1 row
+        # has two nonzero entries, so it is divided by its norm, whose
+        # modulus-1 entry hides the roots of Hutchinson's factor, and from
+        # this hint no halving of the Newton step lowers the residual.  The
+        # root is at (1, pi/2); that the search stalls on a nearly
+        # decoupled component is a known defect
+        model = _model(2, lambda lam, x, y: [x[0] * (1 - y[0]) + 1e-12 * x[1],
+                                             -x[1]],
+                       (1.1, 1.4), [1.0, 0.0])
         with pytest.raises(HopfError, match="stalled"):
             bf.find_hopf(model)
 
@@ -153,14 +161,6 @@ class TestFindHopf:
         with pytest.raises(HopfError, match=r"\(residual [27]\.\d+e-09\)"):
             bf.find_hopf(request.getfixturevalue(name))
 
-    def test_nonpositive_frequency(self):
-        # the determinant is read at omega floored to 1e-9, where it is
-        # -1e-14 and passes at once, so the hint's omega is never moved
-        model = _model(1, lambda lam, x, y: [(1 + 1e-14) * x[0] - y[0]],
-                       (-1e-3, 1.0))
-        with pytest.raises(HopfError, match="nonpositive frequency -0.001"):
-            bf.find_hopf(model)
-
     def test_wrong_null_vector(self, ndde, monkeypatch):
         # a null vector that M does not annihilate is refused
         monkeypatch.setattr(bf, "_null_vector",
@@ -187,26 +187,88 @@ class TestFindHopf:
         with pytest.raises(HopfError, match="null vector residuals too large"):
             bf.find_hopf(ndde)
 
-    @pytest.mark.parametrize("c", [1e8, 1e10, 1e-4])
-    def test_time_unit(self, c, ndde, ndde_msq20):
-        # ndde with time measured in units of c, g_c(lam, x, y) =
-        # c g(c lam, x, y): omega0 and 1/lambda0 scale by c, M by c, and the
-        # rescaled expansion is the same
-        model = mdl.DdeModel(
-            "ndde-time-unit", dim=2, params={},
-            rhs=lambda lam, x, y: [c * g for g in ndde.rhs(c * lam, x, y)],
-            equilibrium_hint=[0.0, 0.0], hopf_hint=(1.14 * c, 1.3 / c))
-        got, ref = xp.expand(model, 20, z0_scale="msq"), ndde_msq20
-        assert abs(got.hopf.omega0 / c - ref.hopf.omega0) <= 1e-12
-        assert abs(got.hopf.lambda0 * c - ref.hopf.lambda0) <= 1e-12
-        for mine, theirs in ((got.lambda_hats, ref.lambda_hats),
-                             (got.T_hats, ref.T_hats)):
-            scale = max(1.0, max(map(abs, theirs)))
-            assert max(abs(a - b) for a, b in zip(mine, theirs)) \
-                <= 1e-12 * scale
-        scale = max(1.0, max(z.max_abs() for z in ref.Z))
-        assert max((a - b).max_abs() for a, b in zip(got.Z, ref.Z)) \
+    @pytest.mark.parametrize("name,c", [
+        *(pytest.param("ndde", c, id=str(c))
+          for c in (1e8, 1e10, 1e-4, 1e-8, 1e4)),
+        *(pytest.param("hutchinson", c, id=f"hutchinson-{c}")
+          for c in (1e-8, 1e-4, 1e4, 1e8))])
+    def test_time_unit(self, name, c):
+        # the model with time measured in units of c: omega0 and 1/lambda0
+        # scale by c, M by c, and the rescaled expansion, the amplitude at
+        # a delay, the residual and the integrator's e_r are the same
+        got, ref = _time_unit_figures(name, c), _time_unit_figures(name, 1.0)
+        exp, base = got["expansion"], ref["expansion"]
+        assert abs(exp.hopf.omega0 / c - base.hopf.omega0) \
+            <= 1e-14 * base.hopf.omega0
+        assert abs(exp.hopf.lambda0 * c - base.hopf.lambda0) \
+            <= 1e-14 * base.hopf.lambda0
+        for mine, theirs in ((exp.lambda_hats, base.lambda_hats),
+                             (exp.T_hats, base.T_hats)):
+            for a, b in zip(mine, theirs, strict=True):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        scale = max(1.0, max(z.max_abs() for z in base.Z))
+        assert max((a - b).max_abs() for a, b in zip(exp.Z, base.Z)) \
             <= 1e-12 * scale
+        for key, bound in (("eps", 1e-12), ("eps_near", 1e-8),
+                           ("residual", 1e-12), ("e_r", 1e-7)):
+            assert abs(got[key] - ref[key]) <= bound * ref[key], key
+
+    @pytest.mark.parametrize("c", [1e-16, 1e16])
+    @pytest.mark.parametrize("name", ["ndde", "hutchinson"])
+    def test_the_hopf_point_in_an_extreme_time_unit(self, name, c):
+        model = TIME_UNIT_MODELS[name][0]
+        ref = bf.find_hopf(model)
+        hp = bf.find_hopf(in_time_unit(model, c))
+        assert abs(hp.omega0 / c - ref.omega0) <= 1e-14 * ref.omega0
+        assert abs(hp.lambda0 * c - ref.lambda0) <= 1e-14 * ref.lambda0
+
+    def test_a_null_vector_off_is_refused_in_a_slow_time_unit(
+            self, ndde, monkeypatch):
+        # in a time unit of 1e-8 the terms of M are of size 3.3e-8, and
+        # |M a| of a right null vector 1e-3 off is 1.1e-11: 350 times the
+        # bound 1e-9 * 3.3e-8, which scales with them, and below 1e-9
+        null_vector, calls = bf._null_vector, []
+
+        def perturbed(mat):
+            v = null_vector(mat)
+            if not calls:
+                v[0] += 1e-3
+            calls.append(mat)
+            return v
+
+        model = in_time_unit(ndde, 1e-8)
+        monkeypatch.setattr(bf, "_null_vector", perturbed)
+        with pytest.raises(HopfError, match="null vector residuals too large"):
+            bf.find_hopf(model)
+
+
+# model, and expansion orders of the coefficients and of the orbit, in the
+# time-unit tests (ndde's orbit at order 8, as validated by the CLI: at
+# order 20 its residual is 6.9e-4, and rounding moves it by 1.2e-12 of that)
+TIME_UNIT_MODELS = {
+    "ndde": (mdl.make_ndde(), 20, 8),
+    "hutchinson": (_model(1, lambda lam, x, y: [x[0] * (1 - y[0])],
+                          (1.1, 1.4), [1.0]), 12, 12),
+}
+
+
+@functools.cache
+def _time_unit_figures(name, c):
+    """The msq expansion of the model ``name`` in time unit c and, from the
+    orbit's expansion, the amplitude at 1.2 lambda0 and at lambda0 (1 +
+    1e-6), and the residual and e_r (over 20 periods) of the orbit at 1.2
+    lambda0."""
+    model, order, orbit_order = TIME_UNIT_MODELS[name]
+    model = in_time_unit(model, c)
+    exp = xp.expand(model, order, z0_scale="msq")
+    short = exp if orbit_order == order else xp.expand(model, orbit_order,
+                                                       z0_scale="msq")
+    lam0 = exp.hopf.lambda0
+    orbit = ob.ReconstructedOrbit(short, 1.2 * lam0)
+    return {"expansion": exp, "eps": orbit.eps,
+            "eps_near": ob.solve_epsilon(short, lam0 * (1 + 1e-6)),
+            "residual": ob.residual(orbit),
+            "e_r": di.cross_validate(orbit, t_end=20 * orbit.period)[0]}
 
 
 class TestNullBases:

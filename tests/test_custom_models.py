@@ -93,7 +93,9 @@ def test_an_equilibrium_hint_has_dim_entries(dim, hint):
 BAD_HOPF_HINTS = {"one": (1.1,), "number": 1.1, "three": (1.1, 1.4, 9.0),
                   "nan": (1.1, math.nan), "string": "ab",
                   "text-entry": (1.1, "x"), "none": None,
-                  "inf": (math.inf, 1.3)}
+                  "inf": (math.inf, 1.3), "zero-omega": (0, 1.3),
+                  "zero-lambda": (1.1, 0), "negative-omega": (-1e-3, 1.0),
+                  "negative-lambda": (1.1, -1.3)}
 
 
 @pytest.mark.parametrize("hint,assigned", [

@@ -2,6 +2,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from conftest import in_time_unit
 
 from ddehopf import ddeint as di
 from ddehopf import models as mdl
@@ -215,8 +216,9 @@ class TestIntegrate:
 
     def test_the_step_floor_near_t_0(self):
         # an rhs of alternating sign fails every error test, so each step is
-        # cut to a third, from 0.01 + 1e-12 until below 1e-14 * max(1, |t|):
-        # 26 rejected steps of 12 rhs calls after the first call
+        # cut to a third, from 0.01 lam + 1e-12 until below 1e-14 * max(lam,
+        # t): 26 rejected steps of 12 rhs calls after the first call, in
+        # any time unit
         calls = []
 
         def rhs(lam, x, y):
@@ -224,11 +226,12 @@ class TestIntegrate:
             return [1e30 * (-1) ** len(calls)]
 
         model = mdl.DdeModel("jumps", 1, {}, rhs, [0.0], (1.0, 1.5))
-        calls.clear()
-        with pytest.raises(IntegrationError,
-                           match="step size underflow at t=0.0"):
-            di.integrate(model, 1.0, [0.0], 1.0)
-        assert len(calls) == 1 + 12 * 26
+        for lam in (1e-8, 1.0, 1e8):
+            calls.clear()
+            with pytest.raises(IntegrationError,
+                               match="step size underflow at t=0.0"):
+                di.integrate(model, lam, [0.0], lam)
+            assert len(calls) == 1 + 12 * 26
 
     def test_dense_output_continuity(self, ndde):
         traj = di.integrate(ndde, 1.4, [5.0, 0.0], 40.0)
@@ -279,6 +282,17 @@ class TestIntegrate:
         assert np.array_equal(traj.value(10.0), traj.ys[-1])
         with pytest.raises(IntegrationError):
             traj.value(10.5)
+
+    def test_the_guards_in_a_fast_time_unit(self, ndde):
+        # ndde in a time unit of 1e8: the slacks past the end and before
+        # the history scale with the end and the delay
+        c = 1e8
+        traj = di.integrate(in_time_unit(ndde, c), 1.4 / c, [1.0, 0.0],
+                            10.0 / c)
+        with pytest.raises(IntegrationError, match="beyond the trajectory"):
+            traj.value(10.0 / c * (1 + 1e-3))
+        with pytest.raises(IntegrationError, match="precedes the history"):
+            traj.value(-1.4 / c * (1 + 1e-3))
 
     def test_value_keeps_the_shape_of_its_argument(self, ndde):
         traj = di.integrate(ndde, 1.4, [1.0, 0.0], 10.0)

@@ -84,6 +84,15 @@ class TestNumbers:
             assert np.array_equal(v.cos, w.cos)
             assert np.array_equal(v.sin, w.sin)
 
+    def test_any_number_scales_as_its_float(self, rng):
+        # an int or a numpy scalar multiplies, from either side, as the
+        # float of the same value
+        u = random_poly(rng, dim=2, degree=3)
+        for v, w in ((2 * u, u * 2.0), (u * np.float32(0.5), u * 0.5),
+                     (np.int64(-3) * u, u * -3.0)):
+            for x, y in ((v.const, w.const), (v.cos, w.cos), (v.sin, w.sin)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_number_plus_vector_raises(self):
         u = TrigPoly.harmonic(2, 1, cos_vec=[1.0, 2.0])
         for op in (lambda: 1.0 + u, lambda: u + 1.0, lambda: u - 1.0,

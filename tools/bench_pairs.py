@@ -35,8 +35,9 @@ revision.  Only the standard library is used.
 The other tools of ``tools/`` take from here what they share, since this
 tool must run with no other file of ``tools/`` beside it: the child runner
 ``run_child``, the self-removing directory ``scratch``, the extraction of a
-revision ``checkout``, the audit of one ``audit_at``, the module loader
-``load`` and the Tier-1 paths ``TIER1``.
+revision ``checkout``, the audit of one ``audit_at`` and the module loader
+``load``.  Tier-1 is what a bare ``pytest`` collects in a tree's root
+(``testpaths`` in ``pyproject.toml``).
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ WIN_SHARE = 0.9
 # alternated --trace 1 pairs per workload; one traced run a side is too few
 # to read per-layer changes of a few ms
 TRACED_PAIRS = 3
-# the test directories of Tier-1, relative to a tree's root
-TIER1 = ("tests", "perfbench/tests")
 
 
 def load(path: Path):

@@ -23,10 +23,10 @@ The statements are those of ``tools/reach.py``.  The mutants are made in a
 copy of the tree ROOT (pytest's ``pythonpath = ["src"]`` puts a tree's own
 ``src`` first, so a mutated package must sit in the tree the tests run
 from), in a ``bench_pairs.scratch`` directory, removed on any exit,
-SIGTERM included.  The traffic is Tier-1 (``bench_pairs.TIER1``) with
-``-x`` in a fresh interpreter (``bench_pairs.run_child``), less the tests
-of ``DESELECTED``.  The unmutated copy runs first and must pass; a mutant
-run that takes ten times as long is stopped and counts as caught.
+SIGTERM included.  The traffic is Tier-1 (a bare ``pytest`` in the copy)
+with ``-x`` in a fresh interpreter (``bench_pairs.run_child``), less the
+tests of ``DESELECTED``.  The unmutated copy runs first and must pass; a
+mutant run that takes ten times as long is stopped and counts as caught.
 
 Usage::
 
@@ -38,7 +38,7 @@ to those modules of ``src/ddehopf``.  Each mutant prints as
 ``file:line:column class caught|survived <first failing test>``, then
 ``N of M survived``.  Only the standard library is used.  Each mutant
 costs one Tier-1 run, up to its first failure: the whole set takes about
-35 minutes.
+30 minutes.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from bench_pairs import TIER1, run_child, scratch  # tools/ is on the path
+from bench_pairs import run_child, scratch  # tools/ is on the path
 from reach import statements
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,7 +196,7 @@ def tier1(tree: Path, timeout=None):
     the node id of the first failing test.  A run still going after
     ``timeout`` seconds is killed with its children."""
     args = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
-            "-p", "no:cacheprovider", *TIER1]
+            "-p", "no:cacheprovider"]
     for node_id in DESELECTED:
         args += ["--deselect", node_id]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}

@@ -5,12 +5,13 @@ A statement is every ``ast.stmt`` of the package's modules, nested ones
 included, except docstrings (the rule of ``tools/code_size.py``).  A
 statement is reached when a line of its own runs: a line it spans that is
 not a line of a statement nested in its body (so the header of a compound
-statement, with its decorators, is its own).  The traffic is the run of
-``pytest`` over ``tests/`` and ``perfbench/tests`` followed by
-``ddehopf.cli.main`` on the argv of each workload of ``perfbench/run.py`` at
-seed 0, all in this one process, under ``sys.settrace`` and
-``threading.settrace`` installed before ``ddehopf`` is imported.  What runs
-only in a child process (the CLI tests' subprocesses, for one) is not seen.
+statement, with its decorators, is its own).  The traffic is a bare
+``pytest`` in ROOT (Tier-1, the ``testpaths`` of its ``pyproject.toml``)
+followed by ``ddehopf.cli.main`` on the argv of each workload of
+``perfbench/run.py`` at seed 0, all in this one process, under
+``sys.settrace`` and ``threading.settrace`` installed before ``ddehopf`` is
+imported.  What runs only in a child process (the CLI tests' subprocesses,
+for one) is not seen.
 
 Usage::
 
@@ -36,7 +37,7 @@ import tempfile
 import threading
 from pathlib import Path
 
-from bench_pairs import TIER1, audit_at, load  # tools/ is on the path
+from bench_pairs import audit_at, load  # tools/ is on the path
 from code_size import docstring_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,8 +117,7 @@ def suite_and_workloads(root: Path):
         import pytest
         os.chdir(root)
         with contextlib.redirect_stdout(sys.stderr):
-            pytest.main(["-q", "-p", "no:cacheprovider",
-                         *(str(root / path) for path in TIER1)])
+            pytest.main(["-q", "-p", "no:cacheprovider"])
         workloads = load(root / "perfbench" / "run.py").WORKLOADS
         from ddehopf import cli
         with tempfile.TemporaryDirectory() as tmp:
