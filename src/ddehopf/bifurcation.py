@@ -1,19 +1,23 @@
 """Hopf point location and null-space bases of the critical delay operator.
 
-The characteristic matrix of the linearized delayed system is
+The characteristic matrix of x' = A x + B x(t - delay) on the imaginary
+axis is
 
-    M(omega, lam) = i*omega*I - P(lam) - Q(lam) * e^(-i*omega*lam),
+    Delta(i*freq) = i*freq*I - A - B * e^(-i*freq*delay),
 
-with P, Q re-linearized at the lam-dependent equilibrium.  The Hopf point
-(omega0, lam0) solves det M = 0 with omega0 > 0.  In rescaled time the
-critical operator and its formal adjoint act on 2*pi-periodic functions as
+and ``characteristic_matrix`` is its one owner.  With A, B = P(lam), Q(lam),
+re-linearized at the lam-dependent equilibrium, and delay lam it is the
+physical M(omega, lam); the Hopf point (omega0, lam0) solves det M = 0 with
+omega0 > 0.  In rescaled time the critical operator and its formal adjoint
+act on 2*pi-periodic functions as
 
     L u  = u' - A u - B u(. - lh0),        A = P/omega0, B = Q/omega0,
     L* u = u' + A^T u + B^T u(. + lh0),    lh0 = omega0*lam0,
 
 and both have two-dimensional null spaces spanned by first-harmonic
-trigonometric polynomials built from the null vectors of the characteristic
-matrices.  ``find_hopf`` is the one call of this stage: the ``HopfPoint`` it
+trigonometric polynomials built from the null vectors of M and of W, the
+characteristic matrix Delta(i) of the adjoint system u' = -A^T u - B^T u(t +
+lh0).  ``find_hopf`` is the one call of this stage: the ``HopfPoint`` it
 returns carries (omega0, lam0), the rescaled Jacobians A and B, and the
 orthonormal bases v1, v2 of N(L) and w1, w2 of N(L*), built and checked
 when the point is made.
@@ -63,10 +67,17 @@ class HopfPoint:
         return f"HopfPoint(omega0={self.omega0:.6g}, lambda0={self.lambda0:.6g})"
 
 
-def characteristic_matrix(model, omega, lam):
-    P, Q = mdl.linearization(model, lam)
-    n = model.dim
-    return (1j * omega * np.eye(n) - P - Q * np.exp(-1j * omega * lam))
+def characteristic_matrix(A, B, delay, freq) -> np.ndarray:
+    """Delta(i*freq) = i*freq*I - A - B*e^(-i*freq*delay), its real part
+    -A - cos(freq*delay)*B and its imaginary part freq*I + sin(freq*delay)*B
+    formed in real arithmetic.  Complex arithmetic would give +0 at every
+    zero entry, where these give -0 at some (ndde's (0, 0), where A and B
+    are both 0), a sign that the Householder steps of a least-squares solve
+    or an SVD read."""
+    mat = np.empty(A.shape, dtype=complex)
+    mat.real = -A - np.cos(freq * delay) * B
+    mat.imag = freq * np.eye(len(A)) + np.sin(freq * delay) * B
+    return mat
 
 
 def _scaled_det(model, omega, lam) -> complex:
@@ -79,12 +90,12 @@ def _scaled_det(model, omega, lam) -> complex:
     lam) and, like the norm, keeps the time unit out.  A size that
     overflows raises HopfError: the scaled row would be 0 and fake a
     root."""
-    mat = characteristic_matrix(model, omega, lam)
+    P, Q = mdl.linearization(model, lam)
+    mat = characteristic_matrix(P, Q, lam, omega)
     single = np.count_nonzero(mat, axis=1) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1)
         if single.any():
-            P, Q = mdl.linearization(model, lam)
             norms[single] = np.sqrt(omega ** 2 + np.linalg.norm(P, axis=1) ** 2
                                     + np.linalg.norm(Q, axis=1) ** 2)[single]
     if not np.isfinite(norms).all():
@@ -151,12 +162,15 @@ def find_hopf(model) -> HopfPoint:
                 f"characteristic root near harmonic {mharm} of omega0 "
                 f"(scaled determinant {abs(d):.2e})")
 
-    M = characteristic_matrix(model, w, lam)
-    alpha = _null_vector(M)
     P, Q = mdl.linearization(model, lam)
+    M = characteristic_matrix(P, Q, lam, w)
+    alpha = _null_vector(M)
     A, B = P / w, Q / w
-    lh0 = w * lam
-    W = 1j * np.eye(model.dim) + A.T + B.T * np.exp(1j * lh0)
+    # W is the characteristic matrix of the adjoint system u' = -A^T u -
+    # B^T u(t + lh0).  A.T + 0.0 turns each zero of A^T into +0, so each
+    # zero of W's real part is +0, as complex arithmetic gives it: the SVD
+    # that finds the left null vector reads that sign (ndde in (x1, -x2))
+    W = characteristic_matrix(-(A.T + 0.0), -B.T, -(w * lam), 1.0)
     beta = _null_vector(W)
     # |M a| grows with the size of M's terms, which a time unit scales (W is
     # free of it)

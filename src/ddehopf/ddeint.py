@@ -13,12 +13,13 @@ its step, and one nested evaluator
 
     y(t0 + x h) = y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))),
 
-serves the delayed lookups, ``Trajectory.value`` and the crossing
-bisection.  With F3..F6 = 0 it is the cubic Hermite interpolant through
-(t, y, y') at the two knots.  The extension costs three rhs calls per
-accepted step, on top of the twelve per attempted step; with O(h^4) cubic
-Hermite lookups instead, the error of the delayed values, not that of the
-step, would limit the accuracy.
+serves the delayed lookups and ``Trajectory.value``, which the crossing
+bisection and the peak refinement of the steady-state test read.  With
+F3..F6 = 0 it is the cubic Hermite interpolant through (t, y, y') at the two
+knots.  The extension costs three rhs calls per accepted step, on top of
+the twelve per attempted step; with O(h^4) cubic Hermite lookups instead,
+the error of the delayed values, not that of the step, would limit the
+accuracy.
 
 ``integrate`` alone builds a trajectory, in one pass: the knots
 (t, y) and the extension vectors go into arrays whose capacity doubles
@@ -404,13 +405,11 @@ def detect_steady_state(traj: Trajectory, level: float) -> Alignment:
             f"only {len(up)} upward crossings found; trajectory too short "
             "or not oscillating")
 
-    ts, x, F = traj.ts, traj.ys[:, 0], traj.coeffs[:, :, 0]
+    ts = traj.ts
 
     def crossing(i):
-        # bisect the crossing on the one segment that holds it, in floats
-        t0, h = float(ts[i]), float(ts[i + 1] - ts[i])
-        x0, Fi = float(x[i]), F[i].tolist()
-        return _bisect(lambda t: _extension((t - t0) / h, x0, Fi) - level,
+        # bisect the crossing on the one segment that holds it
+        return _bisect(lambda t: float(traj.value(t)[0]) - level,
                        ts[i], ts[i + 1], d[i])
 
     # only the last four crossings (three periods) are read

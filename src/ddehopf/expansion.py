@@ -253,9 +253,11 @@ def solve_order(H0: TrigPoly, R: TrigPoly, S: TrigPoly, hp: HopfPoint):
 def solve_particular(h: TrigPoly, hp: HopfPoint) -> TrigPoly:
     """Particular solution of L Z = h by independent per-harmonic blocks.
 
-    Harmonic k couples the cosine and sine coefficient vectors through a
-    2n x 2n block built from A, B and the phases of the delayed argument.
-    The k = 1 block is the matrix symbol of L at the critical root and is
+    The constant harmonic is solved with Delta(0) = -A - B, and harmonic k
+    couples the cosine and sine coefficient vectors through the real 2n x 2n
+    form [[Re D, Im D], [-Im D, Re D]] of D = Delta(ik), the characteristic
+    matrix of the Hopf point (``bifurcation.characteristic_matrix``).  The
+    k = 1 block is the matrix symbol of L at the critical root and is
     rank-deficient by two; it is solved in the minimum-norm least-squares
     sense (relative rank threshold 1e-8) and the residual is asserted, since
     solvability guarantees the right-hand side is in range.
@@ -264,10 +266,10 @@ def solve_particular(h: TrigPoly, hp: HopfPoint) -> TrigPoly:
     lh0 = hp.lambda_hat0
     n = h.dim
     K = h.degree
-    ident = np.eye(n)
 
     try:
-        a0 = np.linalg.solve(-(A + B), h.const)
+        a0 = np.linalg.solve(bf.characteristic_matrix(A, B, lh0, 0).real,
+                             h.const)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(
             "zero characteristic root: the constant-harmonic block is "
@@ -276,12 +278,8 @@ def solve_particular(h: TrigPoly, hp: HopfPoint) -> TrigPoly:
     cos_out = np.zeros((K, n))
     sin_out = np.zeros((K, n))
     for k in range(1, K + 1):
-        c = np.cos(k * lh0)
-        s = np.sin(k * lh0)
-        block = np.block([
-            [-A - c * B, k * ident + s * B],
-            [-k * ident - s * B, -A - c * B],
-        ])
+        D = bf.characteristic_matrix(A, B, lh0, k)
+        block = np.block([[D.real, D.imag], [-D.imag, D.real]])
         rhs = np.concatenate([h.cos[k - 1], h.sin[k - 1]])
         if k == 1:
             sol, _, rank, _ = np.linalg.lstsq(block, rhs, rcond=1e-8)

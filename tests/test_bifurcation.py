@@ -46,7 +46,8 @@ class TestFindHopf:
     def test_null_vector_residuals(self, ndde, sir):
         for model in (ndde, sir):
             hp = bf.find_hopf(model)
-            M = bf.characteristic_matrix(model, hp.omega0, hp.lambda0)
+            P, Q = mdl.linearization(model, hp.lambda0)
+            M = bf.characteristic_matrix(P, Q, hp.lambda0, hp.omega0)
             assert np.linalg.norm(M @ hp.right_null) < 1e-9
             W = (1j * np.eye(model.dim) + hp.A.T
                  + hp.B.T * np.exp(1j * hp.lambda_hat0))
@@ -271,6 +272,91 @@ def _time_unit_figures(name, c):
             "e_r": di.cross_validate(orbit, t_end=20 * orbit.period)[0]}
 
 
+def _ndde_x2_flipped():
+    """ndde in the coordinates (x1, -x2): its A and B have -0 at (0, 0),
+    where ndde's have +0."""
+    p = mdl.NDDE_DEFAULTS
+    a, b, d, K = p["a"], p["b"], p["d"], p["K"]
+
+    def rhs(lam, x, y):
+        return [-x[1], a - (a + b) / (
+            1.0 + (b / a) * es.exp(d * (y[0] - K * y[1])))]
+
+    return mdl.DdeModel("ndde-x2-flipped", dim=2, params={}, rhs=rhs,
+                        equilibrium_hint=[0.0, 0.0], hopf_hint=(1.1, 1.3))
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("make", [mdl.make_ndde, mdl.make_sir,
+                                  _ndde_x2_flipped],
+                         ids=["ndde", "sir", "ndde-x2-flipped"])
+class TestCharacteristicMatrix:
+    """Delta(ik) = ikI - A - B e^(-ik lh0) at the Hopf point, k = 0..5, the
+    matrix that the Hopf search, both null vectors and every per-harmonic
+    solve of the expansion read."""
+
+    @pytest.fixture
+    def model(self, make):
+        return make()
+
+    @pytest.fixture
+    def hp(self, model):
+        return bf.find_hopf(model)
+
+    def test_its_parts_are_formed_in_real_arithmetic(self, hp, k):
+        # ndde's A and B share an exact zero at (0, 0), where complex
+        # arithmetic, (0 - A) - B e^(-ik lh0), gives +0 and the real form
+        # gives -0; LAPACK's Householder steps (the k = 1 least squares, the
+        # null-vector SVDs) read that sign, so a Delta formed in complex
+        # arithmetic moves every ndde output
+        A, B, lh0 = hp.A, hp.B, hp.lambda_hat0
+        D = bf.characteristic_matrix(A, B, lh0, k)
+        assert D.real.tobytes() == (-A - np.cos(k * lh0) * B).tobytes()
+        assert D.imag.tobytes() == (k * np.eye(len(A))
+                                    + np.sin(k * lh0) * B).tobytes()
+        # W is Delta of the adjoint system u' = -A^T u - B^T u(t + lh0), as
+        # find_hopf forms it: ikI + A^T + B^T e^(ik lh0) in complex
+        # arithmetic, bit for bit.  Without the 0.0 the flipped model's
+        # (0, 0) would be -0, and its left null vector would move by 2e-17
+        W = bf.characteristic_matrix(-(A.T + 0.0), -B.T, -lh0, k)
+        assert W.tobytes() == (1j * k * np.eye(len(A)) + A.T
+                               + B.T * np.exp(1j * k * lh0)).tobytes()
+        if k == 1:
+            assert hp.left_null.tobytes() == bf._null_vector(W).tobytes()
+
+    def test_its_real_form_is_the_symbol_of_the_operators(self, hp, k):
+        # column i of [[Re D, Im D], [-Im D, Re D]] holds the cosine and
+        # sine coefficients of L e_i cos(k tau) (of L e_(i-n) sin(k tau) for
+        # i >= n), and Re D alone the constant of L e_i for k = 0; the same
+        # for W and L*
+        A, B, lh0 = hp.A, hp.B, hp.lambda_hat0
+        n = len(A)
+        for operator, D in (
+                (bf.critical_operator, bf.characteristic_matrix(A, B, lh0, k)),
+                (bf.adjoint_operator,
+                 bf.characteristic_matrix(-(A.T + 0.0), -B.T, -lh0, k))):
+            if k == 0:
+                real_form = D.real
+            else:
+                real_form = np.block([[D.real, D.imag], [-D.imag, D.real]])
+            columns = []
+            for e in np.eye(len(real_form)):
+                out = operator(tp.TrigPoly.harmonic(n, k, cos_vec=e[:n],
+                                                    sin_vec=e[n:]), hp)
+                columns.append(out.const if k == 0 else np.concatenate(
+                    [out.cos[k - 1], out.sin[k - 1]]))
+            assert np.max(np.abs(np.column_stack(columns) - real_form)) \
+                <= 1e-15 * np.max(np.abs(real_form))
+
+    def test_the_physical_matrix_is_omega0_times_the_rescaled(self, model,
+                                                               hp, k):
+        P, Q = mdl.linearization(model, hp.lambda0)
+        M = bf.characteristic_matrix(P, Q, hp.lambda0, k * hp.omega0)
+        D = bf.characteristic_matrix(hp.A, hp.B, hp.lambda_hat0, k)
+        assert np.max(np.abs(M - hp.omega0 * D)) \
+            <= 4 * np.finfo(float).eps * np.max(np.abs(M))
+
+
 class TestNullBases:
     def test_degenerate_null_vector(self):
         # x1 decays on its own, so the critical null vector is (0, 1)
@@ -347,13 +433,6 @@ class TestNullBases:
         # in the second component, so _null_bases flips it.  The flipped
         # model's expansion is then ndde's at -eps: lh_j and Th_j gain
         # (-1)^j, and Z_j becomes (-1)^(j+1) diag(1, -1) Z_j.
-        p = mdl.NDDE_DEFAULTS
-        a, b, d, K = p["a"], p["b"], p["d"], p["K"]
-
-        def rhs(lam, x, y):
-            return [-x[1], a - (a + b) / (
-                1.0 + (b / a) * es.exp(d * (y[0] - K * y[1])))]
-
         raw = []
         first_harmonic = bf._first_harmonic
 
@@ -362,9 +441,7 @@ class TestNullBases:
             return raw[-1]
 
         monkeypatch.setattr(bf, "_first_harmonic", recorded)
-        model = mdl.DdeModel("ndde-x2-flipped", dim=2, params={}, rhs=rhs,
-                             equilibrium_hint=[0.0, 0.0], hopf_hint=(1.1, 1.3))
-        got = xp.expand(model, 20, z0_scale="msq")
+        got = xp.expand(_ndde_x2_flipped(), 20, z0_scale="msq")
         assert raw[0].cos[0, 1] < 0.0 < got.hopf.v2.cos[0, 1]
         ref = ndde_msq20
         flip = np.diag([1.0, -1.0])

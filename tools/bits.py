@@ -211,6 +211,12 @@ def _artifacts():
         "log", lambda lam, x, y: [-log(1 + y[0]) - 0.1 * x[0]],
         (1.0, 1.7)), 12, "msq")
     runs["hutchinson-msq-20"] = (hutchinson, 20, "msq")
+    # a characteristic matrix of dim 2 with a row that holds one nonzero
+    # entry, which the Hopf search scales apart
+    runs["hutchinson-decoupled-msq-12"] = (ddehopf.DdeModel(
+        "hutchinson-decoupled", dim=2, params={},
+        rhs=lambda lam, x, y: [x[0] * (1 - y[0]), -x[1]],
+        equilibrium_hint=[1.0, 0.0], hopf_hint=(1.1, 1.4)), 12, "msq")
     return runs
 
 
